@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .cloud import estimate_normals, load_ply, save_ply
-from .errors import ConfigError, FacelaserError
+from .errors import ConfigError, FacelaserError, ParseError
 from .geometry import CameraIntrinsics, PoseVector6, RigidTransform
 from .pathplan import PathPoint, PlannerConfig, SegmentPath, plan_segment
 from .registration import estimate_viewpoints, merge_views
@@ -31,9 +31,7 @@ from .simulator import (
     ShotLog,
     SimConfig,
     coverage_metrics,
-    motion_exceeds_deadband,
     run_path,
-    transform_path,
 )
 
 
@@ -216,18 +214,30 @@ def _path_records(path: SegmentPath) -> list[dict]:
 
 
 def load_paths(path) -> dict:
-    """Rebuild {label: SegmentPath} from a flat path-record JSON file."""
-    with open(path, "r", encoding="utf-8") as f:
-        rows = json.load(f)
-    grouped: dict[str, list] = {}
-    for r in rows:
-        grouped.setdefault(r["segment_label"], []).append(r)
-    out = {}
-    for label, rs in grouped.items():
-        points = [PathPoint(np.array([r["x"], r["y"], r["z"]]),
-                            np.array([r["nx"], r["ny"], r["nz"]])) for r in rs]
-        strips = np.array([int(r["strip_index"]) for r in rs], dtype=int)
-        out[label] = SegmentPath(label, points, strips, "unknown")
+    """Rebuild {label: SegmentPath} from a flat path-record JSON file.
+
+    Raises ParseError for text that is not JSON, a record that lacks a
+    field, and coordinates that are not finite numbers.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            rows = json.load(f)
+        grouped: dict[str, list] = {}
+        for r in rows:
+            grouped.setdefault(r["segment_label"], []).append(r)
+        out = {}
+        for label, rs in grouped.items():
+            xyz = np.array([[r[k] for k in ("x", "y", "z", "nx", "ny", "nz")]
+                            for r in rs], dtype=float)
+            if not np.isfinite(xyz).all():
+                raise ParseError(f"{path}: non-finite coordinate in '{label}'")
+            points = [PathPoint(row[:3], row[3:]) for row in xyz]
+            strips = np.array([int(r["strip_index"]) for r in rs], dtype=int)
+            out[label] = SegmentPath(label, points, strips, "unknown")
+    except KeyError as exc:
+        raise ParseError(f"{path}: path record without {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return out
 
 
@@ -299,44 +309,17 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     paths = load_paths(_require(args.paths))
     if not paths:
         raise _UsageError(f"no path records in {args.paths}")
-    sim = cfg.sim()
     surface = rig = None
     if args.surface:
         surface = load_ply(_require(args.surface))
         rig = cfg.rig()
     motion = MotionScript.from_json(_require(args.motion)) if args.motion else None
-
-    events = []
-    samples = []
-    t = 0.0
-    start = None
-    anchor = motion.pose_at(0.0) if motion is not None else None
-    live_surface = surface
-    for label in list(paths):
-        path = paths[label]
-        if motion is not None:
-            # Body motion between segments: carry the untouched plan along.
-            head = motion.pose_at(t)
-            if motion_exceeds_deadband(anchor, head, sim.deadband_translation,
-                                       sim.deadband_rotation):
-                carry = head.compose(anchor.invert())
-                paths = {k: transform_path(v, carry) for k, v in paths.items()}
-                path = paths[label]
-                if surface is not None:
-                    live_surface = live_surface.transformed(carry)
-                anchor = head
-        res = run_path(path, sim, standoff=cfg.standoff_m, rig=rig,
-                       cloud=live_surface, motion=motion, start=start, t0=t,
-                       shot_index0=len(events),
-                       record=args.out_traj is not None)
-        events.extend(res.log.events)
-        samples.extend(res.trajectory)
-        t = res.final_state.time
-        start = res.final_state.pose()
-    _write_shots_csv(events, args.out_shots)
+    res = run_path(paths, cfg.sim(), standoff=cfg.standoff_m, rig=rig,
+                   cloud=surface, motion=motion, record=args.out_traj is not None)
+    _write_shots_csv(res.log.events, args.out_shots)
     if args.out_traj:
-        _write_traj_csv(samples, args.out_traj)
-    print(f"simulated {len(paths)} segments: {len(events)} shots "
+        _write_traj_csv(res.trajectory, args.out_traj)
+    print(f"simulated {len(paths)} segments: {len(res.log)} shots "
           f"-> {args.out_shots}")
     return 0
 

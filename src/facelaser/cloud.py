@@ -21,13 +21,6 @@ _PLY_TYPES = {
 }
 
 
-@dataclass
-class SurfacePoint:
-    position: np.ndarray
-    normal: np.ndarray | None
-    color: np.ndarray | None
-
-
 class PointCloud:
     """Columnar storage for surface samples: positions, optional normals and colors.
 
@@ -54,13 +47,6 @@ class PointCloud:
     @property
     def has_normals(self) -> bool:
         return self.normals is not None
-
-    def point(self, i: int) -> SurfacePoint:
-        return SurfacePoint(
-            self.positions[i].copy(),
-            None if self.normals is None else self.normals[i].copy(),
-            None if self.colors is None else self.colors[i].copy(),
-        )
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         if len(self) == 0:

@@ -9,9 +9,11 @@ fixed-rate control clock. Three behaviours ride on top of the motion:
 * proximity guard: a ring of distance sensors behind the tip measures the
   offset to the nearest surface; inside the protective radius l_min a
   repulsive velocity pushes the tool out along the fused measurement;
-* re-anchoring: when the tracked head pose leaves a small dead-band, the
-  untraveled remainder of the path (and the guarded surface) is rigidly
-  carried along with the new pose.
+* re-anchoring: one anchor, the head pose at t = 0, holds for the whole
+  run. Targets and the guarded surface stay in the plan frame; when the
+  tracked head pose leaves a small dead-band around the last anchor, they
+  are carried from the plan frame by the head's displacement since t = 0,
+  across segment boundaries alike. Inside the dead-band nothing changes.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import (
     EmptyLog,
     InvalidParam,
     NoSurfaceInRange,
+    ParseError,
 )
 from .geometry import (
     PoseVector6,
@@ -219,14 +222,24 @@ class MotionScript:
 
     @classmethod
     def from_json(cls, path) -> "MotionScript":
-        """Keyframes as [{"t_s": .., "translation": [..], "axis_angle": [..]}]."""
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-        times, poses = [], []
-        for row in doc:
-            times.append(float(row["t_s"]))
-            poses.append(PoseVector6(row["translation"], row["axis_angle"]).to_transform())
-        return cls(times, poses)
+        """Keyframes as [{"t_s": .., "translation": [..], "axis_angle": [..]}].
+
+        Raises ParseError for text that is not JSON, a keyframe that lacks a
+        field, and values that are not finite numbers.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                doc = json.load(f)
+            times = [float(row["t_s"]) for row in doc]
+            psis = [PoseVector6(row["translation"], row["axis_angle"]) for row in doc]
+        except KeyError as exc:
+            raise ParseError(f"{path}: motion keyframe without {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        values = [[t, *p.position, *p.axis_angle] for t, p in zip(times, psis)]
+        if not np.isfinite(values).all():
+            raise ParseError(f"{path}: non-finite motion keyframe value")
+        return cls(times, [p.to_transform() for p in psis])
 
     def pose_at(self, t: float) -> RigidTransform:
         if t <= self.times[0] or len(self.poses) == 1:
@@ -347,95 +360,96 @@ class RunResult:
     final_state: EffectorState
 
 
-def run_path(path: SegmentPath, config: SimConfig, standoff: float = 0.0,
+def run_path(paths, config: SimConfig, standoff: float = 0.0,
              rig: SensorRig | None = None, cloud: PointCloud | None = None,
              motion: MotionScript | None = None,
-             start: RigidTransform | None = None, t0: float = 0.0,
-             shot_index0: int = 0, record: bool = True) -> RunResult:
-    """Execute one planned segment and log shots plus the tip trajectory.
+             start: RigidTransform | None = None, record: bool = True) -> RunResult:
+    """Execute planned segments in order and log shots plus the tip trajectory.
 
-    The tool begins at the first target (or at `start`, adding an approach
-    leg). Legs between consecutive targets of the same strip run with the
-    trigger armed; traverse legs between strips run dark and reset the
-    accumulated travel, so every strip restarts its pitch from its first
-    target. When a motion script moves the head outside the dead-band, the
-    untraveled targets and the guarded cloud are re-anchored to follow it.
-    A leg that cannot be reached within point_timeout (typically because the
-    safety field holds the tool off) aborts the run.
+    `paths` is one SegmentPath or an ordered {label: SegmentPath} dict. The
+    tool begins at the first target (or at `start`, adding an approach
+    leg); each later segment starts where the previous one ended, on one
+    clock and one shot count. Legs between consecutive targets of the same
+    strip run with the trigger armed; every other leg runs dark and resets
+    the accumulated travel, so every strip restarts its pitch from its first
+    target. The head pose at t = 0 anchors the whole run: when a motion
+    script moves the head outside the dead-band around the last anchor, the
+    targets and the guarded cloud are carried from the plan frame by the
+    head's displacement since t = 0. A leg that cannot be reached within
+    point_timeout (typically because the safety field holds the tool off)
+    aborts the run.
     """
     if standoff < 0:
         raise InvalidParam("standoff must be non-negative")
-    poses = path_to_poses(path, standoff)
-    tgt_pos = np.array([p.translation for p in poses])
-    tgt_rot = [p.rotation for p in poses]
-    strip_ids = np.asarray(path.strip_indices)
-
-    anchor = motion.pose_at(t0) if motion is not None else None
-    head0 = anchor
+    segments = [paths] if isinstance(paths, SegmentPath) else list(paths.values())
+    head0 = anchor = motion.pose_at(0.0) if motion is not None else None
+    carry = None                            # head o inv(head0) once re-anchored
     live_cloud = cloud
-
-    if start is None:
-        state = EffectorState(tgt_pos[0].copy(), tgt_rot[0].copy(), t0, 0.0)
-        first = 1
-    else:
-        state = EffectorState(start.translation.copy(), start.rotation.copy(), t0, 0.0)
-        first = 0
-
+    state = None if start is None else EffectorState(start.translation.copy(),
+                                                     start.rotation.copy())
     shots: list[ShotEvent] = []
     samples: list[TrajectorySample] = []
     total = 0.0
-    shot_idx = shot_index0
-    if record:
-        samples.append(TrajectorySample(state.time, state.position.copy(),
-                                        state.delta_d, math.inf, False))
 
-    for j in range(first, len(poses)):
-        in_strip = j > 0 and strip_ids[j] == strip_ids[j - 1]
-        if not in_strip:
-            state.delta_d = 0.0
-        armed = in_strip and config.laser_enabled
-        leg_rot_from = state.rotation
-        leg_t0 = state.time
-        leg_len0 = float(np.linalg.norm(tgt_pos[j] - state.position))
-        while float(np.linalg.norm(tgt_pos[j] - state.position)) > 1e-9:
-            if motion is not None:
-                head = motion.pose_at(state.time)
-                if motion_exceeds_deadband(anchor, head, config.deadband_translation,
-                                           config.deadband_rotation):
-                    carry = head.compose(anchor.invert())
-                    tgt_pos[j:] = carry.apply(tgt_pos[j:])
-                    for k in range(j, len(poses)):
-                        tgt_rot[k] = carry.rotation @ tgt_rot[k]
-                    if cloud is not None:
-                        live_cloud = cloud.transformed(head.compose(head0.invert()))
-                    anchor = head
-            state, info = step(state, tgt_pos[j], config, armed, rig, live_cloud)
-            total += info.moved
-            frac = 1.0 if leg_len0 < 1e-12 else min(
-                1.0, (state.time - leg_t0) * config.max_speed / leg_len0)
-            state.rotation = interpolate_rotation(leg_rot_from, tgt_rot[j], frac)
-            if info.fired:
-                shots.append(ShotEvent(PoseVector6.from_transform(state.pose()),
-                                       state.time, shot_idx, int(strip_ids[j]),
-                                       path.label))
-                shot_idx += 1
-            if record:
-                samples.append(TrajectorySample(state.time, state.position.copy(),
-                                                state.delta_d, info.dist_l,
-                                                info.repulsing))
-            if info.arrived:
-                break
-            if config.point_timeout is not None and \
-                    state.time - leg_t0 > config.point_timeout:
-                raise AbortedOnSafety(
-                    f"target {j} of '{path.label}' not reached within "
-                    f"{config.point_timeout:g} s (remaining "
-                    f"{np.linalg.norm(tgt_pos[j] - state.position):.4g} m)",
-                    result=RunResult(ShotLog(shots, total), samples, state))
-        state.position = tgt_pos[j].copy()
-        state.rotation = tgt_rot[j].copy()
-        if not in_strip:
-            state.delta_d = 0.0
+    for path in segments:
+        poses = path_to_poses(path, standoff)
+        plan_pos = np.array([p.translation for p in poses])
+        plan_rot = [p.rotation for p in poses]
+        tgt_pos = plan_pos if carry is None else carry.apply(plan_pos)
+        strip_ids = np.asarray(path.strip_indices)
+        first = 0
+        if state is None:
+            state = EffectorState(tgt_pos[0].copy(), plan_rot[0].copy())
+            first = 1
+        state.delta_d = 0.0
+        if record:
+            samples.append(TrajectorySample(state.time, state.position.copy(),
+                                            state.delta_d, math.inf, False))
+
+        for j in range(first, len(poses)):
+            in_strip = j > 0 and strip_ids[j] == strip_ids[j - 1]
+            if not in_strip:
+                state.delta_d = 0.0
+            armed = in_strip and config.laser_enabled
+            tgt_rot = plan_rot[j] if carry is None else carry.rotation @ plan_rot[j]
+            leg_rot_from = state.rotation
+            leg_t0 = state.time
+            leg_len0 = float(np.linalg.norm(tgt_pos[j] - state.position))
+            while float(np.linalg.norm(tgt_pos[j] - state.position)) > 1e-9:
+                if motion is not None:
+                    head = motion.pose_at(state.time)
+                    if motion_exceeds_deadband(anchor, head, config.deadband_translation,
+                                               config.deadband_rotation):
+                        anchor = head
+                        carry = head.compose(head0.invert())
+                        tgt_pos = carry.apply(plan_pos)
+                        tgt_rot = carry.rotation @ plan_rot[j]
+                        if cloud is not None:
+                            live_cloud = cloud.transformed(carry)
+                state, info = step(state, tgt_pos[j], config, armed, rig, live_cloud)
+                total += info.moved
+                frac = 1.0 if leg_len0 < 1e-12 else min(
+                    1.0, (state.time - leg_t0) * config.max_speed / leg_len0)
+                state.rotation = interpolate_rotation(leg_rot_from, tgt_rot, frac)
+                if info.fired:
+                    shots.append(ShotEvent(PoseVector6.from_transform(state.pose()),
+                                           state.time, len(shots),
+                                           int(strip_ids[j]), path.label))
+                if record:
+                    samples.append(TrajectorySample(state.time, state.position.copy(),
+                                                    state.delta_d, info.dist_l,
+                                                    info.repulsing))
+                if info.arrived:
+                    break
+                if config.point_timeout is not None and \
+                        state.time - leg_t0 > config.point_timeout:
+                    raise AbortedOnSafety(
+                        f"target {j} of '{path.label}' not reached within "
+                        f"{config.point_timeout:g} s (remaining "
+                        f"{np.linalg.norm(tgt_pos[j] - state.position):.4g} m)",
+                        result=RunResult(ShotLog(shots, total), samples, state))
+            state.position = tgt_pos[j].copy()
+            state.rotation = tgt_rot.copy()
     return RunResult(ShotLog(shots, total), samples, state)
 
 

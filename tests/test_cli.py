@@ -57,6 +57,38 @@ class TestConfigHandling:
                    "--out", workdir / "merged.ply") == 2
 
 
+GOOD_RECORD = {"x": 0.0, "y": 0.0, "z": 0.0, "nx": 0.0, "ny": 0.0, "nz": 1.0,
+               "segment_label": "patch", "strip_index": 0}
+GOOD_KEY = {"t_s": 0.0, "translation": [0.0, 0.0, 0.0], "axis_angle": [0.0, 0.0, 0.0]}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+class TestMalformedSimulateInput:
+    @pytest.mark.parametrize("paths, motion", [
+        ([_without(GOOD_RECORD, "segment_label")], [GOOD_KEY]),
+        ([GOOD_RECORD], [_without(GOOD_KEY, "translation")]),
+        ("[{not json", [GOOD_KEY]),
+        ([GOOD_RECORD], "t_s: 0"),
+        ([{**GOOD_RECORD, "x": float("nan")}], [GOOD_KEY]),
+        ([GOOD_RECORD], [{**GOOD_KEY, "t_s": float("inf")}]),
+    ], ids=["paths-missing-key", "motion-missing-key", "paths-not-json",
+            "motion-not-json", "paths-nan", "motion-inf"])
+    def test_exits_1_with_message(self, workdir, capsys, paths, motion):
+        for name, doc in (("paths.json", paths), ("motion.json", motion)):
+            text = doc if isinstance(doc, str) else json.dumps(doc)
+            (workdir / name).write_text(text)
+        code = run(workdir, "simulate", "--paths", workdir / "paths.json",
+                   "--motion", workdir / "motion.json",
+                   "--out-shots", workdir / "shots.csv",
+                   "--out-traj", workdir / "traj.csv")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (workdir / "traj.csv").exists()
+
+
 class TestViewpointsAndRegister:
     def test_viewpoints_writes_poses(self, workdir):
         out = workdir / "vp.json"

@@ -1,8 +1,11 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from facelaser.cli import _path_records, main as cli_main, read_shots_csv
 from facelaser.cloud import PointCloud
 from facelaser.errors import (
     AbortedOnSafety,
@@ -395,10 +398,72 @@ class TestRunPath:
         tb = np.array([[s.time, *s.position, s.delta_d] for s in b.trajectory])
         assert np.array_equal(ta, tb)
 
-    def test_shot_index_offset_threads_through(self):
-        cfg = sim_config()
-        res = run_path(straight_path(0.01), cfg, shot_index0=7)
-        assert [e.index for e in res.log.events] == [7, 8, 9, 10, 11]
+
+
+def two_segment_plan():
+    """Two 20 mm strips along x, 10 mm apart in y, run as separate segments."""
+    first = straight_path(0.02, label="first")
+    second = straight_path(0.02, label="second", direction=(-1.0, 0.0, 0.0))
+    second.points = [replace(p, chi=p.chi + np.array([0.02, 0.01, 0.0]))
+                     for p in second.points]
+    return {"first": first, "second": second}
+
+
+# Pure translation along y: 2.5 mm of in-band drift during the first segment
+# (its strip runs 0 s - 1 s), then a ramp to 5.4 mm over 0.1 s on the second
+# segment's approach leg (1 s - 1.5 s), before its strip.
+HEAD_DRIFT = [(0.0, 0.0), (0.5, 0.0025), (1.1, 0.0025), (1.2, 0.0054), (9.0, 0.0054)]
+DRIFT_CFG = SimConfig(laser_diameter=0.004, pulse_rate=5.0, control_rate=125.0)
+
+
+def head_y(t):
+    return float(np.interp(t, *zip(*HEAD_DRIFT)))
+
+
+def simulate_two_segments(tmp_path, via):
+    """(shot events, trajectory times) of the two-segment run under drift."""
+    plan = two_segment_plan()
+    keys = [{"t_s": t, "translation": [0.0, y, 0.0], "axis_angle": [0.0, 0.0, 0.0]}
+            for t, y in HEAD_DRIFT]
+    motion_file = tmp_path / "motion.json"
+    motion_file.write_text(json.dumps(keys))
+    if via == "run_path":
+        res = run_path(plan, DRIFT_CFG, motion=MotionScript.from_json(motion_file))
+        return res.log.events, [s.time for s in res.trajectory]
+    records = [r for path in plan.values() for r in _path_records(path)]
+    (tmp_path / "paths.json").write_text(json.dumps(records))
+    shots, traj = tmp_path / "shots.csv", tmp_path / "traj.csv"
+    assert cli_main(["simulate", "--paths", str(tmp_path / "paths.json"),
+                     "--motion", str(motion_file), "--out-shots", str(shots),
+                     "--out-traj", str(traj)]) == 0
+    times = np.loadtxt(traj, delimiter=",", skiprows=1, usecols=0)
+    return read_shots_csv(shots).events, list(times)
+
+
+@pytest.mark.parametrize("via", ["run_path", "cli"])
+def test_one_anchor_holds_across_segments(tmp_path, via):
+    """Every shot stays within the dead-band of the head-carried plan, also
+    in a segment that starts after in-band drift; indices and time run on."""
+    events, times = simulate_two_segments(tmp_path, via)
+    plan = two_segment_plan()
+    tick_travel = (0.0054 - 0.0025) / 0.1 / DRIFT_CFG.control_rate
+    offsets = []
+    for e in events:
+        a, b = plan[e.segment].positions
+        q = e.psi.position - np.array([0.0, head_y(e.time), 0.0])
+        s = np.clip((q - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+        offsets.append(float(np.linalg.norm(q - (a + s * (b - a)))))
+    assert {e.segment for e in events} == {"first", "second"}
+    assert max(offsets) <= 3e-3 + tick_travel + 1e-9
+    assert [e.index for e in events] == list(range(len(events)))
+
+    # The second segment opens with a row at the first segment's end time.
+    alone = run_path(plan["first"], DRIFT_CFG,
+                     motion=MotionScript.from_json(tmp_path / "motion.json"))
+    n1 = len(alone.trajectory)
+    assert times[n1 - 1] == pytest.approx(alone.final_state.time, abs=1e-9)
+    assert times[n1] == times[n1 - 1]
+    assert times[n1 + 1] > times[n1]
 
 
 class TestCoverageMetrics:
