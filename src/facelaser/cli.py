@@ -123,8 +123,27 @@ def _fmt(v: float) -> str:
     return format(float(v), ".9g")
 
 
-def _load_pose(doc: dict) -> RigidTransform:
-    return PoseVector6(doc["translation"], doc["axis_angle"]).to_transform()
+def _read_json(path):
+    """The JSON document of an input file; ParseError for text that is not JSON."""
+    try:
+        with open(_require(path), "r", encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _load_pose(doc: dict, source) -> RigidTransform:
+    """A {"translation", "axis_angle"} pose; ParseError names `source` when
+    a field is missing or a value is not a finite number."""
+    try:
+        psi = PoseVector6(doc["translation"], doc["axis_angle"])
+    except KeyError as exc:
+        raise ParseError(f"{source}: pose without {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{source}: {exc}") from exc
+    if not (np.isfinite(psi.position).all() and np.isfinite(psi.axis_angle).all()):
+        raise ParseError(f"{source}: non-finite pose value")
+    return psi.to_transform()
 
 
 def _dump_pose(t: RigidTransform) -> dict:
@@ -143,8 +162,7 @@ def _write_json(obj, path) -> None:
 
 def cmd_viewpoints(args, cfg: RunConfig) -> int:
     if args.face_pose is not None:
-        with open(_require(args.face_pose), "r", encoding="utf-8") as f:
-            pose = _load_pose(json.load(f))
+        pose = _load_pose(_read_json(args.face_pose), args.face_pose)
     else:
         pose = RigidTransform.identity()
     vs = estimate_viewpoints(pose, cfg.d_min_m, cfg.phi_step_rad,
@@ -157,8 +175,10 @@ def cmd_viewpoints(args, cfg: RunConfig) -> int:
 # ------------------------------------------------------------------ register
 
 def cmd_register(args, cfg: RunConfig) -> int:
-    with open(_require(args.poses), "r", encoding="utf-8") as f:
-        poses = [_load_pose(d) for d in json.load(f)]
+    docs = _read_json(args.poses)
+    if not isinstance(docs, list):
+        raise ParseError(f"{args.poses}: expected a list of poses")
+    poses = [_load_pose(d, args.poses) for d in docs]
     if len(poses) != len(args.views):
         raise _UsageError(f"{len(args.views)} views but {len(poses)} poses")
     views = []
@@ -184,11 +204,17 @@ def cmd_register(args, cfg: RunConfig) -> int:
 def cmd_segment(args, cfg: RunConfig) -> int:
     cloud = load_ply(_require(args.cloud))
     landmarks = FaceLandmarks.from_json(_require(args.landmarks))
-    with open(_require(args.camera), "r", encoding="utf-8") as f:
-        cam = json.load(f)
-    intrinsics = CameraIntrinsics(cam["fx"], cam["fy"], cam["cx"], cam["cy"],
-                                  cam["width"], cam["height"])
-    pose = _load_pose(cam) if "translation" in cam else None
+    cam = _read_json(args.camera)
+    try:
+        values = [cam[k] for k in ("fx", "fy", "cx", "cy", "width", "height")]
+        if not np.isfinite(np.asarray(values, dtype=float)).all():
+            raise ParseError(f"{args.camera}: non-finite camera value")
+        intrinsics = CameraIntrinsics(*values)
+    except KeyError as exc:
+        raise ParseError(f"{args.camera}: camera without {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{args.camera}: {exc}") from exc
+    pose = _load_pose(cam, args.camera) if "translation" in cam else None
     seg = segment_face(cloud, landmarks, intrinsics, pose)
     os.makedirs(args.out_dir, exist_ok=True)
     for label in seg.labels():
@@ -280,16 +306,14 @@ def _write_shots_csv(events, path) -> None:
                         _fmt(e.psi.axis_angle[2]), e.strip, e.segment])
 
 
-def _write_traj_csv(samples, path) -> None:
+def _write_traj_csv(traj, path) -> None:
+    """One row per trajectory sample; "%.9g" formats as `_fmt` does."""
+    table = np.column_stack([traj.time, traj.position, traj.delta_d,
+                             traj.dist_l, traj.repulsing])
     with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["time_s", "x", "y", "z", "delta_d", "dist_l",
-                    "repulsing_flag"])
-        for s in samples:
-            w.writerow([_fmt(s.time), _fmt(s.position[0]), _fmt(s.position[1]),
-                        _fmt(s.position[2]), _fmt(s.delta_d),
-                        "inf" if math.isinf(s.dist_l) else _fmt(s.dist_l),
-                        int(s.repulsing)])
+        f.write("time_s,x,y,z,delta_d,dist_l,repulsing_flag\n")
+        f.writelines("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d\n" % tuple(row)
+                     for row in table.tolist())
 
 
 def read_shots_csv(path) -> ShotLog:

@@ -14,6 +14,12 @@ fixed-rate control clock. Three behaviours ride on top of the motion:
   tracked head pose leaves a small dead-band around the last anchor, they
   are carried from the plan frame by the head's displacement since t = 0,
   across segment boundaries alike. Inside the dead-band nothing changes.
+
+A guarded run steps tick by tick, because the guard's feedback can bend the
+tool's path on any tick. Without a guard, a leg between two events is a
+straight line at max_speed, so its ticks, trigger firings and dead-band
+checks are evaluated for the whole leg at once; the tick loop stays as the
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .errors import (
     ContactError,
     EmptyLog,
     InvalidParam,
+    MissingField,
     NoSurfaceInRange,
     ParseError,
 )
@@ -38,6 +45,7 @@ from .geometry import (
     PoseVector6,
     RigidTransform,
     Vec3,
+    hat,
     interpolate_rotation,
     rotation_to_axis_angle,
 )
@@ -215,6 +223,19 @@ class MotionScript:
             raise InvalidParam("need equally many times and poses, at least one")
         if np.any(np.diff(self.times) <= 0):
             raise InvalidParam("keyframe times must be strictly increasing")
+        self._translations = np.array([p.translation for p in self.poses])
+        # Over keyframe interval i the rotation is R_i exp(phi K_i), phi going
+        # from 0 to the interval's angle about the unit axis whose cross
+        # matrix is K_i: R_i (I + sin(phi) K_i + (1 - cos(phi)) K_i^2).
+        # _frames[i] holds R_i K_i^p for p = 0, 1, 2.
+        steps = [rotation_to_axis_angle(a.rotation.T @ b.rotation)
+                 for a, b in zip(self.poses, self.poses[1:])]
+        self._angles = np.linalg.norm(np.reshape(steps, (-1, 3)), axis=1)
+        frames = []
+        for a, w, angle in zip(self.poses, steps, self._angles):
+            k = hat(w / angle) if angle > 0.0 else np.zeros((3, 3))
+            frames.append([a.rotation, a.rotation @ k, a.rotation @ k @ k])
+        self._frames = np.reshape(frames, (-1, 3, 3, 3))
 
     @classmethod
     def stationary(cls, pose: RigidTransform) -> "MotionScript":
@@ -254,6 +275,40 @@ class MotionScript:
             interpolate_rotation(a.rotation, b.rotation, s),
             (1.0 - s) * a.translation + s * b.translation,
         )
+
+    def leaves_deadband(self, anchor: RigidTransform, times, translation_tol: float,
+                        rotation_tol: float) -> np.ndarray:
+        """Per time, whether the head pose has left the dead-band around `anchor`.
+
+        The batch form of motion_exceeds_deadband(anchor, pose_at(t), ...):
+        translations are interpolated as pose_at does, bit for bit, and the
+        rotation angles agree with it to rounding. The head rotation relative
+        to the anchor, R_i exp(phi K_i) A^T, is linear in [1, sin(phi),
+        1 - cos(phi)], and so are its trace and antisymmetric part, which give
+        its angle.
+        """
+        t = np.asarray(times, dtype=float).reshape(-1)
+        if len(self.poses) == 1:
+            return np.full(len(t), motion_exceeds_deadband(
+                anchor, self.poses[0], translation_tol, rotation_tol))
+        t = np.clip(t, self.times[0], self.times[-1])
+        i = np.minimum(np.searchsorted(self.times, t, side="right") - 1,
+                       len(self.times) - 2)
+        s = ((t - self.times[i]) / (self.times[i + 1] - self.times[i]))[:, None]
+        head = (1.0 - s) * self._translations[i] + s * self._translations[i + 1]
+        shift = np.linalg.norm(head - anchor.translation, axis=1)
+
+        rel = self._frames @ anchor.rotation.T                  # (m, 3, 3, 3)
+        trace = np.trace(rel, axis1=2, axis2=3)[i]
+        skew = np.stack([rel[..., 2, 1] - rel[..., 1, 2], rel[..., 0, 2] - rel[..., 2, 0],
+                         rel[..., 1, 0] - rel[..., 0, 1]], axis=-1)[i]
+        phi = s[:, 0] * self._angles[i]
+        basis = np.stack([np.ones_like(phi), np.sin(phi),
+                          2.0 * np.sin(0.5 * phi) ** 2], axis=1)
+        sin2 = np.einsum("np,npk->nk", basis, skew)          # norm 2 sin(angle)
+        cos2 = np.einsum("np,np->n", basis, trace) - 1.0     # 2 cos(angle)
+        angle = np.arctan2(0.5 * np.linalg.norm(sin2, axis=1), 0.5 * cos2)
+        return (shift > translation_tol) | (angle > rotation_tol)
 
 
 @dataclass
@@ -307,6 +362,31 @@ class TrajectorySample:
     repulsing: bool
 
 
+@dataclass
+class Trajectory:
+    """Tip samples as columns; iterating yields one TrajectorySample per row."""
+
+    time: np.ndarray
+    position: np.ndarray                    # (n, 3)
+    delta_d: np.ndarray
+    dist_l: np.ndarray
+    repulsing: np.ndarray                   # bool
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __iter__(self):
+        for row in zip(self.time.tolist(), self.position, self.delta_d.tolist(),
+                       self.dist_l.tolist(), self.repulsing.tolist()):
+            yield TrajectorySample(*row)
+
+
+# Travel is summed tick by tick, and a strip is often an exact multiple of the
+# per-tick travel long, so rounding alone could hold back the shot due on a
+# tick. The trigger fires at one diameter up to this relative slack.
+FIRE_FRACTION = 1.0 - 1e-9
+
+
 def step(state: EffectorState, target: Vec3, config: SimConfig, armed: bool,
          rig: SensorRig | None = None,
          cloud: PointCloud | None = None) -> tuple[EffectorState, StepInfo]:
@@ -345,7 +425,7 @@ def step(state: EffectorState, target: Vec3, config: SimConfig, armed: bool,
     moved = float(np.linalg.norm(v) * dt)
     delta_d = state.delta_d + moved if armed else state.delta_d
     fired = False
-    if armed and delta_d >= config.laser_diameter:
+    if armed and delta_d >= config.laser_diameter * FIRE_FRACTION:
         fired = True
         delta_d = 0.0
     arrived = bool(np.linalg.norm(new_pos - target) <= 1e-9)
@@ -356,7 +436,7 @@ def step(state: EffectorState, target: Vec3, config: SimConfig, armed: bool,
 @dataclass
 class RunResult:
     log: ShotLog
-    trajectory: list[TrajectorySample]
+    trajectory: Trajectory
     final_state: EffectorState
 
 
@@ -378,79 +458,238 @@ def run_path(paths, config: SimConfig, standoff: float = 0.0,
     head's displacement since t = 0. A leg that cannot be reached within
     point_timeout (typically because the safety field holds the tool off)
     aborts the run.
+
+    With both `rig` and `cloud` the run is guarded and steps tick by tick;
+    otherwise each leg is evaluated in closed form, with the same result to
+    rounding.
     """
     if standoff < 0:
         raise InvalidParam("standoff must be non-negative")
+    guarded = rig is not None and cloud is not None
+    if guarded and not cloud.has_normals:
+        raise MissingField("the guarded surface has no normals, which the "
+                           "proximity sensors need")
+    run = _Run(config, motion, rig if guarded else None,
+               cloud if guarded else None, record)
+    if start is not None:
+        run.state = EffectorState(start.translation.copy(), start.rotation.copy())
     segments = [paths] if isinstance(paths, SegmentPath) else list(paths.values())
-    head0 = anchor = motion.pose_at(0.0) if motion is not None else None
-    carry = None                            # head o inv(head0) once re-anchored
-    live_cloud = cloud
-    state = None if start is None else EffectorState(start.translation.copy(),
-                                                     start.rotation.copy())
-    shots: list[ShotEvent] = []
-    samples: list[TrajectorySample] = []
-    total = 0.0
-
     for path in segments:
+        run.segment(path, standoff)
+    return run.result()
+
+
+@dataclass
+class _Leg:
+    """One leg toward target j; rotation slerps from rot_from over len0."""
+
+    j: int
+    strip: int
+    label: str
+    armed: bool
+    rot_from: np.ndarray
+    tgt_rot: np.ndarray
+    t0: float
+    len0: float
+
+
+class _Run:
+    """State of one run_path call: clock, anchor, targets, shots, samples."""
+
+    def __init__(self, config: SimConfig, motion, rig, cloud, record: bool):
+        self.config = config
+        self.motion = motion
+        self.rig = rig
+        self.cloud = self.live_cloud = cloud
+        self.record = record
+        self.head0 = self.anchor = motion.pose_at(0.0) if motion is not None else None
+        self.carry = None                   # head o inv(head0) once re-anchored
+        self.state: EffectorState | None = None
+        self.shots: list[ShotEvent] = []
+        self.samples: list[np.ndarray] = []  # (k, 7) blocks of trajectory rows
+        self.total = 0.0
+
+    def result(self) -> RunResult:
+        rows = np.concatenate(self.samples) if self.samples else np.empty((0, 7))
+        trajectory = Trajectory(rows[:, 0], rows[:, 1:4], rows[:, 4], rows[:, 5],
+                                rows[:, 6] != 0.0)
+        return RunResult(ShotLog(self.shots, self.total), trajectory, self.state)
+
+    def _record(self, time, position, delta_d, dist_l=math.inf, repulsing=False) -> None:
+        """Append trajectory rows: per-row arrays, or the scalars of one row."""
+        if self.record:
+            position = np.asarray(position, dtype=float).reshape(-1, 3)
+            block = np.empty((len(position), 7))
+            block[:, 0] = time
+            block[:, 1:4] = position
+            block[:, 4] = delta_d
+            block[:, 5] = dist_l
+            block[:, 6] = repulsing
+            self.samples.append(block)
+
+    def segment(self, path: SegmentPath, standoff: float) -> None:
         poses = path_to_poses(path, standoff)
-        plan_pos = np.array([p.translation for p in poses])
-        plan_rot = [p.rotation for p in poses]
-        tgt_pos = plan_pos if carry is None else carry.apply(plan_pos)
+        self.plan_pos = np.array([p.translation for p in poses])
+        self.plan_rot = [p.rotation for p in poses]
+        self.tgt_pos = self.plan_pos if self.carry is None else self.carry.apply(self.plan_pos)
         strip_ids = np.asarray(path.strip_indices)
         first = 0
-        if state is None:
-            state = EffectorState(tgt_pos[0].copy(), plan_rot[0].copy())
+        if self.state is None:
+            self.state = EffectorState(self.tgt_pos[0].copy(), self.plan_rot[0].copy())
             first = 1
-        state.delta_d = 0.0
-        if record:
-            samples.append(TrajectorySample(state.time, state.position.copy(),
-                                            state.delta_d, math.inf, False))
-
+        self.state.delta_d = 0.0
+        self._record(self.state.time, self.state.position, 0.0)
+        run_leg = self._closed_form_leg if self.rig is None else self._tick_leg
         for j in range(first, len(poses)):
             in_strip = j > 0 and strip_ids[j] == strip_ids[j - 1]
+            state = self.state
             if not in_strip:
                 state.delta_d = 0.0
-            armed = in_strip and config.laser_enabled
-            tgt_rot = plan_rot[j] if carry is None else carry.rotation @ plan_rot[j]
-            leg_rot_from = state.rotation
-            leg_t0 = state.time
-            leg_len0 = float(np.linalg.norm(tgt_pos[j] - state.position))
-            while float(np.linalg.norm(tgt_pos[j] - state.position)) > 1e-9:
-                if motion is not None:
-                    head = motion.pose_at(state.time)
-                    if motion_exceeds_deadband(anchor, head, config.deadband_translation,
-                                               config.deadband_rotation):
-                        anchor = head
-                        carry = head.compose(head0.invert())
-                        tgt_pos = carry.apply(plan_pos)
-                        tgt_rot = carry.rotation @ plan_rot[j]
-                        if cloud is not None:
-                            live_cloud = cloud.transformed(carry)
-                state, info = step(state, tgt_pos[j], config, armed, rig, live_cloud)
-                total += info.moved
-                frac = 1.0 if leg_len0 < 1e-12 else min(
-                    1.0, (state.time - leg_t0) * config.max_speed / leg_len0)
-                state.rotation = interpolate_rotation(leg_rot_from, tgt_rot, frac)
-                if info.fired:
-                    shots.append(ShotEvent(PoseVector6.from_transform(state.pose()),
-                                           state.time, len(shots),
-                                           int(strip_ids[j]), path.label))
-                if record:
-                    samples.append(TrajectorySample(state.time, state.position.copy(),
-                                                    state.delta_d, info.dist_l,
-                                                    info.repulsing))
-                if info.arrived:
-                    break
-                if config.point_timeout is not None and \
-                        state.time - leg_t0 > config.point_timeout:
-                    raise AbortedOnSafety(
-                        f"target {j} of '{path.label}' not reached within "
-                        f"{config.point_timeout:g} s (remaining "
-                        f"{np.linalg.norm(tgt_pos[j] - state.position):.4g} m)",
-                        result=RunResult(ShotLog(shots, total), samples, state))
-            state.position = tgt_pos[j].copy()
-            state.rotation = tgt_rot.copy()
-    return RunResult(ShotLog(shots, total), samples, state)
+            tgt_rot = self.plan_rot[j] if self.carry is None \
+                else self.carry.rotation @ self.plan_rot[j]
+            leg = _Leg(j, int(strip_ids[j]), path.label,
+                       in_strip and self.config.laser_enabled, state.rotation,
+                       tgt_rot, state.time,
+                       float(np.linalg.norm(self.tgt_pos[j] - state.position)))
+            run_leg(leg)
+            self.state.position = self.tgt_pos[j].copy()
+            self.state.rotation = leg.tgt_rot.copy()
+
+    def _tick_leg(self, leg: _Leg) -> None:
+        """The reference: one `step` per tick, the guard fed on every tick."""
+        cfg = self.config
+        while float(np.linalg.norm(self.tgt_pos[leg.j] - self.state.position)) > 1e-9:
+            if self.motion is not None:
+                head = self.motion.pose_at(self.state.time)
+                if motion_exceeds_deadband(self.anchor, head, cfg.deadband_translation,
+                                           cfg.deadband_rotation):
+                    self._reanchor(head, leg)
+            state, info = step(self.state, self.tgt_pos[leg.j], cfg, leg.armed,
+                               self.rig, self.live_cloud)
+            self.state = state
+            self.total += info.moved
+            state.rotation = self._rotation(leg, state.time)
+            if info.fired:
+                self._shoot(leg, state.time, state.position, state.rotation)
+            self._record(state.time, state.position, state.delta_d,
+                         info.dist_l, info.repulsing)
+            if info.arrived:
+                break
+            if cfg.point_timeout is not None and state.time - leg.t0 > cfg.point_timeout:
+                self._abort(leg)
+
+    def _closed_form_leg(self, leg: _Leg) -> None:
+        """All ticks of an unguarded leg at once, split at dead-band exits.
+
+        From position p toward a target at distance L, tick k (1-based) ends
+        at p + min(k s, L) u, s being one tick of travel at max_speed; the
+        leg takes the fewest ticks that end within 1e-9 of the target. Tick
+        times accumulate one dt at a time, as the tick loop's clock does.
+        """
+        cfg = self.config
+        dt = 1.0 / cfg.control_rate
+        s = cfg.max_speed * dt
+        state = self.state
+        if leg.len0 <= 1e-9:
+            return
+        check_from = 0                      # the re-anchoring tick is not re-checked
+        while True:
+            target = self.tgt_pos[leg.j]
+            to_target = target - state.position
+            dist = float(np.linalg.norm(to_target))
+            n = max(1, math.ceil((dist - 1e-9) / s))
+            times = np.full(n + 1, dt)
+            times[0] = state.time
+            times = np.add.accumulate(times)
+            ran = n                         # ticks run before the next event
+            exits = False
+            if self.motion is not None and check_from < n:
+                out = np.flatnonzero(self.motion.leaves_deadband(
+                    self.anchor, times[check_from:n],
+                    cfg.deadband_translation, cfg.deadband_rotation))
+                if out.size:
+                    ran, exits = check_from + int(out[0]), True
+            late = False
+            if cfg.point_timeout is not None:
+                # The tick that arrives is never late.
+                over = np.flatnonzero(times[1:min(ran, n - 1) + 1] - leg.t0
+                                      > cfg.point_timeout)
+                if over.size:
+                    ran, exits, late = int(over[0]) + 1, False, True
+
+            travel = np.minimum(np.arange(1, ran + 1) * s, dist)
+            unit_dir = to_target / dist if dist > 0.0 else to_target
+            positions = state.position + travel[:, None] * unit_dir
+            if ran == n and travel[-1] == dist:
+                positions[-1] = target
+            moved = np.diff(travel, prepend=0.0)
+            delta_d = self._trigger(leg, moved, times, positions)
+            self.total += float(moved.sum())
+            self._record(times[1:ran + 1], positions, delta_d)
+            if ran:
+                state.position = positions[-1].copy()
+                state.delta_d = float(delta_d[-1])
+            state.time = float(times[ran])
+            if late:
+                state.rotation = self._rotation(leg, state.time)
+                self._abort(leg)
+            if not exits:
+                return
+            self._reanchor(self.motion.pose_at(state.time), leg)
+            check_from = 1
+
+    def _trigger(self, leg: _Leg, moved: np.ndarray, times: np.ndarray,
+                 positions: np.ndarray) -> np.ndarray:
+        """delta_d after each tick of a closed-form block; logs its shots.
+
+        Travel is summed one tick at a time from the last shot, as `step`
+        sums it, with one pass per shot rather than per tick.
+        """
+        delta_d = np.full(len(moved), self.state.delta_d)
+        if not leg.armed:
+            return delta_d
+        threshold = self.config.laser_diameter * FIRE_FRACTION
+        begin, base = 0, self.state.delta_d
+        while begin < len(moved):
+            acc = moved[begin:].copy()
+            acc[0] += base
+            np.add.accumulate(acc, out=acc)
+            k = int(np.argmax(acc >= threshold))
+            if acc[k] < threshold:
+                delta_d[begin:] = acc
+                break
+            tick = begin + k
+            delta_d[begin:tick] = acc[:k]
+            delta_d[tick] = 0.0
+            t = float(times[tick + 1])
+            self._shoot(leg, t, positions[tick], self._rotation(leg, t))
+            begin, base = tick + 1, 0.0
+        return delta_d
+
+    def _rotation(self, leg: _Leg, t: float) -> np.ndarray:
+        frac = 1.0 if leg.len0 < 1e-12 else min(
+            1.0, (t - leg.t0) * self.config.max_speed / leg.len0)
+        return interpolate_rotation(leg.rot_from, leg.tgt_rot, frac)
+
+    def _shoot(self, leg: _Leg, t: float, position, rotation) -> None:
+        self.shots.append(ShotEvent(
+            PoseVector6.from_transform(RigidTransform(rotation, position)),
+            t, len(self.shots), leg.strip, leg.label))
+
+    def _reanchor(self, head: RigidTransform, leg: _Leg) -> None:
+        self.anchor = head
+        self.carry = head.compose(self.head0.invert())
+        self.tgt_pos = self.carry.apply(self.plan_pos)
+        leg.tgt_rot = self.carry.rotation @ self.plan_rot[leg.j]
+        if self.cloud is not None:
+            self.live_cloud = self.cloud.transformed(self.carry)
+
+    def _abort(self, leg: _Leg):
+        raise AbortedOnSafety(
+            f"target {leg.j} of '{leg.label}' not reached within "
+            f"{self.config.point_timeout:g} s (remaining "
+            f"{np.linalg.norm(self.tgt_pos[leg.j] - self.state.position):.4g} m)",
+            result=self.result())
 
 
 @dataclass

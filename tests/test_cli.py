@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from facelaser.cli import main, read_shots_csv
-from facelaser.cloud import load_ply, save_ply
+from facelaser.cloud import PointCloud, load_ply, save_ply
 from facelaser.geometry import RigidTransform
 from facelaser.registration import estimate_viewpoints
 
@@ -87,6 +87,77 @@ class TestMalformedSimulateInput:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (workdir / "traj.csv").exists()
+
+
+GOOD_POSE = {"translation": [0.0, 0.0, 0.25], "axis_angle": [0.0, 0.0, 0.0]}
+BAD_POSES = {
+    "not-json": "{translation: [0, 0, 0.25]",
+    "missing-key": _without(GOOD_POSE, "axis_angle"),
+    "non-finite": {**GOOD_POSE, "translation": [float("nan"), 0.0, 0.25]},
+}
+
+
+def _write_doc(path, doc):
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return path
+
+
+def _assert_input_error(capsys, code, name):
+    """Exit 1 with one `error:` line that names the offending input."""
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+
+
+class TestMalformedJsonInput:
+    @pytest.mark.parametrize("case", sorted(BAD_POSES))
+    def test_viewpoints_face_pose(self, workdir, capsys, case):
+        pose = _write_doc(workdir / "face_pose.json", BAD_POSES[case])
+        code = run(workdir, "viewpoints", "--face-pose", pose,
+                   "--out", workdir / "vp.json")
+        _assert_input_error(capsys, code, "face_pose.json")
+        assert not (workdir / "vp.json").exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_POSES))
+    def test_register_poses(self, workdir, capsys, case):
+        doc = BAD_POSES[case]
+        poses = _write_doc(workdir / "poses.json",
+                           doc if isinstance(doc, str) else [doc])
+        save_ply(plane_grid(0.01, 0.01), workdir / "view0.ply")
+        code = run(workdir, "register", "--views", workdir / "view0.ply",
+                   "--poses", poses, "--out", workdir / "merged.ply")
+        _assert_input_error(capsys, code, "poses.json")
+        assert not (workdir / "merged.ply").exists()
+
+    @pytest.mark.parametrize("doc", [
+        '{"fx": 500.0,',
+        _without(CAMERA, "fy"),
+        {**CAMERA, "fx": float("inf")},
+        {**CAMERA, "cx": float("nan")},
+        {**CAMERA, "translation": [0.0, 0.0, 0.0]},
+    ], ids=["not-json", "missing-key", "inf", "nan", "pose-missing-key"])
+    def test_segment_camera(self, workdir, capsys, face_scene, doc):
+        cloud, landmarks, _ = face_scene
+        save_ply(cloud, workdir / "face.ply")
+        landmarks.to_json(workdir / "lm.json")
+        camera = _write_doc(workdir / "cam.json", doc)
+        code = run(workdir, "segment", "--cloud", workdir / "face.ply",
+                   "--landmarks", workdir / "lm.json", "--camera", camera,
+                   "--out-dir", workdir / "segs")
+        _assert_input_error(capsys, code, "cam.json")
+        assert not (workdir / "segs").exists()
+
+
+def test_simulate_surface_without_normals_exits_1(workdir, capsys):
+    (workdir / "paths.json").write_text(json.dumps([
+        GOOD_RECORD, {**GOOD_RECORD, "x": 0.01}]))
+    save_ply(PointCloud(plane_grid().positions), workdir / "bare.ply")
+    code = run(workdir, "simulate", "--paths", workdir / "paths.json",
+               "--surface", workdir / "bare.ply",
+               "--out-shots", workdir / "shots.csv")
+    assert code == 1
+    assert "normals" in capsys.readouterr().err
+    assert not (workdir / "shots.csv").exists()
 
 
 class TestViewpointsAndRegister:

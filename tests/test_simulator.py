@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from facelaser.cli import _path_records, main as cli_main, read_shots_csv
-from facelaser.cloud import PointCloud
+from facelaser.cloud import PointCloud, save_ply
 from facelaser.errors import (
     AbortedOnSafety,
     ContactError,
@@ -43,6 +45,13 @@ from facelaser.simulator import (
 )
 
 from support import straight_path, wall_cloud
+
+
+# A one-point surface far out of sensor range. Passing it makes a run guarded,
+# so it steps tick by tick, while the guard never measures anything.
+IDLE_GUARD = {"rig": SensorRig.default(),
+              "cloud": PointCloud(np.array([[100.0, 100.0, 100.0]]),
+                                  np.array([[0.0, 0.0, 1.0]]))}
 
 
 def sim_config(**kwargs):
@@ -314,6 +323,15 @@ class TestRunPath:
         # No shot at the strip start itself.
         assert np.linalg.norm(pos[0] - path.positions[0]) > 1e-6
 
+    @pytest.mark.parametrize("guard", ["none", "idle"])
+    def test_whole_diameters_fire_every_shot(self, guard):
+        # 20 mm at 4 mm pitch and 0.16 mm per tick: the tick-by-tick travel
+        # sum lands a rounding error short of each diameter.
+        kwargs = {} if guard == "none" else IDLE_GUARD
+        res = run_path(straight_path(0.02), SimConfig(0.004, 5.0), **kwargs)
+        assert len(res.log) == 5
+        assert res.log.positions[-1] == pytest.approx([0.02, 0.0, 0.0], abs=1e-12)
+
     def test_traverse_runs_dark_and_resets_pitch(self):
         cfg = sim_config()
         res = run_path(multi_strip_path(), cfg)
@@ -359,8 +377,15 @@ class TestRunPath:
              RigidTransform(np.eye(3), np.array([0.0, 0.01, 0.0]))])
         res = run_path(straight_path(0.02), cfg, motion=jump)
         ys = res.log.positions[:, 1]
+        # Shots fired on ticks that start after the jump.
+        after = np.array([e.time - 1.0 / cfg.control_rate > 0.0481
+                          for e in res.log.events])
         assert ys[0] == 0.0
-        assert ys[-1] == pytest.approx(0.01, abs=1e-9)
+        # The tool ends on the re-anchored final target, and every shot after
+        # the jump lies off the original line y = 0.
+        assert np.allclose(res.final_state.position, [0.02, 0.01, 0.0], atol=1e-12)
+        assert after.any() and np.all(ys[~after] == 0.0)
+        assert np.all(ys[after] > 1e-3)
 
     def test_safety_stall_aborts_with_partial_result(self):
         wall = wall_cloud()
@@ -509,3 +534,145 @@ class TestCoverageMetrics:
     def test_diameter_validation(self):
         with pytest.raises(InvalidParam):
             coverage_metrics(ShotLog([shot_event(0.0)]), 0.0)
+
+
+# ----------------------------------------------- closed-form legs vs tick loop
+
+def assert_same_run(paths, cfg, **kwargs):
+    """Run unguarded and guarded by IDLE_GUARD, which takes the tick loop;
+    assert that the two agree and return the abort message or None."""
+    runs = []
+    for guard in ({}, IDLE_GUARD):
+        try:
+            runs.append((run_path(paths, cfg, **guard, **kwargs), None))
+        except AbortedOnSafety as exc:
+            runs.append((exc.result, str(exc)))
+    (fast, fast_abort), (ref, ref_abort) = runs
+    assert fast_abort == ref_abort
+    key = [(e.index, e.time, e.strip, e.segment) for e in fast.log.events]
+    assert key == [(e.index, e.time, e.strip, e.segment) for e in ref.log.events]
+    for a, b in zip(fast.log.events, ref.log.events):
+        assert np.abs(a.psi.position - b.psi.position).max() <= 1e-12
+        assert np.abs(a.psi.axis_angle - b.psi.axis_angle).max() <= 1e-12
+    assert fast.log.path_length == pytest.approx(ref.log.path_length, abs=1e-12)
+    assert len(fast.trajectory) == len(ref.trajectory)
+    assert np.array_equal(fast.trajectory.time, ref.trajectory.time)
+    assert np.abs(fast.trajectory.position - ref.trajectory.position).max() <= 1e-12
+    assert np.abs(fast.trajectory.delta_d - ref.trajectory.delta_d).max() <= 1e-12
+    assert np.isinf(ref.trajectory.dist_l).all() and not ref.trajectory.repulsing.any()
+    a, b = fast.final_state, ref.final_state
+    assert a.time == b.time and abs(a.delta_d - b.delta_d) <= 1e-12
+    assert np.abs(a.position - b.position).max() <= 1e-12
+    assert np.abs(a.rotation - b.rotation).max() <= 1e-12
+    return fast_abort
+
+
+coords = st.floats(-0.015, 0.015, allow_nan=False)
+
+
+@st.composite
+def plans(draw):
+    """One or two segments of 2-4 targets in a 30 mm cube, strips in order."""
+    out = {}
+    for label in ("first", "second")[:draw(st.integers(1, 2))]:
+        n = draw(st.integers(2, 4))
+        points = []
+        for _ in range(n):
+            chi = np.array([draw(coords) for _ in range(3)])
+            tilt = [draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), 1.0]
+            points.append(PathPoint(chi, np.asarray(tilt) / np.linalg.norm(tilt)))
+        strips = np.cumsum([0] + [draw(st.sampled_from([0, 0, 1])) for _ in range(n - 1)])
+        out[label] = SegmentPath(label, points, strips, "horizontal")
+    return out
+
+
+@st.composite
+def head_motion(draw, dt, translation_tol, rotation_tol):
+    """Head poses held between switches half a tick off the tick grid, each a
+    lattice level away from the others: any two differ by at most 0.4 or at
+    least 2.1 times each dead-band bound, so no tick lands near a threshold."""
+    switches = sorted(draw(st.sets(st.integers(0, 600), max_size=3)))
+    direction = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)]) + [0.0, 0.0, 2.0]
+    axis = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)]) + [2.0, 0.0, 0.0]
+    direction, axis = direction / np.linalg.norm(direction), axis / np.linalg.norm(axis)
+    poses = []
+    for _ in range(len(switches) + 1):
+        shift, turn = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        wiggle = np.array([draw(st.floats(-0.11, 0.11)) for _ in range(3)])
+        angle = (2.5 * turn + draw(st.floats(-0.2, 0.2))) * rotation_tol
+        poses.append(RigidTransform(axis_angle_to_rotation(angle * axis),
+                                    (2.5 * shift * direction + wiggle) * translation_tol))
+    times, keys = [0.0], [poses[0]]
+    for k, (before, after) in zip(switches, zip(poses, poses[1:])):
+        t = (k + 0.5) * dt
+        times += [t, t + 0.1 * dt]
+        keys += [before, after]
+    return MotionScript(times, keys)
+
+
+@st.composite
+def runs(draw):
+    rate = draw(st.floats(50.0, 250.0))
+    diameter = draw(st.floats(0.001, 0.006))
+    ticks_per_shot = draw(st.floats(1.5, 30.0))
+    cfg = SimConfig(diameter, rate / ticks_per_shot, control_rate=rate,
+                    point_timeout=draw(st.sampled_from([None, 30.0, 30.0, 0.3, 1.0])),
+                    laser_enabled=draw(st.sampled_from([True, True, False])),
+                    deadband_translation=draw(st.floats(1e-3, 5e-3)),
+                    deadband_rotation=math.radians(draw(st.floats(2.0, 8.0))))
+    kwargs = {"standoff": draw(st.sampled_from([0.0, 0.01, 0.05]))}
+    if draw(st.booleans()):
+        kwargs["motion"] = draw(head_motion(1.0 / rate, cfg.deadband_translation,
+                                            cfg.deadband_rotation))
+    if draw(st.booleans()):
+        kwargs["start"] = RigidTransform(np.eye(3), [draw(coords) for _ in range(3)])
+    return draw(plans()), cfg, kwargs
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(runs())
+def test_closed_form_legs_match_tick_loop(run):
+    paths, cfg, kwargs = run
+    assert_same_run(paths, cfg, **kwargs)
+
+
+def test_timeout_aborts_alike():
+    """A 20 mm leg at 20 mm/s under a 0.5 s timeout aborts at the same tick."""
+    cfg = SimConfig(0.004, 5.0, point_timeout=0.5)
+    start = RigidTransform(np.eye(3), np.array([-0.02, 0.0, 0.0]))
+    message = assert_same_run(straight_path(0.01), cfg, start=start)
+    assert message.startswith("target 0 of 'strip' not reached within 0.5 s")
+
+
+def test_criterion_10_shots_csv_identical_guarded_or_not(tmp_path):
+    """On the criterion-10 inputs, shots.csv is byte-identical between the
+    closed-form legs and the tick loop. traj.csv may differ in the 9th digit
+    where a value sits on a rounding boundary; it has the same rows."""
+    from test_acceptance import _pipeline_inputs
+
+    inputs, views = _pipeline_inputs(tmp_path)
+
+    def cli(*argv):
+        assert cli_main(["--config", str(inputs / "config.json"), *map(str, argv)]) == 0
+
+    out = tmp_path / "out"
+    out.mkdir()
+    cli("viewpoints", "--face-pose", inputs / "face_pose.json", "--out", out / "vp.json")
+    cli("register", "--views", *views, "--poses", out / "vp.json",
+        "--out", out / "merged.ply")
+    cli("segment", "--cloud", out / "merged.ply", "--landmarks", inputs / "lm.json",
+        "--camera", inputs / "cam.json", "--out-dir", out / "segs")
+    cli("plan", "--segments", out / "segs", "--out", out / "paths.json")
+    save_ply(IDLE_GUARD["cloud"], out / "far.ply")
+    for name, guard in (("fast", []), ("ref", ["--surface", out / "far.ply"])):
+        cli("simulate", "--paths", out / "paths.json", "--motion", inputs / "motion.json",
+            *guard, "--out-shots", out / f"{name}_shots.csv",
+            "--out-traj", out / f"{name}_traj.csv")
+    assert (out / "fast_shots.csv").read_bytes() == (out / "ref_shots.csv").read_bytes()
+    fast, ref = (np.loadtxt(out / f"{name}_traj.csv", delimiter=",", skiprows=1)
+                 for name in ("fast", "ref"))
+    assert fast.shape == ref.shape and len(fast) > 60_000
+    assert np.array_equal(fast[:, 0], ref[:, 0])
+    assert np.allclose(fast[:, 1:5], ref[:, 1:5], rtol=1e-8, atol=1e-12)
+
