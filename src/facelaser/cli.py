@@ -21,13 +21,12 @@ import numpy as np
 from .cloud import estimate_normals, load_ply, save_ply
 from .errors import ConfigError, FacelaserError, ParseError
 from .geometry import CameraIntrinsics, PoseVector6, RigidTransform
-from .pathplan import PathPoint, PlannerConfig, SegmentPath, plan_segment
+from .pathplan import PlannerConfig, SegmentPath, plan_segment
 from .registration import estimate_viewpoints, merge_views
 from .segmentation import REGION_LABELS, FaceLandmarks, segment_face
 from .simulator import (
     MotionScript,
     SensorRig,
-    ShotEvent,
     ShotLog,
     SimConfig,
     coverage_metrics,
@@ -93,6 +92,8 @@ class RunConfig:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise ConfigError(f"{path}: {f.name} must be a number")
                 v = float(v)
+                if not math.isfinite(v):
+                    raise ConfigError(f"{path}: {f.name} must be finite")
             elif f.type == "str":
                 if not isinstance(v, str):
                     raise ConfigError(f"{path}: {f.name} must be a string")
@@ -100,8 +101,8 @@ class RunConfig:
         return cls(**values)
 
     def planner(self) -> PlannerConfig:
-        return PlannerConfig(self.laser_diameter_m, self.pulse_rate_hz,
-                             self.orientation, self.obliquity_correction)
+        return PlannerConfig(self.laser_diameter_m, self.orientation,
+                             self.obliquity_correction)
 
     def sim(self) -> SimConfig:
         return SimConfig(self.laser_diameter_m, self.pulse_rate_hz,
@@ -228,15 +229,14 @@ def cmd_segment(args, cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------------- plan
 
+PATH_KEYS = ("x", "y", "z", "nx", "ny", "nz")
+
+
 def _path_records(path: SegmentPath) -> list[dict]:
-    rows = []
-    for pt, strip in zip(path.points, path.strip_indices):
-        rows.append({
-            "x": float(pt.chi[0]), "y": float(pt.chi[1]), "z": float(pt.chi[2]),
-            "nx": float(pt.eta[0]), "ny": float(pt.eta[1]), "nz": float(pt.eta[2]),
-            "segment_label": path.label, "strip_index": int(strip),
-        })
-    return rows
+    table = np.hstack([path.positions, path.normals]).tolist()
+    return [{**dict(zip(PATH_KEYS, row)), "segment_label": path.label,
+             "strip_index": strip}
+            for row, strip in zip(table, path.strip_indices.tolist())]
 
 
 def load_paths(path) -> dict:
@@ -253,13 +253,11 @@ def load_paths(path) -> dict:
             grouped.setdefault(r["segment_label"], []).append(r)
         out = {}
         for label, rs in grouped.items():
-            xyz = np.array([[r[k] for k in ("x", "y", "z", "nx", "ny", "nz")]
-                            for r in rs], dtype=float)
+            xyz = np.array([[r[k] for k in PATH_KEYS] for r in rs], dtype=float)
             if not np.isfinite(xyz).all():
                 raise ParseError(f"{path}: non-finite coordinate in '{label}'")
-            points = [PathPoint(row[:3], row[3:]) for row in xyz]
-            strips = np.array([int(r["strip_index"]) for r in rs], dtype=int)
-            out[label] = SegmentPath(label, points, strips, "unknown")
+            strips = [int(r["strip_index"]) for r in rs]
+            out[label] = SegmentPath(label, xyz[:, :3], xyz[:, 3:], strips, "unknown")
     except KeyError as exc:
         raise ParseError(f"{path}: path record without {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -293,17 +291,17 @@ def cmd_plan(args, cfg: RunConfig) -> int:
 
 # ------------------------------------------------------------------ simulate
 
-def _write_shots_csv(events, path) -> None:
+SHOT_VALUES = ("time_s", "x", "y", "z", "nu_x", "nu_y", "nu_z")
+
+
+def _write_shots_csv(log: ShotLog, path) -> None:
+    table = np.column_stack([log.time, log.positions, log.axis_angle]).tolist()
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(["index", "time_s", "x", "y", "z",
-                    "nu_x", "nu_y", "nu_z", "strip", "segment"])
-        for e in events:
-            w.writerow([e.index, _fmt(e.time),
-                        _fmt(e.psi.position[0]), _fmt(e.psi.position[1]),
-                        _fmt(e.psi.position[2]),
-                        _fmt(e.psi.axis_angle[0]), _fmt(e.psi.axis_angle[1]),
-                        _fmt(e.psi.axis_angle[2]), e.strip, e.segment])
+        w.writerow(["index", *SHOT_VALUES, "strip", "segment"])
+        for i, (row, strip, segment) in enumerate(
+                zip(table, log.strip.tolist(), log.segment.tolist())):
+            w.writerow([i, *map(_fmt, row), strip, segment])
 
 
 def _write_traj_csv(traj, path) -> None:
@@ -317,16 +315,25 @@ def _write_traj_csv(traj, path) -> None:
 
 
 def read_shots_csv(path) -> ShotLog:
-    events = []
+    """The shot log of a shots CSV, one row per shot in index order.
+
+    Raises ParseError naming the file for a missing column, a value that is
+    not a number and a non-finite value.
+    """
     with open(path, "r", encoding="utf-8", newline="") as f:
-        for row in csv.DictReader(f):
-            psi = PoseVector6(
-                [float(row["x"]), float(row["y"]), float(row["z"])],
-                [float(row["nu_x"]), float(row["nu_y"]), float(row["nu_z"])])
-            events.append(ShotEvent(psi, float(row["time_s"]),
-                                    int(row["index"]), int(row["strip"]),
-                                    row["segment"]))
-    return ShotLog(events)
+        rows = list(csv.DictReader(f))
+    try:
+        values = np.array([[float(r[k]) for k in SHOT_VALUES] for r in rows],
+                          dtype=float).reshape(-1, len(SHOT_VALUES))
+        strips = [int(r["strip"]) for r in rows]
+        segments = [r["segment"] for r in rows]
+    except KeyError as exc:
+        raise ParseError(f"{path}: shot log without column {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise ParseError(f"{path}: non-finite shot value")
+    return ShotLog(values[:, 0], values[:, 1:4], values[:, 4:], strips, segments)
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
@@ -340,7 +347,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     motion = MotionScript.from_json(_require(args.motion)) if args.motion else None
     res = run_path(paths, cfg.sim(), standoff=cfg.standoff_m, rig=rig,
                    cloud=surface, motion=motion, record=args.out_traj is not None)
-    _write_shots_csv(res.log.events, args.out_shots)
+    _write_shots_csv(res.log, args.out_shots)
     if args.out_traj:
         _write_traj_csv(res.trajectory, args.out_traj)
     print(f"simulated {len(paths)} segments: {len(res.log)} shots "

@@ -37,22 +37,14 @@ MIN_STRIP_FRACTION = 0.1
 @dataclass
 class PlannerConfig:
     laser_diameter: float               # spot diameter on skin [m]
-    pulse_rate: float                   # laser pulse frequency [Hz]
     orientation: str = "auto"
     obliquity_correction: bool = True
 
     def __post_init__(self):
         if self.laser_diameter <= 0:
             raise InvalidParam("laser_diameter must be positive")
-        if self.pulse_rate <= 0:
-            raise InvalidParam("pulse_rate must be positive")
         if self.orientation not in ORIENTATIONS:
             raise InvalidParam(f"orientation must be one of {ORIENTATIONS}")
-
-    @property
-    def max_speed(self) -> float:
-        """Fastest tool speed that still lands one pulse per diameter [m/s]."""
-        return self.laser_diameter * self.pulse_rate
 
 
 @dataclass
@@ -71,29 +63,23 @@ class Strip:
 
 
 @dataclass
-class PathPoint:
-    chi: Vec3                           # patch centroid [m]
-    eta: Vec3                           # unit patch normal
-
-
-@dataclass
 class SegmentPath:
+    """Path points as columns, one row per patch in visiting order."""
+
     label: str
-    points: list[PathPoint]
-    strip_indices: np.ndarray           # per path point, the emitting strip
+    positions: np.ndarray               # (n, 3) patch centroids chi [m]
+    normals: np.ndarray                 # (n, 3) unit patch normals eta
+    strip_indices: np.ndarray           # (n,) the emitting strip
     orientation: str                    # resolved: "horizontal" or "vertical"
     d_s_used: list[float] = field(default_factory=list)
 
+    def __post_init__(self):
+        self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 3)
+        self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
+        self.strip_indices = np.asarray(self.strip_indices, dtype=int).reshape(-1)
+
     def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([p.chi for p in self.points], dtype=float).reshape(-1, 3)
-
-    @property
-    def normals(self) -> np.ndarray:
-        return np.array([p.eta for p in self.points], dtype=float).reshape(-1, 3)
+        return len(self.positions)
 
 
 def strip_obliquity(eta_s: Vec3, bin_axis: Vec3, gamma_c: Vec3 = Z_AXIS) -> float:
@@ -165,12 +151,13 @@ def bin_strips(cloud: PointCloud, diameter: float, axis: int,
 
 
 def sweep_patch(cloud: PointCloud, strip: Strip, sweep_axis: int,
-                step: float) -> list[PathPoint]:
+                step: float) -> tuple[np.ndarray, np.ndarray]:
     """Condense one strip into patches along the sweep axis, low to high.
 
     The strip's footprint is divided into L + 1 contiguous windows of width
     `step` centered on x_min + k * step; every member point joins the window
-    with the nearest center. Occupied windows yield one PathPoint each.
+    with the nearest center. Occupied windows yield one patch each; returns
+    their (centroids, normals), both (k, 3).
     """
     pos = cloud.positions[strip.points]
     nrm = cloud.normals[strip.points]
@@ -179,14 +166,13 @@ def sweep_patch(cloud: PointCloud, strip: Strip, sweep_axis: int,
     span = float(coords.max()) - x_min
     last = int(span / step)
     cells = np.clip(np.round((coords - x_min) / step).astype(int), 0, last)
-    out: list[PathPoint] = []
+    chi, eta = [], []
     for k in range(last + 1):
         sel = cells == k
-        if not sel.any():
-            continue
-        out.append(PathPoint(pos[sel].mean(axis=0),
-                             _mean_normal(nrm[sel], strip.eta_s)))
-    return out
+        if sel.any():
+            chi.append(pos[sel].mean(axis=0))
+            eta.append(_mean_normal(nrm[sel], strip.eta_s))
+    return np.reshape(chi, (-1, 3)), np.reshape(eta, (-1, 3))
 
 
 def plan_segment(cloud: PointCloud, config: PlannerConfig, label: str = "segment",
@@ -208,24 +194,22 @@ def plan_segment(cloud: PointCloud, config: PlannerConfig, label: str = "segment
 
     strips = bin_strips(cloud, config.laser_diameter, bin_axis, gamma_c,
                         config.obliquity_correction)
-    points: list[PathPoint] = []
-    strip_of: list[int] = []
-    widths: list[float] = []
-    emitted = 0
+    chi, eta, strip_of, widths = [], [], [], []
     for strip in strips:
-        row = sweep_patch(cloud, strip, sweep_axis, config.laser_diameter)
-        if not row:
+        centroids, normals = sweep_patch(cloud, strip, sweep_axis,
+                                         config.laser_diameter)
+        if not len(centroids):
             continue
-        if emitted % 2 == 1:
-            row.reverse()
-        points.extend(row)
-        strip_of.extend([strip.index] * len(row))
+        if len(chi) % 2 == 1:
+            centroids, normals = centroids[::-1], normals[::-1]
+        chi.append(centroids)
+        eta.append(normals)
+        strip_of.append(np.full(len(centroids), strip.index))
         widths.append(strip.width)
-        emitted += 1
-    if not points:
+    if not chi:
         raise EmptySegment(f"region '{label}' produced no path points")
-    return SegmentPath(label, points, np.asarray(strip_of, dtype=int),
-                       orientation, widths)
+    return SegmentPath(label, np.concatenate(chi), np.concatenate(eta),
+                       np.concatenate(strip_of), orientation, widths)
 
 
 def plan_regions(regions: dict, config: PlannerConfig,
@@ -245,14 +229,14 @@ def path_to_poses(path: SegmentPath, standoff: float) -> list[RigidTransform]:
     if standoff < 0:
         raise InvalidParam("standoff must be non-negative")
     poses = []
-    for i, pt in enumerate(path.points):
+    for i, (chi, eta) in enumerate(zip(path.positions, path.normals)):
         try:
-            rot = rotation_from_normal(pt.eta, Y_AXIS)
+            rot = rotation_from_normal(eta, Y_AXIS)
         except DegenerateNormal:
             try:
-                rot = rotation_from_normal(pt.eta, Z_AXIS)
+                rot = rotation_from_normal(eta, Z_AXIS)
             except DegenerateNormal as exc:
                 raise DegenerateNormal(
                     f"path point {i} of '{path.label}': {exc}") from exc
-        poses.append(RigidTransform(rot, pt.chi + standoff * pt.eta))
+        poses.append(RigidTransform(rot, chi + standoff * eta))
     return poses

@@ -50,9 +50,9 @@ class FaceLandmarks:
 
     @classmethod
     def from_json(cls, path) -> "FaceLandmarks":
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
         try:
+            with open(path, "r", encoding="utf-8") as f:
+                doc = json.load(f)
             pts = doc["points"]
             w, h = int(doc["width"]), int(doc["height"])
         except (KeyError, TypeError, ValueError) as exc:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -187,9 +187,8 @@ def motion_exceeds_deadband(previous: RigidTransform, current: RigidTransform,
 
 def transform_path(path: SegmentPath, t: RigidTransform) -> SegmentPath:
     """Rigidly carry a planned path to a new pose (positions and normals)."""
-    points = [replace(p, chi=t.apply(p.chi), eta=t.apply_direction(p.eta))
-              for p in path.points]
-    return SegmentPath(path.label, points, path.strip_indices.copy(),
+    return SegmentPath(path.label, t.apply(path.positions),
+                       t.apply_direction(path.normals), path.strip_indices.copy(),
                        path.orientation, list(path.d_s_used))
 
 
@@ -332,39 +331,30 @@ class StepInfo:
 
 
 @dataclass
-class ShotEvent:
-    psi: PoseVector6                        # effector pose at the firing instant
-    time: float
-    index: int
-    strip: int
-    segment: str
-
-
-@dataclass
 class ShotLog:
-    events: list[ShotEvent] = field(default_factory=list)
+    """Laser shots as columns; the shot index is the row number."""
+
+    time: np.ndarray                        # (n,) firing instants [s]
+    positions: np.ndarray                   # (n, 3) effector position [m]
+    axis_angle: np.ndarray                  # (n, 3) effector rotation
+    strip: np.ndarray                       # (n,) strip of the armed leg
+    segment: np.ndarray                     # (n,) segment label
     path_length: float = 0.0
 
+    def __post_init__(self):
+        self.time = np.asarray(self.time, dtype=float).reshape(-1)
+        self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 3)
+        self.axis_angle = np.asarray(self.axis_angle, dtype=float).reshape(-1, 3)
+        self.strip = np.asarray(self.strip, dtype=int).reshape(-1)
+        self.segment = np.asarray(self.segment, dtype=str).reshape(-1)
+
     def __len__(self) -> int:
-        return len(self.events)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([e.psi.position for e in self.events], dtype=float).reshape(-1, 3)
-
-
-@dataclass
-class TrajectorySample:
-    time: float
-    position: Vec3
-    delta_d: float
-    dist_l: float
-    repulsing: bool
+        return len(self.time)
 
 
 @dataclass
 class Trajectory:
-    """Tip samples as columns; iterating yields one TrajectorySample per row."""
+    """Tip samples as columns, one row per recorded tick."""
 
     time: np.ndarray
     position: np.ndarray                    # (n, 3)
@@ -374,11 +364,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.time)
-
-    def __iter__(self):
-        for row in zip(self.time.tolist(), self.position, self.delta_d.tolist(),
-                       self.dist_l.tolist(), self.repulsing.tolist()):
-            yield TrajectorySample(*row)
 
 
 # Travel is summed tick by tick, and a strip is often an exact multiple of the
@@ -505,7 +490,7 @@ class _Run:
         self.head0 = self.anchor = motion.pose_at(0.0) if motion is not None else None
         self.carry = None                   # head o inv(head0) once re-anchored
         self.state: EffectorState | None = None
-        self.shots: list[ShotEvent] = []
+        self.shots: list[tuple] = []        # (time, position, axis_angle, strip, label)
         self.samples: list[np.ndarray] = []  # (k, 7) blocks of trajectory rows
         self.total = 0.0
 
@@ -513,7 +498,8 @@ class _Run:
         rows = np.concatenate(self.samples) if self.samples else np.empty((0, 7))
         trajectory = Trajectory(rows[:, 0], rows[:, 1:4], rows[:, 4], rows[:, 5],
                                 rows[:, 6] != 0.0)
-        return RunResult(ShotLog(self.shots, self.total), trajectory, self.state)
+        columns = zip(*self.shots) if self.shots else ([],) * 5
+        return RunResult(ShotLog(*columns, self.total), trajectory, self.state)
 
     def _record(self, time, position, delta_d, dist_l=math.inf, repulsing=False) -> None:
         """Append trajectory rows: per-row arrays, or the scalars of one row."""
@@ -672,9 +658,8 @@ class _Run:
         return interpolate_rotation(leg.rot_from, leg.tgt_rot, frac)
 
     def _shoot(self, leg: _Leg, t: float, position, rotation) -> None:
-        self.shots.append(ShotEvent(
-            PoseVector6.from_transform(RigidTransform(rotation, position)),
-            t, len(self.shots), leg.strip, leg.label))
+        self.shots.append((t, position.copy(), rotation_to_axis_angle(rotation),
+                           leg.strip, leg.label))
 
     def _reanchor(self, head: RigidTransform, leg: _Leg) -> None:
         self.anchor = head
@@ -772,14 +757,18 @@ def coverage_metrics(log: ShotLog, diameter: float,
         raise EmptyLog("no shots were fired")
     if diameter <= 0:
         raise InvalidParam("diameter must be positive")
+    if samples < 1:
+        raise InvalidParam(f"samples must be at least 1, not {samples}")
+    if seed < 0:
+        raise InvalidParam(f"seed must be non-negative, not {seed}")
     shots = log.positions
 
-    gaps = []
-    for a, b in zip(log.events, log.events[1:]):
-        if a.segment == b.segment and a.strip == b.strip:
-            gaps.append(float(np.linalg.norm(b.psi.position - a.psi.position)))
-    mean_sp = float(np.mean(gaps)) if gaps else None
-    var_sp = float(np.var(gaps)) if gaps else None
+    same = (log.segment[1:] == log.segment[:-1]) & (log.strip[1:] == log.strip[:-1])
+    hop = np.diff(shots, axis=0)[same]
+    # Row-wise dot products, rounded as np.linalg.norm rounds one vector.
+    gaps = np.sqrt((hop[:, None, :] @ hop[:, :, None]).reshape(-1))
+    mean_sp = float(np.mean(gaps)) if len(gaps) else None
+    var_sp = float(np.var(gaps)) if len(gaps) else None
 
     radius = 0.5 * diameter
     tree = cKDTree(shots)

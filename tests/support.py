@@ -4,7 +4,7 @@ import numpy as np
 
 from facelaser.cloud import PointCloud
 from facelaser.geometry import CameraIntrinsics
-from facelaser.pathplan import PathPoint, SegmentPath
+from facelaser.pathplan import SegmentPath
 from facelaser.segmentation import FaceLandmarks
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -68,10 +68,8 @@ def straight_path(length: float, label: str = "strip",
     """Two-point single-strip path of the given length from the origin."""
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
-    n = np.asarray(normal, dtype=float)
-    pts = [PathPoint(np.zeros(3), n.copy()),
-           PathPoint(length * d, n.copy())]
-    return SegmentPath(label, pts, np.array([0, 0]), "horizontal", [])
+    return SegmentPath(label, [np.zeros(3), length * d], [normal, normal],
+                       [0, 0], "horizontal", [])
 
 
 def canonical_landmarks() -> FaceLandmarks:

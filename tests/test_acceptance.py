@@ -19,7 +19,6 @@ from facelaser.cli import main
 from facelaser.cloud import save_ply, voxel_downsample
 from facelaser.errors import AbortedOnSafety
 from facelaser.geometry import (
-    PoseVector6,
     RigidTransform,
     X_AXIS,
     Y_AXIS,
@@ -29,7 +28,7 @@ from facelaser.geometry import (
     rotation_to_axis_angle,
     unit,
 )
-from facelaser.pathplan import PathPoint, PlannerConfig, SegmentPath, bin_strips, plan_segment
+from facelaser.pathplan import PlannerConfig, SegmentPath, bin_strips, plan_segment
 from facelaser.registration import estimate_viewpoints, icp_point_to_plane
 from facelaser.segmentation import (
     build_region_polygons,
@@ -40,7 +39,6 @@ from facelaser.segmentation import (
 from facelaser.simulator import (
     PlanarRegion,
     SensorRig,
-    ShotEvent,
     ShotLog,
     SimConfig,
     coverage_metrics,
@@ -70,9 +68,11 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def _shot(x, y=0.0, strip=0, segment="seg", index=0):
-    psi = PoseVector6(np.array([x, y, 0.0]), np.zeros(3))
-    return ShotEvent(psi, 0.1 * index, index, strip, segment)
+def _strip_log(xs, path_length=0.0):
+    """Shots along the x-axis, one strip, 0.1 s apart."""
+    n = len(xs)
+    return ShotLog(0.1 * np.arange(n), np.column_stack([xs, np.zeros((n, 2))]),
+                   np.zeros((n, 3)), np.zeros(n), ["seg"] * n, path_length)
 
 
 # 1 ---------------------------------------------------------------------------
@@ -115,9 +115,9 @@ def test_criterion_02_disk_packing_bound():
     r = 0.5 * d
     square = PlanarRegion(np.zeros(3), X_AXIS, Y_AXIS,
                           [[-r, -r], [r, -r], [r, r], [-r, r]])
-    one = coverage_metrics(ShotLog([_shot(0.0)]), d, region=square,
+    one = coverage_metrics(_strip_log([0.0]), d, region=square,
                            samples=1_000_000)
-    strip = ShotLog([_shot(k * d, index=k) for k in range(20)], 20 * d)
+    strip = _strip_log(d * np.arange(20), 20 * d)
     row = coverage_metrics(strip, d, samples=1_000_000)
     ok = abs(one.coverage - 0.7854) <= 0.005 and abs(row.coverage - 0.785) <= 0.01
     _verdict(2, "disk packing bound", ok,
@@ -130,16 +130,15 @@ def test_criterion_02_disk_packing_bound():
 def test_criterion_03_planar_patch_coverage():
     t0 = time.perf_counter()
     d = 0.004
-    path = plan_segment(plane_grid(), PlannerConfig(d, 5.0))
+    path = plan_segment(plane_grid(), PlannerConfig(d))
     res = run_path(path, SimConfig(d, 5.0, control_rate=125.0))
     square = PlanarRegion(np.zeros(3), X_AXIS, Y_AXIS,
                           [[0.0, 0.0], [0.047, 0.0], [0.047, 0.047], [0.0, 0.047]])
     rep = coverage_metrics(res.log, d, region=square, samples=1_000_000)
 
     overlaps = 0
-    for strip in sorted({e.strip for e in res.log.events}):
-        pts = np.array([e.psi.position for e in res.log.events
-                        if e.strip == strip])
+    for strip in np.unique(res.log.strip):
+        pts = res.log.positions[res.log.strip == strip]
         gaps = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         iu = np.triu_indices(len(pts), k=1)
         # 1 nm of float slack: exactly-at-diameter pairs are not overlaps.
@@ -316,8 +315,7 @@ def test_criterion_08_collision_guard_holds_the_line():
     parts = []
     for name, rate, start_pos, target in scenarios:
         cfg = SimConfig(0.004, rate, control_rate=125.0, point_timeout=2.0)
-        path = SegmentPath("intrusion", [PathPoint(target, Z_AXIS.copy())],
-                           np.array([0]), "horizontal")
+        path = SegmentPath("intrusion", [target], [Z_AXIS], [0], "horizontal")
         start = RigidTransform(np.eye(3), start_pos)
         try:
             run_path(path, cfg, rig=rig, cloud=wall, start=start)
@@ -326,12 +324,11 @@ def test_criterion_08_collision_guard_holds_the_line():
             continue
         except AbortedOnSafety as exc:
             res = exc.result
-        dists = np.array([s.dist_l for s in res.trajectory])
+        dists = res.trajectory.dist_l
         finite = dists[np.isfinite(dists)]
         engaged = finite.min() < rig.l_min
         held = finite.min() >= 0.98 * rig.l_min
-        quiet_outside = all(not s.repulsing for s in res.trajectory
-                            if s.dist_l > rig.l_min)
+        quiet_outside = not res.trajectory.repulsing[dists > rig.l_min].any()
         ok = ok and engaged and held and quiet_outside
         parts.append(f"{name}: min D={finite.min() * 1000:.2f}mm "
                      f"(>= {0.98 * rig.l_min * 1000:.2f})")
@@ -351,7 +348,7 @@ def test_criterion_08_collision_guard_holds_the_line():
 # 9 ---------------------------------------------------------------------------
 
 def test_criterion_09_deadband_reanchoring():
-    path = plan_segment(plane_grid(), PlannerConfig(0.004, 5.0))
+    path = plan_segment(plane_grid(), PlannerConfig(0.004))
     ident = RigidTransform.identity()
 
     small = RigidTransform(

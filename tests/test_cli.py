@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -44,6 +45,31 @@ class TestConfigHandling:
         assert main(["--config", str(bad), "viewpoints",
                      "--out", str(tmp_path / "vp.json")]) == 1
 
+    @pytest.mark.parametrize("key, text, command", [
+        ("laser_diameter_m", "NaN", "simulate"),
+        ("standoff_m", "NaN", "simulate"),
+        ("control_rate_hz", "Infinity", "simulate"),
+        ("point_timeout_s", "NaN", "simulate"),
+        ("mc_samples", "0", "report"),
+        ("mc_samples", "-3", "report"),
+        ("seed", "-1", "report"),
+    ], ids=["nan-diameter", "nan-standoff", "inf-control-rate", "nan-timeout",
+            "zero-samples", "negative-samples", "negative-seed"])
+    def test_bad_value_exits_1(self, tmp_path, capsys, key, text, command):
+        (tmp_path / "config.json").write_text(f'{{"{key}": {text}}}')
+        (tmp_path / "paths.json").write_text(json.dumps([
+            GOOD_RECORD, {**GOOD_RECORD, "x": 0.01}]))
+        (tmp_path / "shots.csv").write_text(SHOTS_HEADER + SHOT_ROW)
+        argv = {"simulate": ["--paths", tmp_path / "paths.json",
+                             "--out-shots", tmp_path / "out.csv"],
+                "report": ["--shots", tmp_path / "shots.csv",
+                           "--out", tmp_path / "out.json"]}[command]
+        code = run(tmp_path, command, *argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key.removeprefix("mc_") in err
+        assert not list(tmp_path.glob("out.*"))
+
     def test_missing_input_exits_2(self, workdir):
         assert run(workdir, "plan", "--cloud", workdir / "nope.ply",
                    "--out", workdir / "paths.json") == 2
@@ -57,6 +83,8 @@ class TestConfigHandling:
                    "--out", workdir / "merged.ply") == 2
 
 
+SHOTS_HEADER = "index,time_s,x,y,z,nu_x,nu_y,nu_z,strip,segment\n"
+SHOT_ROW = "0,0.2,0.004,0,0,0,0,0,0,patch\n"
 GOOD_RECORD = {"x": 0.0, "y": 0.0, "z": 0.0, "nx": 0.0, "ny": 0.0, "nz": 1.0,
                "segment_label": "patch", "strip_index": 0}
 GOOD_KEY = {"t_s": 0.0, "translation": [0.0, 0.0, 0.0], "axis_angle": [0.0, 0.0, 0.0]}
@@ -147,6 +175,29 @@ class TestMalformedJsonInput:
         _assert_input_error(capsys, code, "cam.json")
         assert not (workdir / "segs").exists()
 
+    def test_segment_landmarks_not_json(self, workdir, capsys, face_scene):
+        cloud, _, _ = face_scene
+        save_ply(cloud, workdir / "face.ply")
+        landmarks = _write_doc(workdir / "lm.json", '{"points": [[1, 2],')
+        camera = _write_doc(workdir / "cam.json", CAMERA)
+        code = run(workdir, "segment", "--cloud", workdir / "face.ply",
+                   "--landmarks", landmarks, "--camera", camera,
+                   "--out-dir", workdir / "segs")
+        _assert_input_error(capsys, code, "lm.json")
+        assert not (workdir / "segs").exists()
+
+
+@pytest.mark.parametrize("header, row", [
+    (SHOTS_HEADER.replace(",z,", ","), SHOT_ROW.replace(",0,0,0,0,0,", ",0,0,0,0,")),
+    (SHOTS_HEADER, SHOT_ROW.replace("0.004", "abc")),
+    (SHOTS_HEADER, SHOT_ROW.replace("0.004", "nan")),
+], ids=["missing-column", "not-a-number", "nan"])
+def test_report_malformed_shots_exits_1(workdir, capsys, header, row):
+    shots = _write_doc(workdir / "shots.csv", header + row)
+    code = run(workdir, "report", "--shots", shots, "--out", workdir / "report.json")
+    _assert_input_error(capsys, code, "shots.csv")
+    assert not (workdir / "report.json").exists()
+
 
 def test_simulate_surface_without_normals_exits_1(workdir, capsys):
     (workdir / "paths.json").write_text(json.dumps([
@@ -229,6 +280,36 @@ def plan_simulate_report(workdir, outdir):
     return paths, shots, traj, report, svg
 
 
+# sha256 of each output of plan -> simulate --motion -> report on the patch
+# fixture below, recorded before paths and shot logs became columnar. The
+# head turns 0.03 rad and moves 4.1 mm at 2-2.5 s, so the run re-anchors.
+GOLDEN_SHA256 = {
+    "paths.json": "367c66e5d3a4b7298a03c1b01cae654bfdf09db48d5db94c8a7457993552ac58",
+    "shots.csv": "2ea42e0a6d27d9336a24b7f6ad562519121f9e1d83cafc4f37a803ad37d8f68c",
+    "traj.csv": "ecf93cbce4f878f4448d85375aefa767a994a5d2cf61390a3be7aa991ec0b8d1",
+    "report.json": "81bfd89d33a84442738a3364efd014bed7ceac1d511a2de040b24b90b27880d5",
+    "overview.svg": "c02eb8a1e715a3fcdd8ae8aa89d7e41cd87c7e3201fdbfeb21d7c4d9a70e6093",
+}
+
+
+def test_output_files_match_golden_bytes(workdir):
+    save_ply(plane_grid(), workdir / "patch.ply")
+    still = {"translation": [0.0, 0.0, 0.0], "axis_angle": [0.0, 0.0, 0.0]}
+    moved = {"translation": [0.001, 0.004, 0.0], "axis_angle": [0.0, 0.0, 0.03]}
+    _write_doc(workdir / "motion.json", [{"t_s": 0.0, **still}, {"t_s": 2.0, **still},
+                                         {"t_s": 2.5, **moved}])
+    paths, shots, traj = (workdir / n for n in ("paths.json", "shots.csv", "traj.csv"))
+    assert run(workdir, "plan", "--cloud", workdir / "patch.ply", "--label", "patch",
+               "--out", paths) == 0
+    assert run(workdir, "simulate", "--paths", paths, "--motion", workdir / "motion.json",
+               "--out-shots", shots, "--out-traj", traj) == 0
+    assert run(workdir, "report", "--shots", shots, "--paths", paths,
+               "--out", workdir / "report.json", "--out-svg", workdir / "overview.svg") == 0
+    digests = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SHA256}
+    assert digests == GOLDEN_SHA256
+
+
 class TestPatchPipeline:
     def test_end_to_end(self, workdir):
         paths, shots, traj, report, svg = plan_simulate_report(workdir,
@@ -240,8 +321,7 @@ class TestPatchPipeline:
 
         log = read_shots_csv(shots)
         assert len(log) > 100
-        times = [e.time for e in log.events]
-        assert times == sorted(times)
+        assert np.all(np.diff(log.time) >= 0.0)
 
         lines = traj.read_text().splitlines()
         assert lines[0] == "time_s,x,y,z,delta_d,dist_l,repulsing_flag"

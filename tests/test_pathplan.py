@@ -6,7 +6,6 @@ from facelaser.errors import EmptySegment, InvalidParam
 from facelaser.geometry import Y_AXIS, Z_AXIS
 from facelaser.pathplan import (
     MIN_STRIP_FRACTION,
-    PathPoint,
     PlannerConfig,
     SegmentPath,
     Strip,
@@ -24,7 +23,7 @@ DIAM = 0.004
 
 
 def config(**kwargs):
-    args = dict(laser_diameter=DIAM, pulse_rate=5.0)
+    args = dict(laser_diameter=DIAM)
     args.update(kwargs)
     return PlannerConfig(**args)
 
@@ -41,13 +40,9 @@ def runs_by_strip(path: SegmentPath):
 
 
 class TestPlannerConfig:
-    def test_max_speed(self):
-        assert config(pulse_rate=125.0).max_speed == pytest.approx(0.5)
-
     @pytest.mark.parametrize("kwargs", [
         dict(laser_diameter=0.0),
         dict(laser_diameter=-0.004),
-        dict(pulse_rate=0.0),
         dict(orientation="diagonal"),
     ])
     def test_validation(self, kwargs):
@@ -142,18 +137,18 @@ class TestSweepPatch:
         nrm = np.tile(Z_AXIS, (3, 1))
         cloud = PointCloud(pos, nrm)
         strip = Strip(0, -1.0, 1.0, np.arange(3), Z_AXIS)
-        row = sweep_patch(cloud, strip, sweep_axis=0, step=DIAM)
-        assert len(row) == 2
-        assert row[0].chi[0] == pytest.approx(0.0005)
-        assert row[1].chi[0] == pytest.approx(0.004)
+        chi, eta = sweep_patch(cloud, strip, sweep_axis=0, step=DIAM)
+        assert chi.shape == eta.shape == (2, 3)
+        assert chi[0, 0] == pytest.approx(0.0005)
+        assert chi[1, 0] == pytest.approx(0.004)
 
     def test_single_point(self):
         cloud = PointCloud([[0.1, 0.2, 0.3]], [Z_AXIS])
         strip = Strip(0, 0.0, 1.0, np.array([0]), Z_AXIS)
-        row = sweep_patch(cloud, strip, 0, DIAM)
-        assert len(row) == 1
-        assert np.allclose(row[0].chi, [0.1, 0.2, 0.3])
-        assert np.allclose(row[0].eta, Z_AXIS)
+        chi, eta = sweep_patch(cloud, strip, 0, DIAM)
+        assert chi.shape == eta.shape == (1, 3)
+        assert np.allclose(chi[0], [0.1, 0.2, 0.3])
+        assert np.allclose(eta[0], Z_AXIS)
 
 
 class TestPlanSegment:
@@ -204,20 +199,18 @@ class TestPathToPoses:
         path = plan_segment(plane_grid(tilt=np.radians(25.0)), config())
         poses = path_to_poses(path, standoff=0.01)
         assert len(poses) == len(path)
-        for pose, pt in zip(poses, path.points):
-            assert np.allclose(pose.rotation[:, 2], pt.eta, atol=1e-12)
-            assert np.allclose(pose.translation, pt.chi + 0.01 * pt.eta)
+        for pose, chi, eta in zip(poses, path.positions, path.normals):
+            assert np.allclose(pose.rotation[:, 2], eta, atol=1e-12)
+            assert np.allclose(pose.translation, chi + 0.01 * eta)
             assert np.allclose(pose.rotation @ pose.rotation.T, np.eye(3),
                                atol=1e-12)
 
     def test_normal_parallel_to_reference_falls_back(self):
-        path = SegmentPath("row", [PathPoint(np.zeros(3), Y_AXIS.copy())],
-                           np.array([0]), "horizontal")
+        path = SegmentPath("row", [np.zeros(3)], [Y_AXIS], [0], "horizontal")
         pose = path_to_poses(path, standoff=0.0)[0]
         assert np.allclose(pose.rotation[:, 2], Y_AXIS)
 
     def test_negative_standoff_rejected(self):
-        path = SegmentPath("row", [PathPoint(np.zeros(3), Z_AXIS.copy())],
-                           np.array([0]), "horizontal")
+        path = SegmentPath("row", [np.zeros(3)], [Z_AXIS], [0], "horizontal")
         with pytest.raises(InvalidParam):
             path_to_poses(path, standoff=-0.001)

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from facelaser.errors import (
     NoSurfaceInRange,
 )
 from facelaser.geometry import (
-    PoseVector6,
     RigidTransform,
     Z_AXIS,
     axis_angle_to_rotation,
@@ -26,12 +24,11 @@ from facelaser.geometry import (
 
 def rotation_about_z(theta):
     return axis_angle_to_rotation(np.array([0.0, 0.0, theta]))
-from facelaser.pathplan import PathPoint, SegmentPath
+from facelaser.pathplan import SegmentPath
 from facelaser.simulator import (
     EffectorState,
     MotionScript,
     SensorRig,
-    ShotEvent,
     ShotLog,
     SimConfig,
     coverage_metrics,
@@ -63,18 +60,16 @@ def sim_config(**kwargs):
 
 def multi_strip_path():
     """Two 4 mm rows 3 mm apart, already in execution order (S-shape)."""
-    pts = [
-        PathPoint(np.array([0.0, 0.0, 0.0]), Z_AXIS.copy()),
-        PathPoint(np.array([0.004, 0.0, 0.0]), Z_AXIS.copy()),
-        PathPoint(np.array([0.004, 0.003, 0.0]), Z_AXIS.copy()),
-        PathPoint(np.array([0.0, 0.003, 0.0]), Z_AXIS.copy()),
-    ]
-    return SegmentPath("seg", pts, np.array([0, 0, 1, 1]), "horizontal")
+    chi = [[0.0, 0.0, 0.0], [0.004, 0.0, 0.0], [0.004, 0.003, 0.0], [0.0, 0.003, 0.0]]
+    return SegmentPath("seg", chi, [Z_AXIS] * 4, [0, 0, 1, 1], "horizontal")
 
 
-def shot_event(x, strip=0, segment="seg", index=0, time=0.0):
-    pose = PoseVector6(np.array([x, 0.0, 0.0]), np.zeros(3))
-    return ShotEvent(pose, time, index, strip, segment)
+def shot_log(xs, strips=0, segments="seg", path_length=0.0):
+    """Shots along the x-axis, 0.1 s apart, tool unrotated."""
+    n = len(xs)
+    return ShotLog(0.1 * np.arange(n), np.column_stack([xs, np.zeros((n, 2))]),
+                   np.zeros((n, 3)), np.broadcast_to(strips, n),
+                   np.broadcast_to(segments, n), path_length)
 
 
 class TestConfigsAndRig:
@@ -335,10 +330,8 @@ class TestRunPath:
     def test_traverse_runs_dark_and_resets_pitch(self):
         cfg = sim_config()
         res = run_path(multi_strip_path(), cfg)
-        shots = res.log.events
-        assert [s.strip for s in shots] == [0, 0, 1, 1]
-        xs = [s.psi.position[0] for s in shots]
-        ys = [s.psi.position[1] for s in shots]
+        assert res.log.strip.tolist() == [0, 0, 1, 1]
+        xs, ys = res.log.positions[:, 0], res.log.positions[:, 1]
         assert xs == pytest.approx([0.002, 0.004, 0.002, 0.0])
         assert ys == pytest.approx([0.0, 0.0, 0.003, 0.003])
 
@@ -348,7 +341,7 @@ class TestRunPath:
         res = run_path(straight_path(0.01), cfg, start=start)
         # Approach covers 10 mm, the strip 10 mm more: still only 5 shots.
         assert len(res.log) == 5
-        assert all(e.psi.position[0] > 0 for e in res.log.events)
+        assert np.all(res.log.positions[:, 0] > 0)
         assert res.log.path_length == pytest.approx(0.02)
 
     def test_laser_disabled_logs_nothing(self):
@@ -367,7 +360,7 @@ class TestRunPath:
         a = run_path(straight_path(0.01), cfg, motion=still)
         b = run_path(straight_path(0.01), cfg, motion=wiggle)
         assert np.array_equal(a.log.positions, b.log.positions)
-        assert [s.time for s in a.log.events] == [s.time for s in b.log.events]
+        assert np.array_equal(a.log.time, b.log.time)
 
     def test_large_motion_reanchors_remaining_targets(self):
         cfg = sim_config()
@@ -378,8 +371,7 @@ class TestRunPath:
         res = run_path(straight_path(0.02), cfg, motion=jump)
         ys = res.log.positions[:, 1]
         # Shots fired on ticks that start after the jump.
-        after = np.array([e.time - 1.0 / cfg.control_rate > 0.0481
-                          for e in res.log.events])
+        after = res.log.time - 1.0 / cfg.control_rate > 0.0481
         assert ys[0] == 0.0
         # The tool ends on the re-anchored final target, and every shot after
         # the jump lies off the original line y = 0.
@@ -392,20 +384,18 @@ class TestRunPath:
         rig = SensorRig.default()
         cfg = SimConfig(laser_diameter=0.004, pulse_rate=5.0,
                         control_rate=125.0, point_timeout=2.0)
-        target = SegmentPath(
-            "down", [PathPoint(np.array([0.0, 0.0, -0.05]), Z_AXIS.copy())],
-            np.array([0]), "horizontal")
+        target = SegmentPath("down", [[0.0, 0.0, -0.05]], [Z_AXIS], [0], "horizontal")
         start = RigidTransform(np.eye(3), np.array([0.0, 0.0, 0.06]))
         with pytest.raises(AbortedOnSafety) as exc:
             run_path(target, cfg, rig=rig, cloud=wall, start=start)
         res = exc.value.result
         assert res is not None
         assert len(res.log) == 0
-        dists = np.array([s.dist_l for s in res.trajectory])
+        dists = res.trajectory.dist_l
         finite = dists[np.isfinite(dists)]
         assert finite.min() < rig.l_min           # the guard did engage
         assert finite.min() >= 0.98 * rig.l_min   # but held the line
-        assert any(s.repulsing for s in res.trajectory)
+        assert res.trajectory.repulsing.any()
 
     def test_repeat_runs_identical(self):
         cfg = sim_config(laser_diameter=0.004, pulse_rate=5.0)
@@ -418,10 +408,10 @@ class TestRunPath:
             runs.append(res)
         a, b = runs
         assert np.array_equal(a.log.positions, b.log.positions)
-        assert [s.time for s in a.log.events] == [s.time for s in b.log.events]
-        ta = np.array([[s.time, *s.position, s.delta_d] for s in a.trajectory])
-        tb = np.array([[s.time, *s.position, s.delta_d] for s in b.trajectory])
-        assert np.array_equal(ta, tb)
+        assert np.array_equal(a.log.time, b.log.time)
+        for column in ("time", "position", "delta_d"):
+            assert np.array_equal(getattr(a.trajectory, column),
+                                  getattr(b.trajectory, column))
 
 
 
@@ -429,8 +419,7 @@ def two_segment_plan():
     """Two 20 mm strips along x, 10 mm apart in y, run as separate segments."""
     first = straight_path(0.02, label="first")
     second = straight_path(0.02, label="second", direction=(-1.0, 0.0, 0.0))
-    second.points = [replace(p, chi=p.chi + np.array([0.02, 0.01, 0.0]))
-                     for p in second.points]
+    second.positions = second.positions + np.array([0.02, 0.01, 0.0])
     return {"first": first, "second": second}
 
 
@@ -446,7 +435,7 @@ def head_y(t):
 
 
 def simulate_two_segments(tmp_path, via):
-    """(shot events, trajectory times) of the two-segment run under drift."""
+    """(shot log, trajectory times) of the two-segment run under drift."""
     plan = two_segment_plan()
     keys = [{"t_s": t, "translation": [0.0, y, 0.0], "axis_angle": [0.0, 0.0, 0.0]}
             for t, y in HEAD_DRIFT]
@@ -454,7 +443,7 @@ def simulate_two_segments(tmp_path, via):
     motion_file.write_text(json.dumps(keys))
     if via == "run_path":
         res = run_path(plan, DRIFT_CFG, motion=MotionScript.from_json(motion_file))
-        return res.log.events, [s.time for s in res.trajectory]
+        return res.log, list(res.trajectory.time)
     records = [r for path in plan.values() for r in _path_records(path)]
     (tmp_path / "paths.json").write_text(json.dumps(records))
     shots, traj = tmp_path / "shots.csv", tmp_path / "traj.csv"
@@ -462,25 +451,27 @@ def simulate_two_segments(tmp_path, via):
                      "--motion", str(motion_file), "--out-shots", str(shots),
                      "--out-traj", str(traj)]) == 0
     times = np.loadtxt(traj, delimiter=",", skiprows=1, usecols=0)
-    return read_shots_csv(shots).events, list(times)
+    log = read_shots_csv(shots)
+    index = np.loadtxt(shots, delimiter=",", skiprows=1, usecols=0)
+    assert np.array_equal(index, np.arange(len(log)))
+    return log, list(times)
 
 
 @pytest.mark.parametrize("via", ["run_path", "cli"])
 def test_one_anchor_holds_across_segments(tmp_path, via):
     """Every shot stays within the dead-band of the head-carried plan, also
     in a segment that starts after in-band drift; indices and time run on."""
-    events, times = simulate_two_segments(tmp_path, via)
+    log, times = simulate_two_segments(tmp_path, via)
     plan = two_segment_plan()
     tick_travel = (0.0054 - 0.0025) / 0.1 / DRIFT_CFG.control_rate
     offsets = []
-    for e in events:
-        a, b = plan[e.segment].positions
-        q = e.psi.position - np.array([0.0, head_y(e.time), 0.0])
+    for segment, position, t in zip(log.segment, log.positions, log.time):
+        a, b = plan[segment].positions
+        q = position - np.array([0.0, head_y(t), 0.0])
         s = np.clip((q - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
         offsets.append(float(np.linalg.norm(q - (a + s * (b - a)))))
-    assert {e.segment for e in events} == {"first", "second"}
+    assert set(log.segment) == {"first", "second"}
     assert max(offsets) <= 3e-3 + tick_travel + 1e-9
-    assert [e.index for e in events] == list(range(len(events)))
 
     # The second segment opens with a row at the first segment's end time.
     alone = run_path(plan["first"], DRIFT_CFG,
@@ -494,12 +485,12 @@ def test_one_anchor_holds_across_segments(tmp_path, via):
 class TestCoverageMetrics:
     def test_empty_log_rejected(self):
         with pytest.raises(EmptyLog):
-            coverage_metrics(ShotLog(), 0.004)
+            coverage_metrics(shot_log([]), 0.004)
 
     def test_exact_strip_approaches_disk_packing(self):
         d = 0.004
-        events = [shot_event(k * d, index=k, time=0.1 * k) for k in range(12)]
-        report = coverage_metrics(ShotLog(events, 12 * d), d, samples=100_000)
+        report = coverage_metrics(shot_log(d * np.arange(12), path_length=12 * d), d,
+                                  samples=100_000)
         assert report.n_shots == 12
         assert report.n_spacings == 11
         assert report.mean_spacing == pytest.approx(d, abs=1e-12)
@@ -515,25 +506,27 @@ class TestCoverageMetrics:
             [1.1 * r, 0.0, 0.0],
             [10 * r, 0.0, 0.0],
         ]))
-        report = coverage_metrics(ShotLog([shot_event(0.0)]), d, cloud=cloud)
+        report = coverage_metrics(shot_log([0.0]), d, cloud=cloud)
         assert report.coverage == pytest.approx(0.5)
 
     def test_spacings_only_within_strip_and_segment(self):
         d = 0.002
-        events = [
-            shot_event(0.000, strip=0, segment="a", index=0),
-            shot_event(0.002, strip=0, segment="a", index=1),
-            shot_event(0.010, strip=1, segment="a", index=2),
-            shot_event(0.012, strip=1, segment="a", index=3),
-            shot_event(0.030, strip=0, segment="b", index=4),
-        ]
-        report = coverage_metrics(ShotLog(events, 0.03), d)
+        log = shot_log([0.000, 0.002, 0.010, 0.012, 0.030], strips=[0, 0, 1, 1, 0],
+                       segments=["a", "a", "a", "a", "b"], path_length=0.03)
+        report = coverage_metrics(log, d)
         assert report.n_spacings == 2
         assert report.mean_spacing == pytest.approx(0.002)
 
     def test_diameter_validation(self):
         with pytest.raises(InvalidParam):
-            coverage_metrics(ShotLog([shot_event(0.0)]), 0.0)
+            coverage_metrics(shot_log([0.0]), 0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(samples=0), dict(samples=-3), dict(seed=-1),
+    ], ids=["zero-samples", "negative-samples", "negative-seed"])
+    def test_sampling_validation(self, kwargs):
+        with pytest.raises(InvalidParam):
+            coverage_metrics(shot_log([0.0, 0.004]), 0.004, **kwargs)
 
 
 # ----------------------------------------------- closed-form legs vs tick loop
@@ -549,11 +542,11 @@ def assert_same_run(paths, cfg, **kwargs):
             runs.append((exc.result, str(exc)))
     (fast, fast_abort), (ref, ref_abort) = runs
     assert fast_abort == ref_abort
-    key = [(e.index, e.time, e.strip, e.segment) for e in fast.log.events]
-    assert key == [(e.index, e.time, e.strip, e.segment) for e in ref.log.events]
-    for a, b in zip(fast.log.events, ref.log.events):
-        assert np.abs(a.psi.position - b.psi.position).max() <= 1e-12
-        assert np.abs(a.psi.axis_angle - b.psi.axis_angle).max() <= 1e-12
+    for column in ("time", "strip", "segment"):
+        assert np.array_equal(getattr(fast.log, column), getattr(ref.log, column))
+    for column in ("positions", "axis_angle"):
+        assert np.allclose(getattr(fast.log, column), getattr(ref.log, column),
+                           rtol=0.0, atol=1e-12)
     assert fast.log.path_length == pytest.approx(ref.log.path_length, abs=1e-12)
     assert len(fast.trajectory) == len(ref.trajectory)
     assert np.array_equal(fast.trajectory.time, ref.trajectory.time)
@@ -576,13 +569,13 @@ def plans(draw):
     out = {}
     for label in ("first", "second")[:draw(st.integers(1, 2))]:
         n = draw(st.integers(2, 4))
-        points = []
+        chi, eta = [], []
         for _ in range(n):
-            chi = np.array([draw(coords) for _ in range(3)])
+            chi.append([draw(coords) for _ in range(3)])
             tilt = [draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), 1.0]
-            points.append(PathPoint(chi, np.asarray(tilt) / np.linalg.norm(tilt)))
+            eta.append(np.asarray(tilt) / np.linalg.norm(tilt))
         strips = np.cumsum([0] + [draw(st.sampled_from([0, 0, 1])) for _ in range(n - 1)])
-        out[label] = SegmentPath(label, points, strips, "horizontal")
+        out[label] = SegmentPath(label, chi, eta, strips, "horizontal")
     return out
 
 
