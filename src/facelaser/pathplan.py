@@ -41,8 +41,8 @@ class PlannerConfig:
     obliquity_correction: bool = True
 
     def __post_init__(self):
-        if self.laser_diameter <= 0:
-            raise InvalidParam("laser_diameter must be positive")
+        if not (np.isfinite(self.laser_diameter) and self.laser_diameter > 0):
+            raise InvalidParam("laser_diameter must be positive and finite")
         if self.orientation not in ORIENTATIONS:
             raise InvalidParam(f"orientation must be one of {ORIENTATIONS}")
 

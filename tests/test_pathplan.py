@@ -44,6 +44,7 @@ class TestPlannerConfig:
         dict(laser_diameter=0.0),
         dict(laser_diameter=-0.004),
         dict(orientation="diagonal"),
+        dict(laser_diameter=float("nan")),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParam):
