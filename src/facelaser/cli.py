@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .cloud import estimate_normals, load_ply, save_ply
-from .errors import ConfigError, FacelaserError, ParseError
+from .errors import ConfigError, FacelaserError, InvalidParam, ParseError
 from .geometry import CameraIntrinsics, PoseVector6, RigidTransform
 from .pathplan import PlannerConfig, SegmentPath, plan_segment
 from .registration import estimate_viewpoints, merge_views
@@ -45,32 +45,28 @@ class RunConfig:
     laser_diameter_m: float = 0.004
     pulse_rate_hz: float = 5.0
     d_min_m: float = 0.25
-    l_min_m: float = 0.04
-    kappa: float = 5e-4
+    l_min_m: float = SensorRig.l_min
+    kappa: float = SensorRig.kappa
     voxel_leaf_m: float = 0.002
     phi_step_rad: float = math.radians(10.0)
     n_per_side: int = 2
     seed: int = 0
     viewpoint_arc_model: str = "circular"
-    control_rate_hz: float = 125.0
-    obliquity_correction: bool = True
-    orientation: str = "auto"
+    control_rate_hz: float = SimConfig.control_rate
+    obliquity_correction: bool = PlannerConfig.obliquity_correction
+    orientation: str = PlannerConfig.orientation
     mc_samples: int = 1_000_000
     gate_multiplier: float = 10.0
-    point_timeout_s: float = 30.0
-    sensor_ring_radius_m: float = 0.025
-    sensor_offset_m: float = 0.06
-    sensor_max_range_m: float = 0.3
-    laser_enabled: bool = True
+    point_timeout_s: float = SimConfig.point_timeout
+    sensor_ring_radius_m: float = SensorRig.ring_radius
+    sensor_offset_m: float = SensorRig.offset
+    sensor_max_range_m: float = SensorRig.max_range
+    laser_enabled: bool = SimConfig.laser_enabled
     standoff_m: float = 0.0
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        doc = _read_json(path)
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         known = {f.name: f.type for f in fields(cls)}
@@ -100,18 +96,25 @@ class RunConfig:
             values[f.name] = v
         return cls(**values)
 
+    def _build(self, cls, *keys):
+        """`cls` from these keys' values in field order; a value it rejects is
+        reported with the keys that fed it."""
+        try:
+            return cls(*(getattr(self, k) for k in keys))
+        except InvalidParam as exc:
+            raise ConfigError(f"{exc} (config keys: {', '.join(keys)})") from exc
+
     def planner(self) -> PlannerConfig:
-        return PlannerConfig(self.laser_diameter_m, self.orientation,
-                             self.obliquity_correction)
+        return self._build(PlannerConfig, "laser_diameter_m", "orientation",
+                           "obliquity_correction")
 
     def sim(self) -> SimConfig:
-        return SimConfig(self.laser_diameter_m, self.pulse_rate_hz,
-                         self.control_rate_hz, self.point_timeout_s,
-                         self.laser_enabled)
+        return self._build(SimConfig, "laser_diameter_m", "pulse_rate_hz",
+                           "control_rate_hz", "point_timeout_s", "laser_enabled")
 
     def rig(self) -> SensorRig:
-        return SensorRig.default(self.sensor_ring_radius_m, self.sensor_offset_m,
-                                 self.sensor_max_range_m, self.l_min_m, self.kappa)
+        return self._build(SensorRig, "sensor_ring_radius_m", "sensor_offset_m",
+                           "sensor_max_range_m", "l_min_m", "kappa")
 
 
 def _require(path) -> str:
@@ -243,11 +246,11 @@ def load_paths(path) -> dict:
     """Rebuild {label: SegmentPath} from a flat path-record JSON file.
 
     Raises ParseError for text that is not JSON, a record that lacks a
-    field, and coordinates that are not finite numbers.
+    field, coordinates that are not finite numbers and a normal that is not
+    a unit vector.
     """
+    rows = _read_json(path)
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            rows = json.load(f)
         grouped: dict[str, list] = {}
         for r in rows:
             grouped.setdefault(r["segment_label"], []).append(r)
@@ -256,6 +259,8 @@ def load_paths(path) -> dict:
             xyz = np.array([[r[k] for k in PATH_KEYS] for r in rs], dtype=float)
             if not np.isfinite(xyz).all():
                 raise ParseError(f"{path}: non-finite coordinate in '{label}'")
+            if np.any(np.abs(np.linalg.norm(xyz[:, 3:], axis=1) - 1.0) > 1e-6):
+                raise ParseError(f"{path}: normal in '{label}' is not a unit vector")
             strips = [int(r["strip_index"]) for r in rs]
             out[label] = SegmentPath(label, xyz[:, :3], xyz[:, 3:], strips, "unknown")
     except KeyError as exc:
@@ -317,12 +322,12 @@ def _write_traj_csv(traj, path) -> None:
 def read_shots_csv(path) -> ShotLog:
     """The shot log of a shots CSV, one row per shot in index order.
 
-    Raises ParseError naming the file for a missing column, a value that is
-    not a number and a non-finite value.
+    Raises ParseError naming the file for text that is not UTF-8, a missing
+    column, a value that is not a number and a non-finite value.
     """
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        rows = list(csv.DictReader(f))
     try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            rows = list(csv.DictReader(f))
         values = np.array([[float(r[k]) for k in SHOT_VALUES] for r in rows],
                           dtype=float).reshape(-1, len(SHOT_VALUES))
         strips = [int(r["strip"]) for r in rows]
@@ -337,7 +342,7 @@ def read_shots_csv(path) -> ShotLog:
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
-    paths = load_paths(_require(args.paths))
+    paths = load_paths(args.paths)
     if not paths:
         raise _UsageError(f"no path records in {args.paths}")
     surface = rig = None
@@ -412,7 +417,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
     }
     _write_json(doc, args.out)
     if args.out_svg:
-        paths = load_paths(_require(args.paths)) if args.paths else None
+        paths = load_paths(args.paths) if args.paths else None
         _svg_overview(log.positions, paths, cfg.laser_diameter_m, args.out_svg)
     mean = "n/a" if rep.mean_spacing is None else f"{rep.mean_spacing * 1000:.3f} mm"
     print(f"{rep.n_shots} shots, mean spacing {mean}, "

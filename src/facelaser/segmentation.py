@@ -242,9 +242,7 @@ class SegmentedFace:
 
 
 def segment_face(cloud: PointCloud, landmarks: FaceLandmarks,
-                 intrinsics: CameraIntrinsics, camera_pose=None,
-                 hairline_factor: float = 0.6,
-                 overrides: dict | None = None) -> SegmentedFace:
+                 intrinsics: CameraIntrinsics, camera_pose=None) -> SegmentedFace:
     """Assign each cloud point to the first region polygon containing its pixel.
 
     The cloud is projected with `intrinsics`; camera_pose (camera in the
@@ -255,7 +253,7 @@ def segment_face(cloud: PointCloud, landmarks: FaceLandmarks,
         else RigidTransform.identity()
     pixels, in_front = project_points(cloud.positions, intrinsics, extrinsics)
 
-    polys = build_region_polygons(landmarks, hairline_factor, overrides)
+    polys = build_region_polygons(landmarks)
     assigned = np.full(len(cloud), -1, dtype=int)
     for idx, poly in enumerate(polys):
         mask = in_front & (assigned == -1) & points_in_polygon(pixels, poly.vertices)

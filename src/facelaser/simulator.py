@@ -64,13 +64,16 @@ class SimConfig:
     deadband_rotation: float = math.radians(4.0)    # and below this [rad]
 
     def __post_init__(self):
-        if self.laser_diameter <= 0 or self.pulse_rate <= 0:
-            raise InvalidParam("laser_diameter and pulse_rate must be positive")
-        if self.control_rate <= 0:
-            raise InvalidParam("control_rate must be positive")
-        if self.point_timeout is not None and self.point_timeout <= 0:
-            raise InvalidParam("point_timeout must be positive or None")
-        if self.deadband_translation < 0 or self.deadband_rotation < 0:
+        rates = (self.laser_diameter, self.pulse_rate, self.control_rate)
+        if not all(0 < v < math.inf for v in rates):
+            raise InvalidParam("laser_diameter, pulse_rate and control_rate must be "
+                               "positive and finite")
+        if self.pulse_rate > self.control_rate:
+            raise InvalidParam("pulse_rate exceeds control_rate, but the laser fires "
+                               "at most once per control tick")
+        if self.point_timeout is not None and not 0 < self.point_timeout < math.inf:
+            raise InvalidParam("point_timeout must be positive and finite, or None")
+        if not (self.deadband_translation >= 0 and self.deadband_rotation >= 0):
             raise InvalidParam("dead-band bounds must be non-negative")
 
     @property
@@ -81,46 +84,36 @@ class SimConfig:
 
 @dataclass
 class SensorRig:
-    """Distance sensors rigidly mounted on the effector, rays in tool frame.
+    """Three distance sensors at 120 degrees on a ring behind the tool tip,
+    looking out along the beam axis (tool -z).
 
-    Measurements are reported relative to the tool tip (the frame origin),
-    not the sensor mounts, so l_min guards the tip itself.
+    `origins` and `directions` hold the (3, 3) mount points and unit rays in
+    the tool frame. Measurements are reported relative to the tool tip (the
+    frame origin), not the sensor mounts, so l_min guards the tip itself.
     """
 
-    origins: np.ndarray                     # (m, 3) mount points, tool frame
-    directions: np.ndarray                  # (m, 3) unit ray directions
+    ring_radius: float = 0.025              # mount ring radius about the beam axis [m]
+    offset: float = 0.06                    # mount plane height behind the tip [m]
     max_range: float = 0.3                  # hits farther than this are ignored [m]
     l_min: float = 0.04                     # protective radius around the tip [m]
     kappa: float = 5e-4                     # repulsion gain [m^3/s]
     beam_radius: float = 0.004              # ray-to-point acceptance radius [m]
 
     def __post_init__(self):
-        self.origins = np.asarray(self.origins, dtype=float).reshape(-1, 3)
-        self.directions = np.asarray(self.directions, dtype=float).reshape(-1, 3)
-        if len(self.origins) != len(self.directions) or len(self.origins) == 0:
-            raise InvalidParam("need matching, non-empty origin and direction sets")
-        norms = np.linalg.norm(self.directions, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise InvalidParam("ray directions must be unit vectors")
+        if not np.isfinite([self.ring_radius, self.offset, self.max_range,
+                            self.l_min, self.kappa, self.beam_radius]).all():
+            raise InvalidParam("sensor rig values must be finite")
         if self.max_range <= 0 or self.l_min <= 0 or self.kappa <= 0:
             raise InvalidParam("max_range, l_min and kappa must be positive")
         if self.l_min >= self.max_range:
             raise InvalidParam("l_min must be smaller than max_range")
         if self.beam_radius <= 0:
             raise InvalidParam("beam_radius must be positive")
-
-    @classmethod
-    def default(cls, ring_radius: float = 0.025, offset: float = 0.06,
-                max_range: float = 0.3, l_min: float = 0.04,
-                kappa: float = 5e-4, beam_radius: float = 0.004) -> "SensorRig":
-        """Three sensors at 120 degrees on a ring behind the tip, looking out
-        along the beam axis (tool -z)."""
         angles = 2.0 * np.pi * np.arange(3) / 3.0
-        origins = np.stack([ring_radius * np.cos(angles),
-                            ring_radius * np.sin(angles),
-                            np.full(3, offset)], axis=1)
-        directions = np.tile([0.0, 0.0, -1.0], (3, 1))
-        return cls(origins, directions, max_range, l_min, kappa, beam_radius)
+        self.origins = np.stack([self.ring_radius * np.cos(angles),
+                                 self.ring_radius * np.sin(angles),
+                                 np.full(3, self.offset)], axis=1)
+        self.directions = np.tile([0.0, 0.0, -1.0], (3, 1))
 
 
 def sensor_fusion(rig: SensorRig, cloud: PointCloud, pose: RigidTransform,
@@ -176,8 +169,8 @@ def repulsive_velocity(l: np.ndarray, l_min: float, kappa: float) -> np.ndarray:
 
 
 def motion_exceeds_deadband(previous: RigidTransform, current: RigidTransform,
-                            translation_tol: float = 3e-3,
-                            rotation_tol: float = math.radians(4.0)) -> bool:
+                            translation_tol: float = SimConfig.deadband_translation,
+                            rotation_tol: float = SimConfig.deadband_rotation) -> bool:
     """True when the pose change is worth re-anchoring the plan for."""
     shift = float(np.linalg.norm(current.translation - previous.translation))
     rel = current.rotation @ previous.rotation.T
@@ -193,18 +186,16 @@ def transform_path(path: SegmentPath, t: RigidTransform) -> SegmentPath:
 
 
 def update_paths_on_motion(paths, previous_pose: RigidTransform,
-                           current_pose: RigidTransform,
-                           translation_tol: float = 3e-3,
-                           rotation_tol: float = math.radians(4.0)):
-    """Re-anchor paths to a moved head pose, unless the motion is in-band.
+                           current_pose: RigidTransform):
+    """Re-anchor paths to a moved head pose, unless the motion is inside the
+    default SimConfig dead-band.
 
     `paths` is one SegmentPath or a {label: SegmentPath} dict. Inside the
     dead-band the input object itself is returned with moved=False; outside,
     every path is transformed by current o inv(previous).
     Returns (paths, moved).
     """
-    if not motion_exceeds_deadband(previous_pose, current_pose,
-                                   translation_tol, rotation_tol):
+    if not motion_exceeds_deadband(previous_pose, current_pose):
         return paths, False
     anchor = current_pose.compose(previous_pose.invert())
     if isinstance(paths, SegmentPath):

@@ -304,7 +304,7 @@ def test_criterion_07_segmentation_partition(face_scene):
 
 def test_criterion_08_collision_guard_holds_the_line():
     wall = wall_cloud(size=0.2)
-    rig = SensorRig.default()
+    rig = SensorRig()
     scenarios = [
         ("fast", 5.0, np.array([0.0, 0.0, 0.06]), np.array([0.0, 0.0, -0.05])),
         ("slow", 2.0, np.array([0.0, 0.0, 0.04]), np.array([0.0, 0.0, -0.05])),

@@ -1,13 +1,18 @@
 import hashlib
+import inspect
 import json
+from dataclasses import fields
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from facelaser.cli import main, read_shots_csv
+from facelaser.cli import RunConfig, main, read_shots_csv
 from facelaser.cloud import PointCloud, load_ply, save_ply
 from facelaser.geometry import RigidTransform
-from facelaser.registration import estimate_viewpoints
+from facelaser.registration import estimate_viewpoints, merge_views
+from facelaser.simulator import coverage_metrics, run_path
 
 from support import ellipsoid_cloud, plane_grid
 
@@ -45,6 +50,14 @@ class TestConfigHandling:
         assert main(["--config", str(bad), "viewpoints",
                      "--out", str(tmp_path / "vp.json")]) == 1
 
+    def test_not_utf8_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes('{"orientation": "\u00e4"}'.encode("latin-1"))
+        code = main(["--config", str(bad), "viewpoints",
+                     "--out", str(tmp_path / "vp.json")])
+        _assert_input_error(capsys, code, "bad.json")
+        assert not (tmp_path / "vp.json").exists()
+
     @pytest.mark.parametrize("key, text, command", [
         ("laser_diameter_m", "NaN", "simulate"),
         ("standoff_m", "NaN", "simulate"),
@@ -53,8 +66,10 @@ class TestConfigHandling:
         ("mc_samples", "0", "report"),
         ("mc_samples", "-3", "report"),
         ("seed", "-1", "report"),
+        ("control_rate_hz", "2", "simulate"),
     ], ids=["nan-diameter", "nan-standoff", "inf-control-rate", "nan-timeout",
-            "zero-samples", "negative-samples", "negative-seed"])
+            "zero-samples", "negative-samples", "negative-seed",
+            "control-rate-below-pulse-rate"])
     def test_bad_value_exits_1(self, tmp_path, capsys, key, text, command):
         (tmp_path / "config.json").write_text(f'{{"{key}": {text}}}')
         (tmp_path / "paths.json").write_text(json.dumps([
@@ -83,6 +98,39 @@ class TestConfigHandling:
                    "--out", workdir / "merged.ply") == 2
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Config keys whose default is a plain function default in the library.
+FUNCTION_DEFAULTS = {
+    "gate_multiplier": (merge_views, "gate_multiplier"),
+    "viewpoint_arc_model": (estimate_viewpoints, "arc_model"),
+    "mc_samples": (coverage_metrics, "samples"),
+    "seed": (coverage_metrics, "seed"),
+    "standoff_m": (run_path, "standoff"),
+}
+
+
+class TestDefaultsAgree:
+    def test_readme_table_matches_run_config(self):
+        section = README.read_text(encoding="utf-8").split("## Configuration")[1]
+        rows = [line.split("|")[1:3] for line in section.split("\n## ")[0].splitlines()
+                if line.startswith("| `")]
+        table = {key.strip(" `"): text.strip(" `") for key, text in rows}
+        assert sorted(table) == sorted(f.name for f in fields(RunConfig))
+        cfg = RunConfig()
+        for key, text in table.items():
+            shown, value = json.loads(text), getattr(cfg, key)
+            if isinstance(shown, float):
+                value = round(value, -Decimal(text).as_tuple().exponent)
+            assert (value, type(value)) == (shown, type(shown)), key
+
+    def test_function_defaults_match_run_config(self):
+        cfg = RunConfig()
+        for key, (func, param) in FUNCTION_DEFAULTS.items():
+            default = inspect.signature(func).parameters[param].default
+            assert default == getattr(cfg, key), key
+
+
 SHOTS_HEADER = "index,time_s,x,y,z,nu_x,nu_y,nu_z,strip,segment\n"
 SHOT_ROW = "0,0.2,0.004,0,0,0,0,0,0,patch\n"
 GOOD_RECORD = {"x": 0.0, "y": 0.0, "z": 0.0, "nx": 0.0, "ny": 0.0, "nz": 1.0,
@@ -102,8 +150,9 @@ class TestMalformedSimulateInput:
         ([GOOD_RECORD], "t_s: 0"),
         ([{**GOOD_RECORD, "x": float("nan")}], [GOOD_KEY]),
         ([GOOD_RECORD], [{**GOOD_KEY, "t_s": float("inf")}]),
+        ([{**GOOD_RECORD, "nz": 0.0}], [GOOD_KEY]),
     ], ids=["paths-missing-key", "motion-missing-key", "paths-not-json",
-            "motion-not-json", "paths-nan", "motion-inf"])
+            "motion-not-json", "paths-nan", "motion-inf", "paths-zero-normal"])
     def test_exits_1_with_message(self, workdir, capsys, paths, motion):
         for name, doc in (("paths.json", paths), ("motion.json", motion)):
             text = doc if isinstance(doc, str) else json.dumps(doc)
@@ -191,9 +240,11 @@ class TestMalformedJsonInput:
     (SHOTS_HEADER.replace(",z,", ","), SHOT_ROW.replace(",0,0,0,0,0,", ",0,0,0,0,")),
     (SHOTS_HEADER, SHOT_ROW.replace("0.004", "abc")),
     (SHOTS_HEADER, SHOT_ROW.replace("0.004", "nan")),
-], ids=["missing-column", "not-a-number", "nan"])
+    (SHOTS_HEADER, SHOT_ROW.replace("patch", "p\u00e4tch")),
+], ids=["missing-column", "not-a-number", "nan", "not-utf8"])
 def test_report_malformed_shots_exits_1(workdir, capsys, header, row):
-    shots = _write_doc(workdir / "shots.csv", header + row)
+    shots = workdir / "shots.csv"
+    shots.write_bytes((header + row).encode("latin-1"))
     code = run(workdir, "report", "--shots", shots, "--out", workdir / "report.json")
     _assert_input_error(capsys, code, "shots.csv")
     assert not (workdir / "report.json").exists()

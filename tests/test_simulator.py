@@ -46,7 +46,7 @@ from support import straight_path, wall_cloud
 
 # A one-point surface far out of sensor range. Passing it makes a run guarded,
 # so it steps tick by tick, while the guard never measures anything.
-IDLE_GUARD = {"rig": SensorRig.default(),
+IDLE_GUARD = {"rig": SensorRig(),
               "cloud": PointCloud(np.array([[100.0, 100.0, 100.0]]),
                                   np.array([[0.0, 0.0, 1.0]]))}
 
@@ -80,6 +80,9 @@ class TestConfigsAndRig:
         dict(point_timeout=0.0),
         dict(deadband_translation=-1e-3),
         dict(deadband_rotation=-0.1),
+        dict(laser_diameter=float("nan")),
+        dict(control_rate=float("nan")),
+        dict(pulse_rate=200.0),
     ])
     def test_sim_config_validation(self, kwargs):
         with pytest.raises(InvalidParam):
@@ -89,19 +92,19 @@ class TestConfigsAndRig:
         assert SimConfig(0.004, 5.0).max_speed == pytest.approx(0.02)
 
     def test_default_rig_geometry(self):
-        rig = SensorRig.default()
+        rig = SensorRig()
         assert rig.origins.shape == (3, 3)
         assert np.allclose(np.linalg.norm(rig.origins[:, :2], axis=1), 0.025)
         assert np.allclose(rig.origins[:, 2], 0.06)
         assert np.allclose(rig.directions, [0.0, 0.0, -1.0])
 
     @pytest.mark.parametrize("kwargs", [
-        dict(origins=np.zeros((2, 3)), directions=np.tile([0, 0, -1.0], (3, 1))),
-        dict(origins=np.zeros((0, 3)), directions=np.zeros((0, 3))),
-        dict(origins=np.zeros((1, 3)), directions=[[0.0, 0.0, -2.0]]),
-        dict(origins=np.zeros((1, 3)), directions=[[0.0, 0.0, -1.0]], l_min=0.5),
-        dict(origins=np.zeros((1, 3)), directions=[[0.0, 0.0, -1.0]], kappa=0.0),
-        dict(origins=np.zeros((1, 3)), directions=[[0.0, 0.0, -1.0]], beam_radius=0.0),
+        dict(l_min=0.5),
+        dict(kappa=0.0),
+        dict(beam_radius=0.0),
+        dict(l_min=float("nan")),
+        dict(max_range=float("nan")),
+        dict(ring_radius=float("inf")),
     ])
     def test_rig_validation(self, kwargs):
         with pytest.raises(InvalidParam):
@@ -143,7 +146,7 @@ class TestRepulsion:
 class TestSensorFusion:
     def test_wall_straight_below(self):
         wall = wall_cloud()
-        rig = SensorRig.default()
+        rig = SensorRig()
         pose = RigidTransform(np.eye(3), np.array([0.0, 0.0, 0.1]))
         fused = sensor_fusion(rig, wall, pose)
         assert fused is not None
@@ -154,7 +157,7 @@ class TestSensorFusion:
     def test_back_side_hits_carry_no_weight(self):
         wall = wall_cloud()
         flipped = PointCloud(wall.positions, -wall.normals)
-        rig = SensorRig.default()
+        rig = SensorRig()
         pose = RigidTransform(np.eye(3), np.array([0.0, 0.0, 0.1]))
         assert sensor_fusion(rig, flipped, pose) is None
         with pytest.raises(NoSurfaceInRange):
@@ -162,14 +165,14 @@ class TestSensorFusion:
 
     def test_out_of_range_returns_none(self):
         wall = wall_cloud()
-        rig = SensorRig.default()
+        rig = SensorRig()
         pose = RigidTransform(np.eye(3), np.array([0.0, 0.0, 0.5]))
         assert sensor_fusion(rig, wall, pose) is None
 
     def test_requires_normals(self):
         bare = PointCloud(wall_cloud().positions)
         with pytest.raises(ValueError):
-            sensor_fusion(SensorRig.default(), bare,
+            sensor_fusion(SensorRig(), bare,
                           RigidTransform.identity())
 
 
@@ -381,7 +384,7 @@ class TestRunPath:
 
     def test_safety_stall_aborts_with_partial_result(self):
         wall = wall_cloud()
-        rig = SensorRig.default()
+        rig = SensorRig()
         cfg = SimConfig(laser_diameter=0.004, pulse_rate=5.0,
                         control_rate=125.0, point_timeout=2.0)
         target = SegmentPath("down", [[0.0, 0.0, -0.05]], [Z_AXIS], [0], "horizontal")
@@ -400,7 +403,7 @@ class TestRunPath:
     def test_repeat_runs_identical(self):
         cfg = sim_config(laser_diameter=0.004, pulse_rate=5.0)
         wall = wall_cloud(size=0.1)
-        rig = SensorRig.default()
+        rig = SensorRig()
         runs = []
         for _ in range(2):
             path = straight_path(0.03, normal=(0.0, 0.0, 1.0))
