@@ -89,7 +89,6 @@ from .simulator import (
     sensor_fusion,
     step,
     transform_path,
-    update_paths_on_motion,
 )
 
 __version__ = "0.1.0"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,10 @@ _PLY_TYPES = {
     "int": ("<i4", 4), "int32": ("<i4", 4),
     "uint": ("<u4", 4), "uint32": ("<u4", 4),
 }
+
+# raycast covers a ray with at most this many search balls, so a radius that
+# is tiny against the cloud's extent widens the balls instead of multiplying them.
+MAX_RAY_BALLS = 1024
 
 
 class PointCloud:
@@ -284,31 +289,73 @@ class RayHit:
     distance: float
 
 
-def raycast(cloud: PointCloud, origin, direction, radius: float) -> RayHit | None:
+def raycast(cloud: PointCloud, origin, direction, radius: float,
+            max_range: float = math.inf) -> RayHit | None:
     """First cloud point within `radius` of the ray, nearest along it.
 
-    Returns None on a miss. The reported distance is Euclidean from the ray
-    origin to the hit point.
+    A point counts when its distance t along the ray lies in (0, max_range];
+    the smallest t wins, the lowest index on a tie. Returns None on a miss.
+    The reported distance is Euclidean from the ray origin to the hit point.
+
+    The search runs on the cloud's kd-tree. The ray is clipped to
+    [0, max_range] and to the tree's bounding box grown by `radius`, and the
+    clipped span is covered by balls every h >= 2 radius, each of radius
+    hypot(radius, h / 2): every point within `radius` of the span lies in one
+    of them. Only the balls that hold a point are gathered, and the exact
+    cylinder test runs on their points alone.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    d = np.asarray(direction, dtype=float)
-    dn = np.linalg.norm(d)
+    origin = np.asarray(origin, dtype=float).reshape(3)
+    d = np.asarray(direction, dtype=float).reshape(3)
+    o3 = origin.tolist()
+    if not all(map(math.isfinite, o3 + d.tolist())):
+        raise ValueError("ray origin and direction must be finite")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
+    if not max_range > 0.0:
+        raise ValueError("max_range must be positive")
+    dn = math.sqrt(d @ d)                   # as np.linalg.norm computes it
     if abs(dn - 1.0) > 1e-6:
         raise ValueError("direction must be a unit vector")
     d = d / dn
-    origin = np.asarray(origin, dtype=float)
-    rel = cloud.positions - origin
+    if len(cloud) == 0:
+        return None
+    tree = cloud.kdtree()
+    mins, maxes = tree.mins.tolist(), tree.maxes.tolist()
+    # A hair of slack keeps rounding in the clip and the ball centres from
+    # dropping a point that sits exactly on a boundary.
+    slack = 1e-9 * (1.0 + max(map(abs, o3 + mins + maxes)))
+    pad = radius + slack
+    t0, t1 = 0.0, max_range
+    for o, dk, lo, hi in zip(o3, d.tolist(), mins, maxes):
+        lo, hi = lo - pad - o, hi + pad - o
+        if dk == 0.0:
+            if not lo <= 0.0 <= hi:
+                return None
+        else:
+            t0, t1 = max(t0, min(lo / dk, hi / dk)), min(t1, max(lo / dk, hi / dk))
+    if t0 > t1:
+        return None
+    h = max(2.0 * radius, (t1 - t0) / (MAX_RAY_BALLS - 1))
+    centres = origin + (t0 + h * np.arange(math.ceil((t1 - t0) / h) + 1))[:, None] * d
+    reach = math.hypot(radius, 0.5 * h) + slack
+    nearest, _ = tree.query(centres, distance_upper_bound=reach)
+    occupied = centres[np.isfinite(nearest)]
+    if not len(occupied):
+        return None
+    # Sorted and without repeats, so a tie in t goes to the lowest index.
+    idx = np.unique(np.concatenate(tree.query_ball_point(occupied, reach)))
+    rel = cloud.positions[idx] - origin
     t = rel @ d
     perp2 = np.einsum("ij,ij->i", rel, rel) - t * t
     # Clamp tiny negative values from cancellation before comparing.
-    hit = (t > 0.0) & (np.maximum(perp2, 0.0) <= radius * radius)
-    if not hit.any():
+    candidates = np.flatnonzero((t > 0.0) & (t <= max_range)
+                                & (np.maximum(perp2, 0.0) <= radius * radius))
+    if not len(candidates):
         return None
-    candidates = np.where(hit)[0]
-    best = candidates[np.argmin(t[candidates])]
+    k = candidates[np.argmin(t[candidates])]
+    best = idx[k]
     return RayHit(
         cloud.positions[best].copy(),
         None if cloud.normals is None else cloud.normals[best].copy(),
-        float(np.linalg.norm(rel[best])),
+        float(np.linalg.norm(rel[k])),
     )

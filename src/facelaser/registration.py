@@ -92,13 +92,15 @@ class IcpResult:
 
 def _plane_rmse(src: np.ndarray, tree: cKDTree, tgt_pos: np.ndarray, tgt_nrm: np.ndarray,
                 gate: float | None):
-    dist, j = tree.query(src)
-    if gate is not None:
+    if gate is None:
+        _, j = tree.query(src)
+        keep = np.ones(len(src), dtype=bool)
+    else:
+        # The bound is strict; one ulp above the gate keeps a pair at exactly it.
+        dist, j = tree.query(src, distance_upper_bound=np.nextafter(gate, np.inf))
         keep = dist <= gate
         if not keep.any():
             raise NoCorrespondences(f"gate {gate:.4g} m rejected all pairs")
-    else:
-        keep = np.ones(len(src), dtype=bool)
     p = src[keep]
     q = tgt_pos[j[keep]]
     n = tgt_nrm[j[keep]]

@@ -11,9 +11,11 @@ fixed-rate control clock. Three behaviours ride on top of the motion:
   repulsive velocity pushes the tool out along the fused measurement;
 * re-anchoring: one anchor, the head pose at t = 0, holds for the whole
   run. Targets and the guarded surface stay in the plan frame; when the
-  tracked head pose leaves a small dead-band around the last anchor, they
-  are carried from the plan frame by the head's displacement since t = 0,
-  across segment boundaries alike. Inside the dead-band nothing changes.
+  tracked head pose leaves a small dead-band around the last anchor, the
+  targets are carried from the plan frame by the head's displacement since
+  t = 0, across segment boundaries alike, and the sensor rays are carried
+  back into the plan frame by its inverse. Inside the dead-band nothing
+  changes.
 
 A guarded run steps tick by tick, because the guard's feedback can bend the
 tool's path on any tick. Without a guard, a leg between two events is a
@@ -118,7 +120,7 @@ class SensorRig:
 
 def sensor_fusion(rig: SensorRig, cloud: PointCloud, pose: RigidTransform,
                   require: bool = False) -> np.ndarray | None:
-    """Fused tip-to-surface offset vector in the world frame.
+    """Fused tip-to-surface offset vector, in the frame of `cloud` and `pose`.
 
     Each sensor casts its ray into the cloud; a hit contributes the vector
     from the tool tip to the hit point, weighted by how squarely the ray
@@ -133,7 +135,7 @@ def sensor_fusion(rig: SensorRig, cloud: PointCloud, pose: RigidTransform,
     w_sum = 0.0
     for origin, direction in zip(rig.origins, rig.directions):
         hit = raycast(cloud, pose.apply(origin), pose.apply_direction(direction),
-                      rig.beam_radius)
+                      rig.beam_radius, rig.max_range)
         if hit is None or hit.distance > rig.max_range:
             continue
         l_m = hit.point - tip
@@ -183,24 +185,6 @@ def transform_path(path: SegmentPath, t: RigidTransform) -> SegmentPath:
     return SegmentPath(path.label, t.apply(path.positions),
                        t.apply_direction(path.normals), path.strip_indices.copy(),
                        path.orientation, list(path.d_s_used))
-
-
-def update_paths_on_motion(paths, previous_pose: RigidTransform,
-                           current_pose: RigidTransform):
-    """Re-anchor paths to a moved head pose, unless the motion is inside the
-    default SimConfig dead-band.
-
-    `paths` is one SegmentPath or a {label: SegmentPath} dict. Inside the
-    dead-band the input object itself is returned with moved=False; outside,
-    every path is transformed by current o inv(previous).
-    Returns (paths, moved).
-    """
-    if not motion_exceeds_deadband(previous_pose, current_pose):
-        return paths, False
-    anchor = current_pose.compose(previous_pose.invert())
-    if isinstance(paths, SegmentPath):
-        return transform_path(paths, anchor), True
-    return {k: transform_path(v, anchor) for k, v in paths.items()}, True
 
 
 class MotionScript:
@@ -364,14 +348,19 @@ FIRE_FRACTION = 1.0 - 1e-9
 
 
 def step(state: EffectorState, target: Vec3, config: SimConfig, armed: bool,
-         rig: SensorRig | None = None,
-         cloud: PointCloud | None = None) -> tuple[EffectorState, StepInfo]:
+         rig: SensorRig | None = None, cloud: PointCloud | None = None,
+         carry: RigidTransform | None = None) -> tuple[EffectorState, StepInfo]:
     """One control tick toward `target`; returns the new state and what happened.
 
     Tracking velocity points at the target at max_speed (shortened on the
     final approach so the tick lands exactly). The repulsive term is added
     and the sum clamped back to max_speed. With `armed`, travel accumulates
     into delta_d and the laser fires when it reaches one diameter.
+
+    The guarded surface is `carry` applied to `cloud` (the cloud itself when
+    `carry` is None). The sensors cast from inv(carry) o pose into the cloud
+    as it is, and `carry` rotates the fused offset back, so the surface is
+    never copied.
     """
     dt = 1.0 / config.control_rate
     to_target = target - state.position
@@ -386,7 +375,14 @@ def step(state: EffectorState, target: Vec3, config: SimConfig, armed: bool,
     dist_l = math.inf
     repulsing = False
     if rig is not None and cloud is not None:
-        fused = sensor_fusion(rig, cloud, state.pose())
+        if carry is None:
+            fused = sensor_fusion(rig, cloud, state.pose())
+        else:
+            back = carry.rotation.T         # inv(carry) o pose, built in one step
+            fused = sensor_fusion(rig, cloud, RigidTransform(
+                back @ state.rotation, back @ (state.position - carry.translation)))
+            if fused is not None:
+                fused = carry.apply_direction(fused)
         if fused is not None:
             dist_l = float(np.linalg.norm(fused))
             v_rep = repulsive_velocity(fused, rig.l_min, rig.kappa)
@@ -430,8 +426,9 @@ def run_path(paths, config: SimConfig, standoff: float = 0.0,
     the accumulated travel, so every strip restarts its pitch from its first
     target. The head pose at t = 0 anchors the whole run: when a motion
     script moves the head outside the dead-band around the last anchor, the
-    targets and the guarded cloud are carried from the plan frame by the
-    head's displacement since t = 0. A leg that cannot be reached within
+    targets are carried from the plan frame by the head's displacement since
+    t = 0, and the guard casts its rays back into the plan frame, where the
+    cloud stays. A leg that cannot be reached within
     point_timeout (typically because the safety field holds the tool off)
     aborts the run.
 
@@ -442,9 +439,11 @@ def run_path(paths, config: SimConfig, standoff: float = 0.0,
     if standoff < 0:
         raise InvalidParam("standoff must be non-negative")
     guarded = rig is not None and cloud is not None
-    if guarded and not cloud.has_normals:
-        raise MissingField("the guarded surface has no normals, which the "
-                           "proximity sensors need")
+    if guarded:
+        if not cloud.has_normals:
+            raise MissingField("the guarded surface has no normals, which the "
+                               "proximity sensors need")
+        cloud.kdtree()                      # built here, not on a control tick
     run = _Run(config, motion, rig if guarded else None,
                cloud if guarded else None, record)
     if start is not None:
@@ -476,7 +475,7 @@ class _Run:
         self.config = config
         self.motion = motion
         self.rig = rig
-        self.cloud = self.live_cloud = cloud
+        self.cloud = cloud                  # the guarded surface, in the plan frame
         self.record = record
         self.head0 = self.anchor = motion.pose_at(0.0) if motion is not None else None
         self.carry = None                   # head o inv(head0) once re-anchored
@@ -542,7 +541,7 @@ class _Run:
                                            cfg.deadband_rotation):
                     self._reanchor(head, leg)
             state, info = step(self.state, self.tgt_pos[leg.j], cfg, leg.armed,
-                               self.rig, self.live_cloud)
+                               self.rig, self.cloud, self.carry)
             self.state = state
             self.total += info.moved
             state.rotation = self._rotation(leg, state.time)
@@ -657,8 +656,6 @@ class _Run:
         self.carry = head.compose(self.head0.invert())
         self.tgt_pos = self.carry.apply(self.plan_pos)
         leg.tgt_rot = self.carry.rotation @ self.plan_rot[leg.j]
-        if self.cloud is not None:
-            self.live_cloud = self.cloud.transformed(self.carry)
 
     def _abort(self, leg: _Leg):
         raise AbortedOnSafety(

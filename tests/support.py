@@ -1,8 +1,11 @@
-"""Shared synthetic fixtures: analytic clouds, landmark layouts, path stubs."""
+"""Shared synthetic fixtures: analytic clouds, landmark layouts, path stubs,
+and the brute-force raycast that the kd-tree raycast is tested against."""
+
+import math
 
 import numpy as np
 
-from facelaser.cloud import PointCloud
+from facelaser.cloud import PointCloud, RayHit
 from facelaser.geometry import CameraIntrinsics
 from facelaser.pathplan import SegmentPath
 from facelaser.segmentation import FaceLandmarks
@@ -107,3 +110,29 @@ def face_cloud(n: int = 6000) -> PointCloud:
     canonical landmark layout (camera at the origin looking along +z)."""
     return ellipsoid_cloud(n, (0.105, 0.14, 0.065), (0.0, 0.03, 0.5),
                            front_only=True)
+
+
+def scan_raycast(cloud: PointCloud, origin, direction, radius: float,
+                 max_range: float = math.inf) -> RayHit | None:
+    """The reference raycast: test every point of the cloud against the ray.
+
+    Returns the point within `radius` of the ray with the smallest distance t
+    along it in (0, max_range] (the lowest index on a tie), or None.
+    """
+    d = np.asarray(direction, dtype=float)
+    d = d / np.linalg.norm(d)
+    origin = np.asarray(origin, dtype=float)
+    rel = cloud.positions - origin
+    t = rel @ d
+    perp2 = np.einsum("ij,ij->i", rel, rel) - t * t
+    # Clamp tiny negative values from cancellation before comparing.
+    hit = (t > 0.0) & (t <= max_range) & (np.maximum(perp2, 0.0) <= radius * radius)
+    if not hit.any():
+        return None
+    candidates = np.where(hit)[0]
+    best = candidates[np.argmin(t[candidates])]
+    return RayHit(
+        cloud.positions[best].copy(),
+        None if cloud.normals is None else cloud.normals[best].copy(),
+        float(np.linalg.norm(rel[best])),
+    )

@@ -14,7 +14,7 @@ from facelaser.geometry import RigidTransform
 from facelaser.registration import estimate_viewpoints, merge_views
 from facelaser.simulator import coverage_metrics, run_path
 
-from support import ellipsoid_cloud, plane_grid
+from support import ellipsoid_cloud, fibonacci_sphere, plane_grid
 
 CAMERA = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
           "width": 640, "height": 480}
@@ -342,6 +342,22 @@ GOLDEN_SHA256 = {
     "overview.svg": "c02eb8a1e715a3fcdd8ae8aa89d7e41cd87c7e3201fdbfeb21d7c4d9a70e6093",
 }
 
+# The same for a guarded run over a dome, recorded while the guard still cast
+# its rays into a re-anchored copy of the surface. At 2-2.05 s the head steps
+# 9 mm toward the tool and turns 0.036 rad, so the run re-anchors, and the
+# guard engages only after that.
+GUARDED_GOLDEN_SHA256 = {
+    "shots.csv": "6a6645917f5a94481bfadd1b99b5b818fb58210e06b6132d5fa10cfde23d7968",
+    "traj.csv": "6197873b8ba1fd130419a731f5271a3abc19562daedb4d3dffcca518acdc58d7",
+}
+
+
+def sphere_cap(min_z: float, radius: float = 0.15) -> PointCloud:
+    """The samples of a sphere about the origin whose normals have z > min_z."""
+    s = fibonacci_sphere(40000)
+    top = s[s[:, 2] > min_z]
+    return PointCloud(radius * top, top)
+
 
 def test_output_files_match_golden_bytes(workdir):
     save_ply(plane_grid(), workdir / "patch.ply")
@@ -359,6 +375,26 @@ def test_output_files_match_golden_bytes(workdir):
     digests = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
                for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
+
+    guarded = workdir / "guarded"
+    guarded.mkdir()
+    _write_doc(guarded / "config.json", {"standoff_m": 0.045})
+    save_ply(sphere_cap(0.99), guarded / "cap.ply")
+    save_ply(sphere_cap(0.95), guarded / "dome.ply")
+    step = {"translation": [0.001, 0.002, 0.009], "axis_angle": [0.02, 0.0, 0.03]}
+    _write_doc(guarded / "motion.json", [{"t_s": 0.0, **still}, {"t_s": 2.0, **still},
+                                         {"t_s": 2.05, **step}])
+    assert run(guarded, "plan", "--cloud", guarded / "cap.ply", "--label", "cap",
+               "--out", guarded / "paths.json") == 0
+    assert run(guarded, "simulate", "--paths", guarded / "paths.json",
+               "--surface", guarded / "dome.ply", "--motion", guarded / "motion.json",
+               "--out-shots", guarded / "shots.csv", "--out-traj", guarded / "traj.csv") == 0
+    rows = np.loadtxt(guarded / "traj.csv", delimiter=",", skiprows=1)
+    engaged = rows[rows[:, 6] == 1.0, 0]
+    assert len(engaged) and engaged.min() > 2.0
+    digests = {name: hashlib.sha256((guarded / name).read_bytes()).hexdigest()
+               for name in GUARDED_GOLDEN_SHA256}
+    assert digests == GUARDED_GOLDEN_SHA256
 
 
 class TestPatchPipeline:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facelaser.cloud import (
     PointCloud,
@@ -13,7 +17,7 @@ from facelaser.cloud import (
 from facelaser.errors import EmptyCloud, MissingField, ParseError, TooFewPoints
 from facelaser.geometry import RigidTransform, rotation_about_x
 
-from support import fibonacci_sphere
+from support import face_cloud, fibonacci_sphere, scan_raycast
 
 
 def small_cloud(rng, n=40, normals=True, colors=True):
@@ -284,3 +288,100 @@ class TestRaycast:
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             raycast(self.wall, [0, 0, 1], [0, 0, -1], radius=0.0)
+
+    @pytest.mark.parametrize("origin, direction, radius, max_range", [
+        pytest.param([np.nan, 0, 1], [0, 0, -1], 0.1, math.inf, id="nan-origin"),
+        pytest.param([0, np.inf, 1], [0, 0, -1], 0.1, math.inf, id="inf-origin"),
+        pytest.param([0, 0, 1], [0, np.nan, -1], 0.1, math.inf, id="nan-direction"),
+        pytest.param([0, 0, 1], [0, 0, -1], np.nan, math.inf, id="nan-radius"),
+        pytest.param([0, 0, 1], [0, 0, -1], np.inf, math.inf, id="inf-radius"),
+        pytest.param([0, 0, 1], [0, 0, -1], 0.1, np.nan, id="nan-max-range"),
+        pytest.param([0, 0, 1], [0, 0, -1], 0.1, 0.0, id="zero-max-range"),
+        pytest.param([0, 0, 1], [0, 0, -1], 0.1, -1.0, id="negative-max-range"),
+    ])
+    def test_invalid_ray_rejected(self, origin, direction, radius, max_range):
+        """A ray that is not a ray raises, rather than reading as no surface."""
+        with pytest.raises(ValueError):
+            raycast(self.wall, origin, direction, radius, max_range)
+
+    def test_tiny_radius_on_a_wide_cloud(self):
+        """A radius far below the cloud's extent widens the search balls
+        instead of multiplying them, and still finds the scan's hit."""
+        c = PointCloud([[0, 0, 1.0], [0, 0, 3.0], [1e-13, 0, 2.0]])
+        hit = raycast(c, [0, 0, 0], [0, 0, 1], radius=1e-12)
+        assert hit.point[2] == 1.0
+        hit = raycast(c, [0, 0, 1.5], [0, 0, 1], radius=1e-12)
+        assert hit.point[0] == 1e-13
+
+    def test_max_range_bounds_the_distance_along_the_ray(self):
+        c = PointCloud([[0, 0, 1.0], [0, 0, 3.0]])
+        assert raycast(c, [0, 0, 0], [0, 0, 1], 0.01, max_range=0.5) is None
+        assert raycast(c, [0, 0, 0], [0, 0, 1], 0.01, max_range=1.0).point[2] == 1.0
+        assert raycast(c, [0, 0, 2.0], [0, 0, 1], 0.01, max_range=1.0).point[2] == 3.0
+
+
+def assert_same_hit(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert np.array_equal(got.point, want.point)
+    assert np.array_equal(got.normal, want.normal)
+    assert got.distance == want.distance
+
+
+# Grid coordinates put many points at exactly the same distance along an
+# axis-parallel ray; free coordinates do not.
+COORD = st.one_of(st.integers(-5, 5).map(lambda k: 0.01 * k), st.floats(-0.05, 0.05))
+
+
+@st.composite
+def ray_cases(draw):
+    """A small cloud, with repeated points, and a ray aimed near one of them."""
+    pos = np.array(draw(st.lists(st.tuples(COORD, COORD, COORD), min_size=1,
+                                 max_size=40)), dtype=float)
+    repeats = draw(st.lists(st.integers(0, len(pos) - 1), max_size=6))
+    pos = np.vstack([pos, pos[repeats]])
+    # Distinct normals tell apart hits on repeated points.
+    cloud = PointCloud(pos, fibonacci_sphere(len(pos)))
+    radius = draw(st.floats(1e-4, 0.1))
+    jitter = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(3)]) * radius
+    target = pos[draw(st.integers(0, len(pos) - 1))] + jitter
+    if draw(st.booleans()):
+        direction = np.zeros(3)
+        direction[draw(st.integers(0, 2))] = draw(st.sampled_from([-1.0, 1.0]))
+        origin = target - draw(st.floats(-0.05, 0.5)) * direction
+    else:
+        far = st.floats(0.1, 0.5).flatmap(lambda v: st.sampled_from([-v, v]))
+        origin = np.array([draw(st.one_of(COORD, far)) for _ in range(3)])
+        direction = target - origin
+        length = np.linalg.norm(direction)
+        direction = direction / length if length > 1e-9 else np.array([0.0, 0.0, 1.0])
+    max_range = draw(st.one_of(st.just(math.inf), st.floats(1e-3, 0.5)))
+    return cloud, origin, direction, radius, max_range
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ray_cases())
+def test_raycast_matches_scan(case):
+    """The kd-tree raycast returns the scan's hit, bit for bit, or None with it."""
+    cloud, origin, direction, radius, max_range = case
+    assert_same_hit(raycast(cloud, origin, direction, radius, max_range),
+                    scan_raycast(cloud, origin, direction, radius, max_range))
+
+
+@pytest.mark.parametrize("max_range", [0.3, math.inf])
+def test_raycast_matches_scan_on_the_face(max_range):
+    """Rays from around the face toward its points, at the sensor beam radius."""
+    face = face_cloud()
+    rng = np.random.default_rng(6)
+    lo, hi = face.bounds()
+    hits = 0
+    for _ in range(150):
+        origin = rng.uniform(lo - 0.1, hi + 0.1)
+        direction = face.positions[rng.integers(len(face))] - origin
+        direction /= np.linalg.norm(direction)
+        want = scan_raycast(face, origin, direction, 0.004, max_range)
+        assert_same_hit(raycast(face, origin, direction, 0.004, max_range), want)
+        hits += want is not None
+    assert hits > 50

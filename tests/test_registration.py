@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from facelaser.cloud import PointCloud
 from facelaser.errors import EmptyCloud, InvalidParam, NoCorrespondences
@@ -11,6 +12,7 @@ from facelaser.geometry import (
 )
 from facelaser.registration import (
     IcpResult,
+    _plane_rmse,
     estimate_viewpoints,
     icp_point_to_plane,
     merge_views,
@@ -142,6 +144,14 @@ class TestIcp:
         far = target.transformed(RigidTransform(np.eye(3), np.array([1.0, 0, 0])))
         with pytest.raises(NoCorrespondences):
             icp_point_to_plane(far, target, gate=0.01)
+
+    def test_gate_keeps_a_pair_at_exactly_the_gate(self):
+        tgt = np.zeros((1, 3))
+        src = np.array([[0.5, 0.0, 0.0], [0.0, np.nextafter(0.5, 1.0), 0.0]])
+        rmse, p, q, _, _ = _plane_rmse(src, cKDTree(tgt), tgt, np.array([[1.0, 0.0, 0.0]]),
+                                       gate=0.5)
+        assert np.array_equal(p, src[:1]) and np.array_equal(q, tgt)
+        assert rmse == 0.5
 
     def test_empty_cloud_rejected(self):
         target = self.make_target(400)

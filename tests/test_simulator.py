@@ -38,7 +38,6 @@ from facelaser.simulator import (
     sensor_fusion,
     step,
     transform_path,
-    update_paths_on_motion,
 )
 
 from support import straight_path, wall_cloud
@@ -191,37 +190,6 @@ class TestDeadband:
         assert not motion_exceeds_deadband(a, below)
         assert motion_exceeds_deadband(a, above)
 
-    def test_update_in_band_returns_same_object(self):
-        path = multi_strip_path()
-        prev = RigidTransform.identity()
-        curr = RigidTransform(np.eye(3), np.array([0.002, 0.0, 0.0]))
-        out, moved = update_paths_on_motion(path, prev, curr)
-        assert out is path
-        assert not moved
-
-    def test_update_out_of_band_is_isometric(self):
-        path = multi_strip_path()
-        prev = RigidTransform.identity()
-        curr = RigidTransform(rotation_about_z(0.3), np.array([0.01, -0.02, 0.005]))
-        out, moved = update_paths_on_motion(path, prev, curr)
-        assert moved
-        a = path.positions
-        b = out.positions
-        assert np.allclose(b, curr.apply(a), atol=1e-12)
-        da = np.linalg.norm(a[:, None] - a[None, :], axis=-1)
-        db = np.linalg.norm(b[:, None] - b[None, :], axis=-1)
-        assert np.allclose(da, db, atol=1e-12)
-        # Normals stay unit and rotate with the pose.
-        assert np.allclose(out.normals, curr.apply_direction(path.normals))
-
-    def test_update_dict_input(self):
-        paths = {"a": multi_strip_path(), "b": straight_path(0.01)}
-        prev = RigidTransform.identity()
-        curr = RigidTransform(np.eye(3), np.array([0.02, 0.0, 0.0]))
-        out, moved = update_paths_on_motion(paths, prev, curr)
-        assert moved and set(out) == {"a", "b"}
-        assert np.allclose(out["b"].positions, paths["b"].positions + [0.02, 0, 0])
-
     def test_transform_path_keeps_metadata(self):
         path = multi_strip_path()
         t = RigidTransform(rotation_about_z(1.0), np.array([1.0, 2.0, 3.0]))
@@ -306,6 +274,21 @@ class TestStep:
         state = EffectorState(np.zeros(3), np.eye(3), delta_d=0.1)
         _, info = step(state, np.array([1.0, 0.0, 0.0]), cfg, armed=False)
         assert not info.fired
+
+    def test_carried_surface_acts_as_its_copy(self):
+        """Rays cast back through `carry` see what a moved copy of the cloud shows."""
+        wall = wall_cloud()
+        carry = RigidTransform(rotation_about_z(0.4) @ axis_angle_to_rotation(
+            np.array([0.05, -0.03, 0.0])), np.array([0.004, -0.002, 0.009]))
+        pose = carry.compose(RigidTransform(np.eye(3), np.array([0.01, 0.02, 0.03])))
+        state = EffectorState(pose.translation, pose.rotation)
+        target = pose.translation + carry.apply_direction([0.01, 0.0, 0.0])
+        cfg = SimConfig(0.004, 5.0)
+        new, info = step(state, target, cfg, True, SensorRig(), wall, carry)
+        ref, ref_info = step(state, target, cfg, True, SensorRig(), wall.transformed(carry))
+        assert info.repulsing and ref_info.repulsing
+        assert info.dist_l == pytest.approx(ref_info.dist_l, rel=1e-12)
+        assert np.allclose(new.position, ref.position, rtol=0.0, atol=1e-15)
 
 
 class TestRunPath:
