@@ -15,7 +15,6 @@ from .errors import (
     MalformedLandmarks,
     MissingField,
     NoCorrespondences,
-    NoSurfaceInRange,
     ParseError,
     TooFewPoints,
 )
@@ -43,11 +42,9 @@ from .cloud import (
 )
 from .registration import (
     IcpResult,
-    ViewpointSet,
     estimate_viewpoints,
     icp_point_to_plane,
     merge_views,
-    relative_viewpoint_transform,
 )
 from .segmentation import (
     REGION_LABELS,
@@ -66,7 +63,6 @@ from .pathplan import (
     Strip,
     bin_strips,
     path_to_poses,
-    plan_regions,
     plan_segment,
     strip_obliquity,
     sweep_patch,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cloud import estimate_normals, load_ply, save_ply
 from .errors import ConfigError, FacelaserError, InvalidParam, ParseError
-from .geometry import CameraIntrinsics, PoseVector6, RigidTransform
+from .geometry import CameraIntrinsics, PoseVector6, RigidTransform, parse_pose
 from .pathplan import PlannerConfig, SegmentPath, plan_segment
 from .registration import estimate_viewpoints, merge_views
 from .segmentation import REGION_LABELS, FaceLandmarks, segment_face
@@ -136,20 +136,6 @@ def _read_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _load_pose(doc: dict, source) -> RigidTransform:
-    """A {"translation", "axis_angle"} pose; ParseError names `source` when
-    a field is missing or a value is not a finite number."""
-    try:
-        psi = PoseVector6(doc["translation"], doc["axis_angle"])
-    except KeyError as exc:
-        raise ParseError(f"{source}: pose without {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{source}: {exc}") from exc
-    if not (np.isfinite(psi.position).all() and np.isfinite(psi.axis_angle).all()):
-        raise ParseError(f"{source}: non-finite pose value")
-    return psi.to_transform()
-
-
 def _dump_pose(t: RigidTransform) -> dict:
     psi = PoseVector6.from_transform(t)
     return {"translation": [float(x) for x in psi.position],
@@ -166,13 +152,13 @@ def _write_json(obj, path) -> None:
 
 def cmd_viewpoints(args, cfg: RunConfig) -> int:
     if args.face_pose is not None:
-        pose = _load_pose(_read_json(args.face_pose), args.face_pose)
+        pose = parse_pose(_read_json(args.face_pose), args.face_pose)
     else:
         pose = RigidTransform.identity()
-    vs = estimate_viewpoints(pose, cfg.d_min_m, cfg.phi_step_rad,
-                             cfg.n_per_side, cfg.viewpoint_arc_model)
-    _write_json([_dump_pose(p) for p in vs.poses], args.out)
-    print(f"wrote {len(vs)} viewpoint poses -> {args.out}")
+    poses = estimate_viewpoints(pose, cfg.d_min_m, cfg.phi_step_rad,
+                                cfg.n_per_side, cfg.viewpoint_arc_model)
+    _write_json([_dump_pose(p) for p in poses], args.out)
+    print(f"wrote {len(poses)} viewpoint poses -> {args.out}")
     return 0
 
 
@@ -182,7 +168,7 @@ def cmd_register(args, cfg: RunConfig) -> int:
     docs = _read_json(args.poses)
     if not isinstance(docs, list):
         raise ParseError(f"{args.poses}: expected a list of poses")
-    poses = [_load_pose(d, args.poses) for d in docs]
+    poses = [parse_pose(d, args.poses) for d in docs]
     if len(poses) != len(args.views):
         raise _UsageError(f"{len(args.views)} views but {len(poses)} poses")
     views = []
@@ -218,7 +204,7 @@ def cmd_segment(args, cfg: RunConfig) -> int:
         raise ParseError(f"{args.camera}: camera without {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{args.camera}: {exc}") from exc
-    pose = _load_pose(cam, args.camera) if "translation" in cam else None
+    pose = parse_pose(cam, args.camera) if "translation" in cam else None
     seg = segment_face(cloud, landmarks, intrinsics, pose)
     os.makedirs(args.out_dir, exist_ok=True)
     for label in seg.labels():
@@ -368,9 +354,7 @@ def _svg_overview(shots, paths, diameter: float, out) -> None:
     Coordinates are emitted in millimetres with fixed precision so the file
     is byte-stable.
     """
-    pts = []
-    if shots is not None and len(shots):
-        pts.append(shots[:, :2])
+    pts = [shots[:, :2]]
     for p in (paths or {}).values():
         pts.append(p.positions[:, :2])
     allp = np.vstack(pts) * 1000.0
@@ -394,10 +378,9 @@ def _svg_overview(shots, paths, diameter: float, out) -> None:
         coords = " ".join(f"{sx(u)},{sy(v)}" for u, v in uv)
         lines.append(f'<polyline points="{coords}" fill="none" stroke="black" '
                      f'stroke-width="0.4"><title>{label}</title></polyline>')
-    if shots is not None:
-        for u, v in shots[:, :2] * 1000.0:
-            lines.append(f'<circle cx="{sx(u)}" cy="{sy(v)}" r="{r_mm:.3f}" '
-                         f'fill="none" stroke="red" stroke-width="0.25"/>')
+    for u, v in shots[:, :2] * 1000.0:
+        lines.append(f'<circle cx="{sx(u)}" cy="{sy(v)}" r="{r_mm:.3f}" '
+                     f'fill="none" stroke="red" stroke-width="0.25"/>')
     lines.append("</svg>")
     with open(out, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
@@ -492,10 +475,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         return args.func(args, cfg)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (_UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FacelaserError as exc:

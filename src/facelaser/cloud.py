@@ -29,13 +29,11 @@ MAX_RAY_BALLS = 1024
 class PointCloud:
     """Columnar storage for surface samples: positions, optional normals and colors.
 
-    Positions and normals are float64 (N, 3); colors are uint8 (N, 3). The
-    frame tag is free-form bookkeeping for which coordinate system the cloud
-    lives in. Instances are treated as immutable; all operations return new
-    clouds.
+    Positions and normals are float64 (N, 3); colors are uint8 (N, 3).
+    Instances are treated as immutable; all operations return new clouds.
     """
 
-    def __init__(self, positions, normals=None, colors=None, frame: str = "world"):
+    def __init__(self, positions, normals=None, colors=None):
         self.positions = np.asarray(positions, dtype=float).reshape(-1, 3)
         self.normals = None if normals is None else np.asarray(normals, dtype=float).reshape(-1, 3)
         self.colors = None if colors is None else np.asarray(colors, dtype=np.uint8).reshape(-1, 3)
@@ -43,7 +41,6 @@ class PointCloud:
             raise ValueError("normals length mismatch")
         if self.colors is not None and len(self.colors) != len(self.positions):
             raise ValueError("colors length mismatch")
-        self.frame = frame
         self._tree = None
 
     def __len__(self) -> int:
@@ -68,20 +65,18 @@ class PointCloud:
             self.positions[mask_or_index],
             None if self.normals is None else self.normals[mask_or_index],
             None if self.colors is None else self.colors[mask_or_index],
-            frame=self.frame,
         )
 
-    def transformed(self, t: RigidTransform, frame: str | None = None) -> "PointCloud":
+    def transformed(self, t: RigidTransform) -> "PointCloud":
         """Rigidly move the cloud; normals rotate, colors carry over."""
         return PointCloud(
             t.apply(self.positions),
             None if self.normals is None else t.apply_direction(self.normals),
             None if self.colors is None else self.colors.copy(),
-            frame=self.frame if frame is None else frame,
         )
 
 
-def concatenate(clouds: list[PointCloud], frame: str | None = None) -> PointCloud:
+def concatenate(clouds: list[PointCloud]) -> PointCloud:
     if not clouds:
         raise EmptyCloud("nothing to concatenate")
     has_n = all(c.has_normals for c in clouds)
@@ -90,7 +85,6 @@ def concatenate(clouds: list[PointCloud], frame: str | None = None) -> PointClou
         np.vstack([c.positions for c in clouds]),
         np.vstack([c.normals for c in clouds]) if has_n else None,
         np.vstack([c.colors for c in clouds]) if has_c else None,
-        frame=frame if frame is not None else clouds[0].frame,
     )
 
 
@@ -183,15 +177,14 @@ def load_ply(path) -> PointCloud:
     return PointCloud(positions, normals, colors)
 
 
-def save_ply(cloud: PointCloud, path, binary: bool = True) -> None:
-    """Write the cloud as PLY. Coordinates and normals are stored as float32."""
+def save_ply(cloud: PointCloud, path) -> None:
+    """Write the cloud as binary PLY. Coordinates and normals are stored as float32."""
     names = ["x", "y", "z"]
     arrays = [cloud.positions.astype("<f4")]
     if cloud.has_normals:
         names += ["nx", "ny", "nz"]
         arrays.append(cloud.normals.astype("<f4"))
-    header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
-              f"element vertex {len(cloud)}"]
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(cloud)}"]
     header += [f"property float {n}" for n in names]
     if cloud.colors is not None:
         header += [f"property uchar {n}" for n in ("red", "green", "blue")]
@@ -199,25 +192,17 @@ def save_ply(cloud: PointCloud, path, binary: bool = True) -> None:
 
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            fields = [(n, "<f4") for n in names]
-            if cloud.colors is not None:
-                fields += [(n, "<u1") for n in ("red", "green", "blue")]
-            rec = np.zeros(len(cloud), dtype=np.dtype(fields))
-            flat = np.hstack(arrays) if arrays else np.zeros((len(cloud), 0))
-            for k, n in enumerate(names):
-                rec[n] = flat[:, k]
-            if cloud.colors is not None:
-                for k, n in enumerate(("red", "green", "blue")):
-                    rec[n] = cloud.colors[:, k]
-            fh.write(rec.tobytes())
-        else:
-            flat = np.hstack(arrays) if arrays else np.zeros((len(cloud), 0))
-            for i in range(len(cloud)):
-                vals = ["%.9g" % v for v in flat[i]]
-                if cloud.colors is not None:
-                    vals += [str(int(v)) for v in cloud.colors[i]]
-                fh.write((" ".join(vals) + "\n").encode("ascii"))
+        fields = [(n, "<f4") for n in names]
+        if cloud.colors is not None:
+            fields += [(n, "<u1") for n in ("red", "green", "blue")]
+        rec = np.zeros(len(cloud), dtype=np.dtype(fields))
+        flat = np.hstack(arrays)
+        for k, n in enumerate(names):
+            rec[n] = flat[:, k]
+        if cloud.colors is not None:
+            for k, n in enumerate(("red", "green", "blue")):
+                rec[n] = cloud.colors[:, k]
+        fh.write(rec.tobytes())
 
 
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
@@ -254,7 +239,7 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     colors = None
     if cloud.colors is not None:
         colors = np.rint(mean_per_voxel(cloud.colors.astype(float))).astype(np.uint8)
-    return PointCloud(positions, normals, colors, frame=cloud.frame)
+    return PointCloud(positions, normals, colors)
 
 
 def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> PointCloud:
@@ -278,8 +263,7 @@ def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> PointCloud:
     flip = np.einsum("ij,ij->i", normals, viewpoint - cloud.positions) < 0.0
     normals[flip] *= -1.0
     return PointCloud(cloud.positions.copy(), normals,
-                      None if cloud.colors is None else cloud.colors.copy(),
-                      frame=cloud.frame)
+                      None if cloud.colors is None else cloud.colors.copy())
 
 
 @dataclass

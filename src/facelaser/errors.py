@@ -49,10 +49,6 @@ class EmptySegment(FacelaserError):
     """Segment cloud has no points to plan over."""
 
 
-class NoSurfaceInRange(FacelaserError):
-    """Every distance sensor missed the surface."""
-
-
 class ContactError(FacelaserError):
     """Measured separation collapsed to zero."""
 

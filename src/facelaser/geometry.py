@@ -10,18 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, DegenerateInput, DegenerateNormal
+from .errors import BehindCamera, DegenerateInput, DegenerateNormal, ParseError
 
 # A Vec3 is a plain float64 ndarray of shape (3,).
 Vec3 = np.ndarray
 
-X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
-
-
-def vec3(x: float, y: float, z: float) -> Vec3:
-    return np.array([float(x), float(y), float(z)])
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -57,11 +52,6 @@ class RigidTransform:
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "RigidTransform":
-        m = np.asarray(m, dtype=float)
-        return cls(m[:3, :3], m[:3, 3])
-
     def as_matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation
@@ -93,9 +83,6 @@ class RigidTransform:
             return self.rotation @ d
         return d @ self.rotation.T
 
-    def orthonormality_error(self) -> float:
-        return float(np.abs(self.rotation.T @ self.rotation - np.eye(3)).max())
-
 
 @dataclass
 class PoseVector6:
@@ -115,16 +102,19 @@ class PoseVector6:
     def to_transform(self) -> RigidTransform:
         return RigidTransform(axis_angle_to_rotation(self.axis_angle), self.position.copy())
 
-    def canonicalized(self) -> "PoseVector6":
-        """Fold the rotation magnitude into [0, pi], flipping the axis as needed."""
-        theta = np.linalg.norm(self.axis_angle)
-        if theta <= np.pi or theta < 1e-12:
-            return PoseVector6(self.position.copy(), self.axis_angle.copy())
-        axis = self.axis_angle / theta
-        theta = np.fmod(theta, 2.0 * np.pi)
-        if theta > np.pi:
-            theta -= 2.0 * np.pi
-        return PoseVector6(self.position.copy(), axis * theta)
+
+def parse_pose(doc, source) -> RigidTransform:
+    """The pose of a {"translation", "axis_angle"} document; ParseError names
+    `source` when a field is missing or a value is not a finite number."""
+    try:
+        psi = PoseVector6(doc["translation"], doc["axis_angle"])
+    except KeyError as exc:
+        raise ParseError(f"{source}: pose without {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{source}: {exc}") from exc
+    if not (np.isfinite(psi.position).all() and np.isfinite(psi.axis_angle).all()):
+        raise ParseError(f"{source}: non-finite pose value")
+    return psi.to_transform()
 
 
 @dataclass
@@ -143,13 +133,6 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
-
-    def matrix(self) -> np.ndarray:
-        return np.array([
-            [self.fx, 0.0, self.cx],
-            [0.0, self.fy, self.cy],
-            [0.0, 0.0, 1.0],
-        ])
 
 
 def face_pose_from_eyes(d_l: Vec3, d_r: Vec3) -> RigidTransform:

@@ -82,15 +82,15 @@ class SegmentPath:
         return len(self.positions)
 
 
-def strip_obliquity(eta_s: Vec3, bin_axis: Vec3, gamma_c: Vec3 = Z_AXIS) -> float:
+def strip_obliquity(eta_s: Vec3, bin_axis: Vec3) -> float:
     """Tilt of a strip normal away from the frontal axis, in [0, pi/2).
 
-    Measured in the plane spanned by the bin axis and the frontal axis
-    gamma_c: atan2(|eta . bin_axis|, |eta . gamma_c|). Tilt about the sweep
-    axis itself does not change the strip footprint, so it is ignored.
+    Measured in the plane spanned by the bin axis and the frontal axis z:
+    atan2(|eta . bin_axis|, |eta . z|). Tilt about the sweep axis itself
+    does not change the strip footprint, so it is ignored.
     """
     away = abs(float(np.dot(eta_s, bin_axis)))
-    toward = abs(float(np.dot(eta_s, gamma_c)))
+    toward = abs(float(np.dot(eta_s, Z_AXIS)))
     return min(float(np.arctan2(away, toward)), np.pi / 2 - 1e-9)
 
 
@@ -103,7 +103,7 @@ def _mean_normal(normals: np.ndarray, fallback: Vec3) -> Vec3:
 
 
 def bin_strips(cloud: PointCloud, diameter: float, axis: int,
-               gamma_c: Vec3 = Z_AXIS, correction: bool = True) -> list[Strip]:
+               correction: bool = True) -> list[Strip]:
     """Cut the cloud into adaptive strips along coordinate `axis` (0=x, 1=y).
 
     The cursor walks from the lowest to the highest coordinate. Each step
@@ -133,14 +133,14 @@ def bin_strips(cloud: PointCloud, diameter: float, axis: int,
         if not seed.any():
             cursor += diameter
             continue
-        eta_seed = _mean_normal(cloud.normals[seed], gamma_c)
+        eta_seed = _mean_normal(cloud.normals[seed], Z_AXIS)
         width = diameter
         if correction:
-            o_x = strip_obliquity(eta_seed, bin_axis, gamma_c)
+            o_x = strip_obliquity(eta_seed, bin_axis)
             width = max(diameter * np.cos(o_x), MIN_STRIP_FRACTION * diameter)
         member = (coord >= cursor) & (coord < cursor + width)
         if member.any():
-            eta_s = _mean_normal(cloud.normals[member], gamma_c)
+            eta_s = _mean_normal(cloud.normals[member], Z_AXIS)
             strips.append(Strip(index, cursor, cursor + width,
                                 np.flatnonzero(member), eta_s))
             index += 1
@@ -175,8 +175,8 @@ def sweep_patch(cloud: PointCloud, strip: Strip, sweep_axis: int,
     return np.reshape(chi, (-1, 3)), np.reshape(eta, (-1, 3))
 
 
-def plan_segment(cloud: PointCloud, config: PlannerConfig, label: str = "segment",
-                 gamma_c: Vec3 = Z_AXIS) -> SegmentPath:
+def plan_segment(cloud: PointCloud, config: PlannerConfig,
+                 label: str = "segment") -> SegmentPath:
     """Plan an S-shaped coverage path over one region cloud.
 
     Orientation "horizontal" bins along y and sweeps along x; "vertical" is
@@ -192,7 +192,7 @@ def plan_segment(cloud: PointCloud, config: PlannerConfig, label: str = "segment
         orientation = "horizontal" if ext[0] >= ext[1] else "vertical"
     bin_axis, sweep_axis = (1, 0) if orientation == "horizontal" else (0, 1)
 
-    strips = bin_strips(cloud, config.laser_diameter, bin_axis, gamma_c,
+    strips = bin_strips(cloud, config.laser_diameter, bin_axis,
                         config.obliquity_correction)
     chi, eta, strip_of, widths = [], [], [], []
     for strip in strips:
@@ -210,13 +210,6 @@ def plan_segment(cloud: PointCloud, config: PlannerConfig, label: str = "segment
         raise EmptySegment(f"region '{label}' produced no path points")
     return SegmentPath(label, np.concatenate(chi), np.concatenate(eta),
                        np.concatenate(strip_of), orientation, widths)
-
-
-def plan_regions(regions: dict, config: PlannerConfig,
-                 gamma_c: Vec3 = Z_AXIS) -> dict:
-    """plan_segment over a {label: cloud} mapping; labels keep dict order."""
-    return {label: plan_segment(cloud, config, label, gamma_c)
-            for label, cloud in regions.items()}
 
 
 def path_to_poses(path: SegmentPath, standoff: float) -> list[RigidTransform]:

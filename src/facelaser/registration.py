@@ -25,24 +25,10 @@ from .geometry import (
 ARC_MODELS = ("circular", "as_printed")
 
 
-@dataclass
-class ViewpointSet:
-    """Scanner poses in the base frame, frontal pose first."""
-
-    poses: list[RigidTransform]
-    local_poses: list[RigidTransform]   # same poses expressed in the face frame
-    phi_step: float
-    d_min: float
-    n_per_side: int
-    arc_model: str = "circular"
-
-    def __len__(self) -> int:
-        return len(self.poses)
-
-
 def estimate_viewpoints(face_pose: RigidTransform, d_min: float, phi_step: float,
-                        n_per_side: int, arc_model: str = "circular") -> ViewpointSet:
-    """Viewpoints on two arcs through the frontal pose, 4*n_per_side + 1 total.
+                        n_per_side: int, arc_model: str = "circular") -> list[RigidTransform]:
+    """Scanner poses in the base frame on two arcs through the frontal pose,
+    frontal pose first, 4*n_per_side + 1 total.
 
     Longitudinal poses rotate about the face y-axis, latitudinal about x, at
     angles {+-phi_step .. +-n*phi_step}. With the circular model every
@@ -72,13 +58,7 @@ def estimate_viewpoints(face_pose: RigidTransform, d_min: float, phi_step: float
                     rot = rotation_about_x(phi)
                     tr = np.array([0.0, d_min * np.sin(phi), -d_min * np.cos(phi)])
                 local.append(RigidTransform(rot, tr))
-    poses = [face_pose.compose(t) for t in local]
-    return ViewpointSet(poses, local, phi_step, d_min, n_per_side, arc_model)
-
-
-def relative_viewpoint_transform(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """Pose of frame b expressed in frame a: inv(a) o b."""
-    return a.invert().compose(b)
+    return [face_pose.compose(t) for t in local]
 
 
 @dataclass
@@ -168,21 +148,19 @@ def icp_point_to_plane(source: PointCloud, target: PointCloud,
     return IcpResult(t, rmse, iterations, converged, history)
 
 
-def merge_views(clouds: list[PointCloud], poses, leaf: float,
+def merge_views(clouds: list[PointCloud], poses: list[RigidTransform], leaf: float,
                 max_iter: int = 30, gate_multiplier: float = 10.0,
                 icp_log: list | None = None) -> PointCloud:
     """Fuse per-view clouds into one model in the first view's frame.
 
-    `poses` is a ViewpointSet or a plain list of base-frame view poses, one
-    per cloud. Every cloud after the first is pre-aligned by its known pose
-    relative to view 0, ICP-refined against the accumulated model (pairs
-    farther apart than gate_multiplier * leaf are ignored), concatenated, and
-    the result voxel-downsampled at `leaf`. Pass a list as icp_log to collect
-    the per-pair IcpResults.
+    `poses` holds the base-frame view poses, one per cloud. Every cloud after
+    the first is pre-aligned by its known pose relative to view 0, ICP-refined
+    against the accumulated model (pairs farther apart than gate_multiplier *
+    leaf are ignored), concatenated, and the result voxel-downsampled at
+    `leaf`. Pass a list as icp_log to collect the per-pair IcpResults.
     """
-    pose_list = list(poses.poses) if isinstance(poses, ViewpointSet) else list(poses)
-    if len(clouds) != len(pose_list):
-        raise ValueError(f"{len(clouds)} clouds but {len(pose_list)} poses")
+    if len(clouds) != len(poses):
+        raise ValueError(f"{len(clouds)} clouds but {len(poses)} poses")
     if not clouds:
         raise EmptyCloud("no views to merge")
     for c in clouds:
@@ -190,9 +168,9 @@ def merge_views(clouds: list[PointCloud], poses, leaf: float,
             raise ValueError("every view needs normals before merging")
 
     parts = [clouds[0]]
-    base_inv = pose_list[0].invert()
+    base_inv = poses[0].invert()
     for i in range(1, len(clouds)):
-        rel = base_inv.compose(pose_list[i])
+        rel = base_inv.compose(poses[i])
         pre = clouds[i].transformed(rel)
         model = concatenate(parts)
         res = icp_point_to_plane(pre, model, max_iter=max_iter,
@@ -200,6 +178,4 @@ def merge_views(clouds: list[PointCloud], poses, leaf: float,
         if icp_log is not None:
             icp_log.append(res)
         parts.append(pre.transformed(res.transform))
-    merged = voxel_downsample(concatenate(parts), leaf)
-    merged.frame = "view0"
-    return merged
+    return voxel_downsample(concatenate(parts), leaf)

@@ -30,6 +30,10 @@ REGION_LABELS = (
     "right_jaw",
 )
 
+# The forehead rises this fraction of the eyebrow-to-chin height above the
+# eyebrows: the scan rarely reaches the true hairline, so this is its proxy.
+HAIRLINE_FACTOR = 0.6
+
 
 @dataclass
 class FaceLandmarks:
@@ -173,21 +177,19 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return np.asarray(lower[:-1] + upper[:-1], dtype=float)
 
 
-def build_region_polygons(landmarks: FaceLandmarks, hairline_factor: float = 0.6,
-                          overrides: dict | None = None) -> list[RegionPolygon]:
+def build_region_polygons(landmarks: FaceLandmarks) -> list[RegionPolygon]:
     """Region polygons from the 68-point layout.
 
-    The forehead extends the eyebrow line upward by hairline_factor times the
-    eyebrow-to-chin height (the scan rarely reaches the true hairline, so this
-    is a configurable proxy). The nose is the convex hull of landmarks 27-35;
+    The forehead extends the eyebrow line upward by HAIRLINE_FACTOR times the
+    eyebrow-to-chin height. The nose is the convex hull of landmarks 27-35;
     cheeks run jawline - mouth corner - nose wing - lower eye arc; jaw halves
-    split at the chin. `overrides` replaces the vertex list of named regions.
+    split at the chin.
     """
     pts = landmarks.points
     chin_v = pts[8, 1]
     brow = pts[17:27]
     brow_v = float(np.mean(brow[:, 1]))
-    rise = hairline_factor * (chin_v - brow_v)
+    rise = HAIRLINE_FACTOR * (chin_v - brow_v)
     if rise <= 0:
         raise MalformedLandmarks("chin sits above the eyebrows; landmarks look scrambled")
 
@@ -212,12 +214,6 @@ def build_region_polygons(landmarks: FaceLandmarks, hairline_factor: float = 0.6
         "left_jaw": left_jaw,
         "right_jaw": right_jaw,
     }
-    if overrides:
-        unknown = set(overrides) - set(table)
-        if unknown:
-            raise ValueError(f"unknown region overrides: {sorted(unknown)}")
-        table.update({k: np.asarray(v, dtype=float) for k, v in overrides.items()})
-
     polys = []
     for label in REGION_LABELS:
         verts = table[label]

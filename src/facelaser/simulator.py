@@ -40,15 +40,14 @@ from .errors import (
     EmptyLog,
     InvalidParam,
     MissingField,
-    NoSurfaceInRange,
     ParseError,
 )
 from .geometry import (
-    PoseVector6,
     RigidTransform,
     Vec3,
     hat,
     interpolate_rotation,
+    parse_pose,
     rotation_to_axis_angle,
 )
 from .pathplan import SegmentPath, path_to_poses
@@ -118,15 +117,14 @@ class SensorRig:
         self.directions = np.tile([0.0, 0.0, -1.0], (3, 1))
 
 
-def sensor_fusion(rig: SensorRig, cloud: PointCloud, pose: RigidTransform,
-                  require: bool = False) -> np.ndarray | None:
+def sensor_fusion(rig: SensorRig, cloud: PointCloud,
+                  pose: RigidTransform) -> np.ndarray | None:
     """Fused tip-to-surface offset vector, in the frame of `cloud` and `pose`.
 
     Each sensor casts its ray into the cloud; a hit contributes the vector
     from the tool tip to the hit point, weighted by how squarely the ray
     meets the skin (the cosine against the inward surface normal). Grazing
-    and back-side hits carry no weight. Returns None when nothing is in
-    range, or raises NoSurfaceInRange with require=True.
+    and back-side hits carry no weight. Returns None when nothing is in range.
     """
     if not cloud.has_normals:
         raise ValueError("sensor fusion needs a cloud with normals")
@@ -148,8 +146,6 @@ def sensor_fusion(rig: SensorRig, cloud: PointCloud, pose: RigidTransform,
         acc += weight * l_m
         w_sum += weight
     if w_sum <= 0.0:
-        if require:
-            raise NoSurfaceInRange("no sensor returned a usable surface hit")
         return None
     return acc / w_sum
 
@@ -212,10 +208,6 @@ class MotionScript:
         self._frames = np.reshape(frames, (-1, 3, 3, 3))
 
     @classmethod
-    def stationary(cls, pose: RigidTransform) -> "MotionScript":
-        return cls([0.0], [pose])
-
-    @classmethod
     def from_json(cls, path) -> "MotionScript":
         """Keyframes as [{"t_s": .., "translation": [..], "axis_angle": [..]}].
 
@@ -226,15 +218,13 @@ class MotionScript:
             with open(path, "r", encoding="utf-8") as f:
                 doc = json.load(f)
             times = [float(row["t_s"]) for row in doc]
-            psis = [PoseVector6(row["translation"], row["axis_angle"]) for row in doc]
         except KeyError as exc:
             raise ParseError(f"{path}: motion keyframe without {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
-        values = [[t, *p.position, *p.axis_angle] for t, p in zip(times, psis)]
-        if not np.isfinite(values).all():
-            raise ParseError(f"{path}: non-finite motion keyframe value")
-        return cls(times, [p.to_transform() for p in psis])
+        if not np.isfinite(times).all():
+            raise ParseError(f"{path}: non-finite motion keyframe time")
+        return cls(times, [parse_pose(row, path) for row in doc])
 
     def pose_at(self, t: float) -> RigidTransform:
         if t <= self.times[0] or len(self.poses) == 1:

@@ -20,7 +20,6 @@ from facelaser.cloud import save_ply, voxel_downsample
 from facelaser.errors import AbortedOnSafety
 from facelaser.geometry import (
     RigidTransform,
-    X_AXIS,
     Y_AXIS,
     Z_AXIS,
     axis_angle_to_rotation,
@@ -119,7 +118,7 @@ def test_criterion_01_straight_run_shot_statistics():
 def test_criterion_02_disk_packing_bound():
     d = 0.004
     r = 0.5 * d
-    square = PlanarRegion(np.zeros(3), X_AXIS, Y_AXIS,
+    square = PlanarRegion(np.zeros(3), np.array([1.0, 0.0, 0.0]), Y_AXIS,
                           [[-r, -r], [r, -r], [r, r], [-r, r]])
     one = coverage_metrics(_strip_log([0.0]), d, region=square,
                            samples=1_000_000)
@@ -138,7 +137,7 @@ def test_criterion_03_planar_patch_coverage():
     d = 0.004
     path = plan_segment(plane_grid(), PlannerConfig(d))
     res = run_path(path, SimConfig(d, 5.0, control_rate=125.0))
-    square = PlanarRegion(np.zeros(3), X_AXIS, Y_AXIS,
+    square = PlanarRegion(np.zeros(3), np.array([1.0, 0.0, 0.0]), Y_AXIS,
                           [[0.0, 0.0], [0.047, 0.0], [0.047, 0.047], [0.0, 0.047]])
     rep = coverage_metrics(res.log, d, region=square, samples=1_000_000)
 
@@ -442,9 +441,9 @@ def _pipeline_inputs(root):
     # with the landmark layout.
     world = face_cloud()
     face_pose = RigidTransform(np.eye(3), np.array([0.0, 0.0, 0.25]))
-    vs = estimate_viewpoints(face_pose, 0.25, math.radians(10.0), 1)
+    poses = estimate_viewpoints(face_pose, 0.25, math.radians(10.0), 1)
     views = []
-    for i, pose in enumerate(vs.poses):
+    for i, pose in enumerate(poses):
         p = inputs / f"view{i}.ply"
         save_ply(world.transformed(pose.invert()), p)
         views.append(p)

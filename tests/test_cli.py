@@ -274,10 +274,10 @@ class TestViewpointsAndRegister:
         out = workdir / "vp.json"
         assert run(workdir, "viewpoints", "--out", out) == 0
         world = ellipsoid_cloud(1500, radii=(0.09, 0.12, 0.07), front_only=True)
-        vs = estimate_viewpoints(RigidTransform.identity(), 0.25,
-                                 np.radians(10.0), 1)
+        poses = estimate_viewpoints(RigidTransform.identity(), 0.25,
+                                    np.radians(10.0), 1)
         names = []
-        for i, pose in enumerate(vs.poses):
+        for i, pose in enumerate(poses):
             view = world.transformed(pose.invert())
             name = workdir / f"view{i}.ply"
             save_ply(view, name)

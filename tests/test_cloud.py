@@ -56,16 +56,14 @@ class TestContainer:
         assert np.array_equal(sub.positions, c.positions[mask])
         assert np.array_equal(sub.normals, c.normals[mask])
         assert np.array_equal(sub.colors, c.colors[mask])
-        assert sub.frame == c.frame
 
     def test_transformed_rotates_normals_not_colors(self, rng):
         c = small_cloud(rng)
         t = RigidTransform(rotation_about_x(0.3), np.array([1.0, 2.0, 3.0]))
-        moved = c.transformed(t, frame="other")
+        moved = c.transformed(t)
         assert np.allclose(moved.positions, c.positions @ t.rotation.T + t.translation)
         assert np.allclose(moved.normals, c.normals @ t.rotation.T)
         assert np.array_equal(moved.colors, c.colors)
-        assert moved.frame == "other"
         # Translation must not touch the normals.
         assert np.allclose(np.linalg.norm(moved.normals, axis=1), 1.0)
 
@@ -76,7 +74,6 @@ class TestContainer:
         assert len(both) == 12
         assert np.array_equal(both.positions[:7], a.positions)
         assert np.array_equal(both.positions[7:], b.positions)
-        assert both.frame == a.frame
 
     def test_concatenate_drops_partial_normals(self, rng):
         a = small_cloud(rng, n=4, normals=True)
@@ -89,11 +86,10 @@ class TestContainer:
 
 
 class TestPlyRoundTrip:
-    @pytest.mark.parametrize("binary", [True, False])
-    def test_roundtrip(self, rng, tmp_path, binary):
+    def test_roundtrip(self, rng, tmp_path):
         c = small_cloud(rng)
         path = tmp_path / ("c.ply")
-        save_ply(c, path, binary=binary)
+        save_ply(c, path)
         back = load_ply(path)
         # Coordinates are stored as float32, so compare at that precision.
         assert np.allclose(back.positions, c.positions, atol=1e-6)
@@ -106,6 +102,23 @@ class TestPlyRoundTrip:
         back = load_ply(tmp_path / "bare.ply")
         assert back.normals is None and back.colors is None
         assert np.allclose(back.positions, c.positions, atol=1e-6)
+
+    def test_ascii_normals_and_colors(self, tmp_path):
+        text = (
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property float nx\nproperty float ny\nproperty float nz\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "end_header\n"
+            "0 0 0 0 0 1 255 0 7\n1 2 3 0.6 0 -0.8 10 20 30\n"
+        )
+        path = tmp_path / "ascii.ply"
+        path.write_text(text)
+        c = load_ply(path)
+        assert np.array_equal(c.positions, [[0, 0, 0], [1, 2, 3]])
+        assert np.array_equal(c.normals, [[0, 0, 1], [0.6, 0, -0.8]])
+        assert c.colors.dtype == np.uint8
+        assert np.array_equal(c.colors, [[255, 0, 7], [10, 20, 30]])
 
     def test_extra_property_is_skipped(self, tmp_path):
         text = (

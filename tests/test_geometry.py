@@ -7,7 +7,6 @@ from facelaser.geometry import (
     CameraIntrinsics,
     PoseVector6,
     RigidTransform,
-    X_AXIS,
     Y_AXIS,
     Z_AXIS,
     axis_angle_to_rotation,
@@ -21,7 +20,6 @@ from facelaser.geometry import (
     rotation_from_normal,
     rotation_to_axis_angle,
     unit,
-    vec3,
 )
 
 
@@ -32,7 +30,7 @@ def random_rotation(rng):
 
 class TestBasics:
     def test_unit_normalizes(self):
-        v = unit(vec3(3.0, 0.0, 4.0))
+        v = unit(np.array([3.0, 0.0, 4.0]))
         assert np.allclose(v, [0.6, 0.0, 0.8])
 
     def test_unit_rejects_zero(self):
@@ -114,14 +112,6 @@ class TestPoseVector:
         back = PoseVector6.from_transform(t).to_transform()
         assert np.allclose(back.as_matrix(), t.as_matrix(), atol=1e-9)
 
-    def test_canonicalized_folds_large_angle(self):
-        psi = PoseVector6(np.zeros(3), np.array([1.5 * np.pi, 0.0, 0.0]))
-        canon = psi.canonicalized()
-        theta = np.linalg.norm(canon.axis_angle)
-        assert theta <= np.pi + 1e-12
-        assert np.allclose(canon.to_transform().rotation,
-                           psi.to_transform().rotation, atol=1e-12)
-
 
 class TestFraming:
     def test_face_pose_from_eyes(self):
@@ -131,7 +121,8 @@ class TestFraming:
         assert np.allclose(pose.translation, [0.0, 0.0, 0.45])
         alpha = pose.rotation[:, 0]
         assert np.allclose(alpha, unit(right - pose.translation), atol=1e-12)
-        assert pose.orthonormality_error() < 1e-12
+        r = pose.rotation
+        assert np.abs(r.T @ r - np.eye(3)).max() < 1e-12
 
     def test_face_pose_rejects_coincident_eyes(self):
         eye = np.array([0.0, 0.0, 0.4])

@@ -11,7 +11,6 @@ from facelaser.pathplan import (
     Strip,
     bin_strips,
     path_to_poses,
-    plan_regions,
     plan_segment,
     strip_obliquity,
     sweep_patch,
@@ -185,14 +184,6 @@ class TestPlanSegment:
     def test_empty_region_rejected(self):
         with pytest.raises(EmptySegment):
             plan_segment(PointCloud(np.zeros((0, 3)), np.zeros((0, 3))), config())
-
-    def test_plan_regions_keeps_labels(self):
-        regions = {"a": plane_grid(extent_x=0.02, extent_t=0.02),
-                   "b": plane_grid(extent_x=0.01, extent_t=0.01)}
-        paths = plan_regions(regions, config())
-        assert list(paths) == ["a", "b"]
-        assert paths["a"].label == "a"
-        assert all(isinstance(p, SegmentPath) for p in paths.values())
 
 
 class TestPathToPoses:

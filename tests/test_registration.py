@@ -16,7 +16,6 @@ from facelaser.registration import (
     estimate_viewpoints,
     icp_point_to_plane,
     merge_views,
-    relative_viewpoint_transform,
 )
 
 from support import ellipsoid_cloud
@@ -30,44 +29,47 @@ def face_pose():
     return RigidTransform(rot, np.array([0.05, -0.02, 0.6]))
 
 
+def local_viewpoints(n_per_side, **kwargs):
+    """The viewpoint poses expressed in the face frame."""
+    face_inv = face_pose().invert()
+    return [face_inv.compose(p) for p in
+            estimate_viewpoints(face_pose(), D, STEP, n_per_side, **kwargs)]
+
+
 class TestViewpoints:
     def test_count_and_frontal_pose(self):
-        vs = estimate_viewpoints(face_pose(), D, STEP, n_per_side=2)
-        assert len(vs) == 9
-        assert np.allclose(vs.local_poses[0].rotation, np.eye(3))
-        assert np.allclose(vs.local_poses[0].translation, [0, 0, -D])
+        local = local_viewpoints(2)
+        assert len(local) == 9
+        assert np.allclose(local[0].rotation, np.eye(3))
+        assert np.allclose(local[0].translation, [0, 0, -D])
 
     def test_single_pose_when_n_is_zero(self):
-        vs = estimate_viewpoints(face_pose(), D, STEP, n_per_side=0)
-        assert len(vs) == 1
+        assert len(estimate_viewpoints(face_pose(), D, STEP, n_per_side=0)) == 1
 
     def test_circular_arcs_stay_on_sphere_and_aim_at_origin(self):
-        vs = estimate_viewpoints(face_pose(), D, STEP, n_per_side=3)
-        for t in vs.local_poses:
+        for t in local_viewpoints(3):
             assert np.linalg.norm(t.translation) == pytest.approx(D, abs=1e-12)
             # A point d ahead along the optical axis lands on the face origin.
             ahead = t.translation + t.rotation @ np.array([0.0, 0.0, D])
             assert np.allclose(ahead, 0.0, atol=1e-12)
 
     def test_as_printed_longitudinal_keeps_depth(self):
-        vs = estimate_viewpoints(face_pose(), D, STEP, n_per_side=2,
-                                 arc_model="as_printed")
+        local = local_viewpoints(2, arc_model="as_printed")
         # Poses 1..4 are the longitudinal arc, 5..8 the latitudinal one.
-        for t in vs.local_poses[1:5]:
+        for t in local[1:5]:
             assert t.translation[2] == pytest.approx(-D, abs=1e-12)
-        for t in vs.local_poses[5:9]:
+        for t in local[5:9]:
             assert np.linalg.norm(t.translation) == pytest.approx(D, abs=1e-12)
 
     def test_base_poses_compose_face_pose(self):
+        # The frontal pose sits d_min behind the face origin, looking along +z.
         fp = face_pose()
-        vs = estimate_viewpoints(fp, D, STEP, n_per_side=1)
-        for base, local in zip(vs.poses, vs.local_poses):
-            assert np.allclose(base.as_matrix(),
-                               fp.compose(local).as_matrix(), atol=1e-12)
+        frontal = estimate_viewpoints(fp, D, STEP, n_per_side=1)[0]
+        expect = fp.compose(RigidTransform(np.eye(3), np.array([0.0, 0.0, -D])))
+        assert np.allclose(frontal.as_matrix(), expect.as_matrix(), atol=1e-12)
 
     def test_arc_ordering(self):
-        vs = estimate_viewpoints(face_pose(), D, STEP, n_per_side=2)
-        t = [p.translation for p in vs.local_poses]
+        t = [p.translation for p in local_viewpoints(2)]
         # Longitudinal pairs come first (+phi then -phi), offset along -x/+x.
         assert t[1][0] < 0 < t[2][0]
         assert abs(t[3][0]) > abs(t[1][0])
@@ -87,12 +89,6 @@ class TestViewpoints:
         args.update(kwargs)
         with pytest.raises(InvalidParam):
             estimate_viewpoints(face_pose(), **args)
-
-    def test_relative_transform_oracle(self):
-        vs = estimate_viewpoints(face_pose(), D, STEP, n_per_side=1)
-        a, b = vs.poses[0], vs.poses[3]
-        rel = relative_viewpoint_transform(a, b)
-        assert np.allclose(a.compose(rel).as_matrix(), b.as_matrix(), atol=1e-12)
 
 
 def perturbation(angles, offset):
@@ -174,8 +170,7 @@ class TestMergeViews:
     def make_scene(self):
         world = ellipsoid_cloud(2500, radii=(0.09, 0.12, 0.07),
                                 center=(0.0, 0.03, 0.6), front_only=True)
-        vs = estimate_viewpoints(face_pose(), D, STEP, n_per_side=1)
-        poses = vs.poses[:3]
+        poses = estimate_viewpoints(face_pose(), D, STEP, n_per_side=1)[:3]
         views = []
         for i, pose in enumerate(poses):
             # Small unreported pose error that the refinement must absorb.
@@ -188,8 +183,10 @@ class TestMergeViews:
         world, poses, views = self.make_scene()
         log = []
         merged = merge_views(views, poses, leaf=self.LEAF, icp_log=log)
-        assert merged.frame == "view0"
         assert 0 < len(merged) <= sum(len(v) for v in views)
+        # The model is in view 0's frame: that view's points lie on it.
+        dist, _ = merged.kdtree().query(views[0].positions)
+        assert dist.max() < self.LEAF
         assert len(log) == len(views) - 1
         assert all(r.rmse < 1e-4 for r in log)
 

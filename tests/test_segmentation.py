@@ -4,6 +4,7 @@ import pytest
 from facelaser.errors import MalformedLandmarks
 from facelaser.geometry import RigidTransform
 from facelaser.segmentation import (
+    HAIRLINE_FACTOR,
     REGION_LABELS,
     FaceLandmarks,
     build_region_polygons,
@@ -93,25 +94,20 @@ class TestRegionPolygons:
             assert polygon_is_simple(p.vertices), p.label
 
     def test_hairline_factor_raises_forehead(self, landmarks):
-        low = build_region_polygons(landmarks, hairline_factor=0.3)
-        high = build_region_polygons(landmarks, hairline_factor=0.9)
-        top = {p.label: p.vertices[:, 1].min() for p in low}
-        top_high = {p.label: p.vertices[:, 1].min() for p in high}
-        assert top_high["forehead"] < top["forehead"]
+        pts = landmarks.points
+        rise = HAIRLINE_FACTOR * (pts[8, 1] - pts[17:27, 1].mean())
+        forehead = build_region_polygons(landmarks)[REGION_LABELS.index("forehead")]
+        assert np.allclose(forehead.vertices[-2:],
+                           [[pts[26, 0], pts[26, 1] - rise],
+                            [pts[17, 0], pts[17, 1] - rise]])
 
-    def test_override_replaces_vertices(self, landmarks):
-        tri = np.array([[10.0, 10.0], [30.0, 10.0], [20.0, 30.0]])
-        polys = build_region_polygons(landmarks, overrides={"nose": tri})
-        nose = next(p for p in polys if p.label == "nose")
-        assert np.array_equal(nose.vertices, tri)
-
-    def test_unknown_override_rejected(self, landmarks):
-        with pytest.raises(ValueError):
-            build_region_polygons(landmarks, overrides={"chin": SQUARE})
-
-    def test_self_intersecting_override_rejected(self, landmarks):
-        with pytest.raises(MalformedLandmarks):
-            build_region_polygons(landmarks, overrides={"nose": BOWTIE})
+    def test_self_intersecting_region_rejected(self, landmarks):
+        # Swapping two jawline points folds the left jaw polygon onto itself.
+        pts = landmarks.points.copy()
+        pts[[3, 5]] = pts[[5, 3]]
+        swapped = FaceLandmarks(pts, landmarks.width, landmarks.height)
+        with pytest.raises(MalformedLandmarks, match="left_jaw polygon self-intersects"):
+            build_region_polygons(swapped)
 
     def test_scrambled_landmarks_rejected(self, landmarks):
         flipped = FaceLandmarks(
