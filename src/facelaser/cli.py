@@ -204,7 +204,8 @@ def cmd_segment(args, cfg: RunConfig) -> int:
         raise ParseError(f"{args.camera}: camera without {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{args.camera}: {exc}") from exc
-    pose = parse_pose(cam, args.camera) if "translation" in cam else None
+    has_pose = "translation" in cam or "axis_angle" in cam
+    pose = parse_pose(cam, args.camera) if has_pose else None
     seg = segment_face(cloud, landmarks, intrinsics, pose)
     os.makedirs(args.out_dir, exist_ok=True)
     for label in seg.labels():

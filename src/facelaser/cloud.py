@@ -215,17 +215,25 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     """
     if len(cloud) == 0:
         raise EmptyCloud("cannot downsample an empty cloud")
-    if leaf <= 0:
-        raise ValueError("leaf must be positive")
+    if not 0 < leaf < np.inf:
+        raise ValueError(f"leaf must be positive and finite, got {leaf}")
     idx = np.floor(cloud.positions / leaf).astype(np.int64)
-    uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    n_vox = len(uniq)
+    # A stable sort in lexicographic (x, y, z) order: each voxel's rows are
+    # contiguous and, within it, in input order.
+    order = np.lexsort(idx.T[::-1])
+    ordered = idx[order]
+    first = np.ones(len(idx), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(idx), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    n_vox = int(first.sum())
     counts = np.bincount(inverse, minlength=n_vox).astype(float)
 
     def mean_per_voxel(values: np.ndarray) -> np.ndarray:
-        acc = np.zeros((n_vox, values.shape[1]))
-        np.add.at(acc, inverse, values)
+        # bincount adds each voxel's rows in input order, so the sums are the
+        # ones a sequential loop over the points gives.
+        acc = np.column_stack([np.bincount(inverse, weights=col, minlength=n_vox)
+                               for col in values.T])
         return acc / counts[:, None]
 
     positions = mean_per_voxel(cloud.positions)

@@ -1,5 +1,6 @@
 """Shared synthetic fixtures: analytic clouds, landmark layouts, path stubs,
-and the brute-force raycast that the kd-tree raycast is tested against."""
+and the reference implementations (brute-force raycast, np.unique voxel grid)
+that the fast versions are tested against."""
 
 import math
 
@@ -136,3 +137,35 @@ def scan_raycast(cloud: PointCloud, origin, direction, radius: float,
         None if cloud.normals is None else cloud.normals[best].copy(),
         float(np.linalg.norm(rel[best])),
     )
+
+
+def unique_voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
+    """voxel_downsample grouped by np.unique(axis=0) and summed by np.add.at.
+
+    One centroid per occupied floor(p / leaf) voxel, in lexicographic voxel
+    order; normals averaged and renormalized (zero where they cancel), colors
+    averaged and rounded.
+    """
+    idx = np.floor(cloud.positions / leaf).astype(np.int64)
+    uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    n_vox = len(uniq)
+    counts = np.bincount(inverse, minlength=n_vox).astype(float)
+
+    def mean_per_voxel(values: np.ndarray) -> np.ndarray:
+        acc = np.zeros((n_vox, values.shape[1]))
+        np.add.at(acc, inverse, values)
+        return acc / counts[:, None]
+
+    positions = mean_per_voxel(cloud.positions)
+    normals = None
+    if cloud.has_normals:
+        normals = mean_per_voxel(cloud.normals)
+        norms = np.linalg.norm(normals, axis=1)
+        safe = norms > 1e-12
+        normals[safe] /= norms[safe, None]
+        normals[~safe] = 0.0
+    colors = None
+    if cloud.colors is not None:
+        colors = np.rint(mean_per_voxel(cloud.colors.astype(float))).astype(np.uint8)
+    return PointCloud(positions, normals, colors)

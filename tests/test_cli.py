@@ -212,7 +212,9 @@ class TestMalformedJsonInput:
         {**CAMERA, "fx": float("inf")},
         {**CAMERA, "cx": float("nan")},
         {**CAMERA, "translation": [0.0, 0.0, 0.0]},
-    ], ids=["not-json", "missing-key", "inf", "nan", "pose-missing-key"])
+        {**CAMERA, "axis_angle": [0.0, 0.0, 3.14159]},
+    ], ids=["not-json", "missing-key", "inf", "nan", "pose-missing-key",
+            "pose-missing-translation"])
     def test_segment_camera(self, workdir, capsys, face_scene, doc):
         cloud, landmarks, _ = face_scene
         save_ply(cloud, workdir / "face.ply")

@@ -17,7 +17,7 @@ from facelaser.cloud import (
 from facelaser.errors import EmptyCloud, MissingField, ParseError, TooFewPoints
 from facelaser.geometry import RigidTransform, rotation_about_x
 
-from support import face_cloud, fibonacci_sphere, scan_raycast
+from support import face_cloud, fibonacci_sphere, scan_raycast, unique_voxel_downsample
 
 
 def small_cloud(rng, n=40, normals=True, colors=True):
@@ -240,6 +240,48 @@ class TestVoxelDownsample:
             voxel_downsample(PointCloud(np.zeros((0, 3))), 0.1)
         with pytest.raises(ValueError):
             voxel_downsample(PointCloud([[0, 0, 0]]), 0.0)
+
+    @pytest.mark.parametrize("leaf", [math.nan, math.inf])
+    def test_rejects_non_finite_leaf(self, rng, leaf):
+        with pytest.raises(ValueError):
+            voxel_downsample(small_cloud(rng, n=50), leaf)
+
+
+@st.composite
+def voxel_cases(draw):
+    """A cloud and a leaf: coordinates on voxel faces or free, both signs,
+    repeated points whose normals may cancel, optional normals and colours."""
+    leaf = draw(st.one_of(st.sampled_from([1e-9, 1e-4, 0.003, 0.25]),
+                          st.floats(1e-6, 10.0)))
+    # A 1e-9 leaf over a 1e3 extent spans 1e12 voxels per axis.
+    extent = draw(st.sampled_from([1.0, 1e3]))
+    coord = st.one_of(st.integers(-50, 50).map(lambda k: k * leaf),
+                      st.floats(-1.0, 1.0).map(lambda v: v * extent))
+    pos = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=1,
+                                 max_size=60)), dtype=float)
+    nrm = fibonacci_sphere(len(pos))
+    repeats = draw(st.lists(st.integers(0, len(pos) - 1), max_size=10))
+    # A repeat may carry the negated normal, so its voxel's normals can sum to zero.
+    sign = np.array([draw(st.sampled_from([1.0, -1.0])) for _ in repeats])
+    pos = np.vstack([pos, pos[repeats]])
+    nrm = np.vstack([nrm, sign.reshape(-1, 1) * nrm[repeats]])
+    col = (np.arange(3 * len(pos)).reshape(-1, 3) * 37 % 256).astype(np.uint8)
+    cloud = PointCloud(pos, nrm if draw(st.booleans()) else None,
+                       col if draw(st.booleans()) else None)
+    return cloud, leaf
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(voxel_cases())
+def test_voxel_downsample_matches_unique(case):
+    """The sorted grid gives the np.unique grid's output, array for array."""
+    cloud, leaf = case
+    got, want = voxel_downsample(cloud, leaf), unique_voxel_downsample(cloud, leaf)
+    for name in ("positions", "normals", "colors"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestEstimateNormals:

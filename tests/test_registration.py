@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from facelaser.cloud import PointCloud
+from facelaser.cloud import PointCloud, concatenate, voxel_downsample
 from facelaser.errors import EmptyCloud, InvalidParam, NoCorrespondences
 from facelaser.geometry import (
     RigidTransform,
@@ -164,19 +164,32 @@ class TestIcp:
             icp_point_to_plane(target, bare)
 
 
+def ellipsoid_distance(points, radii, center):
+    """First-order distance of points to the ellipsoid surface."""
+    r = np.asarray(radii)
+    q = (points - np.asarray(center)) / r
+    f = np.einsum("ij,ij->i", q, q) - 1.0
+    return np.abs(f / np.linalg.norm(2.0 * q / r, axis=1))
+
+
 class TestMergeViews:
     LEAF = 0.004
+    RADII = (0.09, 0.12, 0.07)
+    CENTER = (0.0, 0.03, 0.6)
 
-    def make_scene(self):
-        world = ellipsoid_cloud(2500, radii=(0.09, 0.12, 0.07),
-                                center=(0.0, 0.03, 0.6), front_only=True)
+    def make_scene(self, n=2500, noise=0.0):
+        world = ellipsoid_cloud(n, radii=self.RADII, center=self.CENTER, front_only=True)
         poses = estimate_viewpoints(face_pose(), D, STEP, n_per_side=1)[:3]
+        rng = np.random.default_rng(8)
         views = []
         for i, pose in enumerate(poses):
             # Small unreported pose error that the refinement must absorb.
             err = perturbation([0.0, 0.002 * i, -0.001 * i],
                                [0.001 * i, 0.0, -0.0005 * i])
-            views.append(world.transformed(pose.compose(err).invert()))
+            view = world.transformed(pose.compose(err).invert())
+            # Depth noise along the surface normal, drawn anew for each view.
+            depth = rng.normal(0.0, noise, size=(len(view), 1))
+            views.append(PointCloud(view.positions + depth * view.normals, view.normals))
         return world, poses, views
 
     def test_merge_counts_and_frame(self):
@@ -197,6 +210,25 @@ class TestMergeViews:
         dist, _ = reference.kdtree().query(merged.positions)
         # Every fused point sits on the reference surface, well under a leaf.
         assert dist.max() < self.LEAF
+
+    def test_noisy_merge_fuses_the_full_resolution_views(self):
+        """ICP matches downsampled clouds, but the model is the full-resolution
+        views, moved by the ICP transforms and downsampled once."""
+        noise = 2e-4
+        _, poses, views = self.make_scene(n=8000, noise=noise)
+        log = []
+        merged = merge_views(views, poses, leaf=self.LEAF, icp_log=log)
+        assert all(r.converged for r in log)
+        base_inv = poses[0].invert()
+        moved = [v.transformed(base_inv.compose(p)).transformed(r.transform)
+                 for v, p, r in zip(views[1:], poses[1:], log)]
+        expect = voxel_downsample(concatenate([views[0]] + moved), self.LEAF)
+        assert np.array_equal(merged.positions, expect.positions)
+        assert np.array_equal(merged.normals, expect.normals)
+        # View 0 has no pose error, so poses[0] maps the model into the world.
+        dist = ellipsoid_distance(poses[0].apply(merged.positions), self.RADII, self.CENTER)
+        # The benchmark's registration bound: 0.1 mm plus three noise sigmas.
+        assert np.percentile(dist, 95) <= 1e-4 + 3.0 * noise
 
     def test_pose_count_mismatch(self):
         _, poses, views = self.make_scene()
