@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -217,7 +218,12 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
         raise EmptyCloud("cannot downsample an empty cloud")
     if not 0 < leaf < np.inf:
         raise ValueError(f"leaf must be positive and finite, got {leaf}")
-    idx = np.floor(cloud.positions / leaf).astype(np.int64)
+    idx = np.floor(cloud.positions / leaf)
+    # NaN fails both comparisons, so this also rejects non-finite coordinates.
+    if not ((idx >= -2.0**63) & (idx < 2.0**63)).all():
+        raise ValueError("coordinates must be finite, and within 2**63 leaves of "
+                         "the origin so that voxel indices fit in int64")
+    idx = idx.astype(np.int64)
     # A stable sort in lexicographic (x, y, z) order: each voxel's rows are
     # contiguous and, within it, in input order.
     order = np.lexsort(idx.T[::-1])
@@ -288,66 +294,127 @@ def raycast(cloud: PointCloud, origin, direction, radius: float,
     A point counts when its distance t along the ray lies in (0, max_range];
     the smallest t wins, the lowest index on a tie. Returns None on a miss.
     The reported distance is Euclidean from the ray origin to the hit point.
+    This is raycast_many on a batch of one ray.
+    """
+    origin = np.asarray(origin, dtype=float).reshape(1, 3)
+    direction = np.asarray(direction, dtype=float).reshape(1, 3)
+    index, distance = raycast_many(cloud, origin, direction, radius, max_range)
+    if index[0] < 0:
+        return None
+    best = index[0]
+    return RayHit(
+        cloud.positions[best].copy(),
+        None if cloud.normals is None else cloud.normals[best].copy(),
+        float(distance[0]),
+    )
 
-    The search runs on the cloud's kd-tree. The ray is clipped to
-    [0, max_range] and to the tree's bounding box grown by `radius`, and the
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """True where a run of equal values of a sorted array begins."""
+    starts = np.empty(len(a), dtype=bool)
+    starts[:1] = True
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
+    return starts
+
+
+def raycast_many(cloud: PointCloud, origins, directions, radius: float,
+                 max_range: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """raycast for a batch of rays: each ray's hit index and distance.
+
+    Returns the (n,) cloud index of every ray's hit, -1 on a miss, and the
+    (n,) Euclidean distance from its origin to the hit, inf on a miss. Each
+    ray's hit is the one a scan of every point gives, bit for bit.
+
+    The search runs on the cloud's kd-tree. Each ray is clipped to
+    [0, max_range] and to the tree's bounding box grown by `radius`, and its
     clipped span is covered by balls every h >= 2 radius, each of radius
     hypot(radius, h / 2): every point within `radius` of the span lies in one
-    of them. Only the balls that hold a point are gathered, and the exact
-    cylinder test runs on their points alone.
+    of them. One query marks the balls of all rays that hold a point, one
+    more gathers their points, and the exact cylinder test runs on those
+    points alone.
     """
-    origin = np.asarray(origin, dtype=float).reshape(3)
-    d = np.asarray(direction, dtype=float).reshape(3)
-    o3 = origin.tolist()
-    if not all(map(math.isfinite, o3 + d.tolist())):
+    origins = np.asarray(origins, dtype=float).reshape(-1, 3)
+    d = np.asarray(directions, dtype=float).reshape(-1, 3)
+    n = len(origins)
+    if len(d) != n:
+        raise ValueError(f"{n} ray origins but {len(d)} directions")
+    if not (np.isfinite(origins).all() and np.isfinite(d).all()):
         raise ValueError("ray origin and direction must be finite")
     if not 0.0 < radius < math.inf:
         raise ValueError("radius must be positive and finite")
     if not max_range > 0.0:
         raise ValueError("max_range must be positive")
-    dn = math.sqrt(d @ d)                   # as np.linalg.norm computes it
-    if abs(dn - 1.0) > 1e-6:
+    # Row-wise dot products, rounded as np.linalg.norm rounds one vector.
+    dn = np.sqrt((d[:, None, :] @ d[:, :, None]).reshape(n))
+    if (np.abs(dn - 1.0) > 1e-6).any():
         raise ValueError("direction must be a unit vector")
-    d = d / dn
-    if len(cloud) == 0:
-        return None
+    d = d / dn[:, None]
+    index = np.full(n, -1, dtype=np.intp)
+    distance = np.full(n, math.inf)
+    if len(cloud) == 0 or n == 0:
+        return index, distance
+
     tree = cloud.kdtree()
-    mins, maxes = tree.mins.tolist(), tree.maxes.tolist()
     # A hair of slack keeps rounding in the clip and the ball centres from
     # dropping a point that sits exactly on a boundary.
-    slack = 1e-9 * (1.0 + max(map(abs, o3 + mins + maxes)))
-    pad = radius + slack
-    t0, t1 = 0.0, max_range
-    for o, dk, lo, hi in zip(o3, d.tolist(), mins, maxes):
-        lo, hi = lo - pad - o, hi + pad - o
-        if dk == 0.0:
-            if not lo <= 0.0 <= hi:
-                return None
-        else:
-            t0, t1 = max(t0, min(lo / dk, hi / dk)), min(t1, max(lo / dk, hi / dk))
-    if t0 > t1:
-        return None
-    h = max(2.0 * radius, (t1 - t0) / (MAX_RAY_BALLS - 1))
-    centres = origin + (t0 + h * np.arange(math.ceil((t1 - t0) / h) + 1))[:, None] * d
-    reach = math.hypot(radius, 0.5 * h) + slack
-    nearest, _ = tree.query(centres, distance_upper_bound=reach)
-    occupied = centres[np.isfinite(nearest)]
-    if not len(occupied):
-        return None
-    # Sorted and without repeats, so a tie in t goes to the lowest index.
-    idx = np.unique(np.concatenate(tree.query_ball_point(occupied, reach)))
-    rel = cloud.positions[idx] - origin
-    t = rel @ d
+    extent = max(map(abs, tree.mins.tolist() + tree.maxes.tolist()))
+    slack = 1e-9 * (1.0 + np.maximum(np.abs(origins).max(axis=1), extent))
+    pad = (radius + slack)[:, None]
+    lo, hi = tree.mins - pad - origins, tree.maxes + pad - origins
+    flat = d == 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, b = lo / d, hi / d
+    # A ray parallel to a slab stays in it, or misses the box.
+    a[flat], b[flat] = -math.inf, math.inf
+    out = (flat & ((lo > 0.0) | (hi < 0.0))).any(axis=1)
+    t0 = np.maximum(np.minimum(a, b).max(axis=1), 0.0)
+    t1 = np.minimum(np.maximum(a, b).min(axis=1), max_range)
+    live = np.flatnonzero(~out & (t0 <= t1))
+    if not len(live):
+        return index, distance
+
+    t0, span = t0[live], t1[live] - t0[live]
+    h = np.maximum(span / (MAX_RAY_BALLS - 1), 2.0 * radius)
+    count = np.ceil(span / h).astype(np.intp) + 1
+    ray = np.repeat(live, count)
+    step = np.arange(len(ray)) - np.repeat(np.cumsum(count) - count, count)
+    at = np.repeat(t0, count) + np.repeat(h, count) * step
+    centres = origins[ray] + at[:, None] * d[ray]
+    reach = np.repeat(np.hypot(radius, 0.5 * h) + slack[live], count)
+    nearest, _ = tree.query(centres, distance_upper_bound=float(reach.max()))
+    occupied = nearest <= reach
+    if not occupied.any():
+        return index, distance
+    balls = tree.query_ball_point(centres[occupied], reach[occupied], return_sorted=False)
+    sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+    idx = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
+                      count=int(sizes.sum()))
+    # One row per point of an occupied ball, grouped by ray; a point in two
+    # balls of a ray has two rows.
+    ray = np.repeat(ray[occupied], sizes)
+    rel = np.zeros((len(idx) + 1, 3))
+    np.subtract(cloud.positions[idx], origins[ray], out=rel[:-1])
+    # t as the scan rounds it: one matrix-vector product per ray. numpy takes
+    # a one-row matrix times a vector as a dot product, which rounds
+    # differently, so a ray with one row gets a spare second one, unless the
+    # cloud (and so the scan's matrix) has a single point.
+    rows = 2 if len(cloud) > 1 else 1
+    first = np.flatnonzero(_run_starts(ray)).tolist()
+    t = np.empty(len(idx))
+    for lo_row, hi_row in zip(first, first[1:] + [len(idx)]):
+        t[lo_row:hi_row] = (rel[lo_row:max(hi_row, lo_row + rows)]
+                            @ d[ray[lo_row]])[:hi_row - lo_row]
+    rel = rel[:-1]
     perp2 = np.einsum("ij,ij->i", rel, rel) - t * t
     # Clamp tiny negative values from cancellation before comparing.
     candidates = np.flatnonzero((t > 0.0) & (t <= max_range)
                                 & (np.maximum(perp2, 0.0) <= radius * radius))
     if not len(candidates):
-        return None
-    k = candidates[np.argmin(t[candidates])]
-    best = idx[k]
-    return RayHit(
-        cloud.positions[best].copy(),
-        None if cloud.normals is None else cloud.normals[best].copy(),
-        float(np.linalg.norm(rel[k])),
-    )
+        return index, distance
+    # Nearest along each ray, the lowest index on a tie.
+    order = candidates[np.lexsort((idx[candidates], t[candidates], ray[candidates]))]
+    best = order[_run_starts(ray[order])]
+    hit = rel[best]
+    index[ray[best]] = idx[best]
+    distance[ray[best]] = np.sqrt((hit[:, None, :] @ hit[:, :, None]).reshape(-1))
+    return index, distance

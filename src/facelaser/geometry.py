@@ -239,6 +239,28 @@ def interpolate_rotation(r_from: np.ndarray, r_to: np.ndarray, fraction: float) 
     return np.asarray(r_from) @ axis_angle_to_rotation(fraction * rel)
 
 
+def interpolate_rotations(r_from: np.ndarray, r_to: np.ndarray, fractions) -> np.ndarray:
+    """interpolate_rotation at each of `fractions`, as an (n, 3, 3) stack.
+
+    Equal to it at fractions <= 0 and >= 1 and to rounding in between: along
+    the geodesic the rotation is r_from (I + sin(phi) K + (1 - cos(phi)) K^2),
+    phi going from 0 to the angle between the two about the unit axis whose
+    cross matrix is K.
+    """
+    r_from = np.asarray(r_from, dtype=float)
+    r_to = np.asarray(r_to, dtype=float)
+    f = np.asarray(fractions, dtype=float).reshape(-1)
+    rel = rotation_to_axis_angle(r_from.T @ r_to)
+    angle = float(np.linalg.norm(rel))
+    k = hat(rel / angle) if angle > 0.0 else np.zeros((3, 3))
+    phi = (np.clip(f, 0.0, 1.0) * angle)[:, None, None]
+    out = (r_from + np.sin(phi) * (r_from @ k)
+           + 2.0 * np.sin(0.5 * phi) ** 2 * (r_from @ k @ k))
+    out[f >= 1.0] = r_to
+    out[f <= 0.0] = r_from
+    return out
+
+
 def project_point(x: Vec3, intrinsics: CameraIntrinsics, extrinsics: RigidTransform) -> tuple[float, float]:
     """Pixel coordinates of a world point; extrinsics maps world into camera.
 

@@ -17,11 +17,15 @@ fixed-rate control clock. Three behaviours ride on top of the motion:
   back into the plan frame by its inverse. Inside the dead-band nothing
   changes.
 
-A guarded run steps tick by tick, because the guard's feedback can bend the
-tool's path on any tick. Without a guard, a leg between two events is a
-straight line at max_speed, so its ticks, trigger firings and dead-band
-checks are evaluated for the whole leg at once; the tick loop stays as the
-reference it is tested against.
+Between two events a leg is a straight line at max_speed, so its ticks,
+trigger firings and dead-band checks are evaluated for the whole leg at
+once. The guard does not change that until it engages: the repulsive
+velocity is exactly zero while the fused distance is at least l_min
+(Khatib, IJRR 5(1), 1986). So a guarded leg casts the sensor rays of all its
+ticks in one batch, keeps the ticks before the first one whose distance is
+below l_min, and steps tick by tick from there to the end of the leg,
+because from then on the guard's feedback can bend the path. The tick loop
+is the reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import PointCloud, raycast
+from .cloud import PointCloud, raycast_many
 from .errors import (
     AbortedOnSafety,
     ContactError,
@@ -47,6 +51,7 @@ from .geometry import (
     Vec3,
     hat,
     interpolate_rotation,
+    interpolate_rotations,
     parse_pose,
     rotation_to_axis_angle,
 )
@@ -124,30 +129,54 @@ def sensor_fusion(rig: SensorRig, cloud: PointCloud,
     Each sensor casts its ray into the cloud; a hit contributes the vector
     from the tool tip to the hit point, weighted by how squarely the ray
     meets the skin (the cosine against the inward surface normal). Grazing
-    and back-side hits carry no weight. Returns None when nothing is in range.
+    and back-side hits carry no weight. Returns None when nothing is in range
+    and raises ContactError when a hit coincides with the tip. This is
+    sensor_fusion_many on one pose.
+    """
+    fused, contact = sensor_fusion_many(rig, cloud, pose.rotation[None],
+                                        pose.translation[None])
+    if contact[0]:
+        raise ContactError("sensor hit coincides with the tool tip")
+    return None if np.isnan(fused[0, 0]) else fused[0]
+
+
+def sensor_fusion_many(rig: SensorRig, cloud: PointCloud, rotations,
+                       tips) -> tuple[np.ndarray, np.ndarray]:
+    """sensor_fusion at n poses, (n, 3, 3) rotations and (n, 3) tool tips,
+    with the rays of all of them cast in one batch.
+
+    Returns the (n, 3) fused offsets, NaN where nothing is in range, and (n,)
+    flags marking the poses where a sensor hit coincides with the tool tip.
+    Every product is rounded as the one-pose arithmetic rounds it (matrix
+    times vector, and dot products as np.linalg.norm takes them), and the
+    sensors add up in order, so each row does not depend on the others.
     """
     if not cloud.has_normals:
         raise ValueError("sensor fusion needs a cloud with normals")
-    tip = pose.translation
-    acc = np.zeros(3)
-    w_sum = 0.0
-    for origin, direction in zip(rig.origins, rig.directions):
-        hit = raycast(cloud, pose.apply(origin), pose.apply_direction(direction),
-                      rig.beam_radius, rig.max_range)
-        if hit is None or hit.distance > rig.max_range:
-            continue
-        l_m = hit.point - tip
-        d_m = np.linalg.norm(l_m)
-        if d_m < 1e-12:
-            raise ContactError("sensor hit coincides with the tool tip")
-        weight = float(-(l_m / d_m) @ hit.normal)
-        if weight <= 0.0:
-            continue
-        acc += weight * l_m
-        w_sum += weight
-    if w_sum <= 0.0:
-        return None
-    return acc / w_sum
+    rot = np.asarray(rotations, dtype=float).reshape(-1, 1, 3, 3)
+    tip = np.asarray(tips, dtype=float).reshape(-1, 1, 3)
+    n = len(tip)
+    origins = (rot @ rig.origins[:, :, None])[..., 0] + tip        # (n, sensor, 3)
+    directions = (rot @ rig.directions[:, :, None])[..., 0]
+    index, distance = raycast_many(cloud, origins.reshape(-1, 3),
+                                   directions.reshape(-1, 3), rig.beam_radius,
+                                   rig.max_range)
+    seen = (distance <= rig.max_range).reshape(n, 3)               # inf on a miss
+    if not seen.any():
+        return np.full((n, 3), np.nan), np.zeros(n, dtype=bool)
+    index = np.where(index < 0, 0, index).reshape(n, 3)
+    l_m = np.where(seen[..., None], cloud.positions[index] - tip, 0.0)
+    d_m = np.sqrt((l_m[..., None, :] @ l_m[..., :, None]))[..., 0]
+    contact = (seen & (d_m[..., 0] < 1e-12)).any(axis=1)
+    unit = np.divide(l_m, d_m, out=np.zeros_like(l_m), where=d_m > 0.0)
+    weight = (-unit[..., None, :] @ cloud.normals[index][..., :, None])[..., 0, 0]
+    weight = np.where(seen & (weight > 0.0), weight, 0.0)
+    acc = weight[:, 0, None] * l_m[:, 0] + weight[:, 1, None] * l_m[:, 1] \
+        + weight[:, 2, None] * l_m[:, 2]
+    w_sum = weight[:, 0] + weight[:, 1] + weight[:, 2]
+    fused = np.divide(acc, w_sum[:, None], out=np.full((n, 3), np.nan),
+                      where=w_sum[:, None] > 0.0)
+    return fused, contact
 
 
 def repulsive_velocity(l: np.ndarray, l_min: float, kappa: float) -> np.ndarray:
@@ -336,6 +365,11 @@ class Trajectory:
 # tick. The trigger fires at one diameter up to this relative slack.
 FIRE_FRACTION = 1.0 - 1e-9
 
+# A guarded leg casts the sensor rays of at most this many ticks in one batch,
+# which bounds the batch's memory on a long leg and stops casting soon after
+# the guard engages.
+GUARD_BATCH_TICKS = 256
+
 
 def step(state: EffectorState, target: Vec3, config: SimConfig, armed: bool,
          rig: SensorRig | None = None, cloud: PointCloud | None = None,
@@ -422,9 +456,10 @@ def run_path(paths, config: SimConfig, standoff: float = 0.0,
     point_timeout (typically because the safety field holds the tool off)
     aborts the run.
 
-    With both `rig` and `cloud` the run is guarded and steps tick by tick;
-    otherwise each leg is evaluated in closed form, with the same result to
-    rounding.
+    With both `rig` and `cloud` the run is guarded. Each leg is evaluated in
+    closed form, up to the first tick where the guard engages; from there to
+    the end of the leg the run steps tick by tick. The result equals the
+    tick loop's to rounding.
     """
     if standoff < 0:
         raise InvalidParam("standoff must be non-negative")
@@ -505,7 +540,6 @@ class _Run:
             first = 1
         self.state.delta_d = 0.0
         self._record(self.state.time, self.state.position, 0.0)
-        run_leg = self._closed_form_leg if self.rig is None else self._tick_leg
         for j in range(first, len(poses)):
             in_strip = j > 0 and strip_ids[j] == strip_ids[j - 1]
             state = self.state
@@ -517,12 +551,13 @@ class _Run:
                        in_strip and self.config.laser_enabled, state.rotation,
                        tgt_rot, state.time,
                        float(np.linalg.norm(self.tgt_pos[j] - state.position)))
-            run_leg(leg)
+            self._leg(leg)
             self.state.position = self.tgt_pos[j].copy()
             self.state.rotation = leg.tgt_rot.copy()
 
     def _tick_leg(self, leg: _Leg) -> None:
-        """The reference: one `step` per tick, the guard fed on every tick."""
+        """One `step` per tick, the guard fed on every tick: the rest of a leg
+        once the guard engages, and the reference `_leg` is tested against."""
         cfg = self.config
         while float(np.linalg.norm(self.tgt_pos[leg.j] - self.state.position)) > 1e-9:
             if self.motion is not None:
@@ -544,13 +579,16 @@ class _Run:
             if cfg.point_timeout is not None and state.time - leg.t0 > cfg.point_timeout:
                 self._abort(leg)
 
-    def _closed_form_leg(self, leg: _Leg) -> None:
-        """All ticks of an unguarded leg at once, split at dead-band exits.
+    def _leg(self, leg: _Leg) -> None:
+        """All ticks of a leg at once, split at dead-band exits and where the
+        guard engages.
 
         From position p toward a target at distance L, tick k (1-based) ends
         at p + min(k s, L) u, s being one tick of travel at max_speed; the
         leg takes the fewest ticks that end within 1e-9 of the target. Tick
-        times accumulate one dt at a time, as the tick loop's clock does.
+        times accumulate one dt at a time, as the tick loop's clock does. A
+        guarded block keeps its ticks before the first one where the guard
+        engages and hands the rest of the leg to the tick loop.
         """
         cfg = self.config
         dt = 1.0 / cfg.control_rate
@@ -588,21 +626,69 @@ class _Run:
             positions = state.position + travel[:, None] * unit_dir
             if ran == n and travel[-1] == dist:
                 positions[-1] = target
+            dist_l = math.inf
+            engages = False
+            if self.rig is not None:
+                dist_l, engaged = self._sense(leg, times[:ran], positions)
+                if engaged < ran:
+                    ran, exits, late, engages = engaged, False, False, True
+                    travel, positions, dist_l = travel[:ran], positions[:ran], dist_l[:ran]
             moved = np.diff(travel, prepend=0.0)
             delta_d = self._trigger(leg, moved, times, positions)
             self.total += float(moved.sum())
-            self._record(times[1:ran + 1], positions, delta_d)
+            self._record(times[1:ran + 1], positions, delta_d, dist_l)
             if ran:
                 state.position = positions[-1].copy()
                 state.delta_d = float(delta_d[-1])
+                if exits or late or engages:    # the leg goes on from this pose
+                    state.rotation = self._rotation(leg, times[ran])
             state.time = float(times[ran])
             if late:
-                state.rotation = self._rotation(leg, state.time)
                 self._abort(leg)
+            if engages:
+                self._tick_leg(leg)
+                return
             if not exits:
                 return
             self._reanchor(self.motion.pose_at(state.time), leg)
             check_from = 1
+
+    def _sense(self, leg: _Leg, times: np.ndarray,
+               ends: np.ndarray) -> tuple[np.ndarray, int]:
+        """Fused distances at the start of a block's ticks, and the first
+        tick where the guard engages (len(times) if none does).
+
+        Tick i starts at times[i] from the end of the tick before it, ends[i - 1],
+        in the pose `step` would sense from: the state's rotation on the
+        block's first tick, and on every later one the rotation the tick loop
+        sets at the end of the tick before. The guard engages on a distance
+        below l_min and on a sensor hit at the tip, which `step` raises
+        ContactError for. The rays are cast GUARD_BATCH_TICKS ticks at a time,
+        so a leg that engages early is not cast to its end.
+        """
+        dist_l = np.full(len(times), math.inf)
+        for lo in range(0, len(times), GUARD_BATCH_TICKS):
+            hi = min(lo + GUARD_BATCH_TICKS, len(times))
+            rotations = interpolate_rotations(leg.rot_from, leg.tgt_rot,
+                                              self._fractions(leg, times[lo:hi]))
+            tips = ends[max(lo - 1, 0):hi - 1]
+            if lo == 0:
+                rotations[0] = self.state.rotation
+                tips = np.vstack([self.state.position, tips])
+            if self.carry is not None:        # sensed from inv(carry) o pose
+                back = self.carry.rotation.T
+                rotations = back @ rotations
+                tips = (back @ (tips - self.carry.translation)[:, :, None])[..., 0]
+            fused, contact = sensor_fusion_many(self.rig, self.cloud, rotations, tips)
+            if self.carry is not None:
+                fused = (self.carry.rotation @ fused[:, :, None])[..., 0]
+            # Rounded as np.linalg.norm rounds one vector; NaN where nothing is in range.
+            dist = np.sqrt((fused[:, None, :] @ fused[:, :, None]).reshape(-1))
+            dist_l[lo:hi] = np.where(np.isnan(dist), math.inf, dist)
+            engaged = np.flatnonzero(contact | (dist_l[lo:hi] < self.rig.l_min))
+            if engaged.size:
+                return dist_l, lo + int(engaged[0])
+        return dist_l, len(times)
 
     def _trigger(self, leg: _Leg, moved: np.ndarray, times: np.ndarray,
                  positions: np.ndarray) -> np.ndarray:
@@ -633,9 +719,15 @@ class _Run:
         return delta_d
 
     def _rotation(self, leg: _Leg, t: float) -> np.ndarray:
-        frac = 1.0 if leg.len0 < 1e-12 else min(
-            1.0, (t - leg.t0) * self.config.max_speed / leg.len0)
-        return interpolate_rotation(leg.rot_from, leg.tgt_rot, frac)
+        return interpolate_rotation(leg.rot_from, leg.tgt_rot,
+                                    float(self._fractions(leg, t)))
+
+    def _fractions(self, leg: _Leg, t) -> np.ndarray:
+        """How far the rotation has slerped at time(s) t: in proportion to the
+        travel at max_speed since the leg began, capped at 1."""
+        if leg.len0 < 1e-12:
+            return np.ones(np.shape(t))
+        return np.minimum(1.0, (np.asarray(t) - leg.t0) * self.config.max_speed / leg.len0)
 
     def _shoot(self, leg: _Leg, t: float, position, rotation) -> None:
         self.shots.append((t, position.copy(), rotation_to_axis_angle(rotation),
@@ -698,7 +790,7 @@ def default_shot_region(shots: np.ndarray, pad: float) -> PlanarRegion:
     shots = np.asarray(shots, dtype=float).reshape(-1, 3)
     center = shots.mean(axis=0)
     rel = shots - center
-    _, _, vt = np.linalg.svd(rel, full_matrices=True)
+    _, _, vt = np.linalg.svd(rel, full_matrices=False)
     u_axis = _canonical_axis(vt[0])
     v_axis = _canonical_axis(vt[1])
     u = rel @ u_axis
@@ -750,8 +842,11 @@ def coverage_metrics(log: ShotLog, diameter: float,
 
     radius = 0.5 * diameter
     tree = cKDTree(shots)
+    # Only whether a shot lies within `radius` counts, so the queries stop
+    # there: a location with no shot that close reads inf.
+    bound = float(np.nextafter(radius, np.inf))
     if cloud is not None:
-        dist, _ = tree.query(cloud.positions)
+        dist, _ = tree.query(cloud.positions, distance_upper_bound=bound)
         coverage = float(np.mean(dist <= radius))
     else:
         if region is None:
@@ -769,7 +864,7 @@ def coverage_metrics(log: ShotLog, diameter: float,
             if len(uv) == 0:
                 continue
             take = uv[:samples - accepted]
-            dist, _ = tree.query(region.to_world(take))
+            dist, _ = tree.query(region.to_world(take), distance_upper_bound=bound)
             covered += int(np.count_nonzero(dist <= radius))
             accepted += len(take)
         coverage = covered / samples

@@ -307,23 +307,31 @@ def test_criterion_07_segmentation_partition(face_scene):
 
 # 8 ---------------------------------------------------------------------------
 
+# (name, pulse rate, start, target): a run from the start toward a target
+# behind a wall_cloud(size=0.2) at z = 0, guarded by SensorRig().
+COLLISION_SCENARIOS = [
+    ("fast", 5.0, np.array([0.0, 0.0, 0.06]), np.array([0.0, 0.0, -0.05])),
+    ("slow", 2.0, np.array([0.0, 0.0, 0.04]), np.array([0.0, 0.0, -0.05])),
+    ("oblique", 5.0, np.array([-0.03, 0.02, 0.055]), np.array([0.03, -0.02, -0.05])),
+]
+
+
+def collision_run(rate, start_pos, target):
+    """(path, config, run_path keywords) of one collision scenario."""
+    cfg = SimConfig(0.004, rate, control_rate=125.0, point_timeout=2.0)
+    path = SegmentPath("intrusion", [target], [Z_AXIS], [0], "horizontal")
+    return path, cfg, {"rig": SensorRig(), "cloud": wall_cloud(size=0.2),
+                       "start": RigidTransform(np.eye(3), start_pos)}
+
+
 def test_criterion_08_collision_guard_holds_the_line():
-    wall = wall_cloud(size=0.2)
     rig = SensorRig()
-    scenarios = [
-        ("fast", 5.0, np.array([0.0, 0.0, 0.06]), np.array([0.0, 0.0, -0.05])),
-        ("slow", 2.0, np.array([0.0, 0.0, 0.04]), np.array([0.0, 0.0, -0.05])),
-        ("oblique", 5.0, np.array([-0.03, 0.02, 0.055]),
-         np.array([0.03, -0.02, -0.05])),
-    ]
     ok = True
     parts = []
-    for name, rate, start_pos, target in scenarios:
-        cfg = SimConfig(0.004, rate, control_rate=125.0, point_timeout=2.0)
-        path = SegmentPath("intrusion", [target], [Z_AXIS], [0], "horizontal")
-        start = RigidTransform(np.eye(3), start_pos)
+    for name, rate, start_pos, target in COLLISION_SCENARIOS:
+        path, cfg, kwargs = collision_run(rate, start_pos, target)
         try:
-            run_path(path, cfg, rig=rig, cloud=wall, start=start)
+            run_path(path, cfg, **kwargs)
             ok = False
             parts.append(f"{name}: reached an unreachable target")
             continue

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from facelaser.cloud import (
     PointCloud,
+    RayHit,
     concatenate,
     estimate_normals,
     load_ply,
     raycast,
+    raycast_many,
     save_ply,
     voxel_downsample,
 )
@@ -246,6 +248,20 @@ class TestVoxelDownsample:
         with pytest.raises(ValueError):
             voxel_downsample(small_cloud(rng, n=50), leaf)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coordinates(self, x):
+        with pytest.raises(ValueError):
+            voxel_downsample(PointCloud([[0.0, 0.0, 0.0], [x, 0.0, 1.0]]), 0.1)
+
+    def test_rejects_voxel_indices_beyond_int64(self):
+        """At a 1e-9 m leaf, 1e10 m is 1e19 voxels from the origin, past int64;
+        the cast used to wrap these three points into one voxel."""
+        far = PointCloud([[-1e10, 0.0, 0.0], [1e10, 0.0, 0.0], [2e10, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            voxel_downsample(far, 1e-9)
+        near = PointCloud([[-9e9, 0.0, 0.0], [9e9, 0.0, 0.0]])
+        assert len(voxel_downsample(near, 1e-9)) == 2
+
 
 @st.composite
 def voxel_cases(draw):
@@ -440,3 +456,80 @@ def test_raycast_matches_scan_on_the_face(max_range):
         assert_same_hit(raycast(face, origin, direction, 0.004, max_range), want)
         hits += want is not None
     assert hits > 50
+
+
+@st.composite
+def ray_batches(draw):
+    """A small cloud, possibly empty, with repeated points, and 1-50 rays: from
+    inside and outside its bounding box, along axes and coordinate planes (zero
+    direction components) or aimed near a point, and a max_range that ends
+    before, inside or past the cloud."""
+    pos = np.array(draw(st.lists(st.tuples(COORD, COORD, COORD), max_size=40)),
+                   dtype=float).reshape(-1, 3)
+    if len(pos):
+        pos = np.vstack([pos, pos[draw(st.lists(st.integers(0, len(pos) - 1),
+                                                max_size=6))]])
+    # Distinct normals tell apart hits on repeated points.
+    cloud = PointCloud(pos, fibonacci_sphere(len(pos)))
+    radius = draw(st.floats(1e-4, 0.1))
+    far = st.floats(0.1, 0.5).flatmap(lambda v: st.sampled_from([-v, v]))
+    origins, directions = [], []
+    for _ in range(draw(st.integers(1, 50))):
+        origin = np.array([draw(st.one_of(COORD, far)) for _ in range(3)])
+        kind = draw(st.sampled_from(["axis", "plane", "aimed"]))
+        direction = np.zeros(3)
+        if kind == "axis":
+            direction[draw(st.integers(0, 2))] = draw(st.sampled_from([-1.0, 1.0]))
+        elif kind == "plane":
+            a, b = draw(st.permutations([0, 1, 2]))[:2]
+            direction[a], direction[b] = draw(st.floats(-1.0, 1.0)), 1.0
+        else:
+            target = pos[draw(st.integers(0, len(pos) - 1))] if len(pos) else np.zeros(3)
+            direction = target + draw(st.floats(-2.0, 2.0)) * radius - origin
+        length = np.linalg.norm(direction)
+        origins.append(origin)
+        directions.append(direction / length if length > 1e-9 else np.array([0.0, 0.0, 1.0]))
+    origins, directions = np.array(origins), np.array(directions)
+    max_range = draw(st.one_of(st.sampled_from([1e-3, 0.03, 0.1, 1.0, math.inf]),
+                               st.floats(1e-3, 0.5)))
+    # Or aim the first ray at a point and end it there, at the point's t as
+    # the scan rounds it: t rounded any other way moves the point across.
+    if len(pos) and draw(st.booleans()):
+        k = draw(st.integers(0, len(pos) - 1))
+        aim = pos[k] - origins[0]
+        if np.linalg.norm(aim) > 1e-9:
+            directions[0] = aim / np.linalg.norm(aim)
+            max_range = float(((pos - origins[0]) @ directions[0])[k])
+    return cloud, origins, directions, radius, max_range
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ray_batches())
+def test_raycast_many_matches_scan(case):
+    """Each ray of a batch gets the scan's hit, bit for bit, or a miss with it."""
+    cloud, origins, directions, radius, max_range = case
+    index, distance = raycast_many(cloud, origins, directions, radius, max_range)
+    assert index.shape == distance.shape == (len(origins),)
+    for i, (origin, direction) in enumerate(zip(origins, directions)):
+        want = scan_raycast(cloud, origin, direction, radius, max_range)
+        if want is None:
+            assert index[i] == -1 and distance[i] == math.inf
+        else:
+            assert_same_hit(RayHit(cloud.positions[index[i]], cloud.normals[index[i]],
+                                   float(distance[i])), want)
+
+
+def test_ray_ending_exactly_at_its_only_point():
+    """Rays aimed at a point, each ending at that point's t as the scan rounds
+    it over the whole cloud. The beam is so narrow that the point is the only
+    candidate, and a t rounded any other way misses it half the time it differs."""
+    rng = np.random.default_rng(7)
+    pos = rng.uniform(-0.05, 0.05, size=(40, 3))
+    cloud = PointCloud(pos, fibonacci_sphere(len(pos)))
+    for origin, k in zip(rng.uniform(-0.3, 0.3, size=(300, 3)), rng.integers(40, size=300)):
+        direction = (pos[k] - origin) / np.linalg.norm(pos[k] - origin)
+        max_range = float(((pos - origin) @ direction)[k])
+        index, distance = raycast_many(cloud, origin, direction, 1e-4, max_range)
+        want = scan_raycast(cloud, origin, direction, 1e-4, max_range)
+        assert index[0] == (-1 if want is None else k)
+        assert distance[0] == (math.inf if want is None else want.distance)

@@ -13,6 +13,7 @@ from facelaser.geometry import (
     face_pose_from_eyes,
     hat,
     interpolate_rotation,
+    interpolate_rotations,
     project_point,
     project_points,
     rotation_about_x,
@@ -155,6 +156,17 @@ class TestFraming:
         assert np.allclose(interpolate_rotation(a, b, 1.0), b)
         mid = interpolate_rotation(a, b, 0.5)
         assert np.allclose(mid, rotation_about_y(np.pi / 4), atol=1e-12)
+
+    def test_stacked_interpolation_matches_one_at_a_time(self, rng):
+        fractions = np.array([-0.5, 0.0, 1e-9, 0.25, 0.5, 0.999, 1.0, 2.0])
+        for _ in range(20):
+            a, b = random_rotation(rng), random_rotation(rng)
+            stack = interpolate_rotations(a, b, fractions)
+            one = [interpolate_rotation(a, b, f) for f in fractions]
+            assert np.abs(stack - one).max() <= 1e-15
+            # At and past either end the stack holds the end rotation itself.
+            for k in (0, 1, 6, 7):
+                assert np.array_equal(stack[k], one[k])
 
 
 class TestProjection:

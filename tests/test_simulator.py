@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 
@@ -23,7 +24,8 @@ from facelaser.geometry import (
 
 def rotation_about_z(theta):
     return axis_angle_to_rotation(np.array([0.0, 0.0, theta]))
-from facelaser.pathplan import SegmentPath
+from facelaser import simulator
+from facelaser.pathplan import SegmentPath, path_to_poses
 from facelaser.simulator import (
     EffectorState,
     MotionScript,
@@ -40,10 +42,11 @@ from facelaser.simulator import (
 )
 
 from support import straight_path, wall_cloud
+from test_acceptance import COLLISION_SCENARIOS, collision_run
 
 
-# A one-point surface far out of sensor range. Passing it makes a run guarded,
-# so it steps tick by tick, while the guard never measures anything.
+# A one-point surface far out of sensor range: a guarded run whose guard never
+# measures anything.
 IDLE_GUARD = {"rig": SensorRig(),
               "cloud": PointCloud(np.array([[100.0, 100.0, 100.0]]),
                                   np.array([[0.0, 0.0, 1.0]]))}
@@ -514,17 +517,48 @@ class TestCoverageMetrics:
 
 # ----------------------------------------------- closed-form legs vs tick loop
 
-def assert_same_run(paths, cfg, **kwargs):
-    """Run unguarded and guarded by IDLE_GUARD, which takes the tick loop;
-    assert that the two agree and return the abort message or None."""
-    runs = []
-    for guard in ({}, IDLE_GUARD):
+@contextlib.contextmanager
+def stepping(tick_loop=False):
+    """Record the clock of every `step` call. With tick_loop, every leg runs
+    through the tick loop, the reference the closed-form legs are tested
+    against."""
+    calls = []
+    real_step = simulator.step
+
+    def recording_step(state, *args, **kwargs):
+        calls.append(state.time)
+        return real_step(state, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "step", recording_step)
+        if tick_loop:
+            mp.setattr(simulator._Run, "_leg", simulator._Run._tick_leg)
+        yield calls
+
+
+def run_outcome(paths, cfg, tick_loop=False, **kwargs):
+    """(result, abort or contact message, clocks of the `step` calls) of a run;
+    a ContactError leaves no result."""
+    with stepping(tick_loop) as calls:
         try:
-            runs.append((run_path(paths, cfg, **guard, **kwargs), None))
+            return run_path(paths, cfg, **kwargs), None, calls
         except AbortedOnSafety as exc:
-            runs.append((exc.result, str(exc)))
-    (fast, fast_abort), (ref, ref_abort) = runs
+            return exc.result, str(exc), calls
+        except ContactError as exc:
+            return None, str(exc), calls
+
+
+def assert_same_run(paths, cfg, **kwargs):
+    """Run as run_path runs and through the tick loop; assert that the two
+    agree and return the abort or contact message, or None."""
+    fast, fast_abort, fast_calls = run_outcome(paths, cfg, **kwargs)
+    ref, ref_abort, ref_calls = run_outcome(paths, cfg, tick_loop=True, **kwargs)
     assert fast_abort == ref_abort
+    if ref is None or fast is None:
+        # Contact: raised by the same tick, which the tick loop steps.
+        assert ref is None and fast is None
+        assert fast_calls[-1] == ref_calls[-1]
+        return fast_abort
     for column in ("time", "strip", "segment"):
         assert np.array_equal(getattr(fast.log, column), getattr(ref.log, column))
     for column in ("positions", "axis_angle"):
@@ -535,7 +569,14 @@ def assert_same_run(paths, cfg, **kwargs):
     assert np.array_equal(fast.trajectory.time, ref.trajectory.time)
     assert np.abs(fast.trajectory.position - ref.trajectory.position).max() <= 1e-12
     assert np.abs(fast.trajectory.delta_d - ref.trajectory.delta_d).max() <= 1e-12
-    assert np.isinf(ref.trajectory.dist_l).all() and not ref.trajectory.repulsing.any()
+    a, b = fast.trajectory.dist_l, ref.trajectory.dist_l
+    differ = np.flatnonzero(~np.isclose(a, b, rtol=0.0, atol=1e-12))
+    if differ.size:
+        i = differ[0]
+        pytest.fail(f"the sensed distance differs on {differ.size} ticks, first at "
+                    f"t = {fast.trajectory.time[i]:.6f} s: {a[i]!r} against the tick "
+                    f"loop's {b[i]!r}; a sensor hit flipped at the beam edge")
+    assert np.array_equal(fast.trajectory.repulsing, ref.trajectory.repulsing)
     a, b = fast.final_state, ref.final_state
     assert a.time == b.time and abs(a.delta_d - b.delta_d) <= 1e-12
     assert np.abs(a.position - b.position).max() <= 1e-12
@@ -586,13 +627,33 @@ def head_motion(draw, dt, translation_tol, rotation_tol):
     return MotionScript(times, keys)
 
 
+def guarded_surface(draw, paths, kwargs, guard):
+    """The rig and cloud of a drawn guard: a wall 20-60 mm below the plan's
+    cube, and for "contact" also a point at the tool's start, inside the beams
+    of a ring narrower than the beam."""
+    if guard == "idle":
+        return IDLE_GUARD
+    points = wall_cloud(0.2, 0.004).positions - [0.0, 0.0, draw(st.floats(0.02, 0.06))]
+    rig = SensorRig()
+    if guard == "contact":
+        first = next(iter(paths.values()))
+        tip = (kwargs["start"].translation if "start" in kwargs
+               else path_to_poses(first, kwargs["standoff"])[0].translation)
+        points = np.vstack([points, tip])
+        rig = SensorRig(ring_radius=0.002)
+    return {"rig": rig, "cloud": PointCloud(points, np.tile(Z_AXIS, (len(points), 1)))}
+
+
 @st.composite
 def runs(draw):
+    guard = draw(st.sampled_from(["none", "idle", "wall", "wall", "contact"]))
     rate = draw(st.floats(50.0, 250.0))
     diameter = draw(st.floats(0.001, 0.006))
     ticks_per_shot = draw(st.floats(1.5, 30.0))
+    # A wall can hold the tool off a target for good; the timeout ends such a run.
+    timeouts = [None, 30.0, 30.0, 0.3, 1.0] if guard in ("none", "idle") else [0.3, 1.0]
     cfg = SimConfig(diameter, rate / ticks_per_shot, control_rate=rate,
-                    point_timeout=draw(st.sampled_from([None, 30.0, 30.0, 0.3, 1.0])),
+                    point_timeout=draw(st.sampled_from(timeouts)),
                     laser_enabled=draw(st.sampled_from([True, True, False])),
                     deadband_translation=draw(st.floats(1e-3, 5e-3)),
                     deadband_rotation=math.radians(draw(st.floats(2.0, 8.0))))
@@ -602,7 +663,10 @@ def runs(draw):
                                             cfg.deadband_rotation))
     if draw(st.booleans()):
         kwargs["start"] = RigidTransform(np.eye(3), [draw(coords) for _ in range(3)])
-    return draw(plans()), cfg, kwargs
+    paths = draw(plans())
+    if guard != "none":
+        kwargs.update(guarded_surface(draw, paths, kwargs, guard))
+    return paths, cfg, kwargs
 
 
 @settings(max_examples=25, deadline=None, derandomize=True,
@@ -621,10 +685,67 @@ def test_timeout_aborts_alike():
     assert message.startswith("target 0 of 'strip' not reached within 0.5 s")
 
 
-def test_criterion_10_shots_csv_identical_guarded_or_not(tmp_path):
+@pytest.mark.parametrize("scenario", COLLISION_SCENARIOS,
+                         ids=[name for name, *_ in COLLISION_SCENARIOS])
+def test_collision_scenarios_match_tick_loop(scenario):
+    """The criterion-8 runs engage the guard mid-leg and stall against a wall."""
+    _, *args = scenario
+    path, cfg, kwargs = collision_run(*args)
+    message = assert_same_run(path, cfg, **kwargs)
+    assert message.startswith("target 0 of 'intrusion' not reached within 2 s")
+
+
+def bump_run():
+    """Four targets 50 mm above a 9 mm square bump that is 25 mm below them;
+    the middle leg passes over it. A weak repulsion deflects the tool without
+    stalling it."""
+    g = np.arange(-0.004, 0.0041, 0.001)
+    xx, yy = np.meshgrid(g, g)
+    bump = PointCloud(np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, 0.025)]),
+                      np.tile(Z_AXIS, (xx.size, 1)))
+    path = SegmentPath("bump", [[-0.1, 0.0, 0.05], [-0.05, 0.0, 0.05], [0.05, 0.0, 0.05],
+                                [0.05, 0.06, 0.05]], [Z_AXIS] * 4, [0] * 4, "horizontal")
+    return path, SimConfig(0.004, 5.0), {"rig": SensorRig(kappa=1e-6), "cloud": bump}
+
+
+def test_guard_steps_from_where_it_engages_to_the_end_of_the_leg():
+    path, cfg, guard = bump_run()
+    assert assert_same_run(path, cfg, **guard) is None
+    res, _, calls = run_outcome(path, cfg, **guard)
+    traj = res.trajectory
+    engages = int(np.argmax(traj.dist_l < guard["rig"].l_min))
+    assert engages > 0 and traj.repulsing[engages] and not traj.repulsing[:engages].any()
+    arrives = np.flatnonzero(np.linalg.norm(traj.position - path.positions[2], axis=1) < 1e-12)
+    # `step` is called with the clock at the start of each tick it takes: from
+    # the engaging tick to the one that arrives, and on no leg before or after.
+    assert calls == traj.time[engages - 1:arrives[0]].tolist()
+    assert traj.time[-1] > traj.time[arrives[0]] + 1.0
+
+
+@pytest.mark.parametrize("height", [0.1, 1.0], ids=["sensed", "out-of-range"])
+def test_guard_that_never_engages_takes_no_step(height):
+    """A guarded run whose fused distance stays at or above l_min is the
+    closed-form run, with the sensed distance in its trajectory."""
+    wall = wall_cloud(0.2, 0.004)
+    guard = {"rig": SensorRig(),
+             "cloud": PointCloud(wall.positions - [0.0, 0.0, height], wall.normals)}
+    res, abort, calls = run_outcome(multi_strip_path(), sim_config(), **guard)
+    assert abort is None and calls == []
+    plain = run_path(multi_strip_path(), sim_config())
+    assert np.array_equal(res.trajectory.position, plain.trajectory.position)
+    assert np.array_equal(res.log.positions, plain.log.positions)
+    # The first row is the segment's start, where nothing is sensed.
+    sensed = np.isfinite(res.trajectory.dist_l)
+    assert not sensed[0] and (sensed[1:].all() if height < 0.3 else not sensed.any())
+    assert (res.trajectory.dist_l[sensed] >= guard["rig"].l_min).all()
+
+
+def test_criterion_10_shots_csv_identical_guarded_or_not(tmp_path, monkeypatch):
     """On the criterion-10 inputs, shots.csv is byte-identical between the
-    closed-form legs and the tick loop. traj.csv may differ in the 9th digit
-    where a value sits on a rounding boundary; it has the same rows."""
+    closed-form legs and the tick loop, reached through the leg method.
+    traj.csv may differ in the 9th digit where a value sits on a rounding
+    boundary; it has the same rows. Guarded by a surface out of sensor range,
+    the run takes the closed form: both its files equal the unguarded ones."""
     from test_acceptance import _pipeline_inputs
 
     inputs, views = _pipeline_inputs(tmp_path)
@@ -641,14 +762,21 @@ def test_criterion_10_shots_csv_identical_guarded_or_not(tmp_path):
         "--camera", inputs / "cam.json", "--out-dir", out / "segs")
     cli("plan", "--segments", out / "segs", "--out", out / "paths.json")
     save_ply(IDLE_GUARD["cloud"], out / "far.ply")
-    for name, guard in (("fast", []), ("ref", ["--surface", out / "far.ply"])):
-        cli("simulate", "--paths", out / "paths.json", "--motion", inputs / "motion.json",
-            *guard, "--out-shots", out / f"{name}_shots.csv",
-            "--out-traj", out / f"{name}_traj.csv")
+    far = ["--surface", out / "far.ply"]
+    for name, guard, tick_loop in (("fast", [], False), ("ref", far, True),
+                                   ("split", far, False)):
+        with monkeypatch.context() as mp:
+            if tick_loop:
+                mp.setattr(simulator._Run, "_leg", simulator._Run._tick_leg)
+            cli("simulate", "--paths", out / "paths.json", "--motion",
+                inputs / "motion.json", *guard, "--out-shots", out / f"{name}_shots.csv",
+                "--out-traj", out / f"{name}_traj.csv")
     assert (out / "fast_shots.csv").read_bytes() == (out / "ref_shots.csv").read_bytes()
+    for kind in ("shots", "traj"):
+        assert (out / f"split_{kind}.csv").read_bytes() == \
+            (out / f"fast_{kind}.csv").read_bytes()
     fast, ref = (np.loadtxt(out / f"{name}_traj.csv", delimiter=",", skiprows=1)
                  for name in ("fast", "ref"))
     assert fast.shape == ref.shape and len(fast) > 60_000
     assert np.array_equal(fast[:, 0], ref[:, 0])
     assert np.allclose(fast[:, 1:5], ref[:, 1:5], rtol=1e-8, atol=1e-12)
-
