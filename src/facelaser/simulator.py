@@ -365,11 +365,6 @@ class Trajectory:
 # tick. The trigger fires at one diameter up to this relative slack.
 FIRE_FRACTION = 1.0 - 1e-9
 
-# A guarded leg casts the sensor rays of at most this many ticks in one batch,
-# which bounds the batch's memory on a long leg and stops casting soon after
-# the guard engages.
-GUARD_BATCH_TICKS = 256
-
 
 def step(state: EffectorState, target: Vec3, config: SimConfig, armed: bool,
          rig: SensorRig | None = None, cloud: PointCloud | None = None,
@@ -628,7 +623,7 @@ class _Run:
                 positions[-1] = target
             dist_l = math.inf
             engages = False
-            if self.rig is not None:
+            if self.rig is not None and ran:  # a block of no ticks senses nothing
                 dist_l, engaged = self._sense(leg, times[:ran], positions)
                 if engaged < ran:
                     ran, exits, late, engages = engaged, False, False, True
@@ -663,32 +658,26 @@ class _Run:
         block's first tick, and on every later one the rotation the tick loop
         sets at the end of the tick before. The guard engages on a distance
         below l_min and on a sensor hit at the tip, which `step` raises
-        ContactError for. The rays are cast GUARD_BATCH_TICKS ticks at a time,
-        so a leg that engages early is not cast to its end.
+        ContactError for. The whole block is cast in one batch, at a few kB
+        per tick; a point_timeout caps a block at point_timeout * control_rate
+        ticks.
         """
-        dist_l = np.full(len(times), math.inf)
-        for lo in range(0, len(times), GUARD_BATCH_TICKS):
-            hi = min(lo + GUARD_BATCH_TICKS, len(times))
-            rotations = interpolate_rotations(leg.rot_from, leg.tgt_rot,
-                                              self._fractions(leg, times[lo:hi]))
-            tips = ends[max(lo - 1, 0):hi - 1]
-            if lo == 0:
-                rotations[0] = self.state.rotation
-                tips = np.vstack([self.state.position, tips])
-            if self.carry is not None:        # sensed from inv(carry) o pose
-                back = self.carry.rotation.T
-                rotations = back @ rotations
-                tips = (back @ (tips - self.carry.translation)[:, :, None])[..., 0]
-            fused, contact = sensor_fusion_many(self.rig, self.cloud, rotations, tips)
-            if self.carry is not None:
-                fused = (self.carry.rotation @ fused[:, :, None])[..., 0]
-            # Rounded as np.linalg.norm rounds one vector; NaN where nothing is in range.
-            dist = np.sqrt((fused[:, None, :] @ fused[:, :, None]).reshape(-1))
-            dist_l[lo:hi] = np.where(np.isnan(dist), math.inf, dist)
-            engaged = np.flatnonzero(contact | (dist_l[lo:hi] < self.rig.l_min))
-            if engaged.size:
-                return dist_l, lo + int(engaged[0])
-        return dist_l, len(times)
+        rotations = interpolate_rotations(leg.rot_from, leg.tgt_rot,
+                                          self._fractions(leg, times))
+        rotations[0] = self.state.rotation
+        tips = np.vstack([self.state.position, ends[:-1]])
+        if self.carry is not None:            # sensed from inv(carry) o pose
+            back = self.carry.rotation.T
+            rotations = back @ rotations
+            tips = (back @ (tips - self.carry.translation)[:, :, None])[..., 0]
+        fused, contact = sensor_fusion_many(self.rig, self.cloud, rotations, tips)
+        if self.carry is not None:
+            fused = (self.carry.rotation @ fused[:, :, None])[..., 0]
+        # Rounded as np.linalg.norm rounds one vector; NaN where nothing is in range.
+        dist = np.sqrt((fused[:, None, :] @ fused[:, :, None]).reshape(-1))
+        dist_l = np.where(np.isnan(dist), math.inf, dist)
+        engaged = np.flatnonzero(contact | (dist_l < self.rig.l_min))
+        return dist_l, int(engaged[0]) if engaged.size else len(times)
 
     def _trigger(self, leg: _Leg, moved: np.ndarray, times: np.ndarray,
                  positions: np.ndarray) -> np.ndarray:
@@ -790,7 +779,9 @@ def default_shot_region(shots: np.ndarray, pad: float) -> PlanarRegion:
     shots = np.asarray(shots, dtype=float).reshape(-1, 3)
     center = shots.mean(axis=0)
     rel = shots - center
-    _, _, vt = np.linalg.svd(rel, full_matrices=False)
+    # The thin SVD skips the (n, n) U nobody reads. For one shot it has a
+    # single row of vt, so a log of fewer than three takes the full one.
+    _, _, vt = np.linalg.svd(rel, full_matrices=len(rel) < 3)
     u_axis = _canonical_axis(vt[0])
     v_axis = _canonical_axis(vt[1])
     u = rel @ u_axis

@@ -495,6 +495,15 @@ class TestCoverageMetrics:
         report = coverage_metrics(shot_log([0.0]), d, cloud=cloud)
         assert report.coverage == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_default_region_of_fewer_than_three_shots(self, n):
+        """One or two shots still span a plane: a disk per shot in its padded
+        square covers pi / 4 of it."""
+        d = 0.004
+        report = coverage_metrics(shot_log(d * np.arange(n)), d, samples=100_000)
+        assert report.n_shots == n
+        assert report.coverage == pytest.approx(math.pi / 4, abs=0.01)
+
     def test_spacings_only_within_strip_and_segment(self):
         d = 0.002
         log = shot_log([0.000, 0.002, 0.010, 0.012, 0.030], strips=[0, 0, 1, 1, 0],
@@ -645,8 +654,8 @@ def guarded_surface(draw, paths, kwargs, guard):
 
 
 @st.composite
-def runs(draw):
-    guard = draw(st.sampled_from(["none", "idle", "wall", "wall", "contact"]))
+def runs(draw, guards):
+    guard = draw(st.sampled_from(guards))
     rate = draw(st.floats(50.0, 250.0))
     diameter = draw(st.floats(0.001, 0.006))
     ticks_per_shot = draw(st.floats(1.5, 30.0))
@@ -671,10 +680,32 @@ def runs(draw):
 
 @settings(max_examples=25, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(runs())
+@given(runs(["none", "idle"]))
 def test_closed_form_legs_match_tick_loop(run):
     paths, cfg, kwargs = run
     assert_same_run(paths, cfg, **kwargs)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(runs(["wall", "wall", "contact"]))
+def test_guarded_legs_match_tick_loop(run):
+    """Walls the guard may engage mid-leg, and a sensor hit at the tool's start."""
+    paths, cfg, kwargs = run
+    assert_same_run(paths, cfg, **kwargs)
+
+
+def test_guarded_leg_that_reanchors_before_its_first_tick():
+    """The first leg takes three ticks and the head leaves the dead-band
+    during the last one, so the second leg's first block has no tick."""
+    cfg = SimConfig(0.004, 5.0)
+    dt, s = 1.0 / cfg.control_rate, cfg.max_speed / cfg.control_rate
+    path = SegmentPath("leap", [[0.0, 0.0, 0.05], [2.5 * s, 0.0, 0.05], [0.01, 0.0, 0.05]],
+                       [Z_AXIS] * 3, [0, 0, 0], "horizontal")
+    still = RigidTransform(np.eye(3), np.zeros(3))
+    moved = RigidTransform(np.eye(3), np.array([0.0, 0.01, 0.0]))
+    motion = MotionScript([0.0, 2.5 * dt, 2.6 * dt], [still, still, moved])
+    assert assert_same_run(path, cfg, motion=motion, **IDLE_GUARD) is None
 
 
 def test_timeout_aborts_alike():
