@@ -138,7 +138,8 @@ def load_ply(path) -> PointCloud:
 
     Requires x/y/z properties (MissingField otherwise); nx/ny/nz and
     red/green/blue are picked up when present, other fixed-size properties
-    are skipped.
+    are skipped. A NaN or infinite x/y/z or nx/ny/nz raises ParseError
+    naming the (1-based) vertex row.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -172,6 +173,10 @@ def load_ply(path) -> PointCloud:
     normals = None
     if all(k in cols for k in ("nx", "ny", "nz")):
         normals = np.column_stack([cols["nx"], cols["ny"], cols["nz"]])
+    for label, block in (("x/y/z", positions), ("nx/ny/nz", normals)):
+        if block is not None and not np.isfinite(block).all():
+            row = np.flatnonzero(~np.isfinite(block).all(axis=1))[0] + 1
+            raise ParseError(f"vertex row {row} has a non-finite {label}")
     colors = None
     if all(k in cols for k in ("red", "green", "blue")):
         colors = np.column_stack([cols["red"], cols["green"], cols["blue"]]).astype(np.uint8)
@@ -256,6 +261,53 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     return PointCloud(positions, normals, colors)
 
 
+# A cross product of two rows of A - l0 I shorter than this (A scaled to a
+# largest entry of 1) means l0 is repeated or nearly so. The closed-form
+# vector's error grows as eps / gap**2: above 1e-2 it stays within ~1e-12 of
+# eigh's on random matrices, and no row of a noisy 60k-point face view falls
+# below it.
+NORMAL_CROSS_FLOOR = 1e-2
+
+
+def _smallest_eigenvectors(cov: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of the smallest eigenvalue of (n, 3, 3) symmetric
+    positive semi-definite matrices.
+
+    l0 comes from the trigonometric form of the characteristic cubic (Smith,
+    "Eigenvalues of a symmetric 3x3 matrix", CACM 4(4), 1961); the vector is
+    the longest cross product of two rows of A - l0 I. Rows where l0 is
+    (nearly) repeated, so that no cross product is long enough to trust,
+    take np.linalg.eigh's vector instead.
+    """
+    scale = np.abs(cov).max(axis=(1, 2))
+    scale[scale == 0.0] = 1.0
+    a = cov / scale[:, None, None]
+    a00, a11, a22 = a[:, 0, 0], a[:, 1, 1], a[:, 2, 2]
+    a01, a02, a12 = a[:, 0, 1], a[:, 0, 2], a[:, 1, 2]
+    q = (a00 + a11 + a22) / 3.0
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
+                 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+    det = (b00 * (b11 * b22 - a12 * a12) - a01 * (a01 * b22 - a12 * a02)
+           + a02 * (a01 * a12 - b11 * a02))
+    # A = qI (p = 0) leaves r NaN; its cross products are NaN and fall back.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.clip(0.5 * det / (p * p * p), -1.0, 1.0)
+        l0 = q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
+        m = a - l0[:, None, None] * np.eye(3)
+        cross = np.stack([np.cross(m[:, 0], m[:, 1]), np.cross(m[:, 0], m[:, 2]),
+                          np.cross(m[:, 1], m[:, 2])], axis=1)
+        length2 = np.einsum("nij,nij->ni", cross, cross)
+        best = np.argmax(length2, axis=1)
+        rows = np.arange(len(a))
+        longest = length2[rows, best]
+        vecs = cross[rows, best] / np.sqrt(longest)[:, None]
+    weak = ~(longest > NORMAL_CROSS_FLOOR ** 2)
+    if weak.any():
+        vecs[weak] = np.linalg.eigh(cov[weak])[1][:, :, 0]
+    return vecs
+
+
 def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> PointCloud:
     """Per-point normals from the smallest eigenvector of the k-NN covariance.
 
@@ -271,9 +323,7 @@ def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> PointCloud:
     _, nbr = cloud.kdtree().query(cloud.positions, k=k + 1)
     neigh = cloud.positions[nbr]                       # (n, k+1, 3), self included
     centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nij,nik->njk", centered, centered)
-    _, vecs = np.linalg.eigh(cov)
-    normals = vecs[:, :, 0]
+    normals = _smallest_eigenvectors(centered.transpose(0, 2, 1) @ centered)
     flip = np.einsum("ij,ij->i", normals, viewpoint - cloud.positions) < 0.0
     normals[flip] *= -1.0
     return PointCloud(cloud.positions.copy(), normals,

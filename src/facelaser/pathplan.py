@@ -19,13 +19,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import DegenerateNormal, EmptySegment, InvalidParam
-from .geometry import (
-    RigidTransform,
-    Vec3,
-    Y_AXIS,
-    Z_AXIS,
-    rotation_from_normal,
-)
+from .geometry import RigidTransform, Vec3, Y_AXIS, Z_AXIS
 
 ORIENTATIONS = ("auto", "horizontal", "vertical")
 
@@ -212,24 +206,40 @@ def plan_segment(cloud: PointCloud, config: PlannerConfig,
                        np.concatenate(strip_of), orientation, widths)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of v, each rounded as np.linalg.norm
+    rounds that row alone."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None]).reshape(len(v)))
+
+
 def path_to_poses(path: SegmentPath, standoff: float) -> list[RigidTransform]:
     """Effector poses hovering `standoff` above each patch along its normal.
 
     The tool frame's z-axis is the outward patch normal (the beam leaves
     along -z). The in-plane reference defaults to the face y-axis and falls
-    back to z for patches whose normal is parallel to y.
+    back to z for patches whose normal is parallel to y. Each rotation is
+    the one rotation_from_normal builds for its patch, bit for bit.
     """
     if standoff < 0:
         raise InvalidParam("standoff must be non-negative")
-    poses = []
-    for i, (chi, eta) in enumerate(zip(path.positions, path.normals)):
-        try:
-            rot = rotation_from_normal(eta, Y_AXIS)
-        except DegenerateNormal:
-            try:
-                rot = rotation_from_normal(eta, Z_AXIS)
-            except DegenerateNormal as exc:
-                raise DegenerateNormal(
-                    f"path point {i} of '{path.label}': {exc}") from exc
-        poses.append(RigidTransform(rot, chi + standoff * eta))
-    return poses
+    eta = path.normals
+    norm = _row_norms(eta)
+    if (np.abs(norm - 1.0) > 1e-6).any():
+        raise ValueError("eta must be a unit vector")
+    gamma = eta / norm[:, None]
+    cross = np.cross(Y_AXIS, gamma)
+    length = _row_norms(cross)
+    parallel = np.flatnonzero(length < 1e-6)
+    if len(parallel):
+        cross[parallel] = np.cross(Z_AXIS, gamma[parallel])
+        length[parallel] = _row_norms(cross[parallel])
+        stuck = parallel[length[parallel] < 1e-6]
+        if len(stuck):
+            raise DegenerateNormal(f"path point {stuck[0]} of '{path.label}': "
+                                   "normal is parallel to the crossing reference axis")
+    alpha = cross / length[:, None]
+    beta = np.cross(gamma, alpha)
+    beta /= _row_norms(beta)[:, None]
+    rotations = np.stack([alpha, beta, gamma], axis=2)
+    positions = path.positions + standoff * eta
+    return [RigidTransform(r, t) for r, t in zip(rotations, positions)]

@@ -32,6 +32,13 @@ ARC_MODELS = ("circular", "as_printed")
 # error (p95 0.243 vs 0.242 mm); 3x took 1.7 s but raised the p95 to 0.247 mm.
 ICP_SOURCE_LEAF_FACTOR = 2.0
 
+# icp_point_to_plane tries the steps 1, 1/2, ... down to 2**-(n-1) of each
+# update and stops when none of them lowers the objective. On nine noisy
+# 60k-point face views, iterations that accept no step above 1/32 change the
+# rmse by 1e-7 relative or less, and twelve trials took 245 kd-tree queries
+# for 61 iterations against 72 with four, for the same merged surface error.
+ICP_LINE_SEARCH_STEPS = 4
+
 
 def estimate_viewpoints(face_pose: RigidTransform, d_min: float, phi_step: float,
                         n_per_side: int, arc_model: str = "circular") -> list[RigidTransform]:
@@ -104,9 +111,11 @@ def icp_point_to_plane(source: PointCloud, target: PointCloud,
     Each iteration pairs transformed source points with their nearest target
     point (optionally distance-gated), linearizes the rotation around the
     current estimate and solves the 6x6 normal equations for the twist
-    [omega, t]. The update is backtracked (halved) until the freshly
-    re-evaluated objective does not increase, so the recorded rmse history is
-    non-increasing. Rank-deficient systems fall back to the pseudo-inverse.
+    [omega, t]. The update is backtracked (halved, at most
+    ICP_LINE_SEARCH_STEPS trials) until the freshly re-evaluated objective
+    does not increase, so the recorded rmse history is non-increasing; when
+    no trial step helps, the pair has converged. Rank-deficient systems fall
+    back to the pseudo-inverse.
 
     Returns an IcpResult whose transform maps source coordinates into the
     target frame.
@@ -135,7 +144,7 @@ def icp_point_to_plane(source: PointCloud, target: PointCloud,
 
         accepted = None
         step = 1.0
-        for _ in range(12):
+        for _ in range(ICP_LINE_SEARCH_STEPS):
             rot = axis_angle_to_rotation(step * x[:3])
             cand = RigidTransform(rot @ t.rotation, rot @ t.translation + step * x[3:])
             cand_eval = _plane_rmse(cand.apply(src0), tree, tgt_pos, tgt_nrm, gate)

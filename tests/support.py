@@ -1,13 +1,20 @@
 """Shared synthetic fixtures: analytic clouds, landmark layouts, path stubs,
-and the reference implementations (brute-force raycast, np.unique voxel grid)
-that the fast versions are tested against."""
+and the reference implementations (brute-force raycast, np.unique voxel grid,
+eigh normals, per-patch poses) that the fast versions are tested against."""
 
 import math
 
 import numpy as np
 
 from facelaser.cloud import PointCloud, RayHit
-from facelaser.geometry import CameraIntrinsics
+from facelaser.errors import DegenerateNormal
+from facelaser.geometry import (
+    Y_AXIS,
+    Z_AXIS,
+    CameraIntrinsics,
+    RigidTransform,
+    rotation_from_normal,
+)
 from facelaser.pathplan import SegmentPath
 from facelaser.segmentation import FaceLandmarks
 
@@ -169,3 +176,37 @@ def unique_voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     if cloud.colors is not None:
         colors = np.rint(mean_per_voxel(cloud.colors.astype(float))).astype(np.uint8)
     return PointCloud(positions, normals, colors)
+
+
+def eigh_normals(cloud: PointCloud, k: int, viewpoint):
+    """estimate_normals by np.linalg.eigh of each k-NN covariance.
+
+    Returns the normals, flipped toward the viewpoint, together with the
+    (n, 3, 3) covariances and their ascending (n, 3) eigenvalues.
+    """
+    _, nbr = cloud.kdtree().query(cloud.positions, k=k + 1)
+    neigh = cloud.positions[nbr]
+    centered = neigh - neigh.mean(axis=1, keepdims=True)
+    cov = np.einsum("nij,nik->njk", centered, centered)
+    values, vectors = np.linalg.eigh(cov)
+    normals = vectors[:, :, 0]
+    flip = np.einsum("ij,ij->i", normals, np.asarray(viewpoint) - cloud.positions) < 0.0
+    normals[flip] *= -1.0
+    return normals, cov, values
+
+
+def loop_path_to_poses(path: SegmentPath, standoff: float) -> list[RigidTransform]:
+    """path_to_poses one patch at a time: rotation_from_normal about the y
+    reference, or about z where the normal is parallel to y."""
+    poses = []
+    for i, (chi, eta) in enumerate(zip(path.positions, path.normals)):
+        try:
+            rot = rotation_from_normal(eta, Y_AXIS)
+        except DegenerateNormal:
+            try:
+                rot = rotation_from_normal(eta, Z_AXIS)
+            except DegenerateNormal as exc:
+                raise DegenerateNormal(
+                    f"path point {i} of '{path.label}': {exc}") from exc
+        poses.append(RigidTransform(rot, chi + standoff * eta))
+    return poses

@@ -14,7 +14,7 @@ from facelaser.geometry import RigidTransform
 from facelaser.registration import estimate_viewpoints, merge_views
 from facelaser.simulator import coverage_metrics, run_path
 
-from support import ellipsoid_cloud, fibonacci_sphere, plane_grid
+from support import ellipsoid_cloud, face_cloud, fibonacci_sphere, plane_grid
 
 CAMERA = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
           "width": 640, "height": 480}
@@ -293,6 +293,33 @@ class TestViewpointsAndRegister:
         log = json.loads(icp_log.read_text())
         assert len(log) == 4
         assert all(entry["rmse"] < 1e-4 for entry in log)
+
+
+@pytest.mark.parametrize("column", [0, 5], ids=["x", "nz"])
+def test_register_non_finite_view_exits_1(workdir, capsys, column):
+    """A NaN in one view of the criterion-10 scan is an input error, not a
+    traceback from the voxel grid."""
+    poses = estimate_viewpoints(RigidTransform(np.eye(3), np.array([0.0, 0.0, 0.25])),
+                                0.25, np.radians(10.0), 1)
+    names = []
+    for i, pose in enumerate(poses):
+        view = face_cloud().transformed(pose.invert())
+        if i == 1:
+            table = np.hstack([view.positions, view.normals])
+            table[17, column] = np.nan
+            view = PointCloud(table[:, :3], table[:, 3:])
+        names.append(workdir / f"view{i}.ply")
+        save_ply(view, names[-1])
+    assert run(workdir, "viewpoints", "--face-pose", _write_doc(
+        workdir / "face_pose.json", {"translation": [0.0, 0.0, 0.25],
+                                     "axis_angle": [0.0, 0.0, 0.0]}),
+               "--out", workdir / "vp.json") == 0
+    code = run(workdir, "register", "--views", *names, "--poses", workdir / "vp.json",
+               "--out", workdir / "merged.ply")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "vertex row 18" in err
+    assert not (workdir / "merged.ply").exists()
 
 
 class TestSegmentCommand:

@@ -19,7 +19,13 @@ from facelaser.cloud import (
 from facelaser.errors import EmptyCloud, MissingField, ParseError, TooFewPoints
 from facelaser.geometry import RigidTransform, rotation_about_x
 
-from support import face_cloud, fibonacci_sphere, scan_raycast, unique_voxel_downsample
+from support import (
+    eigh_normals,
+    face_cloud,
+    fibonacci_sphere,
+    scan_raycast,
+    unique_voxel_downsample,
+)
 
 
 def small_cloud(rng, n=40, normals=True, colors=True):
@@ -121,6 +127,32 @@ class TestPlyRoundTrip:
         assert np.array_equal(c.normals, [[0, 0, 1], [0.6, 0, -0.8]])
         assert c.colors.dtype == np.uint8
         assert np.array_equal(c.colors, [[255, 0, 7], [10, 20, 30]])
+
+    @pytest.mark.parametrize("row, label", [
+        ("nan 2 3 0.6 0 -0.8 10 20 30", "x/y/z"),
+        ("1 2 -inf 0.6 0 -0.8 10 20 30", "x/y/z"),
+        ("1 2 3 0.6 nan -0.8 10 20 30", "nx/ny/nz"),
+    ])
+    def test_non_finite_value_names_the_row(self, tmp_path, row, label):
+        text = (
+            "ply\nformat ascii 1.0\nelement vertex 3\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property float nx\nproperty float ny\nproperty float nz\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "end_header\n"
+            f"0 0 0 0 0 1 255 0 7\n{row}\n1 2 3 0 1 0 0 0 0\n"
+        )
+        path = tmp_path / "bad.ply"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"vertex row 2 has a non-finite {label}"):
+            load_ply(path)
+
+    def test_non_finite_binary_value_names_the_row(self, rng, tmp_path):
+        c = small_cloud(rng, n=5)
+        c.normals[3, 1] = np.inf
+        save_ply(c, tmp_path / "bad.ply")
+        with pytest.raises(ParseError, match="vertex row 4 has a non-finite nx/ny/nz"):
+            load_ply(tmp_path / "bad.ply")
 
     def test_extra_property_is_skipped(self, tmp_path):
         text = (
@@ -323,6 +355,64 @@ class TestEstimateNormals:
     def test_k_lower_bound(self):
         with pytest.raises(ValueError):
             estimate_normals(PointCloud(np.eye(3)), k=2, viewpoint=[0, 0, 1])
+
+
+@st.composite
+def normal_clouds(draw):
+    """A cloud, k and a viewpoint: a noisy plane or curved patch, collinear or
+    coincident points, or an isotropic blob, moved by a random rigid motion
+    and scaled by 1e-6 to 1e3."""
+    kind = draw(st.sampled_from(["plane", "curved", "collinear", "coincident",
+                                 "isotropic"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(8, 60))
+    k = draw(st.integers(3, n - 1))
+    noise = draw(st.sampled_from([0.0, 1e-6, 1e-3, 3e-2]))
+    uv = rng.uniform(-1.0, 1.0, size=(n, 2))
+    if kind == "plane":
+        pos = np.column_stack([uv, noise * rng.normal(size=n)])
+    elif kind == "curved":
+        a, b = rng.uniform(-2.0, 2.0, size=2)
+        pos = np.column_stack([uv, a * uv[:, 0] ** 2 + b * uv[:, 1] ** 2
+                               + noise * rng.normal(size=n)])
+    elif kind == "collinear":
+        pos = np.outer(uv[:, 0], [1.0, 0.0, 0.0])
+    elif kind == "coincident":
+        pos = np.zeros((n, 3))
+    else:
+        # Octahedra centred on the origin; with k = n - 1 every neighbourhood
+        # is the whole blob, whose covariance is a multiple of I.
+        shells = np.repeat(rng.uniform(0.1, 1.0, size=n // 6), 6)
+        pos = np.tile(np.vstack([np.eye(3), -np.eye(3)]), (n // 6, 1)) * shells[:, None]
+        k = len(pos) - 1
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    scale = 10.0 ** draw(st.floats(-6.0, 3.0))
+    offset = rng.normal(size=3)
+    cloud = PointCloud((pos @ rot.T + offset) * scale)
+    viewpoint = (offset + 5.0 * rng.normal(size=3)) * scale
+    return cloud, k, viewpoint
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(normal_clouds())
+def test_closed_form_normals_match_eigh(case):
+    """Where the eigen-gap is clear the normals are eigh's, flipped the same
+    way; where the smallest eigenvalue is repeated they are still finite unit
+    eigenvectors of it."""
+    cloud, k, viewpoint = case
+    got = estimate_normals(cloud, k, viewpoint).normals
+    want, cov, values = eigh_normals(cloud, k, viewpoint)
+    assert np.isfinite(got).all()
+    assert np.allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert (np.einsum("ij,ij->i", got, viewpoint - cloud.positions) >= 0.0).all()
+    # Eigenvectors of l0 (for a repeated l0, any vector of its eigenspace).
+    residual = np.linalg.norm((cov @ got[:, :, None])[:, :, 0]
+                              - values[:, :1] * got, axis=1)
+    assert (residual <= 1e-9 * values[:, 2]).all()
+    clear = values[:, 1] - values[:, 0] > 1e-4 * values[:, 2]
+    # Up to sign, since a normal square to the line of sight may flip either way.
+    gap = np.minimum(np.abs(got - want).max(axis=1), np.abs(got + want).max(axis=1))
+    assert (gap[clear] <= 1e-9).all()
 
 
 class TestRaycast:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facelaser.cloud import PointCloud
 from facelaser.errors import EmptySegment, InvalidParam
@@ -16,7 +18,7 @@ from facelaser.pathplan import (
     sweep_patch,
 )
 
-from support import plane_grid
+from support import loop_path_to_poses, plane_grid
 
 DIAM = 0.004
 
@@ -206,3 +208,45 @@ class TestPathToPoses:
         path = SegmentPath("row", [np.zeros(3)], [Z_AXIS], [0], "horizontal")
         with pytest.raises(InvalidParam):
             path_to_poses(path, standoff=-0.001)
+
+
+@st.composite
+def patch_normals(draw):
+    """A unit normal, or one within the unit check's 1e-6: drawn at random,
+    along an axis, or tilted off +-y by about the 1e-6 at which the y
+    reference gives way to z."""
+    kind = draw(st.sampled_from(["random", "axis", "near-y"]))
+    if kind == "random":
+        v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+        if np.linalg.norm(v) < 1e-3:
+            v = np.array([0.3, -0.4, 0.5])
+    elif kind == "axis":
+        v = draw(st.sampled_from([-1.0, 1.0])) * np.eye(3)[draw(st.integers(0, 2))]
+    else:
+        tilt = st.sampled_from([0.0, 1e-7, 7.07e-7, 9.99e-7, 1e-6, 1.01e-6, 1e-5])
+        v = np.array([draw(tilt), draw(st.sampled_from([-1.0, 1.0])), draw(tilt)])
+    v = v / np.linalg.norm(v)
+    return v * (1.0 + draw(st.sampled_from([0.0, 3e-7, -9e-7])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(patch_normals(), min_size=1, max_size=40),
+       st.sampled_from([0.0, 0.01, 0.045, 0.3]), st.integers(0, 2**32 - 1))
+def test_path_to_poses_matches_per_patch_loop(normals, standoff, seed):
+    """The array build gives rotation_from_normal's pose for every patch,
+    bit for bit."""
+    positions = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(len(normals), 3))
+    path = SegmentPath("cheek", positions, normals, np.zeros(len(normals)), "horizontal")
+    got, want = path_to_poses(path, standoff), loop_path_to_poses(path, standoff)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.rotation, b.rotation)
+        assert np.array_equal(a.translation, b.translation)
+
+
+def test_path_to_poses_rejects_a_non_unit_normal():
+    path = SegmentPath("row", np.zeros((2, 3)), [Z_AXIS, 1.01 * Z_AXIS], [0, 0],
+                       "horizontal")
+    for build in (path_to_poses, loop_path_to_poses):
+        with pytest.raises(ValueError, match="unit vector"):
+            build(path, standoff=0.0)

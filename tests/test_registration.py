@@ -4,6 +4,7 @@ from scipy.spatial import cKDTree
 
 from facelaser.cloud import PointCloud, concatenate, voxel_downsample
 from facelaser.errors import EmptyCloud, InvalidParam, NoCorrespondences
+from facelaser import registration
 from facelaser.geometry import (
     RigidTransform,
     axis_angle_to_rotation,
@@ -229,6 +230,31 @@ class TestMergeViews:
         dist = ellipsoid_distance(poses[0].apply(merged.positions), self.RADII, self.CENTER)
         # The benchmark's registration bound: 0.1 mm plus three noise sigmas.
         assert np.percentile(dist, 95) <= 1e-4 + 3.0 * noise
+
+    def test_line_search_tries_at_most_four_steps(self, monkeypatch):
+        """One objective evaluation to start, then at most four trial steps
+        (1 to 1/8) per iteration."""
+        evaluations, pairs = [], []
+        plane_rmse, icp = registration._plane_rmse, registration.icp_point_to_plane
+
+        def counted_rmse(*args, **kwargs):
+            evaluations[-1] += 1
+            return plane_rmse(*args, **kwargs)
+
+        def counted_icp(*args, **kwargs):
+            evaluations.append(0)
+            res = icp(*args, **kwargs)
+            pairs.append((evaluations[-1], res))
+            return res
+
+        monkeypatch.setattr(registration, "_plane_rmse", counted_rmse)
+        monkeypatch.setattr(registration, "icp_point_to_plane", counted_icp)
+        _, poses, views = self.make_scene(n=8000, noise=2e-4)
+        merge_views(views, poses, leaf=self.LEAF)
+        assert len(pairs) == len(views) - 1
+        for count, res in pairs:
+            assert res.converged
+            assert count <= 1 + 4 * res.iterations
 
     def test_pose_count_mismatch(self):
         _, poses, views = self.make_scene()

@@ -4,16 +4,28 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from facelaser.cloud import PointCloud, estimate_normals, voxel_downsample
+from facelaser.geometry import RigidTransform, axis_angle_to_rotation
+from facelaser.registration import icp_point_to_plane
+
+from support import ellipsoid_cloud
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _traced_names():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return [(layer, name) for layer, names in tracing.TRACED.items() for name in names]
+    return tracing
+
+
+def _traced_names():
+    return [(layer, name) for layer, names in _load_tracing().TRACED.items()
+            for name in names]
 
 
 @pytest.mark.parametrize("layer, name", _traced_names())
@@ -22,3 +34,42 @@ def test_traced_name_resolves(layer, name):
     for part in name.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _register_call(name):
+    """The function traced as `name`, args for it, and the counts its
+    observer must record from that call."""
+    target = ellipsoid_cloud(800, radii=(0.09, 0.12, 0.07))
+    bare = PointCloud(target.positions)
+    source = target.transformed(RigidTransform(
+        axis_angle_to_rotation(np.array([0.02, -0.01, 0.03])),
+        np.array([0.002, 0.0, -0.001])))
+    res = icp_point_to_plane(source, target)
+    down = voxel_downsample(target, 0.02)
+    return {
+        "cloud.estimate_normals": (
+            estimate_normals, (bare, 8, np.zeros(3)),
+            {"cloud.estimate_normals.points": len(bare)}),
+        "cloud.voxel_downsample": (
+            voxel_downsample, (target, 0.02),
+            {"cloud.voxel_downsample.in_points": len(target),
+             "cloud.voxel_downsample.out_points": len(down)}),
+        "registration.icp_point_to_plane": (
+            icp_point_to_plane, (source, target),
+            {"registration.icp_point_to_plane.iterations": res.iterations,
+             "registration.icp_point_to_plane.converged": int(res.converged),
+             "registration.icp_point_to_plane.final_rmse_max": res.rmse}),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["cloud.estimate_normals", "cloud.voxel_downsample",
+                                  "registration.icp_point_to_plane"])
+def test_register_observers_read_a_real_call(name):
+    """The traced wrapper runs the function and hands its args and result to
+    the stage's observer, which must still understand the result type."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    assert name in tracing.OBSERVERS
+    fn, args, want = _register_call(name)
+    tracer.wrap(name, fn)(*args)
+    assert dict(tracer.counts) == want
