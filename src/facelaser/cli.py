@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -121,10 +122,6 @@ def _require(path) -> str:
     if not os.path.exists(path):
         raise _UsageError(f"input file not found: {path}")
     return path
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".9g")
 
 
 def _read_json(path):
@@ -286,24 +283,36 @@ def cmd_plan(args, cfg: RunConfig) -> int:
 SHOT_VALUES = ("time_s", "x", "y", "z", "nu_x", "nu_y", "nu_z")
 
 
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it in a row of more than one field."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow([text, ""])
+    return line.getvalue()[:-2]
+
+
 def _write_shots_csv(log: ShotLog, path) -> None:
-    table = np.column_stack([log.time, log.positions, log.axis_angle]).tolist()
+    """One row per shot, values as "%.9g", the header and the labels as
+    csv.writer writes them."""
+    n = len(log)
+    table = np.empty((n, 10), dtype=object)
+    table[:, 0] = range(n)
+    table[:, 1:8] = np.column_stack([log.time, log.positions, log.axis_angle])
+    table[:, 8] = log.strip
+    quoted = {label: _csv_field(label) for label in set(log.segment.tolist())}
+    table[:, 9] = [quoted[label] for label in log.segment.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["index", *SHOT_VALUES, "strip", "segment"])
-        for i, (row, strip, segment) in enumerate(
-                zip(table, log.strip.tolist(), log.segment.tolist())):
-            w.writerow([i, *map(_fmt, row), strip, segment])
+        csv.writer(f, lineterminator="\n").writerow(["index", *SHOT_VALUES, "strip", "segment"])
+        f.write(("%d" + ",%.9g" * 7 + ",%d,%s\n") * n % tuple(table.ravel().tolist()))
 
 
 def _write_traj_csv(traj, path) -> None:
-    """One row per trajectory sample; "%.9g" formats as `_fmt` does."""
+    """One row per trajectory sample, values as "%.9g"."""
     table = np.column_stack([traj.time, traj.position, traj.delta_d,
                              traj.dist_l, traj.repulsing])
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("time_s,x,y,z,delta_d,dist_l,repulsing_flag\n")
-        f.writelines("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d\n" % tuple(row)
-                     for row in table.tolist())
+        f.write("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d\n" * len(table)
+                % tuple(table.ravel().tolist()))
 
 
 def read_shots_csv(path) -> ShotLog:

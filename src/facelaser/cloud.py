@@ -139,10 +139,20 @@ def load_ply(path) -> PointCloud:
     Requires x/y/z properties (MissingField otherwise); nx/ny/nz and
     red/green/blue are picked up when present, other fixed-size properties
     are skipped. A NaN or infinite x/y/z or nx/ny/nz raises ParseError
-    naming the (1-based) vertex row.
+    naming the (1-based) vertex row, a count or value that is not a number
+    raises it too, and every ParseError names the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    try:
+        return _parse_ply(data)
+    except ParseError as exc:               # MissingField too
+        raise type(exc)(f"{path}: {exc}") from exc
+    except ValueError as exc:               # from int() and float()
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _parse_ply(data: bytes) -> PointCloud:
     fmt, count, props, body_start = _parse_header(data)
     names = [p for p, _ in props]
     for coord in ("x", "y", "z"):

@@ -28,6 +28,12 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, 3) array, each rounded as
+    np.linalg.norm rounds that row alone."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None]).reshape(len(v)))
+
+
 def hat(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric cross-product matrix of v."""
     return np.array([
@@ -209,6 +215,26 @@ def rotation_to_axis_angle(rotation: np.ndarray) -> np.ndarray:
     return theta * (u / n)
 
 
+def rotations_to_axis_angle(rotations) -> np.ndarray:
+    """rotation_to_axis_angle of each rotation of an (n, 3, 3) stack, as (n, 3).
+
+    Rounded as the one-matrix form rounds; a rotation within ~5e-7 of pi
+    takes that form's branch for it.
+    """
+    r = np.asarray(rotations, dtype=float).reshape(-1, 3, 3)
+    u = np.stack([r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0],
+                  r[:, 1, 0] - r[:, 0, 1]], axis=1)
+    n = row_norms(u)
+    cos_theta = 0.5 * (r[:, 0, 0] + r[:, 1, 1] + r[:, 2, 2] - 1.0)
+    out = np.zeros_like(u)
+    turned = n >= 1e-12
+    theta = np.arctan2(0.5 * n[turned], cos_theta[turned])
+    out[turned] = theta[:, None] * (u[turned] / n[turned, None])
+    for i in np.flatnonzero((n < 1e-6) & (cos_theta < 0.0)):
+        out[i] = rotation_to_axis_angle(r[i])
+    return out
+
+
 def axis_angle_to_rotation(nu: np.ndarray) -> np.ndarray:
     """Rodrigues' formula; identity for ||nu|| < 1e-12."""
     nu = np.asarray(nu, dtype=float)
@@ -242,22 +268,30 @@ def interpolate_rotation(r_from: np.ndarray, r_to: np.ndarray, fraction: float) 
 def interpolate_rotations(r_from: np.ndarray, r_to: np.ndarray, fractions) -> np.ndarray:
     """interpolate_rotation at each of `fractions`, as an (n, 3, 3) stack.
 
-    Equal to it at fractions <= 0 and >= 1 and to rounding in between: along
-    the geodesic the rotation is r_from (I + sin(phi) K + (1 - cos(phi)) K^2),
-    phi going from 0 to the angle between the two about the unit axis whose
-    cross matrix is K.
+    `r_from` and `r_to` are one pair, (3, 3) each, or one pair per fraction,
+    (n, 3, 3) each. Each rotation is rounded as interpolate_rotation rounds
+    it: the relative rotation's axis-angle, scaled, through Rodrigues'
+    formula.
     """
     r_from = np.asarray(r_from, dtype=float)
     r_to = np.asarray(r_to, dtype=float)
     f = np.asarray(fractions, dtype=float).reshape(-1)
-    rel = rotation_to_axis_angle(r_from.T @ r_to)
-    angle = float(np.linalg.norm(rel))
-    k = hat(rel / angle) if angle > 0.0 else np.zeros((3, 3))
-    phi = (np.clip(f, 0.0, 1.0) * angle)[:, None, None]
-    out = (r_from + np.sin(phi) * (r_from @ k)
-           + 2.0 * np.sin(0.5 * phi) ** 2 * (r_from @ k @ k))
-    out[f >= 1.0] = r_to
-    out[f <= 0.0] = r_from
+    nu = f[:, None] * rotations_to_axis_angle(np.swapaxes(r_from, -1, -2) @ r_to)
+    theta = row_norms(nu)
+    k = np.zeros((len(nu), 3, 3))
+    turned = theta >= 1e-12
+    u = nu[turned] / theta[turned, None]
+    k[turned, 0, 1], k[turned, 0, 2], k[turned, 1, 2] = -u[:, 2], u[:, 1], -u[:, 0]
+    k[turned, 1, 0], k[turned, 2, 0], k[turned, 2, 1] = u[:, 2], -u[:, 1], u[:, 0]
+    theta = theta[:, None, None]
+    # float_power squares as a scalar's ** 2 does, by C pow; an array's ** 2
+    # is x * x, which rounds differently.
+    step = (np.eye(3) + np.sin(theta) * k
+            + 2.0 * np.float_power(np.sin(0.5 * theta), 2.0) * (k @ k))
+    step[~turned] = np.eye(3)
+    out = r_from @ step
+    out[f >= 1.0] = np.broadcast_to(r_to, out.shape)[f >= 1.0]
+    out[f <= 0.0] = np.broadcast_to(r_from, out.shape)[f <= 0.0]
     return out
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import DegenerateNormal, EmptySegment, InvalidParam
-from .geometry import RigidTransform, Vec3, Y_AXIS, Z_AXIS
+from .geometry import RigidTransform, Vec3, Y_AXIS, Z_AXIS, row_norms
 
 ORIENTATIONS = ("auto", "horizontal", "vertical")
 
@@ -206,12 +206,6 @@ def plan_segment(cloud: PointCloud, config: PlannerConfig,
                        np.concatenate(strip_of), orientation, widths)
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of v, each rounded as np.linalg.norm
-    rounds that row alone."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None]).reshape(len(v)))
-
-
 def path_to_poses(path: SegmentPath, standoff: float) -> list[RigidTransform]:
     """Effector poses hovering `standoff` above each patch along its normal.
 
@@ -223,23 +217,23 @@ def path_to_poses(path: SegmentPath, standoff: float) -> list[RigidTransform]:
     if standoff < 0:
         raise InvalidParam("standoff must be non-negative")
     eta = path.normals
-    norm = _row_norms(eta)
+    norm = row_norms(eta)
     if (np.abs(norm - 1.0) > 1e-6).any():
         raise ValueError("eta must be a unit vector")
     gamma = eta / norm[:, None]
     cross = np.cross(Y_AXIS, gamma)
-    length = _row_norms(cross)
+    length = row_norms(cross)
     parallel = np.flatnonzero(length < 1e-6)
     if len(parallel):
         cross[parallel] = np.cross(Z_AXIS, gamma[parallel])
-        length[parallel] = _row_norms(cross[parallel])
+        length[parallel] = row_norms(cross[parallel])
         stuck = parallel[length[parallel] < 1e-6]
         if len(stuck):
             raise DegenerateNormal(f"path point {stuck[0]} of '{path.label}': "
                                    "normal is parallel to the crossing reference axis")
     alpha = cross / length[:, None]
     beta = np.cross(gamma, alpha)
-    beta /= _row_norms(beta)[:, None]
+    beta /= row_norms(beta)[:, None]
     rotations = np.stack([alpha, beta, gamma], axis=2)
     positions = path.positions + standoff * eta
     return [RigidTransform(r, t) for r, t in zip(rotations, positions)]

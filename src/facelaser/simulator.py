@@ -17,15 +17,20 @@ fixed-rate control clock. Three behaviours ride on top of the motion:
   back into the plan frame by its inverse. Inside the dead-band nothing
   changes.
 
-Between two events a leg is a straight line at max_speed, so its ticks,
-trigger firings and dead-band checks are evaluated for the whole leg at
-once. The guard does not change that until it engages: the repulsive
-velocity is exactly zero while the fused distance is at least l_min
-(Khatib, IJRR 5(1), 1986). So a guarded leg casts the sensor rays of all its
-ticks in one batch, keeps the ticks before the first one whose distance is
-below l_min, and steps tick by tick from there to the end of the leg,
-because from then on the guard's feedback can bend the path. The tick loop
-is the reference the closed form is tested against.
+A segment is evaluated in blocks, not tick by tick. Between two events (the
+head leaving the dead-band, a point timeout, the guard engaging) every leg
+is a straight line at max_speed, so the ticks of all the segment's remaining
+legs are built in one array pass: one clock, the positions, the travel and
+the trigger, with one pass per shot bounded to its strip. Whether the head
+has left the dead-band depends only on the clock and the anchor, so the
+exit tick is found once per anchor. The shots of a block get their
+rotations in one stacked slerp. The guard does not change that until it
+engages: the repulsive velocity is exactly zero while the fused distance is
+at least l_min (Khatib, IJRR 5(1), 1986). So a guarded block casts the
+sensor rays of each leg's ticks in one batch, keeps the ticks before the
+first one whose distance is below l_min, and steps tick by tick from there
+to the end of that leg, because from then on the guard's feedback can bend
+the path. The tick loop is the reference the blocks are tested against.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ from .geometry import (
     interpolate_rotations,
     parse_pose,
     rotation_to_axis_angle,
+    rotations_to_axis_angle,
+    row_norms,
 )
 from .pathplan import SegmentPath, path_to_poses
 from .segmentation import points_in_polygon
@@ -156,6 +163,8 @@ def sensor_fusion_many(rig: SensorRig, cloud: PointCloud, rotations,
     rot = np.asarray(rotations, dtype=float).reshape(-1, 1, 3, 3)
     tip = np.asarray(tips, dtype=float).reshape(-1, 1, 3)
     n = len(tip)
+    if _beyond_reach(rig, cloud, rot, tip.reshape(n, 3)):
+        return np.full((n, 3), np.nan), np.zeros(n, dtype=bool)
     origins = (rot @ rig.origins[:, :, None])[..., 0] + tip        # (n, sensor, 3)
     directions = (rot @ rig.directions[:, :, None])[..., 0]
     index, distance = raycast_many(cloud, origins.reshape(-1, 3),
@@ -177,6 +186,26 @@ def sensor_fusion_many(rig: SensorRig, cloud: PointCloud, rotations,
     fused = np.divide(acc, w_sum[:, None], out=np.full((n, 3), np.nan),
                       where=w_sum[:, None] > 0.0)
     return fused, contact
+
+
+def _beyond_reach(rig: SensorRig, cloud: PointCloud, rotations: np.ndarray,
+                  tips: np.ndarray) -> bool:
+    """True when every tip is too far from the cloud for any sensor to hit it.
+
+    A hit lies within max_range of its ray's origin along the ray and within
+    beam_radius of it across, and the origin (a mount) lies hypot(ring_radius,
+    offset) from the tip. So no ray reaches the cloud's bounding box from a
+    tip farther from it than the sum, whatever the tool's rotation. The
+    slack covers rounding; non-finite poses are left to raycast_many to
+    reject.
+    """
+    if not len(cloud) or not (np.isfinite(rotations).all() and np.isfinite(tips).all()):
+        return False
+    tree = cloud.kdtree()
+    gap = np.maximum(np.maximum(tree.mins - tips, tips - tree.maxes), 0.0)
+    reach = rig.max_range + math.hypot(rig.ring_radius, rig.offset) + rig.beam_radius
+    scale = 1.0 + max(np.abs(tips).max(), np.abs(tree.mins).max(), np.abs(tree.maxes).max())
+    return bool((row_norms(gap) > reach + 1e-9 * scale).all())
 
 
 def repulsive_velocity(l: np.ndarray, l_min: float, kappa: float) -> np.ndarray:
@@ -451,10 +480,10 @@ def run_path(paths, config: SimConfig, standoff: float = 0.0,
     point_timeout (typically because the safety field holds the tool off)
     aborts the run.
 
-    With both `rig` and `cloud` the run is guarded. Each leg is evaluated in
-    closed form, up to the first tick where the guard engages; from there to
-    the end of the leg the run steps tick by tick. The result equals the
-    tick loop's to rounding.
+    With both `rig` and `cloud` the run is guarded. Each segment is evaluated
+    in blocks of legs up to the first tick where the guard engages; from
+    there to the end of that leg the run steps tick by tick. The result
+    equals the tick loop's to rounding.
     """
     if standoff < 0:
         raise InvalidParam("standoff must be non-negative")
@@ -488,6 +517,38 @@ class _Leg:
     len0: float
 
 
+def _trigger(moved: np.ndarray, stretch: np.ndarray, base: np.ndarray,
+             threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """delta_d after each tick, and the ticks where the laser fires.
+
+    `stretch` numbers the armed stretch each tick belongs to, -1 where it is
+    unarmed, and `base` is delta_d before the stretch (held on unarmed
+    ticks). Travel is summed one tick at a time from the last shot, as `step`
+    sums it, with one pass per shot bounded to that shot's stretch.
+    """
+    delta_d = base.copy()
+    fired = []
+    edges = np.flatnonzero(np.diff(stretch, prepend=-2)).tolist() + [len(moved)]
+    for lo, hi in zip(edges, edges[1:]):
+        if stretch[lo] < 0:
+            continue
+        begin, start = lo, base[lo]
+        while begin < hi:
+            acc = moved[begin:hi].copy()
+            acc[0] += start
+            np.add.accumulate(acc, out=acc)
+            k = int(np.argmax(acc >= threshold))
+            if acc[k] < threshold:
+                delta_d[begin:hi] = acc
+                break
+            tick = begin + k
+            delta_d[begin:tick] = acc[:k]
+            delta_d[tick] = 0.0
+            fired.append(tick)
+            begin, start = tick + 1, 0.0
+    return delta_d, np.array(fired, dtype=np.intp)
+
+
 class _Run:
     """State of one run_path call: clock, anchor, targets, shots, samples."""
 
@@ -499,8 +560,13 @@ class _Run:
         self.record = record
         self.head0 = self.anchor = motion.pose_at(0.0) if motion is not None else None
         self.carry = None                   # head o inv(head0) once re-anchored
+        # The scan for the tick that leaves the dead-band goes on from this
+        # clock, that tick itself checked already (scan_skip 1) or not. The
+        # re-anchoring tick is never checked against its own anchor.
+        self.scan_from, self.scan_skip = 0.0, 0
+        self.exit_at: float | None = None   # start of the tick that leaves the band
         self.state: EffectorState | None = None
-        self.shots: list[tuple] = []        # (time, position, axis_angle, strip, label)
+        self.shots: list[tuple] = []        # blocks of time, position, axis_angle, strip, label
         self.samples: list[np.ndarray] = []  # (k, 7) blocks of trajectory rows
         self.total = 0.0
 
@@ -508,7 +574,7 @@ class _Run:
         rows = np.concatenate(self.samples) if self.samples else np.empty((0, 7))
         trajectory = Trajectory(rows[:, 0], rows[:, 1:4], rows[:, 4], rows[:, 5],
                                 rows[:, 6] != 0.0)
-        columns = zip(*self.shots) if self.shots else ([],) * 5
+        columns = map(np.concatenate, zip(*self.shots)) if self.shots else ([],) * 5
         return RunResult(ShotLog(*columns, self.total), trajectory, self.state)
 
     def _record(self, time, position, delta_d, dist_l=math.inf, repulsing=False) -> None:
@@ -526,33 +592,45 @@ class _Run:
     def segment(self, path: SegmentPath, standoff: float) -> None:
         poses = path_to_poses(path, standoff)
         self.plan_pos = np.array([p.translation for p in poses])
-        self.plan_rot = [p.rotation for p in poses]
-        self.tgt_pos = self.plan_pos if self.carry is None else self.carry.apply(self.plan_pos)
-        strip_ids = np.asarray(path.strip_indices)
+        self.plan_rot = np.array([p.rotation for p in poses])
+        self._carry_targets()
+        self.label = path.label
+        self.strips = np.asarray(path.strip_indices)
+        # A leg between two targets of one strip; every other leg resets delta_d.
+        self.in_strip = np.concatenate([[False], self.strips[1:] == self.strips[:-1]])
         first = 0
         if self.state is None:
             self.state = EffectorState(self.tgt_pos[0].copy(), self.plan_rot[0].copy())
             first = 1
         self.state.delta_d = 0.0
         self._record(self.state.time, self.state.position, 0.0)
-        for j in range(first, len(poses)):
-            in_strip = j > 0 and strip_ids[j] == strip_ids[j - 1]
-            state = self.state
-            if not in_strip:
-                state.delta_d = 0.0
-            tgt_rot = self.plan_rot[j] if self.carry is None \
-                else self.carry.rotation @ self.plan_rot[j]
-            leg = _Leg(j, int(strip_ids[j]), path.label,
-                       in_strip and self.config.laser_enabled, state.rotation,
-                       tgt_rot, state.time,
-                       float(np.linalg.norm(self.tgt_pos[j] - state.position)))
-            self._leg(leg)
-            self.state.position = self.tgt_pos[j].copy()
-            self.state.rotation = leg.tgt_rot.copy()
+        if first < len(poses):
+            self._legs(self._open(first))
+
+    def _carry_targets(self) -> None:
+        if self.carry is None:
+            self.tgt_pos, self.tgt_rot = self.plan_pos, self.plan_rot
+        else:
+            self.tgt_pos = self.carry.apply(self.plan_pos)
+            self.tgt_rot = self.carry.rotation @ self.plan_rot
+
+    def _open(self, j: int) -> _Leg:
+        """Begin the leg toward target j from the current state."""
+        state = self.state
+        if not self.in_strip[j]:
+            state.delta_d = 0.0
+        return self._new_leg(j, state.rotation, state.time,
+                             float(np.linalg.norm(self.tgt_pos[j] - state.position)))
+
+    def _new_leg(self, j: int, rot_from: np.ndarray, t0: float, len0: float) -> _Leg:
+        return _Leg(j, int(self.strips[j]), self.label,
+                    bool(self.in_strip[j]) and self.config.laser_enabled, rot_from,
+                    self.tgt_rot[j], t0, len0)
 
     def _tick_leg(self, leg: _Leg) -> None:
-        """One `step` per tick, the guard fed on every tick: the rest of a leg
-        once the guard engages, and the reference `_leg` is tested against."""
+        """One `step` per tick to the end of the leg, the guard fed on every
+        tick: the rest of a leg once the guard engages, and the reference
+        `_legs` is tested against."""
         cfg = self.config
         while float(np.linalg.norm(self.tgt_pos[leg.j] - self.state.position)) > 1e-9:
             if self.motion is not None:
@@ -573,99 +651,173 @@ class _Run:
                 break
             if cfg.point_timeout is not None and state.time - leg.t0 > cfg.point_timeout:
                 self._abort(leg)
+        self.state.position = self.tgt_pos[leg.j].copy()
+        self.state.rotation = leg.tgt_rot.copy()
 
-    def _leg(self, leg: _Leg) -> None:
-        """All ticks of a leg at once, split at dead-band exits and where the
-        guard engages.
+    def _legs(self, leg: _Leg) -> None:
+        """The segment from the open leg to its last target, in blocks that
+        run all their ticks at once and end at the next event: the head
+        leaving the dead-band, a point timeout, or the guard engaging.
 
-        From position p toward a target at distance L, tick k (1-based) ends
-        at p + min(k s, L) u, s being one tick of travel at max_speed; the
-        leg takes the fewest ticks that end within 1e-9 of the target. Tick
-        times accumulate one dt at a time, as the tick loop's clock does. A
-        guarded block keeps its ticks before the first one where the guard
-        engages and hands the rest of the leg to the tick loop.
+        From position p toward a target at distance L, tick k (1-based) of a
+        leg ends at p + min(k s, L) u, s being one tick of travel at
+        max_speed; the leg takes the fewest ticks that end within 1e-9 of its
+        target, and none if it starts that close. The clock adds one dt per
+        tick over all legs, as the tick loop's does. A guarded block casts
+        the rays of each leg's ticks in one batch, keeps the ticks before the
+        first one where the guard engages, and hands the rest of that leg to
+        the tick loop.
         """
         cfg = self.config
         dt = 1.0 / cfg.control_rate
         s = cfg.max_speed * dt
-        state = self.state
-        if leg.len0 <= 1e-9:
-            return
-        check_from = 0                      # the re-anchoring tick is not re-checked
+        resumed = False                     # the open leg goes on after an event
         while True:
-            target = self.tgt_pos[leg.j]
-            to_target = target - state.position
-            dist = float(np.linalg.norm(to_target))
-            n = max(1, math.ceil((dist - 1e-9) / s))
+            state, j0 = self.state, leg.j
+            starts = np.vstack([state.position, self.tgt_pos[j0:-1]])
+            to_target = self.tgt_pos[j0:] - starts
+            dist = row_norms(to_target)
+            ticks = np.maximum(1, np.ceil((dist - 1e-9) / s)).astype(np.intp)
+            idle = dist <= 1e-9
+            idle[0] &= not resumed
+            ticks[idle] = 0
+            first = np.concatenate([[0], np.cumsum(ticks)])    # each leg's first tick
+            n = int(first[-1])
             times = np.full(n + 1, dt)
             times[0] = state.time
             times = np.add.accumulate(times)
+            of = np.repeat(np.arange(len(ticks)), ticks)        # the leg of each tick
+            k = np.arange(1, n + 1) - first[of]                 # its tick in the leg
+            # Per leg: when and from which rotation it began, and how long it
+            # was; the open leg began before this block.
+            t0 = times[first[:-1]]
+            t0[0] = leg.t0
+            len0 = dist.copy()
+            len0[0] = leg.len0
+            rot_from = np.concatenate([[leg.rot_from], self.tgt_rot[j0:-1]])
+
+            def leg_at(i: int) -> _Leg:
+                return leg if i == 0 else self._new_leg(j0 + i, rot_from[i], float(t0[i]),
+                                                        float(len0[i]))
+
             ran = n                         # ticks run before the next event
-            exits = False
-            if self.motion is not None and check_from < n:
-                out = np.flatnonzero(self.motion.leaves_deadband(
-                    self.anchor, times[check_from:n],
-                    cfg.deadband_translation, cfg.deadband_rotation))
-                if out.size:
-                    ran, exits = check_from + int(out[0]), True
-            late = False
+            exits = late = engages = False
+            if self.motion is not None:
+                ran = int(np.searchsorted(times[:n], self._exit_time()))
+                exits = ran < n
             if cfg.point_timeout is not None:
                 # The tick that arrives is never late.
-                over = np.flatnonzero(times[1:min(ran, n - 1) + 1] - leg.t0
-                                      > cfg.point_timeout)
+                over = np.flatnonzero((times[1:ran + 1] - t0[of[:ran]] > cfg.point_timeout)
+                                      & (k[:ran] < ticks[of[:ran]]))
                 if over.size:
                     ran, exits, late = int(over[0]) + 1, False, True
 
-            travel = np.minimum(np.arange(1, ran + 1) * s, dist)
-            unit_dir = to_target / dist if dist > 0.0 else to_target
-            positions = state.position + travel[:, None] * unit_dir
-            if ran == n and travel[-1] == dist:
-                positions[-1] = target
-            dist_l = math.inf
-            engages = False
-            if self.rig is not None and ran:  # a block of no ticks senses nothing
-                dist_l, engaged = self._sense(leg, times[:ran], positions)
-                if engaged < ran:
-                    ran, exits, late, engages = engaged, False, False, True
-                    travel, positions, dist_l = travel[:ran], positions[:ran], dist_l[:ran]
+            of, k = of[:ran], k[:ran]
+            travel = np.minimum(k * s, dist[of])
+            unit_dir = np.divide(to_target, dist[:, None], out=to_target.copy(),
+                                 where=dist[:, None] > 0.0)
+            positions = starts[of] + travel[:, None] * unit_dir[of]
+            lands = (k == ticks[of]) & (travel == dist[of])
+            positions[lands] = self.tgt_pos[j0 + of[lands]]
+            dist_l = np.full(ran, math.inf)
+            if self.rig is not None:
+                for i in np.unique(of).tolist():    # one cast per leg
+                    a, b = first[i], min(first[i + 1], ran)
+                    dist_l[a:b], engaged = self._sense(
+                        leg_at(i),
+                        state.rotation if i == 0 else rot_from[i], starts[i],
+                        times[a:b], positions[a:b])
+                    if a + engaged < b:
+                        ran, exits, late, engages = a + engaged, False, False, True
+                        of, k, travel = of[:ran], k[:ran], travel[:ran]
+                        positions, dist_l = positions[:ran], dist_l[:ran]
+                        break
+
             moved = np.diff(travel, prepend=0.0)
-            delta_d = self._trigger(leg, moved, times, positions)
+            moved[k == 1] = travel[k == 1]
+            armed = self.in_strip[j0:] & cfg.laser_enabled
+            armed[0] = leg.armed
+            reset = ~self.in_strip[j0:]
+            reset[0] = False
+            group = np.cumsum(reset)        # legs that share one delta_d
+            base = np.where(group == 0, state.delta_d, 0.0)
+            delta_d, fired = _trigger(moved, np.where(armed[of], group[of], -1),
+                                      base[of], cfg.laser_diameter * FIRE_FRACTION)
+            self._shoot_many(j0, of[fired], times[fired + 1], positions[fired],
+                             rot_from, t0, len0)
             self.total += float(moved.sum())
             self._record(times[1:ran + 1], positions, delta_d, dist_l)
-            if ran:
-                state.position = positions[-1].copy()
-                state.delta_d = float(delta_d[-1])
-                if exits or late or engages:    # the leg goes on from this pose
-                    state.rotation = self._rotation(leg, times[ran])
+
+            # The open leg after the block: the last one, or the one the event is in.
+            i = int(of[-1]) if late else int(np.searchsorted(first, ran, side="right")) - 1
+            i = min(i, len(ticks) - 1)
             state.time = float(times[ran])
+            state.delta_d = float(delta_d[-1]) if ran and group[of[-1]] == group[i] \
+                else float(base[i])
+            if not (exits or late or engages):
+                state.position = self.tgt_pos[-1].copy()
+                state.rotation = self.tgt_rot[-1].copy()
+                return
+            leg = leg_at(i)
+            if ran > first[i]:              # the leg goes on from this pose
+                state.position = positions[-1].copy()
+                state.rotation = self._rotation(leg, state.time)
+            elif i > 0:                     # or from where it begins
+                state.position = starts[i].copy()
+                state.rotation = rot_from[i].copy()
             if late:
                 self._abort(leg)
             if engages:
                 self._tick_leg(leg)
-                return
-            if not exits:
-                return
-            self._reanchor(self.motion.pose_at(state.time), leg)
-            check_from = 1
+                if leg.j + 1 == len(self.tgt_pos):
+                    return
+                leg, resumed = self._open(leg.j + 1), False
+            else:
+                self._reanchor(self.motion.pose_at(state.time), leg)
+                resumed = True
 
-    def _sense(self, leg: _Leg, times: np.ndarray,
-               ends: np.ndarray) -> tuple[np.ndarray, int]:
-        """Fused distances at the start of a block's ticks, and the first
-        tick where the guard engages (len(times) if none does).
+    def _exit_time(self) -> float:
+        """Start of the first tick, since the anchor was set, where the head
+        is out of the dead-band around it; inf if it never is.
+
+        leaves_deadband runs on a horizon of ticks that doubles, each call
+        on the ticks after the last one checked, until it holds the exit or
+        passes the motion script's last keyframe, after which the head stands
+        still.
+        """
+        cfg = self.config
+        horizon = 64
+        while self.exit_at is None:
+            times = np.full(self.scan_skip + horizon, 1.0 / cfg.control_rate)
+            times[0] = self.scan_from
+            times = np.add.accumulate(times)[self.scan_skip:]
+            out = np.flatnonzero(self.motion.leaves_deadband(
+                self.anchor, times, cfg.deadband_translation, cfg.deadband_rotation))
+            if out.size:
+                self.exit_at = float(times[out[0]])
+            elif times[-1] >= self.motion.times[-1]:
+                self.exit_at = math.inf
+            self.scan_from, self.scan_skip, horizon = float(times[-1]), 1, 2 * horizon
+        return self.exit_at
+
+    def _sense(self, leg: _Leg, rotation: np.ndarray, tip: np.ndarray,
+               times: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, int]:
+        """Fused distances at the start of a leg's ticks, and the first tick
+        where the guard engages (len(times) if none does).
 
         Tick i starts at times[i] from the end of the tick before it, ends[i - 1],
-        in the pose `step` would sense from: the state's rotation on the
-        block's first tick, and on every later one the rotation the tick loop
-        sets at the end of the tick before. The guard engages on a distance
-        below l_min and on a sensor hit at the tip, which `step` raises
-        ContactError for. The whole block is cast in one batch, at a few kB
-        per tick; a point_timeout caps a block at point_timeout * control_rate
-        ticks.
+        in the pose `step` would sense from: `rotation` and `tip` on the
+        first tick, and on every later one the rotation the tick loop sets at
+        the end of the tick before. The guard engages on a distance below
+        l_min and on a sensor hit at the tip, which `step` raises
+        ContactError for. The ticks are cast in one batch, at a few kB per
+        tick; a point_timeout caps a leg's block at point_timeout *
+        control_rate ticks.
         """
         rotations = interpolate_rotations(leg.rot_from, leg.tgt_rot,
-                                          self._fractions(leg, times))
-        rotations[0] = self.state.rotation
-        tips = np.vstack([self.state.position, ends[:-1]])
+                                          self._fractions(leg.t0, leg.len0, times))
+        rotations[0] = rotation
+        tips = np.vstack([tip, ends[:-1]])
         if self.carry is not None:            # sensed from inv(carry) o pose
             back = self.carry.rotation.T
             rotations = back @ rotations
@@ -673,60 +825,41 @@ class _Run:
         fused, contact = sensor_fusion_many(self.rig, self.cloud, rotations, tips)
         if self.carry is not None:
             fused = (self.carry.rotation @ fused[:, :, None])[..., 0]
-        # Rounded as np.linalg.norm rounds one vector; NaN where nothing is in range.
-        dist = np.sqrt((fused[:, None, :] @ fused[:, :, None]).reshape(-1))
+        dist = row_norms(fused)               # NaN where nothing is in range
         dist_l = np.where(np.isnan(dist), math.inf, dist)
         engaged = np.flatnonzero(contact | (dist_l < self.rig.l_min))
         return dist_l, int(engaged[0]) if engaged.size else len(times)
 
-    def _trigger(self, leg: _Leg, moved: np.ndarray, times: np.ndarray,
-                 positions: np.ndarray) -> np.ndarray:
-        """delta_d after each tick of a closed-form block; logs its shots.
-
-        Travel is summed one tick at a time from the last shot, as `step`
-        sums it, with one pass per shot rather than per tick.
-        """
-        delta_d = np.full(len(moved), self.state.delta_d)
-        if not leg.armed:
-            return delta_d
-        threshold = self.config.laser_diameter * FIRE_FRACTION
-        begin, base = 0, self.state.delta_d
-        while begin < len(moved):
-            acc = moved[begin:].copy()
-            acc[0] += base
-            np.add.accumulate(acc, out=acc)
-            k = int(np.argmax(acc >= threshold))
-            if acc[k] < threshold:
-                delta_d[begin:] = acc
-                break
-            tick = begin + k
-            delta_d[begin:tick] = acc[:k]
-            delta_d[tick] = 0.0
-            t = float(times[tick + 1])
-            self._shoot(leg, t, positions[tick], self._rotation(leg, t))
-            begin, base = tick + 1, 0.0
-        return delta_d
-
     def _rotation(self, leg: _Leg, t: float) -> np.ndarray:
         return interpolate_rotation(leg.rot_from, leg.tgt_rot,
-                                    float(self._fractions(leg, t)))
+                                    float(self._fractions(leg.t0, leg.len0, t)))
 
-    def _fractions(self, leg: _Leg, t) -> np.ndarray:
-        """How far the rotation has slerped at time(s) t: in proportion to the
-        travel at max_speed since the leg began, capped at 1."""
-        if leg.len0 < 1e-12:
-            return np.ones(np.shape(t))
-        return np.minimum(1.0, (np.asarray(t) - leg.t0) * self.config.max_speed / leg.len0)
+    def _fractions(self, t0, len0, t) -> np.ndarray:
+        """How far a leg's rotation has slerped at time(s) t: in proportion
+        to the travel at max_speed since the leg began at t0, capped at 1.
+        Only a leg longer than 1e-9 takes a tick."""
+        return np.minimum(1.0, (np.asarray(t) - t0) * self.config.max_speed / len0)
 
     def _shoot(self, leg: _Leg, t: float, position, rotation) -> None:
-        self.shots.append((t, position.copy(), rotation_to_axis_angle(rotation),
-                           leg.strip, leg.label))
+        self.shots.append(([t], position[None].copy(), rotation_to_axis_angle(rotation)[None],
+                           [leg.strip], [leg.label]))
+
+    def _shoot_many(self, j0: int, legs, times, positions, rot_from, t0, len0) -> None:
+        """Log shots of a block at once: legs[i] is the block's leg that
+        fires shot i, at times[i] from positions[i]."""
+        if len(legs):
+            rotations = interpolate_rotations(
+                rot_from[legs], self.tgt_rot[j0 + legs],
+                self._fractions(t0[legs], len0[legs], times))
+            self.shots.append((times, positions, rotations_to_axis_angle(rotations),
+                               self.strips[j0 + legs], np.full(len(legs), self.label)))
 
     def _reanchor(self, head: RigidTransform, leg: _Leg) -> None:
         self.anchor = head
         self.carry = head.compose(self.head0.invert())
-        self.tgt_pos = self.carry.apply(self.plan_pos)
-        leg.tgt_rot = self.carry.rotation @ self.plan_rot[leg.j]
+        self._carry_targets()
+        leg.tgt_rot = self.tgt_rot[leg.j]
+        self.exit_at, self.scan_from, self.scan_skip = None, self.state.time, 1
 
     def _abort(self, leg: _Leg):
         raise AbortedOnSafety(
@@ -826,8 +959,7 @@ def coverage_metrics(log: ShotLog, diameter: float,
 
     same = (log.segment[1:] == log.segment[:-1]) & (log.strip[1:] == log.strip[:-1])
     hop = np.diff(shots, axis=0)[same]
-    # Row-wise dot products, rounded as np.linalg.norm rounds one vector.
-    gaps = np.sqrt((hop[:, None, :] @ hop[:, :, None]).reshape(-1))
+    gaps = row_norms(hop)
     mean_sp = float(np.mean(gaps)) if len(gaps) else None
     var_sp = float(np.var(gaps)) if len(gaps) else None
 

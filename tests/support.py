@@ -1,6 +1,7 @@
 """Shared synthetic fixtures: analytic clouds, landmark layouts, path stubs,
 and the reference implementations (brute-force raycast, np.unique voxel grid,
-eigh normals, per-patch poses) that the fast versions are tested against."""
+eigh normals, per-patch poses, the simulator's tick loop over a segment) that
+the fast versions are tested against."""
 
 import math
 
@@ -210,3 +211,14 @@ def loop_path_to_poses(path: SegmentPath, standoff: float) -> list[RigidTransfor
                     f"path point {i} of '{path.label}': {exc}") from exc
         poses.append(RigidTransform(rot, chi + standoff * eta))
     return poses
+
+
+def tick_legs(run, leg) -> None:
+    """The simulator's tick loop from the open leg to the end of its
+    segment, one leg after another: the reference of `_Run._legs`, which
+    tests put in its place."""
+    while True:
+        run._tick_leg(leg)
+        if leg.j + 1 == len(run.tgt_pos):
+            return
+        leg = run._open(leg.j + 1)

@@ -1,6 +1,8 @@
+import csv
 import hashlib
 import inspect
 import json
+import math
 from dataclasses import fields
 from decimal import Decimal
 from pathlib import Path
@@ -8,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facelaser.cli import RunConfig, main, read_shots_csv
+from facelaser.cli import SHOT_VALUES, RunConfig, _write_shots_csv, main, read_shots_csv
 from facelaser.cloud import PointCloud, load_ply, save_ply
 from facelaser.geometry import RigidTransform
 from facelaser.registration import estimate_viewpoints, merge_views
-from facelaser.simulator import coverage_metrics, run_path
+from facelaser.simulator import ShotLog, coverage_metrics, run_path
 
 from support import ellipsoid_cloud, face_cloud, fibonacci_sphere, plane_grid
 
@@ -319,6 +321,7 @@ def test_register_non_finite_view_exits_1(workdir, capsys, column):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "vertex row 18" in err
+    assert f"{names[1]}: " in err and str(names[0]) not in err
     assert not (workdir / "merged.ply").exists()
 
 
@@ -379,6 +382,26 @@ GUARDED_GOLDEN_SHA256 = {
     "shots.csv": "6a6645917f5a94481bfadd1b99b5b818fb58210e06b6132d5fa10cfde23d7968",
     "traj.csv": "6197873b8ba1fd130419a731f5271a3abc19562daedb4d3dffcca518acdc58d7",
 }
+
+
+def test_shots_csv_rows_are_written_as_csv_writer_writes_them(tmp_path):
+    """Every row in one format call, against one csv.writer row per shot,
+    with labels that need quoting and values "%.9g" spells out."""
+    labels = ["nose", "a,b", 'say "hi"', "", "two\nlines", "nose"]
+    values = [0.0, -0.0, 1e-300, 123456789.5, math.pi, -2.5e-7, math.inf]
+    log = ShotLog(values[:6], np.reshape(values * 3, (-1, 3))[:6], np.full((6, 3), -1 / 3),
+                  [0, 1, 2, 3, 40, -1], labels)
+    _write_shots_csv(log, tmp_path / "shots.csv")
+    with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["index", *SHOT_VALUES, "strip", "segment"])
+        table = np.column_stack([log.time, log.positions, log.axis_angle]).tolist()
+        for i, (row, strip, label) in enumerate(zip(table, log.strip.tolist(), labels)):
+            w.writerow([i, *(format(v, ".9g") for v in row), strip, label])
+    assert (tmp_path / "shots.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _write_shots_csv(ShotLog([], [], [], [], []), tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_text() == ",".join(
+        ["index", *SHOT_VALUES, "strip", "segment"]) + "\n"
 
 
 def sphere_cap(min_z: float, radius: float = 0.15) -> PointCloud:

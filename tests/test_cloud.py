@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,24 @@ class TestPlyRoundTrip:
         path = tmp_path / "trunc.ply"
         path.write_bytes(header.encode() + b"\x00" * 12)  # one vertex, not two
         with pytest.raises(ParseError):
+            load_ply(path)
+
+    @pytest.mark.parametrize("text, error", [
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n", ParseError),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\nproperty float z\n"
+         "end_header\n0 0\n", MissingField),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\nproperty float y\n"
+         "property float z\nend_header\n0 nan 0\n", ParseError),
+        ("ply\nformat ascii 1.0\nelement vertex abc\nproperty float x\nproperty float y\n"
+         "property float z\nend_header\n0 0 0\n", ParseError),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\nproperty float y\n"
+         "property float z\nend_header\n0 zz 0\n", ParseError),
+    ], ids=["header", "missing-field", "non-finite", "count-not-a-number",
+            "value-not-a-number"])
+    def test_errors_name_the_file(self, tmp_path, text, error):
+        path = tmp_path / "bad.ply"
+        path.write_text(text)
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
             load_ply(path)
 
     def test_missing_magic_rejected(self, tmp_path):

@@ -20,6 +20,7 @@ from facelaser.geometry import (
     rotation_about_y,
     rotation_from_normal,
     rotation_to_axis_angle,
+    rotations_to_axis_angle,
     unit,
 )
 
@@ -97,6 +98,22 @@ class TestAxisAngle:
             nu = rotation_to_axis_angle(r)
             assert np.abs(axis_angle_to_rotation(nu) - r).max() < 1e-9
 
+    def test_stacked_matches_one_at_a_time(self, rng):
+        """Bit for bit, at the identity, small angles, within 1e-6 of pi (the
+        near-pi branch starts ~5e-7 from it) and at pi, whose antisymmetric
+        part is exactly zero for the diagonal turns."""
+        thetas = [0.0, 1e-12, 1e-9, 1e-6, 0.1, 3.07, np.pi - 1e-6, np.pi - 4e-7,
+                  np.pi - 1e-9, np.pi]
+        stack = [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+                 np.diag([-1.0, -1.0, 1.0])]
+        for theta in thetas:
+            for _ in range(4):
+                stack.append(Rotation.from_rotvec(theta * unit(rng.normal(size=3))).as_matrix())
+        stack.append(random_rotation(rng))
+        one = [rotation_to_axis_angle(r) for r in stack]
+        assert np.array_equal(rotations_to_axis_angle(np.array(stack)), one)
+        assert rotations_to_axis_angle(np.empty((0, 3, 3))).shape == (0, 3)
+
     def test_identity_maps_to_zero(self):
         assert np.allclose(rotation_to_axis_angle(np.eye(3)), np.zeros(3))
 
@@ -163,10 +180,20 @@ class TestFraming:
             a, b = random_rotation(rng), random_rotation(rng)
             stack = interpolate_rotations(a, b, fractions)
             one = [interpolate_rotation(a, b, f) for f in fractions]
-            assert np.abs(stack - one).max() <= 1e-15
+            assert np.array_equal(stack, one)
             # At and past either end the stack holds the end rotation itself.
             for k in (0, 1, 6, 7):
                 assert np.array_equal(stack[k], one[k])
+
+    def test_one_pair_per_fraction(self, rng):
+        """Stacked pairs, among them equal ones and ones a half turn apart."""
+        a = np.array([random_rotation(rng) for _ in range(12)])
+        b = np.array([random_rotation(rng) for _ in range(12)])
+        b[0], b[1] = a[0], a[1] @ np.diag([1.0, -1.0, -1.0])
+        fractions = rng.uniform(-0.2, 1.2, size=12)
+        fractions[2:4] = 0.0, 1.0
+        one = [interpolate_rotation(x, y, f) for x, y, f in zip(a, b, fractions)]
+        assert np.array_equal(interpolate_rotations(a, b, fractions), one)
 
 
 class TestProjection:

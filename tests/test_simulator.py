@@ -19,6 +19,7 @@ from facelaser.geometry import (
     RigidTransform,
     Z_AXIS,
     axis_angle_to_rotation,
+    rotation_from_normal,
 )
 
 
@@ -41,7 +42,7 @@ from facelaser.simulator import (
     transform_path,
 )
 
-from support import straight_path, wall_cloud
+from support import scan_raycast, straight_path, tick_legs, wall_cloud
 from test_acceptance import COLLISION_SCENARIOS, collision_run
 
 
@@ -173,6 +174,57 @@ class TestSensorFusion:
         with pytest.raises(ValueError):
             sensor_fusion(SensorRig(), bare,
                           RigidTransform.identity())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_sensor_fusion_beyond_reach_matches_cast(data):
+    """sensor_fusion_many returns before casting when every tip is farther
+    from the cloud's bounding box than a sensor can reach. Tips just inside
+    and just outside that distance, some facing the box: a batch returned
+    early equals the cast batch, and the reference scan finds no hit for
+    any of its rays."""
+    draw = data.draw
+    n = draw(st.integers(1, 25))
+    points = np.array(draw(st.lists(st.tuples(*[st.floats(-0.05, 0.05)] * 3),
+                                    min_size=n, max_size=n)))
+    normals = np.array(draw(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+                                     min_size=n, max_size=n))) + [0.0, 0.0, 3.0]
+    cloud = PointCloud(points, normals / np.linalg.norm(normals, axis=1, keepdims=True))
+    max_range = draw(st.floats(0.05, 0.5))
+    rig = SensorRig(ring_radius=draw(st.floats(0.0, 0.05)), offset=draw(st.floats(-0.1, 0.1)),
+                    max_range=max_range, l_min=0.5 * max_range,
+                    beam_radius=draw(st.floats(1e-4, 0.02)))
+    reach = rig.max_range + math.hypot(rig.ring_radius, rig.offset) + rig.beam_radius
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    rotations, tips, beyond = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        side = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(3)])
+        out = side * np.array([draw(st.floats(0.05, 1.0)) for _ in range(3)])
+        out /= np.linalg.norm(out)
+        gap = draw(st.sampled_from([-0.5 * reach, -1e-3, -1e-6, 0.0, 1e-6, 1e-3]))
+        tips.append(np.where(side > 0, hi, lo) + (reach + gap) * out)
+        beyond.append(gap > 0.0)
+        if draw(st.booleans()):             # the beam axis, tool -z, at the box
+            rotations.append(rotation_from_normal(out, Z_AXIS if abs(out[1]) > 0.9
+                                                  else np.array([0.0, 1.0, 0.0])))
+        else:
+            rotations.append(axis_angle_to_rotation(
+                [draw(st.floats(-3.0, 3.0)) for _ in range(3)]))
+    rotations, tips = np.array(rotations), np.array(tips)
+    fused, contact = simulator.sensor_fusion_many(rig, cloud, rotations, tips)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_beyond_reach", lambda *args: False)
+        cast_fused, cast_contact = simulator.sensor_fusion_many(rig, cloud, rotations, tips)
+    assert np.array_equal(fused, cast_fused, equal_nan=True)
+    assert np.array_equal(contact, cast_contact)
+    assert simulator._beyond_reach(rig, cloud, rotations, tips) == all(beyond)
+    for rotation, tip, far in zip(rotations, tips, beyond):
+        if far:
+            for origin, direction in zip(rig.origins @ rotation.T + tip,
+                                         rig.directions @ rotation.T):
+                assert scan_raycast(cloud, origin, direction, rig.beam_radius,
+                                    rig.max_range) is None
 
 
 class TestDeadband:
@@ -524,13 +576,13 @@ class TestCoverageMetrics:
             coverage_metrics(shot_log([0.0, 0.004]), 0.004, **kwargs)
 
 
-# ----------------------------------------------- closed-form legs vs tick loop
+# ------------------------------------------ segment blocks vs the tick loop
 
 @contextlib.contextmanager
 def stepping(tick_loop=False):
     """Record the clock of every `step` call. With tick_loop, every leg runs
-    through the tick loop, the reference the closed-form legs are tested
-    against."""
+    through the tick loop (`support.tick_legs` in place of `_Run._legs`), the
+    reference the segment blocks are tested against."""
     calls = []
     real_step = simulator.step
 
@@ -541,7 +593,7 @@ def stepping(tick_loop=False):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "step", recording_step)
         if tick_loop:
-            mp.setattr(simulator._Run, "_leg", simulator._Run._tick_leg)
+            mp.setattr(simulator._Run, "_legs", tick_legs)
         yield calls
 
 
@@ -695,6 +747,143 @@ def test_guarded_legs_match_tick_loop(run):
     assert_same_run(paths, cfg, **kwargs)
 
 
+whole_ticks = st.integers(-8, 40).map(lambda m: max(m, 0))     # 0 repeats a target
+
+
+def on_tick(tick, dt, cfg, draw):
+    """Head motion that first leaves the dead-band on `tick`, the pose held
+    between switches half a tick off the grid, and may move on later."""
+    still = RigidTransform(np.eye(3), np.zeros(3))
+    direction = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)]) + [0.0, 0.0, 2.0]
+    direction /= np.linalg.norm(direction)
+    if draw(st.booleans()):
+        def head(level):
+            return RigidTransform(np.eye(3), 2.5 * level * cfg.deadband_translation * direction)
+    else:
+        def head(level):
+            return RigidTransform(axis_angle_to_rotation(
+                2.5 * level * cfg.deadband_rotation * direction), np.zeros(3))
+    t = (tick - 0.5) * dt
+    times, poses = [0.0, t, t + 0.1 * dt], [still, still, head(1)]
+    later = draw(st.sampled_from([None, 0, 2]))
+    if later is not None:
+        t = (tick + draw(st.integers(1, 200)) - 0.5) * dt
+        times, poses = times + [t, t + 0.1 * dt], poses + [head(1), head(later)]
+    return MotionScript(times, poses)
+
+
+@st.composite
+def bump_runs(draw):
+    """bump_run with a drawn bump, speed and strips, and at times a repeated
+    target: one block of three or four legs whose middle leg passes over the
+    bump, where the guard engages."""
+    path, _, guard = bump_run()
+    drop, shift = draw(st.floats(0.0, 0.004)), draw(st.floats(-0.01, 0.02))
+    bump = PointCloud(guard["cloud"].positions + [shift, 0.0, drop], guard["cloud"].normals)
+    chi, strips = path.positions, [0, 0, 0, 0]
+    if draw(st.booleans()):
+        strips = [0, 0, 0, 1] if draw(st.booleans()) else [0, 1, 1, 1]
+    repeat = draw(st.sampled_from([None, 1, 2]))
+    if repeat is not None:
+        chi = np.insert(chi, repeat, chi[repeat], axis=0)
+        strips = strips[:repeat] + strips[repeat - 1:]
+    cfg = SimConfig(draw(st.floats(0.003, 0.006)), draw(st.floats(5.0, 20.0)))
+    path = SegmentPath("bump", chi, [Z_AXIS] * len(chi), strips, "horizontal")
+    return path, cfg, {"rig": guard["rig"], "cloud": bump}, ("engage", (-0.05, 0.05))
+
+
+@st.composite
+def segment_runs(draw):
+    """A run whose first event falls on a chosen tick, and what it must do.
+
+    Each leg is a whole number of ticks of travel long (0 repeats a target),
+    so the tick each leg starts on is known before the run: the head leaves
+    the dead-band in the middle of a leg, on a leg's first tick or on the
+    second segment's first tick; or a point_timeout fires on a later leg of
+    its segment. Strips change between some targets, and the dark legs
+    between them reset delta_d.
+    """
+    event = draw(st.sampled_from(["mid-leg", "leg-boundary", "segment-start", "timeout",
+                                  "guard"]))
+    if event == "guard":
+        return draw(bump_runs())
+    rate = draw(st.floats(50.0, 250.0))
+    cfg = SimConfig(draw(st.floats(0.001, 0.006)), rate / draw(st.floats(1.5, 30.0)),
+                    control_rate=rate, deadband_translation=draw(st.floats(1e-3, 5e-3)),
+                    deadband_rotation=math.radians(draw(st.floats(2.0, 8.0))),
+                    laser_enabled=draw(st.sampled_from([True, True, False])))
+    dt = 1.0 / rate
+    s = cfg.max_speed * dt
+    sizes = [draw(st.integers(3, 6)) for _ in range(2 if event == "segment-start"
+                                                    else draw(st.integers(1, 2)))]
+    # (segment, target) of every leg in run order; the run starts at target 0.
+    legs = [(g, j) for g, size in enumerate(sizes) for j in range(size) if g or j]
+    if event == "segment-start":
+        chosen = legs.index((1, 0))
+    else:                                   # not the first leg of its segment
+        chosen = draw(st.sampled_from([i for i, (g, j) in enumerate(legs)
+                                       if j >= (2 if g == 0 else 1)]))
+    ticks = [draw(whole_ticks) for _ in legs]
+    ticks[0] = max(ticks[0], 1)
+    if event == "mid-leg":
+        ticks[chosen] = max(ticks[chosen], 2)
+        tick = sum(ticks[:chosen]) + draw(st.integers(1, ticks[chosen] - 1))
+    elif event in ("leg-boundary", "segment-start"):
+        ticks[chosen] = max(ticks[chosen], 1)
+        tick = sum(ticks[:chosen])
+    else:
+        longest = max(ticks[:chosen])
+        ticks[chosen] = longest + draw(st.integers(1, 10))
+        cfg.point_timeout = (longest - 0.5) * dt
+
+    position, chi = np.zeros(3), {0: [np.zeros(3)]}
+    for (g, _), m in zip(legs, ticks):
+        way = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)]) + [0.0, 1e-3, 0.0]
+        position = position + m * s * way / np.linalg.norm(way)
+        chi.setdefault(g, []).append(position)
+    paths = {}
+    for g, size in enumerate(sizes):
+        strips = np.cumsum([0] + [draw(st.sampled_from([0, 0, 1])) for _ in range(size - 1)])
+        paths[f"seg{g}"] = SegmentPath(f"seg{g}", chi[g], [Z_AXIS] * size, strips,
+                                       "horizontal")
+    kwargs = {"standoff": 0.0}
+    if draw(st.booleans()):
+        kwargs.update(IDLE_GUARD)
+    if event == "timeout":
+        g, j = legs[chosen]
+        return paths, cfg, kwargs, ("abort", f"target {j} of 'seg{g}' not reached")
+    kwargs["motion"] = on_tick(tick, dt, cfg, draw)
+    return paths, cfg, kwargs, ("re-anchor", tick * dt)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(segment_runs())
+def test_segment_blocks_match_tick_loop(case):
+    """run_path against the tick loop on runs whose first event is placed on
+    a chosen tick, and that event happens there."""
+    paths, cfg, kwargs, (kind, expect) = case
+    message = assert_same_run(paths, cfg, **kwargs)
+    clocks = []
+    real = simulator._Run._reanchor
+
+    def reanchor(run, head, leg):
+        clocks.append(run.state.time)
+        real(run, head, leg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator._Run, "_reanchor", reanchor)
+        res, _, _ = run_outcome(paths, cfg, **kwargs)
+    if kind == "abort":
+        assert message.startswith(expect) and not clocks
+    elif kind == "engage":
+        first = int(np.argmax(res.trajectory.repulsing))
+        assert message is None and res.trajectory.repulsing[first]
+        assert expect[0] < res.trajectory.position[first, 0] < expect[1]
+    else:
+        assert message is None and abs(clocks[0] - expect) < 1e-9
+
+
 def test_guarded_leg_that_reanchors_before_its_first_tick():
     """The first leg takes three ticks and the head leaves the dead-band
     during the last one, so the second leg's first block has no tick."""
@@ -773,10 +962,10 @@ def test_guard_that_never_engages_takes_no_step(height):
 
 def test_criterion_10_shots_csv_identical_guarded_or_not(tmp_path, monkeypatch):
     """On the criterion-10 inputs, shots.csv is byte-identical between the
-    closed-form legs and the tick loop, reached through the leg method.
+    segment blocks and the tick loop, reached through `_Run._legs`.
     traj.csv may differ in the 9th digit where a value sits on a rounding
     boundary; it has the same rows. Guarded by a surface out of sensor range,
-    the run takes the closed form: both its files equal the unguarded ones."""
+    the run takes the blocks: both its files equal the unguarded ones."""
     from test_acceptance import _pipeline_inputs
 
     inputs, views = _pipeline_inputs(tmp_path)
@@ -798,7 +987,7 @@ def test_criterion_10_shots_csv_identical_guarded_or_not(tmp_path, monkeypatch):
                                    ("split", far, False)):
         with monkeypatch.context() as mp:
             if tick_loop:
-                mp.setattr(simulator._Run, "_leg", simulator._Run._tick_leg)
+                mp.setattr(simulator._Run, "_legs", tick_legs)
             cli("simulate", "--paths", out / "paths.json", "--motion",
                 inputs / "motion.json", *guard, "--out-shots", out / f"{name}_shots.csv",
                 "--out-traj", out / f"{name}_traj.csv")
