@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .cloud import estimate_normals, load_ply, save_ply
-from .errors import ConfigError, FacelaserError, InvalidParam, ParseError
+from .cloud import PointCloud, estimate_normals, load_ply, save_ply
+from .errors import ConfigError, FacelaserError, InvalidParam, MissingField, ParseError
 from .geometry import CameraIntrinsics, PoseVector6, RigidTransform, parse_pose
 from .pathplan import PlannerConfig, SegmentPath, plan_segment
 from .registration import estimate_viewpoints, merge_views
@@ -254,6 +254,15 @@ def load_paths(path) -> dict:
     return out
 
 
+def _load_oriented(path) -> PointCloud:
+    """A PLY that planning can bin into strips: one with per-point normals."""
+    cloud = load_ply(path)
+    if not cloud.has_normals:
+        raise MissingField(f"{path}: vertex element lacks normals (nx, ny, nz), "
+                           "which strip planning needs")
+    return cloud
+
+
 def cmd_plan(args, cfg: RunConfig) -> int:
     planner = cfg.planner()
     records = []
@@ -265,11 +274,11 @@ def cmd_plan(args, cfg: RunConfig) -> int:
             ply = os.path.join(args.segments, f"{label}.ply")
             if not os.path.exists(ply):
                 continue
-            path = plan_segment(load_ply(ply), planner, label)
+            path = plan_segment(_load_oriented(ply), planner, label)
             records.extend(_path_records(path))
             planned.append(f"{label}: {len(path)}")
     else:
-        path = plan_segment(load_ply(_require(args.cloud)), planner, args.label)
+        path = plan_segment(_load_oriented(_require(args.cloud)), planner, args.label)
         records.extend(_path_records(path))
         planned.append(f"{args.label}: {len(path)}")
     _write_json(records, args.out)

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptyCloud, MissingField, ParseError, TooFewPoints
-from .geometry import RigidTransform
+from .geometry import RigidTransform, row_norms
 
 _PLY_TYPES = {
     "float": ("<f4", 4), "float32": ("<f4", 4),
@@ -404,8 +404,7 @@ def raycast_many(cloud: PointCloud, origins, directions, radius: float,
         raise ValueError("radius must be positive and finite")
     if not max_range > 0.0:
         raise ValueError("max_range must be positive")
-    # Row-wise dot products, rounded as np.linalg.norm rounds one vector.
-    dn = np.sqrt((d[:, None, :] @ d[:, :, None]).reshape(n))
+    dn = row_norms(d)
     if (np.abs(dn - 1.0) > 1e-6).any():
         raise ValueError("direction must be a unit vector")
     d = d / dn[:, None]
@@ -474,7 +473,6 @@ def raycast_many(cloud: PointCloud, origins, directions, radius: float,
     # Nearest along each ray, the lowest index on a tie.
     order = candidates[np.lexsort((idx[candidates], t[candidates], ray[candidates]))]
     best = order[_run_starts(ray[order])]
-    hit = rel[best]
     index[ray[best]] = idx[best]
-    distance[ray[best]] = np.sqrt((hit[:, None, :] @ hit[:, :, None]).reshape(-1))
+    distance[ray[best]] = row_norms(rel[best])
     return index, distance

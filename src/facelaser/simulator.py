@@ -63,7 +63,6 @@ from .geometry import (
     row_norms,
 )
 from .pathplan import SegmentPath, path_to_poses
-from .segmentation import points_in_polygon
 
 
 @dataclass
@@ -175,7 +174,7 @@ def sensor_fusion_many(rig: SensorRig, cloud: PointCloud, rotations,
         return np.full((n, 3), np.nan), np.zeros(n, dtype=bool)
     index = np.where(index < 0, 0, index).reshape(n, 3)
     l_m = np.where(seen[..., None], cloud.positions[index] - tip, 0.0)
-    d_m = np.sqrt((l_m[..., None, :] @ l_m[..., :, None]))[..., 0]
+    d_m = row_norms(l_m.reshape(-1, 3)).reshape(n, 3, 1)
     contact = (seen & (d_m[..., 0] < 1e-12)).any(axis=1)
     unit = np.divide(l_m, d_m, out=np.zeros_like(l_m), where=d_m > 0.0)
     weight = (-unit[..., None, :] @ cloud.normals[index][..., :, None])[..., 0, 0]
@@ -871,23 +870,25 @@ class _Run:
 
 @dataclass
 class PlanarRegion:
-    """A polygonal patch of a plane: origin plus two orthonormal in-plane axes."""
+    """An axis-aligned box in a plane: origin, two orthonormal in-plane axes,
+    and the (u, v) bounds `lo` < `hi` of the box."""
 
     origin: Vec3
     u_axis: Vec3
     v_axis: Vec3
-    polygon: np.ndarray                     # (n, 2) in (u, v) coordinates
+    lo: np.ndarray                          # (2,) lower (u, v) bounds
+    hi: np.ndarray                          # (2,) upper (u, v) bounds
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
         self.u_axis = np.asarray(self.u_axis, dtype=float).reshape(3)
         self.v_axis = np.asarray(self.v_axis, dtype=float).reshape(3)
-        self.polygon = np.asarray(self.polygon, dtype=float).reshape(-1, 2)
-        if len(self.polygon) < 3:
-            raise InvalidParam("region polygon needs at least 3 vertices")
-
-    def contains(self, uv: np.ndarray) -> np.ndarray:
-        return points_in_polygon(uv, self.polygon)
+        self.lo = np.asarray(self.lo, dtype=float).reshape(2)
+        self.hi = np.asarray(self.hi, dtype=float).reshape(2)
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()
+                and (self.lo < self.hi).all()):
+            raise InvalidParam(f"region bounds need finite lo < hi on both axes, "
+                               f"not lo={self.lo.tolist()} hi={self.hi.tolist()}")
 
     def to_world(self, uv: np.ndarray) -> np.ndarray:
         uv = np.asarray(uv, dtype=float).reshape(-1, 2)
@@ -919,10 +920,8 @@ def default_shot_region(shots: np.ndarray, pad: float) -> PlanarRegion:
     v_axis = _canonical_axis(vt[1])
     u = rel @ u_axis
     v = rel @ v_axis
-    lo_u, hi_u = float(u.min()) - pad, float(u.max()) + pad
-    lo_v, hi_v = float(v.min()) - pad, float(v.max()) + pad
-    polygon = np.array([[lo_u, lo_v], [hi_u, lo_v], [hi_u, hi_v], [lo_u, hi_v]])
-    return PlanarRegion(center, u_axis, v_axis, polygon)
+    return PlanarRegion(center, u_axis, v_axis,
+                        [u.min() - pad, v.min() - pad], [u.max() + pad, v.max() + pad])
 
 
 @dataclass
@@ -944,8 +943,9 @@ def coverage_metrics(log: ShotLog, diameter: float,
     Spacing pairs are consecutive shots within one strip of one segment.
     Coverage counts a location treated when it lies within one spot radius
     of a shot center: against a cloud it is the fraction of cloud points
-    treated; otherwise Monte Carlo over `region` (or, by default, over the
-    shot pattern's own padded best-fit rectangle, seeded and deterministic).
+    treated; otherwise the fraction of `samples` points drawn uniformly, in
+    one seeded draw, over the box `region` (by default the shot pattern's
+    own best-fit box, padded by one spot radius).
     """
     if len(log) == 0:
         raise EmptyLog("no shots were fired")
@@ -974,22 +974,8 @@ def coverage_metrics(log: ShotLog, diameter: float,
     else:
         if region is None:
             region = default_shot_region(shots, radius)
-        rng = np.random.default_rng(seed)
-        poly = region.polygon
-        lo = poly.min(axis=0)
-        hi = poly.max(axis=0)
-        accepted = 0
-        covered = 0
-        while accepted < samples:
-            uv = rng.uniform(lo, hi, size=(samples, 2))
-            keep = region.contains(uv)
-            uv = uv[keep]
-            if len(uv) == 0:
-                continue
-            take = uv[:samples - accepted]
-            dist, _ = tree.query(region.to_world(take), distance_upper_bound=bound)
-            covered += int(np.count_nonzero(dist <= radius))
-            accepted += len(take)
-        coverage = covered / samples
+        uv = np.random.default_rng(seed).uniform(region.lo, region.hi, (samples, 2))
+        dist, _ = tree.query(region.to_world(uv), distance_upper_bound=bound)
+        coverage = int(np.count_nonzero(dist <= radius)) / samples
     return CoverageReport(len(log), len(gaps), mean_sp, var_sp, coverage,
                           log.path_length)

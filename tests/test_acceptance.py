@@ -119,7 +119,7 @@ def test_criterion_02_disk_packing_bound():
     d = 0.004
     r = 0.5 * d
     square = PlanarRegion(np.zeros(3), np.array([1.0, 0.0, 0.0]), Y_AXIS,
-                          [[-r, -r], [r, -r], [r, r], [-r, r]])
+                          (-r, -r), (r, r))
     one = coverage_metrics(_strip_log([0.0]), d, region=square,
                            samples=1_000_000)
     strip = _strip_log(d * np.arange(20), 20 * d)
@@ -138,7 +138,7 @@ def test_criterion_03_planar_patch_coverage():
     path = plan_segment(plane_grid(), PlannerConfig(d))
     res = run_path(path, SimConfig(d, 5.0, control_rate=125.0))
     square = PlanarRegion(np.zeros(3), np.array([1.0, 0.0, 0.0]), Y_AXIS,
-                          [[0.0, 0.0], [0.047, 0.0], [0.047, 0.047], [0.0, 0.047]])
+                          (0.0, 0.0), (0.047, 0.047))
     rep = coverage_metrics(res.log, d, region=square, samples=1_000_000)
 
     overlaps = 0

@@ -266,6 +266,27 @@ def test_simulate_surface_without_normals_exits_1(workdir, capsys):
     assert not (workdir / "shots.csv").exists()
 
 
+BARE_PLY = ("ply\nformat ascii 1.0\nelement vertex 4\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n"
+            "0 0 0\n0.01 0 0\n0 0.01 0\n0.01 0.01 0\n")
+
+
+@pytest.mark.parametrize("flag", ["--cloud", "--segments"])
+def test_plan_cloud_without_normals_exits_1(workdir, capsys, flag):
+    """Strip binning needs normals; a PLY without them is an input error
+    that names the file, not a traceback."""
+    segdir = workdir / "segs"
+    segdir.mkdir()
+    ply = segdir / "forehead.ply"
+    ply.write_text(BARE_PLY)
+    source = ply if flag == "--cloud" else segdir
+    code = run(workdir, "plan", flag, source, "--out", workdir / "paths.json")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ply) in err and "normals" in err
+    assert not (workdir / "paths.json").exists()
+
+
 class TestViewpointsAndRegister:
     def test_viewpoints_writes_poses(self, workdir):
         out = workdir / "vp.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from facelaser.cli import _path_records, main as cli_main, read_shots_csv
 from facelaser.cloud import PointCloud, save_ply
@@ -20,16 +21,19 @@ from facelaser.geometry import (
     Z_AXIS,
     axis_angle_to_rotation,
     rotation_from_normal,
+    rotation_to_axis_angle,
 )
 
 
 def rotation_about_z(theta):
     return axis_angle_to_rotation(np.array([0.0, 0.0, theta]))
 from facelaser import simulator
-from facelaser.pathplan import SegmentPath, path_to_poses
+from facelaser.pathplan import PlannerConfig, SegmentPath, path_to_poses, plan_segment
+from facelaser.segmentation import points_in_polygon
 from facelaser.simulator import (
     EffectorState,
     MotionScript,
+    PlanarRegion,
     SensorRig,
     ShotLog,
     SimConfig,
@@ -42,7 +46,7 @@ from facelaser.simulator import (
     transform_path,
 )
 
-from support import scan_raycast, straight_path, tick_legs, wall_cloud
+from support import plane_grid, scan_raycast, straight_path, tick_legs, wall_cloud
 from test_acceptance import COLLISION_SCENARIOS, collision_run
 
 
@@ -288,6 +292,57 @@ class TestMotionScript:
         assert np.allclose(script.pose_at(1.0).translation, [0.005, 0.0, 0.0])
 
 
+# Draws this close to a tolerance may fall either side of it: the batch
+# dead-band scan takes the angle by a different route than the per-pose check.
+DEADBAND_MARGIN_M = 1e-12
+DEADBAND_MARGIN_RAD = 1e-9
+
+
+def _drawn_pose(draw):
+    return RigidTransform(axis_angle_to_rotation(
+        np.array([draw(st.floats(-2.0, 2.0)) for _ in range(3)])),
+        np.array([draw(st.floats(-0.05, 0.05)) for _ in range(3)]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_leaves_deadband_matches_per_pose_check(data):
+    """MotionScript.leaves_deadband against motion_exceeds_deadband(anchor,
+    pose_at(t)) at times before the first keyframe, after the last, exactly on
+    keyframes and between them. Entries within the rounding margin of either
+    tolerance are not compared."""
+    draw = data.draw
+    m = draw(st.integers(1, 4))
+    times = np.cumsum([draw(st.floats(-1.0, 1.0))]
+                      + [draw(st.floats(0.05, 2.0)) for _ in range(m - 1)])
+    script = MotionScript(times, [_drawn_pose(draw) for _ in range(m)])
+    t0, t1 = float(times[0]), float(times[-1])
+    when = st.one_of(st.sampled_from(times.tolist()),
+                     st.floats(t0, t1),
+                     st.floats(1e-9, 2.0).map(lambda dt: t0 - dt),
+                     st.floats(1e-9, 2.0).map(lambda dt: t1 + dt))
+    ts = draw(st.lists(when, min_size=1, max_size=12))
+    anchor = draw(st.one_of(st.just(None), st.sampled_from(script.poses)))
+    if anchor is None:
+        anchor = (script.pose_at(draw(st.floats(t0 - 1.0, t1 + 1.0)))
+                  if draw(st.booleans()) else _drawn_pose(draw))
+    trans_tol = draw(st.floats(1e-4, 0.08))
+    rot_tol = draw(st.floats(1e-3, 2.5))
+
+    batch = script.leaves_deadband(anchor, ts, trans_tol, rot_tol)
+    assert batch.shape == (len(ts),)
+    for t, left in zip(ts, batch.tolist()):
+        pose = script.pose_at(t)
+        shift = float(np.linalg.norm(pose.translation - anchor.translation))
+        angle = float(np.linalg.norm(rotation_to_axis_angle(
+            pose.rotation @ anchor.rotation.T)))
+        if (abs(shift - trans_tol) <= DEADBAND_MARGIN_M
+                or abs(angle - rot_tol) <= DEADBAND_MARGIN_RAD):
+            continue
+        assert left == motion_exceeds_deadband(anchor, pose, trans_tol, rot_tol), \
+            (t, shift, angle)
+
+
 class TestStep:
     def test_final_tick_lands_exactly(self):
         cfg = sim_config()
@@ -520,6 +575,24 @@ def test_one_anchor_holds_across_segments(tmp_path, via):
     assert times[n1 + 1] > times[n1]
 
 
+def _rejection_coverage(log, diameter, region, samples, seed):
+    """Coverage as a polygon rejection sampler takes it: rounds of draws over
+    the box's bounds, each keeping the draws inside the box's corner polygon
+    by the half-open even-odd test, until `samples` draws are kept."""
+    (u0, v0), (u1, v1) = region.lo, region.hi
+    corners = np.array([[u0, v0], [u1, v0], [u1, v1], [u0, v1]])
+    tree = cKDTree(log.positions)
+    rng = np.random.default_rng(seed)
+    kept = covered = 0
+    while kept < samples:
+        uv = rng.uniform(region.lo, region.hi, (samples, 2))
+        uv = uv[points_in_polygon(uv, corners)][:samples - kept]
+        dist, _ = tree.query(region.to_world(uv))
+        covered += int(np.count_nonzero(dist <= 0.5 * diameter))
+        kept += len(uv)
+    return covered / samples
+
+
 class TestCoverageMetrics:
     def test_empty_log_rejected(self):
         with pytest.raises(EmptyLog):
@@ -574,6 +647,40 @@ class TestCoverageMetrics:
     def test_sampling_validation(self, kwargs):
         with pytest.raises(InvalidParam):
             coverage_metrics(shot_log([0.0, 0.004]), 0.004, **kwargs)
+
+    @pytest.mark.parametrize("lo, hi", [
+        ((0.0, 0.0), (1.0, 0.0)), ((0.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, 0.5)),
+        ((math.nan, 0.0), (1.0, 1.0)), ((0.0, 0.0), (math.inf, 1.0)),
+        ((0.0, -math.inf), (1.0, 1.0)),
+    ], ids=["flat-v", "flat-u", "reversed-v", "nan", "inf", "minus-inf"])
+    def test_region_needs_finite_increasing_bounds(self, lo, hi):
+        """A box with no area, or no finite one, has no coverage fraction."""
+        with pytest.raises(InvalidParam):
+            PlanarRegion(np.zeros(3), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], lo, hi)
+
+    @pytest.mark.parametrize("case", ["criterion-2", "criterion-3", "default-box"])
+    def test_one_draw_matches_polygon_rejection(self, case):
+        """The box's one draw gives the coverage the polygon rejection sampler
+        gave for the same box, to the last bit: criteria 2 and 3's squares,
+        and the padded box `report` uses when given no cloud."""
+        d = 0.004
+        x_axis, y_axis = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+        if case == "criterion-2":
+            log = shot_log([0.0])
+            region = PlanarRegion(np.zeros(3), x_axis, y_axis, (-d / 2, -d / 2), (d / 2, d / 2))
+        elif case == "criterion-3":
+            log = run_path(plan_segment(plane_grid(), PlannerConfig(d)),
+                           SimConfig(d, 5.0, control_rate=125.0)).log
+            region = PlanarRegion(np.zeros(3), x_axis, y_axis, (0.0, 0.0), (0.047, 0.047))
+        else:
+            xs = d * np.arange(20) ** 1.1   # a tilted, wavy row of three strips
+            log = ShotLog(0.1 * np.arange(20),
+                          np.column_stack([xs, 0.003 * np.sin(xs / d), 0.2 * xs]),
+                          np.zeros((20, 3)), np.arange(20) // 7, ["seg"] * 20, 0.0)
+            region = simulator.default_shot_region(log.positions, d / 2)
+        samples, seed = 1_000_000, 3
+        box = coverage_metrics(log, d, region=region, samples=samples, seed=seed)
+        assert box.coverage == _rejection_coverage(log, d, region, samples, seed)
 
 
 # ------------------------------------------ segment blocks vs the tick loop

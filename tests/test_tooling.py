@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facelaser.cloud import PointCloud, estimate_normals, voxel_downsample
+from facelaser import cli
+from facelaser.cloud import PointCloud, estimate_normals, save_ply, voxel_downsample
 from facelaser.geometry import RigidTransform, axis_angle_to_rotation
 from facelaser.registration import icp_point_to_plane
 
@@ -73,3 +74,30 @@ def test_register_observers_read_a_real_call(name):
     fn, args, want = _register_call(name)
     tracer.wrap(name, fn)(*args)
     assert dict(tracer.counts) == want
+
+
+@pytest.mark.parametrize("with_cloud", [False, True], ids=["monte-carlo", "cloud"])
+def test_coverage_observer_reads_report_call(tmp_path, with_cloud):
+    """`report`'s call to coverage_metrics passes `samples` and `cloud` by
+    keyword, as the coverage observer reads them: the configured mc_samples
+    without a cloud, no samples with one."""
+    config = tmp_path / "config.json"
+    config.write_text('{"mc_samples": 4321}')
+    shots = tmp_path / "shots.csv"
+    shots.write_text("index,time_s,x,y,z,nu_x,nu_y,nu_z,strip,segment\n"
+                     + "".join(f"{i},{0.1 * i},{0.004 * i},0,0,0,0,0,0,patch\n"
+                               for i in range(5)))
+    argv = ["--config", str(config), "report", "--shots", str(shots),
+            "--out", str(tmp_path / "report.json")]
+    if with_cloud:
+        save_ply(ellipsoid_cloud(200, radii=(0.09, 0.12, 0.07)), tmp_path / "cloud.ply")
+        argv += ["--cloud", str(tmp_path / "cloud.ply")]
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["simulator.coverage_metrics.samples"] == (0 if with_cloud else 4321)
+    assert "simulator.coverage_metrics" in tracer.names
