@@ -176,8 +176,11 @@ def cmd_register(args, cfg: RunConfig) -> int:
             v = estimate_normals(v, k, np.zeros(3))
         views.append(v)
     log = [] if args.icp_log else None
-    merged = merge_views(views, poses, cfg.voxel_leaf_m,
-                         gate_multiplier=cfg.gate_multiplier, icp_log=log)
+    try:
+        merged = merge_views(views, poses, cfg.voxel_leaf_m,
+                             gate_multiplier=cfg.gate_multiplier, icp_log=log)
+    except InvalidParam as exc:
+        raise ConfigError(f"{exc} (config key: voxel_leaf_m)") from exc
     save_ply(merged, args.out)
     if args.icp_log:
         _write_json([{"rmse": r.rmse, "iterations": r.iterations,
@@ -367,6 +370,11 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
 # -------------------------------------------------------------------- report
 
+# Escapes XML text. xml.sax.saxutils.escape does the same but imports
+# urllib.request, which costs every CLI call ~2 MB and ~9 ms.
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
 def _svg_overview(shots, paths, diameter: float, out) -> None:
     """Frontal-plane (x, y) overview: black path polylines, red shot circles.
 
@@ -395,8 +403,9 @@ def _svg_overview(shots, paths, diameter: float, out) -> None:
     for label, p in sorted((paths or {}).items()):
         uv = p.positions[:, :2] * 1000.0
         coords = " ".join(f"{sx(u)},{sy(v)}" for u, v in uv)
+        title = label.translate(_XML_TEXT)
         lines.append(f'<polyline points="{coords}" fill="none" stroke="black" '
-                     f'stroke-width="0.4"><title>{label}</title></polyline>')
+                     f'stroke-width="0.4"><title>{title}</title></polyline>')
     for u, v in shots[:, :2] * 1000.0:
         lines.append(f'<circle cx="{sx(u)}" cy="{sy(v)}" r="{r_mm:.3f}" '
                      f'fill="none" stroke="red" stroke-width="0.25"/>')

@@ -180,6 +180,8 @@ def merge_views(clouds: list[PointCloud], poses: list[RigidTransform], leaf: flo
     the model so far downsampled at `leaf`; the full-resolution views are
     what gets moved and fused.
     """
+    if not 0 < leaf < np.inf:
+        raise InvalidParam(f"leaf must be positive and finite, not {leaf}")
     if len(clouds) != len(poses):
         raise ValueError(f"{len(clouds)} clouds but {len(poses)} poses")
     if not clouds:

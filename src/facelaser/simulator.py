@@ -21,16 +21,17 @@ A segment is evaluated in blocks, not tick by tick. Between two events (the
 head leaving the dead-band, a point timeout, the guard engaging) every leg
 is a straight line at max_speed, so the ticks of all the segment's remaining
 legs are built in one array pass: one clock, the positions, the travel and
-the trigger, with one pass per shot bounded to its strip. Whether the head
-has left the dead-band depends only on the clock and the anchor, so the
-exit tick is found once per anchor. The shots of a block get their
-rotations in one stacked slerp. The guard does not change that until it
-engages: the repulsive velocity is exactly zero while the fused distance is
-at least l_min (Khatib, IJRR 5(1), 1986). So a guarded block casts the
-sensor rays of each leg's ticks in one batch, keeps the ticks before the
-first one whose distance is below l_min, and steps tick by tick from there
-to the end of that leg, because from then on the guard's feedback can bend
-the path. The tick loop is the reference the blocks are tested against.
+the trigger, with one pass per shot bounded to its strip. Each block checks
+the dead-band on the starts of its own ticks in one call, up to the first
+one at or after the motion script's last keyframe, from which on the head
+stands still. The shots of a block get their rotations in one stacked
+slerp. The guard does not change that until it engages: the repulsive
+velocity is exactly zero while the fused distance is at least l_min (Khatib,
+IJRR 5(1), 1986). So a guarded block casts the sensor rays of each leg's
+ticks in one batch, keeps the ticks before the first one whose distance is
+below l_min, and steps tick by tick from there to the end of that leg,
+because from then on the guard's feedback can bend the path. The tick loop
+is the reference the blocks are tested against.
 """
 
 from __future__ import annotations
@@ -507,9 +508,6 @@ class _Leg:
     """One leg toward target j; rotation slerps from rot_from over len0."""
 
     j: int
-    strip: int
-    label: str
-    armed: bool
     rot_from: np.ndarray
     tgt_rot: np.ndarray
     t0: float
@@ -559,11 +557,6 @@ class _Run:
         self.record = record
         self.head0 = self.anchor = motion.pose_at(0.0) if motion is not None else None
         self.carry = None                   # head o inv(head0) once re-anchored
-        # The scan for the tick that leaves the dead-band goes on from this
-        # clock, that tick itself checked already (scan_skip 1) or not. The
-        # re-anchoring tick is never checked against its own anchor.
-        self.scan_from, self.scan_skip = 0.0, 0
-        self.exit_at: float | None = None   # start of the tick that leaves the band
         self.state: EffectorState | None = None
         self.shots: list[tuple] = []        # blocks of time, position, axis_angle, strip, label
         self.samples: list[np.ndarray] = []  # (k, 7) blocks of trajectory rows
@@ -618,26 +611,22 @@ class _Run:
         state = self.state
         if not self.in_strip[j]:
             state.delta_d = 0.0
-        return self._new_leg(j, state.rotation, state.time,
-                             float(np.linalg.norm(self.tgt_pos[j] - state.position)))
-
-    def _new_leg(self, j: int, rot_from: np.ndarray, t0: float, len0: float) -> _Leg:
-        return _Leg(j, int(self.strips[j]), self.label,
-                    bool(self.in_strip[j]) and self.config.laser_enabled, rot_from,
-                    self.tgt_rot[j], t0, len0)
+        return _Leg(j, state.rotation, self.tgt_rot[j], state.time,
+                    float(np.linalg.norm(self.tgt_pos[j] - state.position)))
 
     def _tick_leg(self, leg: _Leg) -> None:
         """One `step` per tick to the end of the leg, the guard fed on every
         tick: the rest of a leg once the guard engages, and the reference
         `_legs` is tested against."""
         cfg = self.config
+        armed = self.in_strip[leg.j] and cfg.laser_enabled
         while float(np.linalg.norm(self.tgt_pos[leg.j] - self.state.position)) > 1e-9:
             if self.motion is not None:
                 head = self.motion.pose_at(self.state.time)
                 if motion_exceeds_deadband(self.anchor, head, cfg.deadband_translation,
                                            cfg.deadband_rotation):
                     self._reanchor(head, leg)
-            state, info = step(self.state, self.tgt_pos[leg.j], cfg, leg.armed,
+            state, info = step(self.state, self.tgt_pos[leg.j], cfg, armed,
                                self.rig, self.cloud, self.carry)
             self.state = state
             self.total += info.moved
@@ -662,15 +651,18 @@ class _Run:
         leg ends at p + min(k s, L) u, s being one tick of travel at
         max_speed; the leg takes the fewest ticks that end within 1e-9 of its
         target, and none if it starts that close. The clock adds one dt per
-        tick over all legs, as the tick loop's does. A guarded block casts
-        the rays of each leg's ticks in one batch, keeps the ticks before the
-        first one where the guard engages, and hands the rest of that leg to
-        the tick loop.
+        tick over all legs, as the tick loop's does. The head leaves the
+        dead-band on the first tick whose start is out of it, checked up to
+        the first tick at or after the last keyframe, which decides for every
+        later one; a block that resumes on the re-anchoring tick skips that
+        tick, as the tick loop does. A guarded block casts the rays of each
+        leg's ticks in one batch, keeps the ticks before the first one where
+        the guard engages, and hands the rest of that leg to the tick loop.
         """
         cfg = self.config
         dt = 1.0 / cfg.control_rate
         s = cfg.max_speed * dt
-        resumed = False                     # the open leg goes on after an event
+        resumed = False                     # the block starts on the re-anchoring tick
         while True:
             state, j0 = self.state, leg.j
             starts = np.vstack([state.position, self.tgt_pos[j0:-1]])
@@ -696,14 +688,19 @@ class _Run:
             rot_from = np.concatenate([[leg.rot_from], self.tgt_rot[j0:-1]])
 
             def leg_at(i: int) -> _Leg:
-                return leg if i == 0 else self._new_leg(j0 + i, rot_from[i], float(t0[i]),
-                                                        float(len0[i]))
+                return leg if i == 0 else _Leg(j0 + i, rot_from[i], self.tgt_rot[j0 + i],
+                                               float(t0[i]), float(len0[i]))
 
             ran = n                         # ticks run before the next event
             exits = late = engages = False
             if self.motion is not None:
-                ran = int(np.searchsorted(times[:n], self._exit_time()))
-                exits = ran < n
+                skip = int(resumed)
+                end = min(n, int(np.searchsorted(times, self.motion.times[-1])) + 1)
+                out = np.flatnonzero(self.motion.leaves_deadband(
+                    self.anchor, times[skip:end], cfg.deadband_translation,
+                    cfg.deadband_rotation))
+                if out.size:
+                    ran, exits = skip + int(out[0]), True
             if cfg.point_timeout is not None:
                 # The tick that arrives is never late.
                 over = np.flatnonzero((times[1:ran + 1] - t0[of[:ran]] > cfg.point_timeout)
@@ -735,7 +732,6 @@ class _Run:
             moved = np.diff(travel, prepend=0.0)
             moved[k == 1] = travel[k == 1]
             armed = self.in_strip[j0:] & cfg.laser_enabled
-            armed[0] = leg.armed
             reset = ~self.in_strip[j0:]
             reset[0] = False
             group = np.cumsum(reset)        # legs that share one delta_d
@@ -774,30 +770,6 @@ class _Run:
             else:
                 self._reanchor(self.motion.pose_at(state.time), leg)
                 resumed = True
-
-    def _exit_time(self) -> float:
-        """Start of the first tick, since the anchor was set, where the head
-        is out of the dead-band around it; inf if it never is.
-
-        leaves_deadband runs on a horizon of ticks that doubles, each call
-        on the ticks after the last one checked, until it holds the exit or
-        passes the motion script's last keyframe, after which the head stands
-        still.
-        """
-        cfg = self.config
-        horizon = 64
-        while self.exit_at is None:
-            times = np.full(self.scan_skip + horizon, 1.0 / cfg.control_rate)
-            times[0] = self.scan_from
-            times = np.add.accumulate(times)[self.scan_skip:]
-            out = np.flatnonzero(self.motion.leaves_deadband(
-                self.anchor, times, cfg.deadband_translation, cfg.deadband_rotation))
-            if out.size:
-                self.exit_at = float(times[out[0]])
-            elif times[-1] >= self.motion.times[-1]:
-                self.exit_at = math.inf
-            self.scan_from, self.scan_skip, horizon = float(times[-1]), 1, 2 * horizon
-        return self.exit_at
 
     def _sense(self, leg: _Leg, rotation: np.ndarray, tip: np.ndarray,
                times: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, int]:
@@ -841,7 +813,7 @@ class _Run:
 
     def _shoot(self, leg: _Leg, t: float, position, rotation) -> None:
         self.shots.append(([t], position[None].copy(), rotation_to_axis_angle(rotation)[None],
-                           [leg.strip], [leg.label]))
+                           [self.strips[leg.j]], [self.label]))
 
     def _shoot_many(self, j0: int, legs, times, positions, rot_from, t0, len0) -> None:
         """Log shots of a block at once: legs[i] is the block's leg that
@@ -858,11 +830,10 @@ class _Run:
         self.carry = head.compose(self.head0.invert())
         self._carry_targets()
         leg.tgt_rot = self.tgt_rot[leg.j]
-        self.exit_at, self.scan_from, self.scan_skip = None, self.state.time, 1
 
     def _abort(self, leg: _Leg):
         raise AbortedOnSafety(
-            f"target {leg.j} of '{leg.label}' not reached within "
+            f"target {leg.j} of '{self.label}' not reached within "
             f"{self.config.point_timeout:g} s (remaining "
             f"{np.linalg.norm(self.tgt_pos[leg.j] - self.state.position):.4g} m)",
             result=self.result())

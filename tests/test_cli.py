@@ -6,6 +6,7 @@ import math
 from dataclasses import fields
 from decimal import Decimal
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -69,18 +70,25 @@ class TestConfigHandling:
         ("mc_samples", "-3", "report"),
         ("seed", "-1", "report"),
         ("control_rate_hz", "2", "simulate"),
+        ("voxel_leaf_m", "0", "register"),
+        ("voxel_leaf_m", "-1", "register"),
     ], ids=["nan-diameter", "nan-standoff", "inf-control-rate", "nan-timeout",
             "zero-samples", "negative-samples", "negative-seed",
-            "control-rate-below-pulse-rate"])
+            "control-rate-below-pulse-rate", "zero-leaf", "negative-leaf"])
     def test_bad_value_exits_1(self, tmp_path, capsys, key, text, command):
         (tmp_path / "config.json").write_text(f'{{"{key}": {text}}}')
         (tmp_path / "paths.json").write_text(json.dumps([
             GOOD_RECORD, {**GOOD_RECORD, "x": 0.01}]))
         (tmp_path / "shots.csv").write_text(SHOTS_HEADER + SHOT_ROW)
+        save_ply(plane_grid(0.01, 0.01), tmp_path / "view.ply")
+        (tmp_path / "poses.json").write_text(json.dumps([
+            {"translation": [0.0, 0.0, -0.25], "axis_angle": [0.0, 0.0, 0.0]}]))
         argv = {"simulate": ["--paths", tmp_path / "paths.json",
                              "--out-shots", tmp_path / "out.csv"],
                 "report": ["--shots", tmp_path / "shots.csv",
-                           "--out", tmp_path / "out.json"]}[command]
+                           "--out", tmp_path / "out.json"],
+                "register": ["--views", tmp_path / "view.ply", "--poses",
+                             tmp_path / "poses.json", "--out", tmp_path / "out.ply"]}[command]
         code = run(tmp_path, command, *argv)
         assert code == 1
         err = capsys.readouterr().err
@@ -364,7 +372,7 @@ class TestSegmentCommand:
         assert total == len(cloud)
 
 
-def plan_simulate_report(workdir, outdir):
+def plan_simulate_report(workdir, outdir, label="patch"):
     """Run the patch pipeline into `outdir` and return the produced files."""
     outdir.mkdir(exist_ok=True)
     patch = workdir / "patch.ply"
@@ -375,7 +383,7 @@ def plan_simulate_report(workdir, outdir):
     traj = outdir / "traj.csv"
     report = outdir / "report.json"
     svg = outdir / "overview.svg"
-    assert run(workdir, "plan", "--cloud", patch, "--label", "patch",
+    assert run(workdir, "plan", "--cloud", patch, "--label", label,
                "--out", paths) == 0
     assert run(workdir, "simulate", "--paths", paths,
                "--out-shots", shots, "--out-traj", traj) == 0
@@ -505,6 +513,11 @@ class TestPatchPipeline:
         second = plan_simulate_report(workdir, workdir / "b")
         for fa, fb in zip(first, second):
             assert fa.read_bytes() == fb.read_bytes(), fa.name
+
+    def test_svg_is_xml_whatever_the_label(self, workdir):
+        *_, svg = plan_simulate_report(workdir, workdir / "run", label="a&b<c>")
+        titles = minidom.parse(str(svg)).getElementsByTagName("title")
+        assert [t.firstChild.data for t in titles] == ["a&b<c>"]
 
     def test_report_against_cloud(self, workdir):
         _, shots, _, _, _ = plan_simulate_report(workdir, workdir / "run")

@@ -991,6 +991,43 @@ def test_segment_blocks_match_tick_loop(case):
         assert message is None and abs(clocks[0] - expect) < 1e-9
 
 
+@pytest.mark.parametrize("level, reanchors", [(0.005, 2), (0.001, 0)],
+                         ids=["leaves-twice", "stays-in-band"])
+def test_deadband_scan_ends_at_the_last_keyframe(level, reanchors):
+    """A 5 s run under head motion that ends at 1.1 s: each leaves_deadband
+    call gets at most one tick at or after the last keyframe, from which on
+    the head stands still, and the run re-anchors on the same ticks as the
+    tick loop."""
+    cfg = SimConfig(0.004, 5.0)
+    dt = 1.0 / cfg.control_rate
+    moves = [RigidTransform(np.eye(3), [0.0, y, 0.0]) for y in (0.0, level, 2.0 * level)]
+    motion = MotionScript([0.0, 62.5 * dt, 62.6 * dt, 137.5 * dt, 137.6 * dt],
+                          [moves[0], moves[0], moves[1], moves[1], moves[2]])
+    path = straight_path(0.1)
+    assert assert_same_run(path, cfg, motion=motion) is None
+    real_reanchor, real_scan = simulator._Run._reanchor, MotionScript.leaves_deadband
+    clocks, scans = ([], []), []
+
+    def reanchor(run, head, leg):
+        clocks[tick_loop].append(run.state.time)
+        real_reanchor(run, head, leg)
+
+    def scan(script, anchor, times, *tolerances):
+        scans.append(np.asarray(times))
+        return real_scan(script, anchor, times, *tolerances)
+
+    for tick_loop in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator._Run, "_reanchor", reanchor)
+            mp.setattr(MotionScript, "leaves_deadband", scan)
+            if tick_loop:
+                mp.setattr(simulator._Run, "_legs", tick_legs)
+            res = run_path(path, cfg, motion=motion)
+        assert res.final_state.time > motion.times[-1] + 3.0
+    assert clocks[0] == clocks[1] and len(clocks[0]) == reanchors
+    assert scans and all((times >= motion.times[-1]).sum() <= 1 for times in scans)
+
+
 def test_guarded_leg_that_reanchors_before_its_first_tick():
     """The first leg takes three ticks and the head leaves the dead-band
     during the last one, so the second leg's first block has no tick."""
