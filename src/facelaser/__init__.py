@@ -33,8 +33,10 @@ from .geometry import (
 from .cloud import (
     PointCloud,
     RayHit,
+    VoxelGrid,
     concatenate,
     estimate_normals,
+    leaf_grid_normals,
     load_ply,
     raycast,
     save_ply,

@@ -19,8 +19,17 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .cloud import PointCloud, estimate_normals, load_ply, save_ply
-from .errors import ConfigError, FacelaserError, InvalidParam, MissingField, ParseError
+from .cloud import PointCloud, leaf_grid_normals, load_ply, save_ply
+from .errors import (
+    ConfigError,
+    EmptyCloud,
+    FacelaserError,
+    InvalidParam,
+    MissingField,
+    NoCorrespondences,
+    ParseError,
+    TooFewPoints,
+)
 from .geometry import CameraIntrinsics, PoseVector6, RigidTransform, parse_pose
 from .pathplan import PlannerConfig, SegmentPath, plan_segment
 from .registration import estimate_viewpoints, merge_views
@@ -168,19 +177,26 @@ def cmd_register(args, cfg: RunConfig) -> int:
     poses = [parse_pose(d, args.poses) for d in docs]
     if len(poses) != len(args.views):
         raise _UsageError(f"{len(args.views)} views but {len(poses)} poses")
+    leaf = cfg.voxel_leaf_m
+    if not leaf > 0.0:
+        raise ConfigError(f"leaf must be positive, not {leaf} (config key: voxel_leaf_m)")
     views = []
     for p in args.views:
         v = load_ply(_require(p))
         if not v.has_normals:
-            k = min(12, max(3, len(v) - 1))
-            v = estimate_normals(v, k, np.zeros(3))
+            try:
+                v = leaf_grid_normals(v, leaf, 12, np.zeros(3))
+            except (EmptyCloud, TooFewPoints) as exc:
+                raise type(exc)(f"{p}: {exc}") from exc
         views.append(v)
-    log = [] if args.icp_log else None
+    log = []
     try:
-        merged = merge_views(views, poses, cfg.voxel_leaf_m,
-                             gate_multiplier=cfg.gate_multiplier, icp_log=log)
-    except InvalidParam as exc:
-        raise ConfigError(f"{exc} (config key: voxel_leaf_m)") from exc
+        merged = merge_views(views, poses, leaf, gate_multiplier=cfg.gate_multiplier,
+                             icp_log=log)
+    except NoCorrespondences as exc:
+        # merge_views logs each pair once it is aligned: the failing view is
+        # the one after the last logged.
+        raise NoCorrespondences(f"{args.views[len(log) + 1]}: {exc}") from exc
     save_ply(merged, args.out)
     if args.icp_log:
         _write_json([{"rmse": r.rmse, "iterations": r.iterations,

@@ -221,6 +221,82 @@ def save_ply(cloud: PointCloud, path) -> None:
         fh.write(rec.tobytes())
 
 
+class VoxelGrid:
+    """Running per-voxel sums and counts of every cloud added so far.
+
+    Voxels are leaf-sized and anchored at the world origin (index =
+    floor(p / leaf)), and kept in lexicographic index order. Each holds the
+    number of its points and the sums of their positions, normals and colors;
+    normals and colors are kept while every cloud added has them. A voxel's
+    sums are its points' values added in input order, so adding clouds one by
+    one gives the sums, bit for bit, of one pass over their concatenation.
+    """
+
+    def __init__(self, leaf: float):
+        if not 0 < leaf < np.inf:
+            raise ValueError(f"leaf must be positive and finite, got {leaf}")
+        self.leaf = leaf
+        self.keys = np.empty((0, 3), dtype=np.int64)
+        self.sums: dict[str, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def add(self, cloud: PointCloud) -> np.ndarray:
+        """Add the cloud's points; return the voxel of each, as a row of the
+        grid's new `keys`."""
+        idx = np.floor(cloud.positions / self.leaf)
+        # NaN fails both comparisons, so this also rejects non-finite coordinates.
+        if not ((idx >= -2.0**63) & (idx < 2.0**63)).all():
+            raise ValueError("coordinates must be finite, and within 2**63 leaves of "
+                             "the origin so that voxel indices fit in int64")
+        keys = np.vstack([self.keys, idx.astype(np.int64)])
+        # A stable sort in lexicographic (x, y, z) order: each voxel's rows are
+        # contiguous and, within it, in input order, its stored sums first.
+        order = np.lexsort(keys.T[::-1])
+        ordered = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        inverse = np.empty(len(keys), dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        self.keys = ordered[first]
+
+        rows = {"count": np.ones((len(cloud), 1)), "positions": cloud.positions}
+        if cloud.has_normals:
+            rows["normals"] = cloud.normals
+        if cloud.colors is not None:
+            rows["colors"] = cloud.colors.astype(float)
+        if self.sums:
+            rows = {name: np.vstack([self.sums[name], block])
+                    for name, block in rows.items() if name in self.sums}
+        # bincount adds each voxel's rows in input order, starting from 0.0.
+        # A stored sum s comes first, and 0.0 + s is s: a sum that starts from
+        # 0.0 is never -0.0.
+        self.sums = {name: np.column_stack([
+            np.bincount(inverse, weights=col, minlength=len(self.keys)) for col in block.T])
+            for name, block in rows.items()}
+        return inverse[len(inverse) - len(cloud):]
+
+    def cloud(self) -> PointCloud:
+        """The voxel means, one point per voxel in voxel order. Normals are
+        renormalized (zero where they cancel), colors rounded."""
+        if len(self) == 0:
+            raise EmptyCloud("the voxel grid is empty")
+        counts = self.sums["count"]
+        positions = self.sums["positions"] / counts
+        normals = None
+        if "normals" in self.sums:
+            normals = self.sums["normals"] / counts
+            norms = np.linalg.norm(normals, axis=1)
+            safe = norms > 1e-12
+            normals[safe] /= norms[safe, None]
+            normals[~safe] = 0.0
+        colors = None
+        if "colors" in self.sums:
+            colors = np.rint(self.sums["colors"] / counts).astype(np.uint8)
+        return PointCloud(positions, normals, colors)
+
+
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     """Collapse the cloud onto a leaf-sized grid, one centroid per occupied voxel.
 
@@ -229,46 +305,9 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     voxel, so a second pass reproduces the same cloud. Normals are averaged
     and renormalized, colors averaged. Output is ordered by voxel index.
     """
-    if len(cloud) == 0:
-        raise EmptyCloud("cannot downsample an empty cloud")
-    if not 0 < leaf < np.inf:
-        raise ValueError(f"leaf must be positive and finite, got {leaf}")
-    idx = np.floor(cloud.positions / leaf)
-    # NaN fails both comparisons, so this also rejects non-finite coordinates.
-    if not ((idx >= -2.0**63) & (idx < 2.0**63)).all():
-        raise ValueError("coordinates must be finite, and within 2**63 leaves of "
-                         "the origin so that voxel indices fit in int64")
-    idx = idx.astype(np.int64)
-    # A stable sort in lexicographic (x, y, z) order: each voxel's rows are
-    # contiguous and, within it, in input order.
-    order = np.lexsort(idx.T[::-1])
-    ordered = idx[order]
-    first = np.ones(len(idx), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(idx), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    n_vox = int(first.sum())
-    counts = np.bincount(inverse, minlength=n_vox).astype(float)
-
-    def mean_per_voxel(values: np.ndarray) -> np.ndarray:
-        # bincount adds each voxel's rows in input order, so the sums are the
-        # ones a sequential loop over the points gives.
-        acc = np.column_stack([np.bincount(inverse, weights=col, minlength=n_vox)
-                               for col in values.T])
-        return acc / counts[:, None]
-
-    positions = mean_per_voxel(cloud.positions)
-    normals = None
-    if cloud.has_normals:
-        normals = mean_per_voxel(cloud.normals)
-        norms = np.linalg.norm(normals, axis=1)
-        safe = norms > 1e-12
-        normals[safe] /= norms[safe, None]
-        normals[~safe] = 0.0
-    colors = None
-    if cloud.colors is not None:
-        colors = np.rint(mean_per_voxel(cloud.colors.astype(float))).astype(np.uint8)
-    return PointCloud(positions, normals, colors)
+    grid = VoxelGrid(leaf)
+    grid.add(cloud)
+    return grid.cloud()
 
 
 # A cross product of two rows of A - l0 I shorter than this (A scaled to a
@@ -338,6 +377,21 @@ def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> PointCloud:
     normals[flip] *= -1.0
     return PointCloud(cloud.positions.copy(), normals,
                       None if cloud.colors is None else cloud.colors.copy())
+
+
+def leaf_grid_normals(cloud: PointCloud, leaf: float, k: int, viewpoint) -> PointCloud:
+    """The cloud with normals estimated on its leaf-grid centroids.
+
+    estimate_normals runs on the voxel means, with k neighbours or, on a grid
+    of k voxels or fewer, one fewer than the voxels (but at least 3); every
+    point takes its voxel's normal.
+    """
+    grid = VoxelGrid(leaf)
+    voxel = grid.add(cloud)
+    centroids = grid.cloud()
+    k = min(k, max(3, len(centroids) - 1))
+    return PointCloud(cloud.positions, estimate_normals(centroids, k, viewpoint).normals[voxel],
+                      cloud.colors)
 
 
 @dataclass

@@ -3,7 +3,7 @@
 The scanner orbits the face frame on two arcs at the standoff distance d_min
 (a longitudinal sweep about y and a latitudinal sweep about x), then the views
 are fused: pre-align by the known relative poses, refine each against the
-accumulated model with point-to-plane ICP, concatenate, downsample.
+running voxel model with point-to-plane ICP, and add it to the model.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import PointCloud, concatenate, voxel_downsample
+from .cloud import PointCloud, VoxelGrid, voxel_downsample
 from .errors import EmptyCloud, InvalidParam, NoCorrespondences
 from .geometry import (
     RigidTransform,
@@ -172,13 +172,15 @@ def merge_views(clouds: list[PointCloud], poses: list[RigidTransform], leaf: flo
 
     `poses` holds the base-frame view poses, one per cloud. Every cloud after
     the first is pre-aligned by its known pose relative to view 0, ICP-refined
-    against the accumulated model (pairs farther apart than gate_multiplier *
-    leaf are ignored), concatenated, and the result voxel-downsampled at
-    `leaf`. Pass a list as icp_log to collect the per-pair IcpResults.
+    against the model so far (pairs farther apart than gate_multiplier * leaf
+    are ignored), and added to it. Pass a list as icp_log to collect the
+    per-pair IcpResults.
 
-    ICP matches the view downsampled at ICP_SOURCE_LEAF_FACTOR * leaf against
-    the model so far downsampled at `leaf`; the full-resolution views are
-    what gets moved and fused.
+    The model is a VoxelGrid at `leaf`: per-voxel sums of the aligned
+    full-resolution views, which each view joins once. It equals
+    voxel_downsample(concatenate(aligned views), leaf) bit for bit. ICP
+    matches the view downsampled at ICP_SOURCE_LEAF_FACTOR * leaf against
+    the model's voxel means.
     """
     if not 0 < leaf < np.inf:
         raise InvalidParam(f"leaf must be positive and finite, not {leaf}")
@@ -190,15 +192,15 @@ def merge_views(clouds: list[PointCloud], poses: list[RigidTransform], leaf: flo
         if not c.has_normals:
             raise ValueError("every view needs normals before merging")
 
-    parts = [clouds[0]]
+    model = VoxelGrid(leaf)
+    model.add(clouds[0])
     base_inv = poses[0].invert()
     for i in range(1, len(clouds)):
         rel = base_inv.compose(poses[i])
         pre = clouds[i].transformed(rel)
-        model = voxel_downsample(concatenate(parts), leaf)
         res = icp_point_to_plane(voxel_downsample(pre, ICP_SOURCE_LEAF_FACTOR * leaf),
-                                 model, max_iter=max_iter, gate=gate_multiplier * leaf)
+                                 model.cloud(), max_iter=max_iter, gate=gate_multiplier * leaf)
         if icp_log is not None:
             icp_log.append(res)
-        parts.append(pre.transformed(res.transform))
-    return voxel_downsample(concatenate(parts), leaf)
+        model.add(pre.transformed(res.transform))
+    return model.cloud()

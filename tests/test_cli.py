@@ -11,6 +11,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
+from facelaser import cli
 from facelaser.cli import SHOT_VALUES, RunConfig, _write_shots_csv, main, read_shots_csv
 from facelaser.cloud import PointCloud, load_ply, save_ply
 from facelaser.geometry import RigidTransform
@@ -351,6 +352,104 @@ def test_register_non_finite_view_exits_1(workdir, capsys, column):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "vertex row 18" in err
     assert f"{names[1]}: " in err and str(names[0]) not in err
+    assert not (workdir / "merged.ply").exists()
+
+
+RADII = (0.09, 0.12, 0.07)
+
+
+def ellipsoid_views(n: int = 1500, min_cos: float = 0.0):
+    """The ellipsoid as the five viewpoints of the default face pose see it:
+    each view keeps the points whose exact normal is within acos(min_cos) of
+    the line of sight, in the camera's frame. Returns the views and poses."""
+    world = ellipsoid_cloud(n, radii=RADII, front_only=True)
+    poses = estimate_viewpoints(RigidTransform.identity(), 0.25, np.radians(10.0), 1)
+    views = []
+    for pose in poses:
+        view = world.transformed(pose.invert())
+        sight = -view.positions / np.linalg.norm(view.positions, axis=1, keepdims=True)
+        views.append(view.select(np.einsum("ij,ij->i", view.normals, sight) > min_cos))
+    return views, poses
+
+
+def save_views(workdir, views) -> list:
+    names = [workdir / f"view{i}.ply" for i in range(len(views))]
+    for view, name in zip(views, names):
+        save_ply(view, name)
+    return names
+
+
+def register(workdir, names):
+    """Run `register` on the views against the first default viewpoints."""
+    assert run(workdir, "viewpoints", "--out", workdir / "vp.json") == 0
+    poses = json.loads((workdir / "vp.json").read_text())[:len(names)]
+    _write_doc(workdir / "vp.json", poses)
+    return run(workdir, "register", "--views", *names, "--poses", workdir / "vp.json",
+               "--out", workdir / "merged.ply", "--icp-log", workdir / "icp.json")
+
+
+class TestRegisterBareViews:
+    LEAF = 0.004
+
+    def test_normals_on_the_leaf_grid(self, workdir, monkeypatch):
+        """Views without normals get them from their own leaf-grid centroids:
+        one unit normal per view voxel, facing the camera, close to the
+        surface's, and good enough for ICP."""
+        config = json.loads((workdir / "config.json").read_text())
+        _write_doc(workdir / "config.json", {**config, "voxel_leaf_m": self.LEAF})
+        views, poses = ellipsoid_views(12000, min_cos=0.2)
+        names = save_views(workdir, [PointCloud(v.positions) for v in views])
+        seen = []
+
+        def spy(clouds, *args, **kwargs):
+            seen.extend(clouds)
+            return merge_views(clouds, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "merge_views", spy)
+        assert register(workdir, names) == 0
+        assert len(seen) == len(views)
+        for got, want in zip(seen, views):
+            keys = np.floor(got.positions / self.LEAF).astype(np.int64)
+            _, first, voxel = np.unique(keys, axis=0, return_index=True,
+                                        return_inverse=True)
+            assert len(first) < 0.7 * len(got)        # many voxels of several points
+            assert np.array_equal(got.normals, got.normals[first][voxel.reshape(-1)])
+            assert np.allclose(np.linalg.norm(got.normals, axis=1), 1.0)
+            assert (np.einsum("ij,ij->i", got.normals, -got.positions) > 0.0).all()
+            cos = np.einsum("ij,ij->i", got.normals, want.normals)
+            assert cos.min() > np.cos(np.radians(15.0))
+        log = json.loads((workdir / "icp.json").read_text())
+        assert len(log) == len(views) - 1
+        assert all(entry["converged"] and entry["rmse"] < 0.1 * self.LEAF for entry in log)
+        # The default face pose is the identity, so view 0's frame is pose 0's.
+        model = poses[0].apply(load_ply(workdir / "merged.ply").positions)
+        radius = np.linalg.norm(model / RADII, axis=1)
+        assert np.abs(radius - 1.0).max() * min(RADII) < 0.1 * self.LEAF
+
+    @pytest.mark.parametrize("points", [
+        [[0.0, 0.0, 0.2], [0.01, 0.0, 0.2], [0.0, 0.01, 0.2]],
+        [0.0005, 0.0005, 0.2005] + 0.0004 * fibonacci_sphere(50),
+    ], ids=["three-points", "one-voxel"])
+    def test_too_small_for_normals_names_the_view(self, workdir, capsys, points):
+        """Too few leaf-grid voxels for a k-NN normal is an input error that
+        says which view it is."""
+        views, _ = ellipsoid_views()
+        views[1] = PointCloud(points)
+        names = save_views(workdir, views[:3])
+        _assert_input_error(capsys, register(workdir, names), f"{names[1]}: ")
+        assert not (workdir / "merged.ply").exists()
+
+
+def test_register_view_out_of_the_gate_names_it(workdir, capsys):
+    """A view with no pair inside the ICP gate is named in the error."""
+    views, _ = ellipsoid_views()
+    views[2] = PointCloud(views[2].positions + [0.5, 0.0, 0.0], views[2].normals)
+    names = save_views(workdir, views[:3])
+    code = register(workdir, names)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rejected all pairs" in err
+    assert f"{names[2]}: " in err and str(names[1]) not in err
     assert not (workdir / "merged.ply").exists()
 
 

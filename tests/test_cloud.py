@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from facelaser.cloud import (
     PointCloud,
     RayHit,
+    VoxelGrid,
     concatenate,
     estimate_normals,
     load_ply,
@@ -314,6 +315,15 @@ class TestVoxelDownsample:
         assert len(voxel_downsample(near, 1e-9)) == 2
 
 
+def assert_same_cloud(got: PointCloud, want: PointCloud) -> None:
+    """The same arrays, dtypes and bits, or both None."""
+    for name in ("positions", "normals", "colors"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @st.composite
 def voxel_cases(draw):
     """A cloud and a leaf: coordinates on voxel faces or free, both signs,
@@ -343,12 +353,55 @@ def voxel_cases(draw):
 def test_voxel_downsample_matches_unique(case):
     """The sorted grid gives the np.unique grid's output, array for array."""
     cloud, leaf = case
-    got, want = voxel_downsample(cloud, leaf), unique_voxel_downsample(cloud, leaf)
-    for name in ("positions", "normals", "colors"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert_same_cloud(voxel_downsample(cloud, leaf), unique_voxel_downsample(cloud, leaf))
+
+
+@st.composite
+def grid_parts(draw):
+    """A leaf and the clouds a VoxelGrid takes one after another, each with a
+    kind: cuts of a voxel_cases cloud, then maybe some of its rows again
+    ("repeat", no new voxel) and a copy moved past all of it ("moved", only
+    new voxels). Any part may lack normals or colours."""
+    cloud, leaf = draw(voxel_cases())
+    n = len(cloud)
+    cuts = sorted(draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=3, unique=True)))
+    cuts = [c for c in cuts if c < n]
+    parts = [cloud.select(slice(a, b)) for a, b in zip([0] + cuts, cuts + [n])]
+    kinds = ["cut"] * len(parts)
+    if draw(st.booleans()):
+        parts.append(cloud.select(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                                max_size=20))))
+        kinds.append("repeat")
+    if draw(st.booleans()):
+        shift = np.ptp(cloud.positions[:, 0]) + 2.0 * leaf
+        parts.append(PointCloud(cloud.positions + [shift, 0.0, 0.0], cloud.normals,
+                                cloud.colors))
+        kinds.append("moved")
+    for i, part in enumerate(parts):
+        drop_normals, drop_colors = draw(st.sampled_from(
+            [(False, False)] * 6 + [(True, False), (False, True)]))
+        parts[i] = PointCloud(part.positions, None if drop_normals else part.normals,
+                              None if drop_colors else part.colors)
+    return parts, kinds, leaf
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(grid_parts())
+def test_voxel_grid_adds_up_like_one_pass(case):
+    """A grid fed the parts one by one holds, after each, the voxel means of
+    their concatenation, array for array: voxel_downsample is the oracle."""
+    parts, kinds, leaf = case
+    grid = VoxelGrid(leaf)
+    for i, (part, kind) in enumerate(zip(parts, kinds)):
+        before = len(grid)
+        voxel = grid.add(part)
+        keys = np.floor(part.positions / leaf).astype(np.int64)
+        assert np.array_equal(grid.keys[voxel], keys)
+        if kind == "repeat":
+            assert len(grid) == before
+        elif kind == "moved":
+            assert len(grid) == before + len(np.unique(keys, axis=0))
+        assert_same_cloud(grid.cloud(), voxel_downsample(concatenate(parts[:i + 1]), leaf))
 
 
 class TestEstimateNormals:

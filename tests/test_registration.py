@@ -214,7 +214,8 @@ class TestMergeViews:
 
     def test_noisy_merge_fuses_the_full_resolution_views(self):
         """ICP matches downsampled clouds, but the model is the full-resolution
-        views, moved by the ICP transforms and downsampled once."""
+        views, moved by the ICP transforms: the voxel means one downsampling
+        of them all gives, bit for bit."""
         noise = 2e-4
         _, poses, views = self.make_scene(n=8000, noise=noise)
         log = []
