@@ -170,6 +170,12 @@ def cmd_viewpoints(args, cfg: RunConfig) -> int:
 
 # ------------------------------------------------------------------ register
 
+def _grid_error(path, exc: ValueError) -> InvalidParam:
+    """A view the voxel grid rejects: a coordinate too far from the origin
+    for voxel_leaf_m."""
+    return InvalidParam(f"{path}: {exc} (config key: voxel_leaf_m)")
+
+
 def cmd_register(args, cfg: RunConfig) -> int:
     docs = _read_json(args.poses)
     if not isinstance(docs, list):
@@ -188,15 +194,20 @@ def cmd_register(args, cfg: RunConfig) -> int:
                 v = leaf_grid_normals(v, leaf, 12, np.zeros(3))
             except (EmptyCloud, TooFewPoints) as exc:
                 raise type(exc)(f"{p}: {exc}") from exc
+            except ValueError as exc:
+                raise _grid_error(p, exc) from exc
         views.append(v)
     log = []
     try:
         merged = merge_views(views, poses, leaf, gate_multiplier=cfg.gate_multiplier,
                              icp_log=log)
+    except InvalidParam as exc:
+        # The leaf is checked above, so merge_views rejected the gate.
+        raise ConfigError(f"{exc} (config key: gate_multiplier)") from exc
     except NoCorrespondences as exc:
-        # merge_views logs each pair once it is aligned: the failing view is
-        # the one after the last logged.
-        raise NoCorrespondences(f"{args.views[len(log) + 1]}: {exc}") from exc
+        raise NoCorrespondences(f"{args.views[exc.view]}: {exc}") from exc
+    except ValueError as exc:
+        raise _grid_error(args.views[exc.view], exc) from exc
     save_ply(merged, args.out)
     if args.icp_log:
         _write_json([{"rmse": r.rmse, "iterations": r.iterations,

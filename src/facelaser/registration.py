@@ -85,17 +85,60 @@ class IcpResult:
     rmse_history: list = field(default_factory=list)
 
 
-def _plane_rmse(src: np.ndarray, tree: cKDTree, tgt_pos: np.ndarray, tgt_nrm: np.ndarray,
-                gate: float | None):
-    if gate is None:
-        _, j = tree.query(src)
-        keep = np.ones(len(src), dtype=bool)
-    else:
+# _Nearest shrinks each margin by this fraction of its bound b, so that
+# rounding in the computed distances (a few ulps of them) cannot break the proof.
+NEAREST_SAFETY = 1e-9
+
+
+class _Nearest:
+    """Each source row's nearest target, re-queried only where the motion
+    since its last kd-tree query could have changed it (Greenspan & Godin,
+    "A Nearest Neighbor Method for Efficient ICP", 3DIM 2001).
+
+    A k=2 query at r finds the nearest target j at d1 and the next at d2, so
+    every other target lies at least b = min(d2, gate) from r. While p stays
+    within (b - d1) / 2 of r, j is, by the triangle inequality, still strictly
+    the nearest and inside the gate. A row whose two nearest tie, or with no
+    target inside the gate, has no margin and is queried at every call; a tie
+    takes the k=1 query's index, so every match is the full query's.
+    """
+
+    def __init__(self, tree: cKDTree, gate: float | None, n: int):
+        self.tree = tree
+        self.gate = gate
         # The bound is strict; one ulp above the gate keeps a pair at exactly it.
-        dist, j = tree.query(src, distance_upper_bound=np.nextafter(gate, np.inf))
-        keep = dist <= gate
-        if not keep.any():
-            raise NoCorrespondences(f"gate {gate:.4g} m rejected all pairs")
+        self.bound = np.inf if gate is None else np.nextafter(gate, np.inf)
+        self.ref = np.zeros((n, 3))
+        self.index = np.zeros(n, dtype=np.intp)
+        self.margin2 = np.full(n, -1.0)      # squared margin; -1: query again
+
+    def match(self, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The nearest target of each row, and whether it lies within the gate."""
+        d = src - self.ref
+        rows = np.flatnonzero(~(np.einsum("ij,ij->i", d, d) < self.margin2))
+        keep = np.ones(len(src), dtype=bool)
+        if len(rows):
+            at = src[rows]
+            dist, idx = self.tree.query(at, k=2, distance_upper_bound=self.bound)
+            d1, d2 = dist.T
+            tie = np.flatnonzero((d1 == d2) & (d1 < np.inf))
+            if len(tie):
+                idx[tie, 0] = self.tree.query(at[tie], distance_upper_bound=self.bound)[1]
+            b = d2 if self.gate is None else np.minimum(d2, self.gate)
+            m = (0.5 - NEAREST_SAFETY) * b - 0.5 * d1
+            self.ref[rows] = at
+            self.index[rows] = idx[:, 0]
+            self.margin2[rows] = np.where(m > 0.0, m * m, -1.0)
+            if self.gate is not None:
+                keep[rows] = d1 <= self.gate
+        return self.index, keep
+
+
+def _plane_rmse(src: np.ndarray, nearest: _Nearest, tgt_pos: np.ndarray,
+                tgt_nrm: np.ndarray):
+    j, keep = nearest.match(src)
+    if not keep.any():
+        raise NoCorrespondences(f"gate {nearest.gate:.4g} m rejected all pairs")
     p = src[keep]
     q = tgt_pos[j[keep]]
     n = tgt_nrm[j[keep]]
@@ -117,6 +160,11 @@ def icp_point_to_plane(source: PointCloud, target: PointCloud,
     no trial step helps, the pair has converged. Rank-deficient systems fall
     back to the pseudo-inverse.
 
+    Evaluations re-use each source point's nearest target from its last
+    kd-tree query while the point has moved too little for it to change
+    (_Nearest), and query only the others again. The pairs, and so the
+    result, are the ones a fresh query of every point would give.
+
     Returns an IcpResult whose transform maps source coordinates into the
     target frame.
     """
@@ -125,11 +173,11 @@ def icp_point_to_plane(source: PointCloud, target: PointCloud,
     if not target.has_normals:
         raise ValueError("target cloud must have normals for point-to-plane ICP")
     t = init if init is not None else RigidTransform.identity()
-    tree = target.kdtree()
     tgt_pos, tgt_nrm = target.positions, target.normals
     src0 = source.positions
+    nearest = _Nearest(target.kdtree(), gate, len(src0))
 
-    rmse, p, q, n, b = _plane_rmse(t.apply(src0), tree, tgt_pos, tgt_nrm, gate)
+    rmse, p, q, n, b = _plane_rmse(t.apply(src0), nearest, tgt_pos, tgt_nrm)
     history = [rmse]
     converged = False
     iterations = 0
@@ -147,7 +195,7 @@ def icp_point_to_plane(source: PointCloud, target: PointCloud,
         for _ in range(ICP_LINE_SEARCH_STEPS):
             rot = axis_angle_to_rotation(step * x[:3])
             cand = RigidTransform(rot @ t.rotation, rot @ t.translation + step * x[3:])
-            cand_eval = _plane_rmse(cand.apply(src0), tree, tgt_pos, tgt_nrm, gate)
+            cand_eval = _plane_rmse(cand.apply(src0), nearest, tgt_pos, tgt_nrm)
             if cand_eval[0] <= rmse + 1e-15:
                 accepted = (cand, cand_eval)
                 break
@@ -174,7 +222,8 @@ def merge_views(clouds: list[PointCloud], poses: list[RigidTransform], leaf: flo
     the first is pre-aligned by its known pose relative to view 0, ICP-refined
     against the model so far (pairs farther apart than gate_multiplier * leaf
     are ignored), and added to it. Pass a list as icp_log to collect the
-    per-pair IcpResults.
+    per-pair IcpResults. An error raised for one view (NoCorrespondences, or
+    the voxel grid's ValueError) carries that view's index as `view`.
 
     The model is a VoxelGrid at `leaf`: per-voxel sums of the aligned
     full-resolution views, which each view joins once. It equals
@@ -184,6 +233,8 @@ def merge_views(clouds: list[PointCloud], poses: list[RigidTransform], leaf: flo
     """
     if not 0 < leaf < np.inf:
         raise InvalidParam(f"leaf must be positive and finite, not {leaf}")
+    if not gate_multiplier > 0:
+        raise InvalidParam(f"gate multiplier must be positive, not {gate_multiplier}")
     if len(clouds) != len(poses):
         raise ValueError(f"{len(clouds)} clouds but {len(poses)} poses")
     if not clouds:
@@ -193,14 +244,19 @@ def merge_views(clouds: list[PointCloud], poses: list[RigidTransform], leaf: flo
             raise ValueError("every view needs normals before merging")
 
     model = VoxelGrid(leaf)
-    model.add(clouds[0])
     base_inv = poses[0].invert()
-    for i in range(1, len(clouds)):
-        rel = base_inv.compose(poses[i])
-        pre = clouds[i].transformed(rel)
-        res = icp_point_to_plane(voxel_downsample(pre, ICP_SOURCE_LEAF_FACTOR * leaf),
-                                 model.cloud(), max_iter=max_iter, gate=gate_multiplier * leaf)
-        if icp_log is not None:
-            icp_log.append(res)
-        model.add(pre.transformed(res.transform))
+    for i, view in enumerate(clouds):
+        try:
+            if i > 0:
+                pre = view.transformed(base_inv.compose(poses[i]))
+                res = icp_point_to_plane(voxel_downsample(pre, ICP_SOURCE_LEAF_FACTOR * leaf),
+                                         model.cloud(), max_iter=max_iter,
+                                         gate=gate_multiplier * leaf)
+                if icp_log is not None:
+                    icp_log.append(res)
+                view = pre.transformed(res.transform)
+            model.add(view)
+        except (NoCorrespondences, ValueError) as exc:
+            exc.view = i
+            raise
     return model.cloud()

@@ -1,14 +1,16 @@
 """Shared synthetic fixtures: analytic clouds, landmark layouts, path stubs,
 and the reference implementations (brute-force raycast, np.unique voxel grid,
-eigh normals, per-patch poses, the simulator's tick loop over a segment) that
-the fast versions are tested against."""
+eigh normals, per-patch poses, the simulator's tick loop over a segment, the
+full-query ICP objective) that the fast versions are tested against."""
 
 import math
+from unittest import mock
 
 import numpy as np
 
+from facelaser import registration
 from facelaser.cloud import PointCloud, RayHit
-from facelaser.errors import DegenerateNormal
+from facelaser.errors import DegenerateNormal, NoCorrespondences
 from facelaser.geometry import (
     Y_AXIS,
     Z_AXIS,
@@ -194,6 +196,34 @@ def eigh_normals(cloud: PointCloud, k: int, viewpoint):
     flip = np.einsum("ij,ij->i", normals, np.asarray(viewpoint) - cloud.positions) < 0.0
     normals[flip] *= -1.0
     return normals, cov, values
+
+
+def full_query_plane_rmse(src: np.ndarray, nearest, tgt_pos: np.ndarray,
+                          tgt_nrm: np.ndarray):
+    """registration._plane_rmse with a fresh kd-tree query of every source
+    row, k=1 and bounded one ulp above the gate, at every evaluation: the
+    oracle of the cached matches. `nearest` gives only its tree and gate."""
+    tree, gate = nearest.tree, nearest.gate
+    if gate is None:
+        _, j = tree.query(src)
+        keep = np.ones(len(src), dtype=bool)
+    else:
+        dist, j = tree.query(src, distance_upper_bound=np.nextafter(gate, np.inf))
+        keep = dist <= gate
+        if not keep.any():
+            raise NoCorrespondences(f"gate {gate:.4g} m rejected all pairs")
+    p = src[keep]
+    q = tgt_pos[j[keep]]
+    n = tgt_nrm[j[keep]]
+    b = np.einsum("ij,ij->i", p - q, n)
+    return float(np.sqrt(np.mean(b * b))), p, q, n, b
+
+
+def full_query_icp(*args, **kwargs) -> registration.IcpResult:
+    """icp_point_to_plane evaluating full_query_plane_rmse in place of the
+    cached objective."""
+    with mock.patch.object(registration, "_plane_rmse", full_query_plane_rmse):
+        return registration.icp_point_to_plane(*args, **kwargs)
 
 
 def loop_path_to_poses(path: SegmentPath, standoff: float) -> list[RigidTransform]:

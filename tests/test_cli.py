@@ -73,9 +73,13 @@ class TestConfigHandling:
         ("control_rate_hz", "2", "simulate"),
         ("voxel_leaf_m", "0", "register"),
         ("voxel_leaf_m", "-1", "register"),
+        ("voxel_leaf_m", "1e-30", "register"),
+        ("gate_multiplier", "0", "register"),
+        ("gate_multiplier", "-1", "register"),
     ], ids=["nan-diameter", "nan-standoff", "inf-control-rate", "nan-timeout",
             "zero-samples", "negative-samples", "negative-seed",
-            "control-rate-below-pulse-rate", "zero-leaf", "negative-leaf"])
+            "control-rate-below-pulse-rate", "zero-leaf", "negative-leaf", "tiny-leaf",
+            "zero-gate", "negative-gate"])
     def test_bad_value_exits_1(self, tmp_path, capsys, key, text, command):
         (tmp_path / "config.json").write_text(f'{{"{key}": {text}}}')
         (tmp_path / "paths.json").write_text(json.dumps([
@@ -450,6 +454,27 @@ def test_register_view_out_of_the_gate_names_it(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "rejected all pairs" in err
     assert f"{names[2]}: " in err and str(names[1]) not in err
+    assert not (workdir / "merged.ply").exists()
+
+
+@pytest.mark.parametrize("bare", [False, True], ids=["normals", "bare"])
+@pytest.mark.parametrize("index", [0, 2])
+def test_register_view_too_far_for_the_grid_names_it(workdir, capsys, bare, index):
+    """A view with a coordinate whose voxel index does not fit in int64 is an
+    input error that names the view and the leaf's config key."""
+    views, _ = ellipsoid_views()
+    far = views[index].positions.copy()
+    far[5, 1] = 1e20
+    views[index] = PointCloud(far, views[index].normals)
+    if bare:
+        views = [PointCloud(v.positions) for v in views]
+    names = save_views(workdir, views[:3])
+    code = register(workdir, names)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "voxel_leaf_m" in err
+    assert f"{names[index]}: " in err
+    assert all(str(n) not in err for n in names if n != names[index])
     assert not (workdir / "merged.ply").exists()
 
 

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from facelaser.cloud import PointCloud, concatenate, voxel_downsample
@@ -13,13 +17,14 @@ from facelaser.geometry import (
 )
 from facelaser.registration import (
     IcpResult,
+    _Nearest,
     _plane_rmse,
     estimate_viewpoints,
     icp_point_to_plane,
     merge_views,
 )
 
-from support import ellipsoid_cloud
+from support import ellipsoid_cloud, full_query_icp, plane_grid
 
 D = 0.25
 STEP = np.radians(10.0)
@@ -145,10 +150,34 @@ class TestIcp:
     def test_gate_keeps_a_pair_at_exactly_the_gate(self):
         tgt = np.zeros((1, 3))
         src = np.array([[0.5, 0.0, 0.0], [0.0, np.nextafter(0.5, 1.0), 0.0]])
-        rmse, p, q, _, _ = _plane_rmse(src, cKDTree(tgt), tgt, np.array([[1.0, 0.0, 0.0]]),
-                                       gate=0.5)
+        rmse, p, q, _, _ = _plane_rmse(src, _Nearest(cKDTree(tgt), 0.5, len(src)), tgt,
+                                       np.array([[1.0, 0.0, 0.0]]))
         assert np.array_equal(p, src[:1]) and np.array_equal(q, tgt)
         assert rmse == 0.5
+
+    def test_converging_pair_requeries_few_rows(self, monkeypatch):
+        """Near convergence a step moves the points far less than their
+        margins, so most rows keep last evaluation's match and only the rest
+        are queried again."""
+        target = self.make_target(8000)
+        source = self.make_target().transformed(
+            perturbation([0.03, -0.02, 0.02], [0.003, 0.0, -0.002]))
+        noise = np.random.default_rng(3).normal(0.0, 1e-4, (len(source), 3))
+        source = PointCloud(source.positions + noise)
+        tree = CountingTree(target.kdtree())
+        monkeypatch.setattr(target, "kdtree", lambda: tree)
+        evaluations = []
+        plane_rmse = registration._plane_rmse
+
+        def counted_rmse(*args, **kwargs):
+            evaluations.append(1)
+            return plane_rmse(*args, **kwargs)
+
+        monkeypatch.setattr(registration, "_plane_rmse", counted_rmse)
+        res = icp_point_to_plane(source, target, gate=0.02)
+        assert res.converged and res.rmse < 2e-4
+        assert len(evaluations) > 5
+        assert tree.rows < 0.5 * len(evaluations) * len(source)
 
     def test_empty_cloud_rejected(self):
         target = self.make_target(400)
@@ -163,6 +192,134 @@ class TestIcp:
         bare = PointCloud(target.positions.copy())
         with pytest.raises(ValueError):
             icp_point_to_plane(target, bare)
+
+
+# A power-of-two lattice pitch: lattice points, their midpoints and offsets of
+# whole quarter pitches are exact, so distances tie exactly.
+PITCH = 2.0**-8
+
+
+def lattice(shape) -> np.ndarray:
+    axes = [np.arange(k, dtype=float) for k in shape]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3) * PITCH
+
+
+@st.composite
+def icp_cases(draw):
+    """Source, target, start pose and gate for ICP, of five kinds:
+    - "tie": lattice targets and sources on their midpoints, where the two
+      nearest targets are at exactly the same distance;
+    - "edge": sources straight above the lattice's top layer at exactly the
+      gate, or one ulp beyond it;
+    - "drift": a moved copy of part of an ellipsoid, which starts partly
+      beyond the gate and drifts into it;
+    - "plane": a flat target, whose normal equations take the pinv branch;
+    - "free": an ellipsoid, a noisy moved copy and any gate, None included.
+    """
+    kind = draw(st.sampled_from(["tie", "edge", "drift", "plane", "free"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = RigidTransform.identity()
+    if kind in ("tie", "edge"):
+        pos = lattice((6, 6, 3))
+        normals = rng.normal(size=pos.shape)
+        target = PointCloud(pos, normals / np.linalg.norm(normals, axis=1, keepdims=True))
+        rows = rng.choice(len(pos), size=draw(st.integers(1, 60)))
+        if kind == "tie":
+            src = pos[rows] + 0.5 * PITCH * rng.integers(0, 2, size=(len(rows), 3))
+            gate = draw(st.sampled_from([None, 0.5 * PITCH, PITCH, 3.0 * PITCH]))
+        else:
+            gate = draw(st.sampled_from([0.25, 0.5, 0.75])) * PITCH
+            src = pos[rows] * [1.0, 1.0, 0.0] + [0.0, 0.0, 2.0 * PITCH + gate]
+            beyond = rng.random(len(src)) < 0.3
+            src[beyond, 2] = np.nextafter(src[beyond, 2], np.inf)
+        source = PointCloud(src)
+        if draw(st.booleans()):
+            start = perturbation(rng.normal(0.0, 1e-3, 3), rng.normal(0.0, 1e-4, 3))
+    elif kind == "plane":
+        target = plane_grid(0.02, 0.02, 0.001, 0.001, tilt=draw(st.floats(-0.5, 0.5)))
+        pert = perturbation(rng.normal(0.0, 0.02, 3), rng.normal(0.0, 0.002, 3))
+        source = target.select(rng.random(len(target)) < 0.5).transformed(pert)
+        gate = draw(st.sampled_from([None, 0.005, 0.02]))
+    else:
+        target = ellipsoid_cloud(draw(st.integers(50, 800)), radii=(0.09, 0.12, 0.07),
+                                 front_only=True)
+        offset = rng.normal(0.0, 0.01, 3)
+        pert = perturbation(rng.normal(0.0, 0.03, 3), offset)
+        source = target.select(rng.random(len(target)) < 0.6).transformed(pert)
+        source = PointCloud(source.positions + rng.normal(0.0, 1e-4, (len(source), 3)))
+        if kind == "drift":
+            gate = draw(st.floats(0.3, 1.5)) * float(np.linalg.norm(offset))
+        else:
+            gate = draw(st.one_of(st.none(), st.floats(0.002, 0.05)))
+    return source, target, start, gate, draw(st.integers(1, 25))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(icp_cases())
+def test_cached_matches_give_the_full_query_result(case):
+    """ICP with cached nearest targets returns, bit for bit, what querying
+    every source point at every evaluation returns: the same transform, rmse
+    history, iteration count and convergence, or the same error."""
+    source, target, start, gate, max_iter = case
+    try:
+        want = full_query_icp(source, target, init=start, max_iter=max_iter, gate=gate)
+    except NoCorrespondences as exc:
+        with pytest.raises(NoCorrespondences, match=re.escape(str(exc))):
+            icp_point_to_plane(source, target, init=start, max_iter=max_iter, gate=gate)
+        return
+    got = icp_point_to_plane(source, target, init=start, max_iter=max_iter, gate=gate)
+    assert np.array_equal(got.transform.rotation, want.transform.rotation)
+    assert np.array_equal(got.transform.translation, want.transform.translation)
+    assert got.rmse_history == want.rmse_history
+    assert (got.rmse, got.iterations, got.converged) == (want.rmse, want.iterations,
+                                                         want.converged)
+
+
+@st.composite
+def margin_walks(draw):
+    """Sources just off the midpoint between two lattice targets, walked
+    along that axis in steps of about their margin: the nearest target
+    changes exactly where the cache's proof runs out."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = lattice((4, 4, 2))
+    rows = rng.choice(len(pos), size=20)
+    axis = rng.integers(0, 3, size=20)
+    along = np.eye(3)[axis]
+    offset = draw(st.sampled_from([1e-13, 1e-11, 1e-9, 1e-6])) * PITCH
+    start = pos[rows] + (0.5 * PITCH - offset) * along
+    steps = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
+    walk = [start + step * offset * along for step in steps]
+    gate = draw(st.sampled_from([None, 0.5 * PITCH, PITCH]))
+    return PointCloud(pos), walk, gate
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(margin_walks())
+def test_nearest_agrees_with_a_full_query_at_every_call(case):
+    """Each call's matches are the bounded k=1 query's: the kept rows and
+    their targets."""
+    target, walk, gate = case
+    tree = target.kdtree()
+    nearest = _Nearest(tree, gate, len(walk[0]))
+    bound = np.inf if gate is None else np.nextafter(gate, np.inf)
+    for src in walk:
+        j, keep = nearest.match(src)
+        dist, want = tree.query(src, distance_upper_bound=bound)
+        want_keep = dist <= (np.inf if gate is None else gate)
+        assert np.array_equal(keep, want_keep)
+        assert np.array_equal(j[keep], want[keep])
+
+
+class CountingTree:
+    """A kd-tree that counts the source rows it is asked to match."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.rows = 0
+
+    def query(self, x, *args, **kwargs):
+        self.rows += len(x)
+        return self.tree.query(x, *args, **kwargs)
 
 
 def ellipsoid_distance(points, radii, center):
@@ -267,6 +424,12 @@ class TestMergeViews:
         bare = PointCloud(views[1].positions.copy())
         with pytest.raises(ValueError):
             merge_views([views[0], bare, views[2]], poses, leaf=self.LEAF)
+
+    @pytest.mark.parametrize("multiplier", [0.0, -1.0, np.nan])
+    def test_gate_multiplier_must_be_positive(self, multiplier):
+        _, poses, views = self.make_scene()
+        with pytest.raises(InvalidParam, match="gate multiplier"):
+            merge_views(views[:1], poses[:1], leaf=self.LEAF, gate_multiplier=multiplier)
 
     def test_no_views(self):
         with pytest.raises(EmptyCloud):
