@@ -32,7 +32,7 @@ from .errors import (
 )
 from .geometry import CameraIntrinsics, PoseVector6, RigidTransform, parse_pose
 from .pathplan import PlannerConfig, SegmentPath, plan_segment
-from .registration import estimate_viewpoints, merge_views
+from .registration import check_merge_leaf, estimate_viewpoints, merge_views
 from .segmentation import REGION_LABELS, FaceLandmarks, segment_face
 from .simulator import (
     MotionScript,
@@ -184,8 +184,10 @@ def cmd_register(args, cfg: RunConfig) -> int:
     if len(poses) != len(args.views):
         raise _UsageError(f"{len(args.views)} views but {len(poses)} poses")
     leaf = cfg.voxel_leaf_m
-    if not leaf > 0.0:
-        raise ConfigError(f"leaf must be positive, not {leaf} (config key: voxel_leaf_m)")
+    try:
+        check_merge_leaf(leaf)
+    except InvalidParam as exc:
+        raise ConfigError(f"{exc} (config key: voxel_leaf_m)") from exc
     views = []
     for p in args.views:
         v = load_ply(_require(p))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import DegenerateNormal, EmptySegment, InvalidParam
-from .geometry import RigidTransform, Vec3, Y_AXIS, Z_AXIS, row_norms
+from .geometry import Vec3, Y_AXIS, Z_AXIS, row_norms
 
 ORIENTATIONS = ("auto", "horizontal", "vertical")
 
@@ -206,8 +206,9 @@ def plan_segment(cloud: PointCloud, config: PlannerConfig,
                        np.concatenate(strip_of), orientation, widths)
 
 
-def path_to_poses(path: SegmentPath, standoff: float) -> list[RigidTransform]:
-    """Effector poses hovering `standoff` above each patch along its normal.
+def path_to_poses(path: SegmentPath, standoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Effector poses hovering `standoff` above each patch along its normal,
+    as columns: (n, 3, 3) rotations and (n, 3) positions.
 
     The tool frame's z-axis is the outward patch normal (the beam leaves
     along -z). The in-plane reference defaults to the face y-axis and falls
@@ -236,4 +237,4 @@ def path_to_poses(path: SegmentPath, standoff: float) -> list[RigidTransform]:
     beta /= row_norms(beta)[:, None]
     rotations = np.stack([alpha, beta, gamma], axis=2)
     positions = path.positions + standoff * eta
-    return [RigidTransform(r, t) for r, t in zip(rotations, positions)]
+    return rotations, positions

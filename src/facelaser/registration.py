@@ -213,6 +213,14 @@ def icp_point_to_plane(source: PointCloud, target: PointCloud,
     return IcpResult(t, rmse, iterations, converged, history)
 
 
+def check_merge_leaf(leaf: float) -> None:
+    """Raise InvalidParam unless merge_views can run at `leaf`: positive,
+    with ICP_SOURCE_LEAF_FACTOR * leaf finite."""
+    if not (0 < leaf and ICP_SOURCE_LEAF_FACTOR * leaf < np.inf):
+        raise InvalidParam(f"leaf must be positive, and {ICP_SOURCE_LEAF_FACTOR:g} times "
+                           f"it finite, not {leaf}")
+
+
 def merge_views(clouds: list[PointCloud], poses: list[RigidTransform], leaf: float,
                 max_iter: int = 30, gate_multiplier: float = 10.0,
                 icp_log: list | None = None) -> PointCloud:
@@ -229,12 +237,12 @@ def merge_views(clouds: list[PointCloud], poses: list[RigidTransform], leaf: flo
     full-resolution views, which each view joins once. It equals
     voxel_downsample(concatenate(aligned views), leaf) bit for bit. ICP
     matches the view downsampled at ICP_SOURCE_LEAF_FACTOR * leaf against
-    the model's voxel means.
+    the model's voxel means. Both that leaf and the gate must be finite.
     """
-    if not 0 < leaf < np.inf:
-        raise InvalidParam(f"leaf must be positive and finite, not {leaf}")
-    if not gate_multiplier > 0:
-        raise InvalidParam(f"gate multiplier must be positive, not {gate_multiplier}")
+    check_merge_leaf(leaf)
+    if not 0 < gate_multiplier * leaf < np.inf:
+        raise InvalidParam(f"gate multiplier must be positive, and times the leaf "
+                           f"finite, not {gate_multiplier}")
     if len(clouds) != len(poses):
         raise ValueError(f"{len(clouds)} clouds but {len(poses)} poses")
     if not clouds:

@@ -15,7 +15,6 @@ from facelaser.geometry import (
     Y_AXIS,
     Z_AXIS,
     CameraIntrinsics,
-    RigidTransform,
     rotation_from_normal,
 )
 from facelaser.pathplan import SegmentPath
@@ -226,10 +225,10 @@ def full_query_icp(*args, **kwargs) -> registration.IcpResult:
         return registration.icp_point_to_plane(*args, **kwargs)
 
 
-def loop_path_to_poses(path: SegmentPath, standoff: float) -> list[RigidTransform]:
+def loop_path_to_poses(path: SegmentPath, standoff: float) -> tuple[np.ndarray, np.ndarray]:
     """path_to_poses one patch at a time: rotation_from_normal about the y
     reference, or about z where the normal is parallel to y."""
-    poses = []
+    rotations, positions = [], []
     for i, (chi, eta) in enumerate(zip(path.positions, path.normals)):
         try:
             rot = rotation_from_normal(eta, Y_AXIS)
@@ -239,16 +238,18 @@ def loop_path_to_poses(path: SegmentPath, standoff: float) -> list[RigidTransfor
             except DegenerateNormal as exc:
                 raise DegenerateNormal(
                     f"path point {i} of '{path.label}': {exc}") from exc
-        poses.append(RigidTransform(rot, chi + standoff * eta))
-    return poses
+        rotations.append(rot)
+        positions.append(chi + standoff * eta)
+    return np.reshape(rotations, (-1, 3, 3)), np.reshape(positions, (-1, 3))
 
 
-def tick_legs(run, leg) -> None:
-    """The simulator's tick loop from the open leg to the end of its
+def tick_legs(run, j) -> None:
+    """The simulator's tick loop from the open leg j to the end of its
     segment, one leg after another: the reference of `_Run._legs`, which
     tests put in its place."""
     while True:
-        run._tick_leg(leg)
-        if leg.j + 1 == len(run.tgt_pos):
+        run._tick_leg(j)
+        if j + 1 == len(run.tgt_pos):
             return
-        leg = run._open(leg.j + 1)
+        j += 1
+        run._open(j)

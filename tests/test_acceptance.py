@@ -373,7 +373,7 @@ def test_criterion_09_deadband_reanchoring():
     path = plan_segment(plane_grid(0.02, 0.02), PlannerConfig(0.004))
     cfg = SimConfig(0.004, 5.0)
     standoff = 0.05
-    plan = np.array([p.translation for p in path_to_poses(path, standoff)])
+    _, plan = path_to_poses(path, standoff)
     dt = 1.0 / cfg.control_rate
     t_step = 125.25 * dt                    # one second in, between two ticks
     ident = RigidTransform.identity()

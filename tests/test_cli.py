@@ -74,12 +74,13 @@ class TestConfigHandling:
         ("voxel_leaf_m", "0", "register"),
         ("voxel_leaf_m", "-1", "register"),
         ("voxel_leaf_m", "1e-30", "register"),
+        ("voxel_leaf_m", "1e308", "register"),
         ("gate_multiplier", "0", "register"),
         ("gate_multiplier", "-1", "register"),
     ], ids=["nan-diameter", "nan-standoff", "inf-control-rate", "nan-timeout",
             "zero-samples", "negative-samples", "negative-seed",
             "control-rate-below-pulse-rate", "zero-leaf", "negative-leaf", "tiny-leaf",
-            "zero-gate", "negative-gate"])
+            "huge-leaf", "zero-gate", "negative-gate"])
     def test_bad_value_exits_1(self, tmp_path, capsys, key, text, command):
         (tmp_path / "config.json").write_text(f'{{"{key}": {text}}}')
         (tmp_path / "paths.json").write_text(json.dumps([

@@ -191,18 +191,17 @@ class TestPlanSegment:
 class TestPathToPoses:
     def test_pose_geometry(self):
         path = plan_segment(plane_grid(tilt=np.radians(25.0)), config())
-        poses = path_to_poses(path, standoff=0.01)
-        assert len(poses) == len(path)
-        for pose, chi, eta in zip(poses, path.positions, path.normals):
-            assert np.allclose(pose.rotation[:, 2], eta, atol=1e-12)
-            assert np.allclose(pose.translation, chi + 0.01 * eta)
-            assert np.allclose(pose.rotation @ pose.rotation.T, np.eye(3),
-                               atol=1e-12)
+        rotations, positions = path_to_poses(path, standoff=0.01)
+        assert rotations.shape == (len(path), 3, 3) and positions.shape == (len(path), 3)
+        for rot, pos, chi, eta in zip(rotations, positions, path.positions, path.normals):
+            assert np.allclose(rot[:, 2], eta, atol=1e-12)
+            assert np.allclose(pos, chi + 0.01 * eta)
+            assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-12)
 
     def test_normal_parallel_to_reference_falls_back(self):
         path = SegmentPath("row", [np.zeros(3)], [Y_AXIS], [0], "horizontal")
-        pose = path_to_poses(path, standoff=0.0)[0]
-        assert np.allclose(pose.rotation[:, 2], Y_AXIS)
+        rotations, _ = path_to_poses(path, standoff=0.0)
+        assert np.allclose(rotations[0, :, 2], Y_AXIS)
 
     def test_negative_standoff_rejected(self):
         path = SegmentPath("row", [np.zeros(3)], [Z_AXIS], [0], "horizontal")
@@ -237,11 +236,9 @@ def test_path_to_poses_matches_per_patch_loop(normals, standoff, seed):
     bit for bit."""
     positions = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(len(normals), 3))
     path = SegmentPath("cheek", positions, normals, np.zeros(len(normals)), "horizontal")
-    got, want = path_to_poses(path, standoff), loop_path_to_poses(path, standoff)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert np.array_equal(a.rotation, b.rotation)
-        assert np.array_equal(a.translation, b.translation)
+    (rot, pos), (want_rot, want_pos) = (path_to_poses(path, standoff),
+                                        loop_path_to_poses(path, standoff))
+    assert np.array_equal(rot, want_rot) and np.array_equal(pos, want_pos)
 
 
 def test_path_to_poses_rejects_a_non_unit_normal():

@@ -431,6 +431,15 @@ class TestMergeViews:
         with pytest.raises(InvalidParam, match="gate multiplier"):
             merge_views(views[:1], poses[:1], leaf=self.LEAF, gate_multiplier=multiplier)
 
+    @pytest.mark.parametrize("leaf, multiplier, match", [
+        (1e308, 10.0, "leaf must be"), (1e300, 1e10, "gate multiplier")],
+        ids=["icp-leaf", "gate"])
+    def test_overflowing_scale_rejected_before_any_view(self, leaf, multiplier, match):
+        _, poses, views = self.make_scene()
+        with pytest.raises(InvalidParam, match=match) as exc:
+            merge_views(views, poses, leaf=leaf, gate_multiplier=multiplier)
+        assert not hasattr(exc.value, "view")
+
     def test_no_views(self):
         with pytest.raises(EmptyCloud):
             merge_views([], [], leaf=self.LEAF)

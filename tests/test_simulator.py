@@ -20,6 +20,7 @@ from facelaser.geometry import (
     RigidTransform,
     Z_AXIS,
     axis_angle_to_rotation,
+    interpolate_rotation,
     rotation_from_normal,
     rotation_to_axis_angle,
 )
@@ -806,7 +807,7 @@ def guarded_surface(draw, paths, kwargs, guard):
     if guard == "contact":
         first = next(iter(paths.values()))
         tip = (kwargs["start"].translation if "start" in kwargs
-               else path_to_poses(first, kwargs["standoff"])[0].translation)
+               else path_to_poses(first, kwargs["standoff"])[1][0])
         points = np.vstack([points, tip])
         rig = SensorRig(ring_radius=0.002)
     return {"rig": rig, "cloud": PointCloud(points, np.tile(Z_AXIS, (len(points), 1)))}
@@ -1039,6 +1040,44 @@ def test_guarded_leg_that_reanchors_before_its_first_tick():
     moved = RigidTransform(np.eye(3), np.array([0.0, 0.01, 0.0]))
     motion = MotionScript([0.0, 2.5 * dt, 2.6 * dt], [still, still, moved])
     assert assert_same_run(path, cfg, motion=motion, **IDLE_GUARD) is None
+
+
+@pytest.mark.parametrize("tick_loop", [False, True], ids=["blocks", "tick-loop"])
+def test_reanchored_leg_turns_to_the_carried_target(tick_loop):
+    """A head roll beyond the dead-band arrives in the middle of a leg whose
+    target is tilted, and a point timeout ends the run later on that leg.
+    From the re-anchoring tick on, every shot and the final pose take the
+    slerp from the leg's start rotation to carry.rotation @ the plan
+    rotation, at the leg's fraction of travel; the shots before it turn
+    toward the plan rotation."""
+    cfg = SimConfig(0.004, 5.0, point_timeout=1.0)
+    dt = 1.0 / cfg.control_rate
+    tilted = np.array([0.3, 0.0, 1.0]) / np.linalg.norm([0.3, 0.0, 1.0])
+    path = SegmentPath("tilt", [[0.0, 0.0, 0.0], [0.03, 0.0, 0.0]], [Z_AXIS, tilted],
+                       [0, 0], "horizontal")
+    roll = RigidTransform(rotation_about_z(math.radians(10.0)), np.zeros(3))
+    still = RigidTransform.identity()
+    # The head rolls between the ticks that start at 62 dt and at 63 dt.
+    motion = MotionScript([0.0, 62.25 * dt, 62.75 * dt], [still, still, roll])
+    res, message, _ = run_outcome(path, cfg, tick_loop, motion=motion)
+    assert message.startswith("target 1 of 'tilt' not reached within 1 s")
+
+    plan_rot, plan_pos = path_to_poses(path, 0.0)
+    length = np.linalg.norm(plan_pos[1] - plan_pos[0])
+
+    def turned(t, target):
+        return interpolate_rotation(plan_rot[0], target,
+                                    min(1.0, (t - 0.0) * cfg.max_speed / length))
+
+    carried = roll.rotation @ plan_rot[1]
+    after = res.log.time > 63.5 * dt
+    assert after.any() and not after.all()
+    for t, axis_angle, late in zip(res.log.time, res.log.axis_angle, after):
+        want = turned(t, carried if late else plan_rot[1])
+        assert np.array_equal(axis_angle, rotation_to_axis_angle(want))
+    final = res.final_state
+    assert final.time * cfg.max_speed < length      # the run ends mid-leg
+    assert np.array_equal(final.rotation, turned(final.time, carried))
 
 
 def test_timeout_aborts_alike():
