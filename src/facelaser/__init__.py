@@ -25,7 +25,6 @@ from .geometry import (
     axis_angle_to_rotation,
     face_pose_from_eyes,
     interpolate_rotation,
-    project_point,
     project_points,
     rotation_from_normal,
     rotation_to_axis_angle,
@@ -54,7 +53,6 @@ from .segmentation import (
     RegionPolygon,
     SegmentedFace,
     build_region_polygons,
-    point_in_polygon,
     points_in_polygon,
     polygon_is_simple,
     segment_face,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, DegenerateInput, DegenerateNormal, ParseError
+from .errors import DegenerateInput, DegenerateNormal, ParseError
 
 # A Vec3 is a plain float64 ndarray of shape (3,).
 Vec3 = np.ndarray
@@ -293,19 +293,6 @@ def interpolate_rotations(r_from: np.ndarray, r_to: np.ndarray, fractions) -> np
     out[f >= 1.0] = np.broadcast_to(r_to, out.shape)[f >= 1.0]
     out[f <= 0.0] = np.broadcast_to(r_from, out.shape)[f <= 0.0]
     return out
-
-
-def project_point(x: Vec3, intrinsics: CameraIntrinsics, extrinsics: RigidTransform) -> tuple[float, float]:
-    """Pixel coordinates of a world point; extrinsics maps world into camera.
-
-    Raises BehindCamera when camera-frame depth <= 1e-6.
-    """
-    p = extrinsics.apply(np.asarray(x, dtype=float))
-    if p[2] <= 1e-6:
-        raise BehindCamera(f"depth {p[2]:.3g} is not in front of the camera")
-    u = intrinsics.fx * p[0] / p[2] + intrinsics.cx
-    v = intrinsics.fy * p[1] / p[2] + intrinsics.cy
-    return float(u), float(v)
 
 
 def project_points(points: np.ndarray, intrinsics: CameraIntrinsics,

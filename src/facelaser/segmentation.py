@@ -119,22 +119,6 @@ def polygon_is_simple(vertices: np.ndarray) -> bool:
     return True
 
 
-def point_in_polygon(point, vertices) -> bool:
-    """Even-odd crossing test with half-open edges (top vertex in, bottom out)."""
-    u, v = float(point[0]), float(point[1])
-    verts = np.asarray(vertices, dtype=float)
-    inside = False
-    n = len(verts)
-    for i in range(n):
-        u1, v1 = verts[i]
-        u2, v2 = verts[(i + 1) % n]
-        if (v1 <= v) != (v2 <= v):
-            cross_u = u1 + (v - v1) / (v2 - v1) * (u2 - u1)
-            if u < cross_u:
-                inside = not inside
-    return inside
-
-
 def points_in_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Vectorized even-odd test; returns a boolean mask over the rows of points."""
     pts = np.asarray(points, dtype=float)

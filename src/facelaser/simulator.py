@@ -834,10 +834,11 @@ class PlanarRegion:
         self.v_axis = np.asarray(self.v_axis, dtype=float).reshape(3)
         self.lo = np.asarray(self.lo, dtype=float).reshape(2)
         self.hi = np.asarray(self.hi, dtype=float).reshape(2)
-        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()
-                and (self.lo < self.hi).all()):
-            raise InvalidParam(f"region bounds need finite lo < hi on both axes, "
-                               f"not lo={self.lo.tolist()} hi={self.hi.tolist()}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = self.hi - self.lo       # inf or nan unless both are finite
+        if not (np.isfinite(width).all() and (width > 0).all()):
+            raise InvalidParam(f"region bounds need finite lo < hi with a finite hi - lo "
+                               f"on both axes, not lo={self.lo.tolist()} hi={self.hi.tolist()}")
 
     def to_world(self, uv: np.ndarray) -> np.ndarray:
         uv = np.asarray(uv, dtype=float).reshape(-1, 2)
@@ -873,6 +874,40 @@ def default_shot_region(shots: np.ndarray, pad: float) -> PlanarRegion:
                         [u.min() - pad, v.min() - pad], [u.max() + pad, v.max() + pad])
 
 
+# Monte Carlo samples drawn at a time, so memory does not grow with `samples`.
+MC_CHUNK = 1 << 16
+
+
+def _classify_cells(tree: cKDTree, radius: float, region: PlanarRegion, samples: int):
+    """Square uv cells over the box, each proven covered, proven empty or mixed.
+
+    The cell side starts at radius / 16 and doubles until there are at most
+    samples / 8 cells. Any sample lies within `half` of its cell's centre in
+    the world, so by the triangle inequality every sample of a cell whose
+    centre is nearer a shot than radius - half is covered, and no sample of a
+    cell with no shot within radius + half is. `margin` outweighs the rounding
+    of `to_world`, of the cell index and of the tree's distances by ~1e7.
+    Returns (covered, mixed) masks over the row-major cells, the side and the
+    (n_u, n_v) cell counts.
+    """
+    width = region.hi - region.lo
+    # The floor bounds the doublings and the int64 cell index; the cap, one
+    # cell across the box, ends them without overflow.
+    side = max(radius / 16.0, width.max() * 2.0 ** -60)
+    while np.prod(np.ceil(width / side)) > max(samples / 8.0, 1.0):
+        side = min(2.0 * side, width.max())
+    shape = np.ceil(width / side).astype(np.int64)
+    centres = region.to_world(region.lo + side * (np.indices(shape).reshape(2, -1).T + 0.5))
+    u, v = region.u_axis, region.v_axis
+    half = 0.5 * side * max(np.linalg.norm(u + v), np.linalg.norm(u - v))
+    scale = max(np.abs(tree.data).max(), np.abs(region.origin).max()
+                + np.abs([region.lo, region.hi]).max() * (np.abs(u).max() + np.abs(v).max()))
+    margin = 1e-9 * (1.0 + scale)
+    near, _ = tree.query(centres, distance_upper_bound=radius + half + margin)
+    covered = near < radius - half - margin
+    return covered, np.isfinite(near) & ~covered, side, shape
+
+
 @dataclass
 class CoverageReport:
     n_shots: int
@@ -892,14 +927,16 @@ def coverage_metrics(log: ShotLog, diameter: float,
     Spacing pairs are consecutive shots within one strip of one segment.
     Coverage counts a location treated when it lies within one spot radius
     of a shot center: against a cloud it is the fraction of cloud points
-    treated; otherwise the fraction of `samples` points drawn uniformly, in
-    one seeded draw, over the box `region` (by default the shot pattern's
-    own best-fit box, padded by one spot radius).
+    treated; otherwise the fraction of `samples` points drawn uniformly, as
+    one seeded stream, over the box `region` (by default the shot pattern's
+    own best-fit box, padded by one spot radius). The count equals a kd-tree
+    query of every point, bit for bit; only the points in cells that
+    `_classify_cells` cannot settle are queried.
     """
     if len(log) == 0:
         raise EmptyLog("no shots were fired")
-    if diameter <= 0:
-        raise InvalidParam("diameter must be positive")
+    if not 0.0 < diameter < math.inf:
+        raise InvalidParam(f"diameter must be positive and finite, not {diameter}")
     if samples < 1:
         raise InvalidParam(f"samples must be at least 1, not {samples}")
     if seed < 0:
@@ -923,8 +960,20 @@ def coverage_metrics(log: ShotLog, diameter: float,
     else:
         if region is None:
             region = default_shot_region(shots, radius)
-        uv = np.random.default_rng(seed).uniform(region.lo, region.hi, (samples, 2))
-        dist, _ = tree.query(region.to_world(uv), distance_upper_bound=bound)
-        coverage = int(np.count_nonzero(dist <= radius)) / samples
+        covered_cell, mixed_cell, side, shape = _classify_cells(tree, radius, region,
+                                                                samples)
+        rng = np.random.default_rng(seed)
+        covered = 0
+        # Chunked draws take the same stream, bit for bit, as one (samples, 2)
+        # draw; only samples of mixed cells reach the tree.
+        for start in range(0, samples, MC_CHUNK):
+            uv = rng.uniform(region.lo, region.hi, (min(MC_CHUNK, samples - start), 2))
+            ij = np.minimum(((uv - region.lo) / side).astype(np.int64), shape - 1)
+            cell = ij[:, 0] * shape[1] + ij[:, 1]
+            covered += int(np.count_nonzero(covered_cell[cell]))
+            dist, _ = tree.query(region.to_world(uv[mixed_cell[cell]]),
+                                 distance_upper_bound=bound)
+            covered += int(np.count_nonzero(dist <= radius))
+        coverage = covered / samples
     return CoverageReport(len(log), len(gaps), mean_sp, var_sp, coverage,
                           log.path_length)

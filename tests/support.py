@@ -1,24 +1,29 @@
 """Shared synthetic fixtures: analytic clouds, landmark layouts, path stubs,
 and the reference implementations (brute-force raycast, np.unique voxel grid,
 eigh normals, per-patch poses, the simulator's tick loop over a segment, the
-full-query ICP objective) that the fast versions are tested against."""
+full-query ICP objective, the full-draw Monte Carlo coverage, the scalar
+point-in-polygon test and pixel projection) that the fast versions are tested
+against."""
 
 import math
 from unittest import mock
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from facelaser import registration
 from facelaser.cloud import PointCloud, RayHit
-from facelaser.errors import DegenerateNormal, NoCorrespondences
+from facelaser.errors import BehindCamera, DegenerateNormal, NoCorrespondences
 from facelaser.geometry import (
     Y_AXIS,
     Z_AXIS,
     CameraIntrinsics,
+    RigidTransform,
     rotation_from_normal,
 )
 from facelaser.pathplan import SegmentPath
 from facelaser.segmentation import FaceLandmarks
+from facelaser.simulator import PlanarRegion, ShotLog
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -253,3 +258,47 @@ def tick_legs(run, j) -> None:
             return
         j += 1
         run._open(j)
+
+
+def full_draw_coverage(log: ShotLog, diameter: float, region: PlanarRegion,
+                       samples: int, seed: int) -> float:
+    """coverage_metrics' Monte Carlo fraction from one (samples, 2) draw with
+    a kd-tree query of every sample: the oracle of the cell-classified,
+    chunked count."""
+    radius = 0.5 * diameter
+    uv = np.random.default_rng(seed).uniform(region.lo, region.hi, (samples, 2))
+    dist, _ = cKDTree(log.positions).query(
+        region.to_world(uv), distance_upper_bound=float(np.nextafter(radius, np.inf)))
+    return int(np.count_nonzero(dist <= radius)) / samples
+
+
+def point_in_polygon(point, vertices) -> bool:
+    """Even-odd crossing test with half-open edges (top vertex in, bottom out):
+    the scalar reference of `segmentation.points_in_polygon`."""
+    u, v = float(point[0]), float(point[1])
+    verts = np.asarray(vertices, dtype=float)
+    inside = False
+    n = len(verts)
+    for i in range(n):
+        u1, v1 = verts[i]
+        u2, v2 = verts[(i + 1) % n]
+        if (v1 <= v) != (v2 <= v):
+            cross_u = u1 + (v - v1) / (v2 - v1) * (u2 - u1)
+            if u < cross_u:
+                inside = not inside
+    return inside
+
+
+def project_point(x, intrinsics: CameraIntrinsics,
+                  extrinsics: RigidTransform) -> tuple[float, float]:
+    """Pixel coordinates of a world point; extrinsics maps world into camera:
+    the scalar reference of `geometry.project_points`.
+
+    Raises BehindCamera when camera-frame depth <= 1e-6.
+    """
+    p = extrinsics.apply(np.asarray(x, dtype=float))
+    if p[2] <= 1e-6:
+        raise BehindCamera(f"depth {p[2]:.3g} is not in front of the camera")
+    u = intrinsics.fx * p[0] / p[2] + intrinsics.cx
+    v = intrinsics.fy * p[1] / p[2] + intrinsics.cy
+    return float(u), float(v)

@@ -37,7 +37,6 @@ from facelaser.pathplan import (
 from facelaser.registration import estimate_viewpoints, icp_point_to_plane
 from facelaser.segmentation import (
     build_region_polygons,
-    point_in_polygon,
     points_in_polygon,
     segment_face,
 )
@@ -57,6 +56,7 @@ from support import (
     ellipsoid_cloud,
     face_cloud,
     plane_grid,
+    point_in_polygon,
     straight_path,
     wall_cloud,
 )

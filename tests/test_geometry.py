@@ -14,7 +14,6 @@ from facelaser.geometry import (
     hat,
     interpolate_rotation,
     interpolate_rotations,
-    project_point,
     project_points,
     rotation_about_x,
     rotation_about_y,
@@ -23,6 +22,8 @@ from facelaser.geometry import (
     rotations_to_axis_angle,
     unit,
 )
+
+from support import project_point
 
 
 def random_rotation(rng):

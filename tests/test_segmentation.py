@@ -8,11 +8,12 @@ from facelaser.segmentation import (
     REGION_LABELS,
     FaceLandmarks,
     build_region_polygons,
-    point_in_polygon,
     points_in_polygon,
     polygon_is_simple,
     segment_face,
 )
+
+from support import point_in_polygon
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 BOWTIE = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,7 +48,14 @@ from facelaser.simulator import (
     transform_path,
 )
 
-from support import plane_grid, scan_raycast, straight_path, tick_legs, wall_cloud
+from support import (
+    full_draw_coverage,
+    plane_grid,
+    scan_raycast,
+    straight_path,
+    tick_legs,
+    wall_cloud,
+)
 from test_acceptance import COLLISION_SCENARIOS, collision_run
 
 
@@ -642,6 +650,14 @@ class TestCoverageMetrics:
         with pytest.raises(InvalidParam):
             coverage_metrics(shot_log([0.0]), 0.0)
 
+    @pytest.mark.parametrize("diameter", [math.nan, math.inf])
+    def test_diameter_must_be_finite(self, diameter):
+        """A spot of no finite size has no cell grid over an explicit box."""
+        region = PlanarRegion(np.zeros(3), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                              (0.0, 0.0), (0.01, 0.01))
+        with pytest.raises(InvalidParam):
+            coverage_metrics(shot_log([0.0]), diameter, region=region)
+
     @pytest.mark.parametrize("kwargs", [
         dict(samples=0), dict(samples=-3), dict(seed=-1),
     ], ids=["zero-samples", "negative-samples", "negative-seed"])
@@ -652,8 +668,9 @@ class TestCoverageMetrics:
     @pytest.mark.parametrize("lo, hi", [
         ((0.0, 0.0), (1.0, 0.0)), ((0.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, 0.5)),
         ((math.nan, 0.0), (1.0, 1.0)), ((0.0, 0.0), (math.inf, 1.0)),
-        ((0.0, -math.inf), (1.0, 1.0)),
-    ], ids=["flat-v", "flat-u", "reversed-v", "nan", "inf", "minus-inf"])
+        ((0.0, -math.inf), (1.0, 1.0)), ((-1e308, -1.0), (1e308, 1.0)),
+    ], ids=["flat-v", "flat-u", "reversed-v", "nan", "inf", "minus-inf",
+            "overflowing-width"])
     def test_region_needs_finite_increasing_bounds(self, lo, hi):
         """A box with no area, or no finite one, has no coverage fraction."""
         with pytest.raises(InvalidParam):
@@ -682,6 +699,108 @@ class TestCoverageMetrics:
         samples, seed = 1_000_000, 3
         box = coverage_metrics(log, d, region=region, samples=samples, seed=seed)
         assert box.coverage == _rejection_coverage(log, d, region, samples, seed)
+
+    def test_memory_flat_in_samples(self):
+        """A million-sample default-box estimate holds chunks and cells, not
+        a million world points and distances (~61 MiB)."""
+        d = 0.004
+        xs = d * np.arange(13)
+        log = shot_log(xs + 0.3 * d * np.sin(xs / d))
+        tracemalloc.start()
+        try:
+            coverage_metrics(log, d, samples=1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def _log_at(positions):
+    n = len(positions)
+    return ShotLog(0.1 * np.arange(n), positions, np.zeros((n, 3)), np.zeros(n),
+                   ["seg"] * n)
+
+
+@st.composite
+def coverage_cases(draw):
+    """A shot log and a box in a tilted plane, drawn to stress the cell grid
+    of coverage_metrics: origins up to 1 km out; boxes inside one spot,
+    thin ones, or up to 1000 spots wide with few shots; shots on the plane
+    and up to two radii off it, some on cell corners (of the finest grid,
+    side radius / 16, and so of every coarser one); sample counts on both
+    sides of a chunk edge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([0.004, 0.0015]))
+    r = 0.5 * d
+    rot = axis_angle_to_rotation(rng.normal(size=3))
+    origin = rng.uniform(-1.0, 1.0, 3) * draw(st.sampled_from([0.0, 1.0, 1000.0]))
+    lo = rng.uniform(-1.0, 1.0, 2) * draw(st.sampled_from([0.0, 0.01, 1.0]))
+    box = draw(st.sampled_from(["spot", "thin", "wide"]))
+    if box == "spot":
+        width = rng.uniform(0.01, 1.4, 2) * r
+    elif box == "thin":
+        width = rng.uniform(1.0, 100.0, 2) * d
+        width[rng.integers(2)] *= draw(st.sampled_from([1e-3, 1e-6]))
+    else:
+        width = rng.uniform(100.0, 1000.0, 2) * d
+    region = PlanarRegion(origin, rot[:, 0], rot[:, 1], lo, lo + width)
+    n = draw(st.integers(1, 4 if box == "wide" else 40))
+    side = r / 16 * 2.0 ** rng.integers(0, 12, n)[:, None]
+    corner = lo + side * rng.integers(0, np.ceil(width / side) + 1)
+    anywhere = rng.uniform(lo - r, lo + width + r, (n, 2))
+    on_corner = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    off = rng.uniform(-2.0, 2.0, n) * r * (rng.random(n) < 0.5)
+    positions = (region.to_world(np.where(on_corner[:, None], corner, anywhere))
+                 + off[:, None] * rot[:, 2])
+    samples = draw(st.sampled_from([1, 100, 5000, 2**16, 2**16 + 1]))
+    return _log_at(positions), d, region, samples, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(coverage_cases())
+def test_coverage_equals_full_draw(case):
+    """Counting proven cells whole and querying only mixed cells' samples
+    gives the fraction of one full draw queried sample by sample, exactly."""
+    log, d, region, samples, seed = case
+    got = coverage_metrics(log, d, region=region, samples=samples, seed=seed)
+    assert got.coverage == full_draw_coverage(log, d, region, samples, seed)
+
+
+@st.composite
+def cell_edge_cases(draw):
+    """One shot within an ulp of the covered or the empty test's edge for
+    the one cell of a box a few ulps wide, 1 km out: its samples sit on the
+    cell's corners, where only the margin separates the cell's proof from
+    the samples' own distances."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = 0.004
+    r = 0.5 * d
+    rot = axis_angle_to_rotation(rng.normal(size=3))
+    u_axis, v_axis = rot[:, 0], rot[:, 1]
+    lo = rng.uniform(-0.1, 0.1, 2)
+    region = PlanarRegion(rng.uniform(-1000.0, 1000.0, 3), u_axis, v_axis, lo,
+                          lo + np.spacing(np.abs(lo)) * rng.integers(1, 4, 2))
+    side = r / 16                       # the box is narrower than one cell
+    centre = region.to_world(lo + 0.5 * side)[0]
+    toward_lo = region.to_world(lo)[0] - centre
+    toward_lo /= np.linalg.norm(toward_lo)
+    half = 0.5 * side * max(np.linalg.norm(u_axis + v_axis), np.linalg.norm(u_axis - v_axis))
+    nudge = rng.uniform(-1.0, 1.0) * np.spacing(1000.0)
+    if draw(st.booleans()):             # covered edge, beyond the far corner
+        shot = centre - (r - half + nudge) * toward_lo
+    else:                               # empty edge, beyond the lo corner
+        shot = centre + (r + half + nudge) * toward_lo
+    return _log_at(shot[None]), d, region, 64, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cell_edge_cases())
+def test_coverage_equals_full_draw_at_cell_edges(case):
+    """The margin keeps a cell whose proof is within rounding of failing
+    mixed, so its corner samples still reach the tree."""
+    log, d, region, samples, seed = case
+    got = coverage_metrics(log, d, region=region, samples=samples, seed=seed)
+    assert got.coverage == full_draw_coverage(log, d, region, samples, seed)
 
 
 # ------------------------------------------ segment blocks vs the tick loop
