@@ -2,7 +2,6 @@
 
 from .errors import (
     AbortedOnSafety,
-    BehindCamera,
     ConfigError,
     ContactError,
     DegenerateInput,
@@ -35,7 +34,6 @@ from .cloud import (
     VoxelGrid,
     concatenate,
     estimate_normals,
-    leaf_grid_normals,
     load_ply,
     raycast,
     save_ply,

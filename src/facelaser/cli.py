@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .cloud import PointCloud, leaf_grid_normals, load_ply, save_ply
+from .cloud import PointCloud, estimate_normals, load_ply, save_ply
 from .errors import (
     ConfigError,
     EmptyCloud,
@@ -193,7 +193,7 @@ def cmd_register(args, cfg: RunConfig) -> int:
         v = load_ply(_require(p))
         if not v.has_normals:
             try:
-                v = leaf_grid_normals(v, leaf, 12, np.zeros(3))
+                v = estimate_normals(v, leaf, np.zeros(3))
             except (EmptyCloud, TooFewPoints) as exc:
                 raise type(exc)(f"{p}: {exc}") from exc
             except ValueError as exc:

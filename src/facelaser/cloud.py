@@ -221,6 +221,14 @@ def save_ply(cloud: PointCloud, path) -> None:
         fh.write(rec.tobytes())
 
 
+def _shifted_rank(distinct: np.ndarray, values: np.ndarray, d: int) -> np.ndarray:
+    """The index in the sorted `distinct` of each of `values` + d, or -1
+    where that sum is not among them."""
+    want = values + d
+    r = np.minimum(np.searchsorted(distinct, want), len(distinct) - 1)
+    return np.where(distinct[r] == want, r, -1)
+
+
 class VoxelGrid:
     """Running per-voxel sums and counts of every cloud added so far.
 
@@ -276,6 +284,59 @@ class VoxelGrid:
             np.bincount(inverse, weights=col, minlength=len(self.keys)) for col in block.T])
             for name, block in rows.items()}
         return inverse[len(inverse) - len(cloud):]
+
+    def neighbours(self, reach: int = 1, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """Row pairs (i, j) of every two voxels whose keys differ by at most
+        `reach` on each axis, each voxel with itself included; `rows` limits
+        i to those rows (default: all).
+
+        Keys are packed as (column, z rank), with the column numbered by the
+        ranks of its x and y among the distinct keys, so nothing overflows
+        and the lexicographic order of `keys` sorts the packed keys. For
+        each (dx, dy) the neighbour of every column is looked up once, and a
+        voxel's neighbours in it are the rows between the searchsorted
+        positions of z - reach and z + reach. Memory is O(len(self)).
+
+        Keys are floors of doubles, so none lies in (2**63 - 1024, 2**63):
+        adding a `reach` below 1024 cannot overflow, and a difference that
+        wraps (only from -2**63) lands where no key is. Only the lower z
+        bound, a position rather than an exact match, has to saturate.
+        """
+        keys = self.keys
+        n = len(keys)
+        rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+        # keys[:, 0] is sorted, and so is keys[:, 1] within each x.
+        new_x = _run_starts(keys[:, 0])
+        new_column = new_x | _run_starts(keys[:, 1])
+        ux = keys[new_x, 0]
+        uy, uz = np.unique(keys[:, 1]), np.unique(keys[:, 2])
+        col_x = (np.cumsum(new_x) - 1)[new_column]
+        col_y = np.searchsorted(uy, keys[new_column, 1])
+        columns = col_x * len(uy) + col_y                   # sorted, one per column
+        column = np.cumsum(new_column) - 1
+        packed = column * len(uz) + np.searchsorted(uz, keys[:, 2])
+
+        q_column, q_z = column[rows], keys[rows, 2]
+        z_lo = np.searchsorted(uz, np.maximum(q_z, np.iinfo(np.int64).min + reach) - reach)
+        z_hi = np.searchsorted(uz, q_z + reach, side="right")
+        offsets = range(-reach, reach + 1)
+        shifted_x = [_shifted_rank(ux, ux, d)[col_x] for d in offsets]
+        shifted_y = [_shifted_rank(uy, uy, d)[col_y] for d in offsets]
+        who, start, end = [], [], []
+        for sx in shifted_x:
+            for sy in shifted_y:
+                want = sx * len(uy) + sy
+                c = np.minimum(np.searchsorted(columns, want), len(columns) - 1)
+                base = np.where((sx >= 0) & (sy >= 0) & (columns[c] == want),
+                                c * len(uz), -1)[q_column]
+                hit = np.flatnonzero(base >= 0)
+                who.append(hit)
+                start.append(np.searchsorted(packed, base[hit] + z_lo[hit]))
+                end.append(np.searchsorted(packed, base[hit] + z_hi[hit]))
+        who, start, end = np.concatenate(who), np.concatenate(start), np.concatenate(end)
+        count = end - start
+        return (np.repeat(rows[who], count),
+                np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count))
 
     def cloud(self) -> PointCloud:
         """The voxel means, one point per voxel in voxel order. Normals are
@@ -357,41 +418,56 @@ def _smallest_eigenvectors(cov: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def estimate_normals(cloud: PointCloud, k: int, viewpoint) -> PointCloud:
-    """Per-point normals from the smallest eigenvector of the k-NN covariance.
-
-    Each normal is flipped to point toward the viewpoint (the sensor side of
-    the surface). Requires more than k points and k >= 3.
-    """
-    if k < 3:
-        raise ValueError("k must be at least 3")
-    n = len(cloud)
-    if n <= k:
-        raise TooFewPoints(f"{n} points is not enough for k={k} neighborhoods")
-    viewpoint = np.asarray(viewpoint, dtype=float)
-    _, nbr = cloud.kdtree().query(cloud.positions, k=k + 1)
-    neigh = cloud.positions[nbr]                       # (n, k+1, 3), self included
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    normals = _smallest_eigenvectors(centered.transpose(0, 2, 1) @ centered)
-    flip = np.einsum("ij,ij->i", normals, viewpoint - cloud.positions) < 0.0
-    normals[flip] *= -1.0
-    return PointCloud(cloud.positions.copy(), normals,
-                      None if cloud.colors is None else cloud.colors.copy())
+def _block_covariances(means: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """For each row of `means`, the count of rows j paired with it and their
+    centred scatter matrix. The mean is summed first and the differences
+    from it second, so no coordinate is squared before centring."""
+    n = len(means)
+    count = np.bincount(i, minlength=n)
+    size = np.maximum(count, 1)                # rows no pair names stay zero
+    # One contiguous column per axis: numpy gathers 1-d arrays far faster
+    # than rows of an (n, 3) one.
+    axes = [np.take(col, j) for col in np.ascontiguousarray(means.T)]
+    centre = [np.bincount(i, weights=p, minlength=n) / size for p in axes]
+    d = [p - np.take(c, i) for p, c in zip(axes, centre)]
+    cov = np.empty((n, 3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            cov[:, a, b] = cov[:, b, a] = np.bincount(i, weights=d[a] * d[b], minlength=n)
+    return count, cov
 
 
-def leaf_grid_normals(cloud: PointCloud, leaf: float, k: int, viewpoint) -> PointCloud:
-    """The cloud with normals estimated on its leaf-grid centroids.
+def estimate_normals(cloud: PointCloud, leaf: float, viewpoint) -> PointCloud:
+    """The cloud with per-point normals from its leaf grid.
 
-    estimate_normals runs on the voxel means, with k neighbours or, on a grid
-    of k voxels or fewer, one fewer than the voxels (but at least 3); every
-    point takes its voxel's normal.
+    Each voxel's normal is the smallest eigenvector of the centred covariance
+    of the voxel means in its 3x3x3 block (the per-cell covariance of the
+    normal distributions transform: Biber & Strasser, IROS 2003), flipped to
+    point toward the viewpoint (the sensor side of the surface); every point
+    takes its voxel's normal. A block of fewer than 4 voxels widens to 5x5x5,
+    and a voxel with fewer than 3 there takes the unit vector toward the
+    viewpoint. Needs more than 3 voxels.
     """
     grid = VoxelGrid(leaf)
     voxel = grid.add(cloud)
-    centroids = grid.cloud()
-    k = min(k, max(3, len(centroids) - 1))
-    return PointCloud(cloud.positions, estimate_normals(centroids, k, viewpoint).normals[voxel],
-                      cloud.colors)
+    means = grid.cloud().positions
+    if len(means) <= 3:
+        raise TooFewPoints(f"{len(means)} voxels is not enough for normals (need 4)")
+    count, cov = _block_covariances(means, *grid.neighbours())
+    sparse = np.flatnonzero(count < 4)
+    if len(sparse):
+        wide_count, wide_cov = _block_covariances(means, *grid.neighbours(2, sparse))
+        count[sparse], cov[sparse] = wide_count[sparse], wide_cov[sparse]
+    normals = _smallest_eigenvectors(cov)
+    toward = np.asarray(viewpoint, dtype=float) - means
+    lone = count < 3
+    if lone.any():
+        # A voxel mean at the viewpoint itself gets a zero normal.
+        length = np.maximum(row_norms(toward[lone]), np.finfo(float).tiny)
+        normals[lone] = toward[lone] / length[:, None]
+    flip = np.einsum("ij,ij->i", normals, toward) < 0.0
+    normals[flip] *= -1.0
+    return PointCloud(cloud.positions, normals[voxel], cloud.colors)
 
 
 @dataclass

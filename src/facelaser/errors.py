@@ -13,10 +13,6 @@ class DegenerateNormal(FacelaserError):
     """Approach normal is parallel to the crossing reference axis."""
 
 
-class BehindCamera(FacelaserError):
-    """Point has non-positive depth in the camera frame."""
-
-
 class ParseError(FacelaserError):
     """File does not conform to the expected format."""
 

@@ -819,8 +819,10 @@ class _Run:
 
 @dataclass
 class PlanarRegion:
-    """An axis-aligned box in a plane: origin, two orthonormal in-plane axes,
-    and the (u, v) bounds `lo` < `hi` of the box."""
+    """An axis-aligned box in a plane: origin, two in-plane axes, and the
+    (u, v) bounds `lo` < `hi` of the box. The region is origin + u u_axis +
+    v v_axis over the box: a metric box when the axes are orthonormal, and
+    coverage counts it right for any axes."""
 
     origin: Vec3
     u_axis: Vec3
@@ -834,6 +836,10 @@ class PlanarRegion:
         self.v_axis = np.asarray(self.v_axis, dtype=float).reshape(3)
         self.lo = np.asarray(self.lo, dtype=float).reshape(2)
         self.hi = np.asarray(self.hi, dtype=float).reshape(2)
+        for name in ("origin", "u_axis", "v_axis"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InvalidParam(f"region {name} must be finite, "
+                                   f"not {getattr(self, name).tolist()}")
         with np.errstate(over="ignore", invalid="ignore"):
             width = self.hi - self.lo       # inf or nan unless both are finite
         if not (np.isfinite(width).all() and (width > 0).all()):

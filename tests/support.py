@@ -1,9 +1,9 @@
 """Shared synthetic fixtures: analytic clouds, landmark layouts, path stubs,
 and the reference implementations (brute-force raycast, np.unique voxel grid,
-eigh normals, per-patch poses, the simulator's tick loop over a segment, the
-full-query ICP objective, the full-draw Monte Carlo coverage, the scalar
-point-in-polygon test and pixel projection) that the fast versions are tested
-against."""
+all-pairs voxel neighbours, per-voxel loop and k-NN normals, eigh normals,
+per-patch poses, the simulator's tick loop over a segment, the full-query ICP
+objective, the full-draw Monte Carlo coverage, the scalar point-in-polygon
+test and pixel projection) that the fast versions are tested against."""
 
 import math
 from unittest import mock
@@ -12,8 +12,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from facelaser import registration
-from facelaser.cloud import PointCloud, RayHit
-from facelaser.errors import BehindCamera, DegenerateNormal, NoCorrespondences
+from facelaser.cloud import PointCloud, RayHit, VoxelGrid
+from facelaser.errors import (
+    DegenerateNormal,
+    FacelaserError,
+    NoCorrespondences,
+)
 from facelaser.geometry import (
     Y_AXIS,
     Z_AXIS,
@@ -186,7 +190,8 @@ def unique_voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
 
 
 def eigh_normals(cloud: PointCloud, k: int, viewpoint):
-    """estimate_normals by np.linalg.eigh of each k-NN covariance.
+    """k-NN normals by np.linalg.eigh of each k-NN covariance: the oracle of
+    the closed-form `_smallest_eigenvectors`.
 
     Returns the normals, flipped toward the viewpoint, together with the
     (n, 3, 3) covariances and their ascending (n, 3) eigenvalues.
@@ -200,6 +205,68 @@ def eigh_normals(cloud: PointCloud, k: int, viewpoint):
     flip = np.einsum("ij,ij->i", normals, np.asarray(viewpoint) - cloud.positions) < 0.0
     normals[flip] *= -1.0
     return normals, cov, values
+
+
+def knn_normals(cloud: PointCloud, leaf: float, viewpoint, k: int = 12) -> PointCloud:
+    """The cloud with normals from a k-NN covariance on its leaf-grid voxel
+    means: each mean's k nearest other means and itself, the smallest
+    eigenvector flipped toward the viewpoint, and every point its voxel's
+    normal. The accuracy reference of the block-covariance normals; needs
+    more than k voxels."""
+    grid = VoxelGrid(leaf)
+    voxel = grid.add(cloud)
+    means = grid.cloud().positions
+    _, nbr = cKDTree(means).query(means, k=k + 1)
+    neigh = means[nbr]                                 # (n, k+1, 3), self included
+    centered = neigh - neigh.mean(axis=1, keepdims=True)
+    _, vectors = np.linalg.eigh(np.einsum("nij,nik->njk", centered, centered))
+    normals = vectors[:, :, 0]
+    flip = np.einsum("ij,ij->i", normals, np.asarray(viewpoint) - means) < 0.0
+    normals[flip] *= -1.0
+    return PointCloud(cloud.positions, normals[voxel], cloud.colors)
+
+
+def neighbour_pairs(keys: np.ndarray, reach: int = 1) -> set[tuple[int, int]]:
+    """Every row pair (i, j) of `keys` whose entries differ by at most
+    `reach` on each axis, self pairs included, from comparing all pairs in
+    Python integers: the oracle of VoxelGrid.neighbours."""
+    rows = [tuple(map(int, key)) for key in keys]
+    return {(i, j) for i, a in enumerate(rows) for j, b in enumerate(rows)
+            if all(abs(x - y) <= reach for x, y in zip(a, b))}
+
+
+def loop_grid_normals(cloud: PointCloud, leaf: float, viewpoint):
+    """estimate_normals one voxel at a time: the voxel means within one leaf
+    on each axis, found by comparing each voxel with every other (within two
+    leaves when fewer than 4, the unit vector toward the viewpoint when still
+    fewer than 3), their centred covariance and eigh's vector of its
+    smallest eigenvalue, flipped toward the viewpoint.
+
+    Returns the per-point normals, and per voxel the covariance, its
+    ascending eigenvalues and the count it was taken over.
+    """
+    keys, inverse = np.unique(np.floor(cloud.positions / leaf).astype(np.int64),
+                              axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    means = np.array([cloud.positions[inverse == v].mean(axis=0) for v in range(len(keys))])
+    viewpoint = np.asarray(viewpoint, dtype=float)
+    normals = np.empty((len(keys), 3))
+    covs = np.empty((len(keys), 3, 3))
+    counts = np.empty(len(keys), dtype=np.intp)
+    for v, key in enumerate(keys):
+        near = np.abs(keys - key).max(axis=1) <= 1
+        if near.sum() < 4:
+            near = np.abs(keys - key).max(axis=1) <= 2
+        d = means[near] - means[near].mean(axis=0)
+        covs[v], counts[v] = d.T @ d, near.sum()
+        toward = viewpoint - means[v]
+        if counts[v] < 3:
+            normals[v] = toward / np.linalg.norm(toward)
+        else:
+            normals[v] = np.linalg.eigh(covs[v])[1][:, 0]
+        if normals[v] @ toward < 0.0:
+            normals[v] *= -1.0
+    return normals[inverse], covs, np.linalg.eigvalsh(covs), counts
 
 
 def full_query_plane_rmse(src: np.ndarray, nearest, tgt_pos: np.ndarray,
@@ -287,6 +354,10 @@ def point_in_polygon(point, vertices) -> bool:
             if u < cross_u:
                 inside = not inside
     return inside
+
+
+class BehindCamera(FacelaserError):
+    """Point has non-positive depth in the camera frame."""
 
 
 def project_point(x, intrinsics: CameraIntrinsics,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from facelaser.errors import BehindCamera, DegenerateInput, DegenerateNormal
+from facelaser.errors import DegenerateInput, DegenerateNormal
 from facelaser.geometry import (
     CameraIntrinsics,
     PoseVector6,
@@ -23,7 +23,7 @@ from facelaser.geometry import (
     unit,
 )
 
-from support import project_point
+from support import BehindCamera, project_point
 
 
 def random_rotation(rng):

@@ -676,6 +676,16 @@ class TestCoverageMetrics:
         with pytest.raises(InvalidParam):
             PlanarRegion(np.zeros(3), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], lo, hi)
 
+    @pytest.mark.parametrize("field", ["origin", "u_axis", "v_axis"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_region_needs_finite_frame(self, field, bad):
+        """A non-finite origin or axis is rejected by name, not left to fail
+        in the kd-tree query of coverage_metrics."""
+        frame = dict(origin=np.zeros(3), u_axis=[1.0, 0.0, 0.0], v_axis=[0.0, 1.0, 0.0])
+        frame[field] = [bad, 0.0, 0.0]
+        with pytest.raises(InvalidParam, match=f"region {field} must be finite"):
+            PlanarRegion(lo=(0.0, 0.0), hi=(0.01, 0.01), **frame)
+
     @pytest.mark.parametrize("case", ["criterion-2", "criterion-3", "default-box"])
     def test_one_draw_matches_polygon_rejection(self, case):
         """The box's one draw gives the coverage the polygon rejection sampler

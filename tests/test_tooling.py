@@ -49,7 +49,7 @@ def _register_call(name):
     down = voxel_downsample(target, 0.02)
     return {
         "cloud.estimate_normals": (
-            estimate_normals, (bare, 8, np.zeros(3)),
+            estimate_normals, (bare, 0.02, np.zeros(3)),
             {"cloud.estimate_normals.points": len(bare)}),
         "cloud.voxel_downsample": (
             voxel_downsample, (target, 0.02),
