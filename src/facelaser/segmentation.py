@@ -10,6 +10,7 @@ stay untreated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,16 +229,32 @@ def segment_face(cloud: PointCloud, landmarks: FaceLandmarks,
     The cloud is projected with `intrinsics`; camera_pose (camera in the
     cloud's frame) defaults to identity. Points behind the camera or outside
     every polygon land in the residual.
+
+    Each polygon's even-odd test runs only on the unassigned in-front points
+    whose pixel lies in the polygon's (u, v) box, v exactly and u padded by
+    1e-9 (1 + the box's largest |u|), or not at all when the box's width or
+    height overflows. The cull drops no point the test would keep. Above or
+    below the box no edge straddles the point's v. Right of it no straddling
+    edge's crossing lies beyond the point: a crossing strays past its edge's
+    ends by a few ulps at most. Left of it every straddling edge is crossed,
+    and a closed polygon has an even number of them.
     """
     extrinsics = camera_pose.invert() if camera_pose is not None \
         else RigidTransform.identity()
     pixels, in_front = project_points(cloud.positions, intrinsics, extrinsics)
+    u, v = pixels[:, 0], pixels[:, 1]
 
     polys = build_region_polygons(landmarks)
     assigned = np.full(len(cloud), -1, dtype=int)
     for idx, poly in enumerate(polys):
-        mask = in_front & (assigned == -1) & points_in_polygon(pixels, poly.vertices)
-        assigned[mask] = idx
+        (u_min, v_min), (u_max, v_max) = (poly.vertices.min(axis=0).tolist(),
+                                          poly.vertices.max(axis=0).tolist())
+        # A box too wide for float differences would overflow the crossings.
+        pad = 1e-9 * (1.0 + max(abs(u_min), abs(u_max))) \
+            if math.isfinite(u_max - u_min) and math.isfinite(v_max - v_min) else math.inf
+        rows = np.flatnonzero(in_front & (assigned == -1) & (v >= v_min) & (v <= v_max)
+                              & (u >= u_min - pad) & (u <= u_max + pad))
+        assigned[rows[points_in_polygon(pixels[rows], poly.vertices)]] = idx
 
     regions = {}
     for idx, poly in enumerate(polys):

@@ -956,7 +956,7 @@ def coverage_metrics(log: ShotLog, diameter: float,
     var_sp = float(np.var(gaps)) if len(gaps) else None
 
     radius = 0.5 * diameter
-    tree = cKDTree(shots)
+    tree = PointCloud(shots).kdtree()
     # Only whether a shot lies within `radius` counts, so the queries stop
     # there: a location with no shot that close reads inf.
     bound = float(np.nextafter(radius, np.inf))

@@ -3,7 +3,8 @@ and the reference implementations (brute-force raycast, np.unique voxel grid,
 all-pairs voxel neighbours, per-voxel loop and k-NN normals, eigh normals,
 per-patch poses, the simulator's tick loop over a segment, the full-query ICP
 objective, the full-draw Monte Carlo coverage, the scalar point-in-polygon
-test and pixel projection) that the fast versions are tested against."""
+test and pixel projection, the unculled region assignment) that the fast
+versions are tested against."""
 
 import math
 from unittest import mock
@@ -23,10 +24,11 @@ from facelaser.geometry import (
     Z_AXIS,
     CameraIntrinsics,
     RigidTransform,
+    project_points,
     rotation_from_normal,
 )
 from facelaser.pathplan import SegmentPath
-from facelaser.segmentation import FaceLandmarks
+from facelaser.segmentation import FaceLandmarks, build_region_polygons, points_in_polygon
 from facelaser.simulator import PlanarRegion, ShotLog
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -196,7 +198,7 @@ def eigh_normals(cloud: PointCloud, k: int, viewpoint):
     Returns the normals, flipped toward the viewpoint, together with the
     (n, 3, 3) covariances and their ascending (n, 3) eigenvalues.
     """
-    _, nbr = cloud.kdtree().query(cloud.positions, k=k + 1)
+    _, nbr = cKDTree(cloud.positions).query(cloud.positions, k=k + 1)
     neigh = cloud.positions[nbr]
     centered = neigh - neigh.mean(axis=1, keepdims=True)
     cov = np.einsum("nij,nik->njk", centered, centered)
@@ -354,6 +356,20 @@ def point_in_polygon(point, vertices) -> bool:
             if u < cross_u:
                 inside = not inside
     return inside
+
+
+def unculled_assignment(cloud: PointCloud, landmarks: FaceLandmarks,
+                        intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Each point's region index in `build_region_polygons` order, -1 for the
+    residual: the first polygon whose even-odd test, run on every point,
+    holds the pixel of an in-front point, the camera at the cloud's origin.
+    The oracle of `segment_face`'s box cull."""
+    pixels, in_front = project_points(cloud.positions, intrinsics,
+                                      RigidTransform.identity())
+    assigned = np.full(len(cloud), -1)
+    for idx, poly in enumerate(build_region_polygons(landmarks)):
+        assigned[in_front & (assigned == -1) & points_in_polygon(pixels, poly.vertices)] = idx
+    return assigned
 
 
 class BehindCamera(FacelaserError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from facelaser.cloud import (
     PointCloud,
@@ -814,3 +815,91 @@ def test_ray_ending_exactly_at_its_only_point():
         want = scan_raycast(cloud, origin, direction, 1e-4, max_range)
         assert index[0] == (-1 if want is None else k)
         assert distance[0] == (math.inf if want is None else want.distance)
+
+
+def test_tied_hit_takes_the_lower_index_whatever_the_ball_order():
+    """Two points mirrored about a ray share its t bit for bit. Placed either
+    way round among off-ray points, the kd-tree lists the higher index first
+    in a ball at least once, and the hit is still the lower index, the scan's."""
+    rng = np.random.default_rng(3)
+    filler = rng.uniform(-0.05, 0.05, size=(60, 3)) + [0.2, 0.0, 0.0]
+    pair = np.array([[-0.001, 0.0, 0.03], [0.001, 0.0, 0.03]])
+    higher_first = []
+    for a, b in ((0, 1), (1, 0)):
+        pos = np.vstack([filler[:30], pair[a], filler[30:], pair[b]])
+        cloud = PointCloud(pos, fibonacci_sphere(len(pos)))
+        ball = cloud.kdtree().query_ball_point([0.0, 0.0, 0.03], 0.002, return_sorted=False)
+        assert sorted(ball) == [30, 61]
+        higher_first.append(ball[0] == 61)
+        index, distance = raycast_many(cloud, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.0015)
+        want = scan_raycast(cloud, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.0015)
+        assert index[0] == 30
+        assert_same_hit(RayHit(pos[30], cloud.normals[30], float(distance[0])), want)
+    assert any(higher_first)
+
+
+def test_point_in_two_balls_of_a_ray():
+    """A short ray is covered by balls every 2 r, of radius r sqrt(2), so
+    points midway between the first two centres lie in both and give two
+    rows each. The tie between two such points still goes to the lower
+    index, the scan's."""
+    r = 0.001
+    rng = np.random.default_rng(5)
+    filler = rng.uniform(-0.05, 0.05, size=(40, 3)) + [0.2, 0.0, 0.0]
+    pos = np.vstack([filler, [[0.0, -0.02, -0.02]], [[0.5 * r, 0.0, r], [-0.5 * r, 0.0, r]]])
+    cloud = PointCloud(pos, fibonacci_sphere(len(pos)))
+    for centre in ([0.0, 0.0, 0.0], [0.0, 0.0, 2.0 * r]):
+        ball = cloud.kdtree().query_ball_point(centre, math.hypot(r, r))
+        assert {41, 42} <= set(ball)
+    index, distance = raycast_many(cloud, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], r, 3.0 * r)
+    want = scan_raycast(cloud, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], r, 3.0 * r)
+    assert index[0] == 41
+    assert_same_hit(RayHit(pos[41], cloud.normals[41], float(distance[0])), want)
+
+
+@st.composite
+def tree_clouds(draw):
+    """A cloud of 1-200 points on a lattice (so distances tie often) or
+    anywhere, with repeated points, queries on a half-pitch lattice or
+    anywhere, a distance bound and a ball radius."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 200))
+    pitch = draw(st.sampled_from([0.25, 0.1, 1e-3, 3.0]))
+    if draw(st.booleans()):
+        pos = rng.integers(-4, 5, size=(n, 3)) * pitch
+        queries = rng.integers(-9, 10, size=(40, 3)) * (0.5 * pitch)
+    else:
+        pos = rng.uniform(-4.0, 4.0, size=(n, 3)) * pitch
+        queries = rng.uniform(-5.0, 5.0, size=(40, 3)) * pitch
+    pos = np.vstack([pos, pos[rng.integers(0, n, size=draw(st.integers(0, 30)))]])
+    bound = draw(st.sampled_from([0.5, 1.0, 2.0, math.inf])) * pitch
+    radius = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5])) * pitch
+    return pos, queries, bound, radius
+
+
+def squared_distances(pos: np.ndarray, index: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """|p - q|^2 summed over x, y, z in turn, as the kd-tree sums it; nan
+    for the index len(pos) of a missing neighbour."""
+    d = np.vstack([pos, np.full((1, 3), np.nan)])[index] - queries
+    return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tree_clouds())
+def test_kdtree_answers_as_a_default_tree(case):
+    """The cloud's sliding-midpoint tree gives a default cKDTree's bounded k=1
+    and k=2 distances and its ball sets; a returned index differs only where
+    its point ties in distance with the default tree's."""
+    pos, queries, bound, radius = case
+    tree, default = PointCloud(pos).kdtree(), cKDTree(pos)
+    for k in (1, 2):
+        got, got_index = tree.query(queries, k=k, distance_upper_bound=bound)
+        want, want_index = default.query(queries, k=k, distance_upper_bound=bound)
+        assert np.array_equal(got, want)
+        at = queries if k == 1 else queries[:, None, :]
+        moved = got_index != want_index
+        assert np.array_equal(squared_distances(pos, got_index, at)[moved],
+                              squared_distances(pos, want_index, at)[moved])
+    for got, want in zip(tree.query_ball_point(queries, radius),
+                         default.query_ball_point(queries, radius)):
+        assert sorted(got) == sorted(want)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from facelaser.cloud import PointCloud
 from facelaser.errors import MalformedLandmarks
-from facelaser.geometry import RigidTransform
+from facelaser.geometry import CameraIntrinsics, RigidTransform
 from facelaser.segmentation import (
     HAIRLINE_FACTOR,
     REGION_LABELS,
@@ -13,7 +16,7 @@ from facelaser.segmentation import (
     segment_face,
 )
 
-from support import point_in_polygon
+from support import canonical_landmarks, point_in_polygon, unculled_assignment
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 BOWTIE = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -167,3 +170,73 @@ class TestSegmentFace:
         # The whole face is behind this camera, so everything is residual.
         assert seg.labels() == []
         assert len(seg.residual) == len(cloud)
+
+
+def between(lo, hi, f):
+    """lo + f (hi - lo), without forming hi - lo, which can overflow; an f
+    outside [0, 1] can still overflow, to a point the caller drops."""
+    with np.errstate(over="ignore"):
+        return lo * (1.0 - f) + hi * f
+
+
+@st.composite
+def box_edge_scenes(draw):
+    """The canonical landmarks scaled about the image centre, u and v apart
+    (u by up to 1.5e306, where the forehead's width overflows), shifted and
+    maybe jittered, with points whose pixels sit on polygon vertices, on
+    each polygon's box edges, one ulp inside and beyond them, at the edge of
+    the cull's u padding, and anywhere around the face; some of them behind
+    the camera. The camera is at the origin with unit focal lengths and the
+    principal point at 0, so a point (u, v, 1) projects to the pixel (u, v)
+    exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = np.array([draw(st.sampled_from([1e-3, 0.37, 1.0, 3.0, 1e4, 1.5e306])),
+                      draw(st.sampled_from([1e-290, 1e-3, 0.37, 1.0, 3.0, 1e4]))])
+    offset = draw(st.sampled_from([0.0, 320.0, -1e3, 1e6]))
+    pts = (canonical_landmarks().points - [320.0, 240.0]) * scale + offset
+    if draw(st.booleans()):
+        pts = pts + rng.normal(0.0, 1.5, size=pts.shape) * scale
+    try:
+        landmarks = FaceLandmarks(pts, 640, 480)
+        with np.errstate(over="ignore", invalid="ignore"):   # 1e306-wide faces
+            polys = build_region_polygons(landmarks)
+    except MalformedLandmarks:
+        assume(False)
+    pixels = []
+    for poly in polys:
+        verts = poly.vertices
+        (u_min, v_min), (u_max, v_max) = verts.min(axis=0), verts.max(axis=0)
+        pad = 1e-9 * (1.0 + max(abs(u_min), abs(u_max)))
+        us = [u_min, u_max, u_min - pad, u_max + pad]
+        us += [np.nextafter(u, s) for u in us for s in (-np.inf, np.inf)]
+        vs = [v_min, v_max] + [np.nextafter(v, s) for v in (v_min, v_max)
+                               for s in (-np.inf, np.inf)]
+        along_u = between(u_min, u_max, rng.uniform(size=len(vs)))
+        along_v = between(v_min, v_max, rng.uniform(size=len(us)))
+        pixels += [verts, np.column_stack([us, along_v]), np.column_stack([along_u, vs]),
+                   np.array([(u, v) for u in us[:2] for v in vs[:2]])]
+    everything = np.vstack([p.vertices for p in polys])
+    lo, hi = everything.min(axis=0), everything.max(axis=0)
+    pixels.append(between(lo, hi, rng.uniform(-0.1, 1.1, size=(200, 2))))
+    pixels = np.vstack(pixels)
+    pixels = pixels[np.isfinite(pixels).all(axis=1)]
+    z = np.where(rng.uniform(size=len(pixels)) < 0.1, -1.0, 1.0)
+    cloud = PointCloud(np.column_stack([pixels, z]))
+    return cloud, landmarks, CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 640, 480)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(box_edge_scenes())
+def test_box_cull_keeps_the_partition(case):
+    """segment_face's regions and residual are those of the polygon tests run
+    on every point, first match winning."""
+    cloud, landmarks, intrinsics = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        assigned = unculled_assignment(cloud, landmarks, intrinsics)
+        seg = segment_face(cloud, landmarks, intrinsics)
+    assert seg.labels() == [label for idx, label in enumerate(REGION_LABELS)
+                            if (assigned == idx).any()]
+    for idx, label in enumerate(REGION_LABELS):
+        if label in seg.regions:
+            assert np.array_equal(seg[label].positions, cloud.positions[assigned == idx])
+    assert np.array_equal(seg.residual.positions, cloud.positions[assigned == -1])
