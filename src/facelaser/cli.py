@@ -191,6 +191,8 @@ def cmd_register(args, cfg: RunConfig) -> int:
     views = []
     for p in args.views:
         v = load_ply(_require(p))
+        if len(v) == 0:
+            raise EmptyCloud(f"{p}: the view has no points")
         if not v.has_normals:
             try:
                 v = estimate_normals(v, leaf, np.zeros(3))

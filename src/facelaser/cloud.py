@@ -232,12 +232,35 @@ def save_ply(cloud: PointCloud, path) -> None:
         fh.write(rec.tobytes())
 
 
-def _shifted_rank(distinct: np.ndarray, values: np.ndarray, d: int) -> np.ndarray:
-    """The index in the sorted `distinct` of each of `values` + d, or -1
-    where that sum is not among them."""
-    want = values + d
-    r = np.minimum(np.searchsorted(distinct, want), len(distinct) - 1)
-    return np.where(distinct[r] == want, r, -1)
+def _packing(keys: np.ndarray, pad: int, scale: int = 1):
+    """One int64 code per row of (n, 3) int64 keys, or None.
+
+    A key's code is ((x - x0) * sy + y - y0) * sz + z - z0, for the keys'
+    lowest corner (x0, y0, z0) and radices sy and sz that leave `pad` unused
+    values past each y and z. So codes sort as the keys do lexicographically,
+    and a key moved by up to `pad` on each axis packs to no key's code but
+    its own. Returns the codes and the function that packs such a move, or
+    None when there are no keys, or their box is too wide for every code in
+    it, moved or times `scale`, to fit in int64.
+    """
+    if not len(keys):
+        return None
+    # Python ints, so that the size check itself cannot overflow.
+    lo, hi = keys.min(axis=0).tolist(), keys.max(axis=0).tolist()
+    sy, sz = hi[1] - lo[1] + 1 + pad, hi[2] - lo[2] + 1 + pad
+    if (hi[0] - lo[0] + 2 + pad) * sy * sz * scale > 2**63:
+        return None
+    code = ((keys[:, 0] - lo[0]) * sy + (keys[:, 1] - lo[1])) * sz + (keys[:, 2] - lo[2])
+    return code, lambda dx, dy, dz: (dx * sy + dy) * sz + dz
+
+
+_KEY_RECORD = np.dtype([("x", np.int64), ("y", np.int64), ("z", np.int64)])
+
+
+def _records(keys: np.ndarray) -> np.ndarray:
+    """(n, 3) int64 keys as n (x, y, z) records, which numpy compares, sorts
+    and searches lexicographically."""
+    return np.ascontiguousarray(keys).view(_KEY_RECORD).reshape(-1)
 
 
 class VoxelGrid:
@@ -249,6 +272,9 @@ class VoxelGrid:
     normals and colors are kept while every cloud added has them. A voxel's
     sums are its points' values added in input order, so adding clouds one by
     one gives the sums, bit for bit, of one pass over their concatenation.
+
+    Where the keys' box is small enough, each key is handled as one int64
+    code (`_packing`); elsewhere, as three columns.
     """
 
     def __init__(self, leaf: float):
@@ -270,15 +296,23 @@ class VoxelGrid:
             raise ValueError("coordinates must be finite, and within 2**63 leaves of "
                              "the origin so that voxel indices fit in int64")
         keys = np.vstack([self.keys, idx.astype(np.int64)])
-        # A stable sort in lexicographic (x, y, z) order: each voxel's rows are
-        # contiguous and, within it, in input order, its stored sums first.
-        order = np.lexsort(keys.T[::-1])
-        ordered = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        inverse = np.empty(len(keys), dtype=np.intp)
+        n = len(keys)
+        # Rows sorted in lexicographic (x, y, z) order and, within a voxel, in
+        # input order, its stored sums first: by one int64 code whose low bits
+        # are the row number, or else by a stable sort of the three columns.
+        bits = max(n - 1, 0).bit_length()
+        packed = _packing(keys, 0, 1 << bits)
+        if packed is not None:
+            code = np.sort((packed[0] << bits) | np.arange(n))
+            order = code & ((1 << bits) - 1)
+            first = _run_starts(code >> bits)
+        else:
+            order = np.lexsort(keys.T[::-1])
+            first = np.ones(n, dtype=bool)
+            first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+        self.keys = keys[order[first]]
+        inverse = np.empty(n, dtype=np.intp)
         inverse[order] = np.cumsum(first) - 1
-        self.keys = ordered[first]
 
         rows = {"count": np.ones((len(cloud), 1)), "positions": cloud.positions}
         if cloud.has_normals:
@@ -301,53 +335,56 @@ class VoxelGrid:
         `reach` on each axis, each voxel with itself included; `rows` limits
         i to those rows (default: all).
 
-        Keys are packed as (column, z rank), with the column numbered by the
-        ranks of its x and y among the distinct keys, so nothing overflows
-        and the lexicographic order of `keys` sorts the packed keys. For
-        each (dx, dy) the neighbour of every column is looked up once, and a
-        voxel's neighbours in it are the rows between the searchsorted
-        positions of z - reach and z + reach. Memory is O(len(self)).
+        Each voxel's partners come in (dx, dy, dz) order of their key minus
+        its own, which fixes the order in which sums over them add up.
+
+        A partner is found by searching the sorted keys for the voxel's key
+        moved by (dx, dy, dz): as one int64 code (`_packing`, padded by
+        `reach`) where the keys' box allows, else as an (x, y, z) record.
+        For all rows, only the moves after (0, 0, 0) are searched; a pair
+        found by a move is also the pair of the opposite move, mirrored.
+        Memory is O(len(self)) per move, besides the pairs returned.
 
         Keys are floors of doubles, so none lies in (2**63 - 1024, 2**63):
-        adding a `reach` below 1024 cannot overflow, and a difference that
-        wraps (only from -2**63) lands where no key is. Only the lower z
-        bound, a position rather than an exact match, has to saturate.
+        a record moved by a `reach` below 1024 cannot overflow, and one that
+        wraps (only from -2**63) lands where no key is.
         """
-        keys = self.keys
-        n = len(keys)
-        rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
-        # keys[:, 0] is sorted, and so is keys[:, 1] within each x.
-        new_x = _run_starts(keys[:, 0])
-        new_column = new_x | _run_starts(keys[:, 1])
-        ux = keys[new_x, 0]
-        uy, uz = np.unique(keys[:, 1]), np.unique(keys[:, 2])
-        col_x = (np.cumsum(new_x) - 1)[new_column]
-        col_y = np.searchsorted(uy, keys[new_column, 1])
-        columns = col_x * len(uy) + col_y                   # sorted, one per column
-        column = np.cumsum(new_column) - 1
-        packed = column * len(uz) + np.searchsorted(uz, keys[:, 2])
+        keys, n = self.keys, len(self.keys)
+        packed = _packing(keys, reach)
+        if packed is None:
+            table, x = _records(keys), np.ascontiguousarray(keys[:, 0])
 
-        q_column, q_z = column[rows], keys[rows, 2]
-        z_lo = np.searchsorted(uz, np.maximum(q_z, np.iinfo(np.int64).min + reach) - reach)
-        z_hi = np.searchsorted(uz, q_z + reach, side="right")
-        offsets = range(-reach, reach + 1)
-        shifted_x = [_shifted_rank(ux, ux, d)[col_x] for d in offsets]
-        shifted_y = [_shifted_rank(uy, uy, d)[col_y] for d in offsets]
-        who, start, end = [], [], []
-        for sx in shifted_x:
-            for sy in shifted_y:
-                want = sx * len(uy) + sy
-                c = np.minimum(np.searchsorted(columns, want), len(columns) - 1)
-                base = np.where((sx >= 0) & (sy >= 0) & (columns[c] == want),
-                                c * len(uz), -1)[q_column]
-                hit = np.flatnonzero(base >= 0)
-                who.append(hit)
-                start.append(np.searchsorted(packed, base[hit] + z_lo[hit]))
-                end.append(np.searchsorted(packed, base[hit] + z_hi[hit]))
-        who, start, end = np.concatenate(who), np.concatenate(start), np.concatenate(end)
-        count = end - start
-        return (np.repeat(rows[who], count),
-                np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count))
+            def moved(src, move):
+                # Only keys whose moved x is a key's x go on to the slower
+                # record search.
+                to = x[src] + move[0]
+                src = src[x.take(np.searchsorted(x, to), mode="clip") == to]
+                return src, _records(keys[src] + move)
+        else:
+            table, pack = packed
+
+            def moved(src, move):
+                return src, table[src] + pack(*move)
+
+        def find(src, move):
+            src, want = moved(src, move)
+            at = np.searchsorted(table, want)
+            hit = np.flatnonzero(table.take(at, mode="clip") == want)
+            return src[hit], at[hit]
+
+        # Blocks of pairs in move order: each voxel's partners come in that
+        # order, whatever the order between voxels.
+        moves = list(itertools.product(range(-reach, reach + 1), repeat=3))
+        if rows is None:
+            every = np.arange(n)
+            found = {move: find(every, move) for move in moves if move > (0, 0, 0)}
+            found[(0, 0, 0)] = every, every
+            pairs = [found[m] if m in found else found[tuple(-d for d in m)][::-1]
+                     for m in moves]
+        else:
+            rows = np.asarray(rows, dtype=np.intp)
+            pairs = [find(rows, move) for move in moves]
+        return tuple(np.concatenate(side) for side in zip(*pairs))
 
     def cloud(self) -> PointCloud:
         """The voxel means, one point per voxel in voxel order. Normals are

@@ -459,6 +459,23 @@ def test_register_view_out_of_the_gate_names_it(workdir, capsys):
 
 
 @pytest.mark.parametrize("bare", [False, True], ids=["normals", "bare"])
+@pytest.mark.parametrize("index", [0, 1])
+def test_register_empty_view_names_it(workdir, capsys, bare, index):
+    """A view PLY with no vertices, first or later, with or without nx/ny/nz
+    properties, is an input error that names that view's file."""
+    views, _ = ellipsoid_views()
+    views = views[:2]
+    views[index] = PointCloud(np.empty((0, 3)), None if bare else np.empty((0, 3)))
+    names = save_views(workdir, views)
+    assert (b"property float nx" in names[index].read_bytes()) != bare
+    assert register(workdir, names) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{names[index]}: " in err
+    assert str(names[1 - index]) not in err
+    assert not (workdir / "merged.ply").exists()
+
+
+@pytest.mark.parametrize("bare", [False, True], ids=["normals", "bare"])
 @pytest.mark.parametrize("index", [0, 2])
 def test_register_view_too_far_for_the_grid_names_it(workdir, capsys, bare, index):
     """A view with a coordinate whose voxel index does not fit in int64 is an

@@ -11,6 +11,8 @@ from facelaser.cloud import (
     PointCloud,
     RayHit,
     VoxelGrid,
+    _block_covariances,
+    _packing,
     _smallest_eigenvectors,
     concatenate,
     estimate_normals,
@@ -585,6 +587,69 @@ def test_neighbour_pairs_match_all_pairs(case):
         want = {(a, b) for a, b in want if a % 2 == 0}
     assert len(got) == len(set(got))
     assert set(got) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(neighbour_grids())
+def test_neighbour_order_sums_like_sorted_pairs(case):
+    """Block covariances over VoxelGrid.neighbours equal, bit for bit, those
+    over the all-pairs oracle's pairs sorted by (i, dx, dy, dz): each voxel's
+    partners come in (dx, dy, dz) order, so its sums add up in that order."""
+    parts, reach, subset = case
+    grid = VoxelGrid(1.0)
+    for part in parts:
+        grid.add(PointCloud(part))
+    rows = np.arange(len(grid))[::2] if subset else None
+    keys = [tuple(map(int, key)) for key in grid.keys]
+    want = sorted((i, *(b - a for a, b in zip(keys[i], keys[j])), j)
+                  for i, j in neighbour_pairs(grid.keys, reach) if not subset or i % 2 == 0)
+    # Values whose sums round differently in another order.
+    means = np.random.default_rng(len(grid)).normal(size=(len(grid), 3))
+    got = _block_covariances(means, *grid.neighbours(reach, rows))
+    expected = _block_covariances(means, np.array([w[0] for w in want], dtype=np.intp),
+                                  np.array([w[-1] for w in want], dtype=np.intp))
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+
+
+def grid_paths(cloud: PointCloud, leaf: float) -> tuple[bool, bool]:
+    """Whether VoxelGrid(leaf).add(cloud) sorts the keys as int64 codes, and
+    whether its neighbours (reach 1 and 2) search them as codes."""
+    keys = np.floor(cloud.positions / leaf).astype(np.int64)
+    bits = (len(keys) - 1).bit_length()
+    distinct = np.unique(keys, axis=0)
+    return (_packing(keys, 0, 1 << bits) is not None,
+            _packing(distinct, 1) is not None and _packing(distinct, 2) is not None)
+
+
+@st.composite
+def grid_clouds_on_each_path(draw, paths):
+    """A grid_normal_clouds case whose keys take the given grid paths: as
+    drawn (codes), with two lone voxels 2**19 leaves out on each axis (the
+    sort key's row bits overflow, the neighbour codes fit), or 2**22 leaves
+    out, at times with the leaf cut to 1e-12 of it first (no code fits)."""
+    cloud, leaf, viewpoint = draw(grid_normal_clouds())
+    if paths == "wide" and draw(st.booleans()):
+        leaf *= 1e-12
+    if paths != "codes":
+        far = 2.0 ** (19 if paths == "sort-wide" else 22) * leaf
+        centre = cloud.positions.mean(axis=0)
+        cloud = PointCloud(np.vstack([cloud.positions, centre - far, centre + far]))
+    return cloud, leaf, viewpoint
+
+
+@pytest.mark.parametrize("paths, expected", [
+    ("codes", (True, True)), ("sort-wide", (False, True)), ("wide", (False, False))])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_grid_paths_match_oracles(paths, expected, data):
+    """On either side of the int64-code switch, voxel_downsample gives the
+    np.unique grid's output and estimate_normals the per-voxel loop's."""
+    cloud, leaf, viewpoint = data.draw(grid_clouds_on_each_path(paths))
+    assert grid_paths(cloud, leaf) == expected
+    assert_same_cloud(voxel_downsample(cloud, leaf), unique_voxel_downsample(cloud, leaf))
+    # The assertions of the loop-oracle test, on this case.
+    test_grid_normals_match_voxel_loop.hypothesis.inner_test((cloud, leaf, viewpoint))
 
 
 def test_grid_normals_near_knn_accuracy():
