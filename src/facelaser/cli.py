@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -252,12 +253,29 @@ def cmd_segment(args, cfg: RunConfig) -> int:
 
 PATH_KEYS = ("x", "y", "z", "nx", "ny", "nz")
 
+# One path record as json.dump(records, indent=2, sort_keys=True) lays it out:
+# the normal, the label (as json.dumps writes it), the strip, the position.
+# %r writes a finite float as json does.
+_PATH_RECORD = ('  {\n    "nx": %r,\n    "ny": %r,\n    "nz": %r,\n'
+                '    "segment_label": %s,\n    "strip_index": %d,\n'
+                '    "x": %r,\n    "y": %r,\n    "z": %r\n  }')
 
-def _path_records(path: SegmentPath) -> list[dict]:
-    table = np.hstack([path.positions, path.normals]).tolist()
-    return [{**dict(zip(PATH_KEYS, row)), "segment_label": path.label,
-             "strip_index": strip}
-            for row, strip in zip(table, path.strip_indices.tolist())]
+
+def _write_paths(paths: list[SegmentPath], out) -> None:
+    """The path records of every point, in visiting order, with the bytes
+    json.dump writes for the list of record dicts, built with one `%`."""
+    table = np.empty((sum(map(len, paths)), 8), dtype=object)
+    row = 0
+    for path in paths:
+        rows = slice(row, row + len(path))
+        table[rows, :3] = path.normals
+        table[rows, 3] = json.dumps(path.label)
+        table[rows, 4] = path.strip_indices
+        table[rows, 5:] = path.positions
+        row += len(path)
+    body = ",\n".join([_PATH_RECORD] * len(table)) % tuple(table.ravel().tolist())
+    with open(out, "w", encoding="utf-8") as f:
+        f.write(f"[\n{body}\n]\n" if len(table) else "[]\n")
 
 
 def load_paths(path) -> dict:
@@ -268,13 +286,14 @@ def load_paths(path) -> dict:
     a unit vector.
     """
     rows = _read_json(path)
+    coordinates = operator.itemgetter(*PATH_KEYS)
     try:
         grouped: dict[str, list] = {}
         for r in rows:
             grouped.setdefault(r["segment_label"], []).append(r)
         out = {}
         for label, rs in grouped.items():
-            xyz = np.array([[r[k] for k in PATH_KEYS] for r in rs], dtype=float)
+            xyz = np.array([coordinates(r) for r in rs], dtype=float)
             if not np.isfinite(xyz).all():
                 raise ParseError(f"{path}: non-finite coordinate in '{label}'")
             if np.any(np.abs(np.linalg.norm(xyz[:, 3:], axis=1) - 1.0) > 1e-6):
@@ -299,25 +318,19 @@ def _load_oriented(path) -> PointCloud:
 
 def cmd_plan(args, cfg: RunConfig) -> int:
     planner = cfg.planner()
-    records = []
-    planned = []
     if args.segments:
         if not os.path.isdir(args.segments):
             raise _UsageError(f"segment directory not found: {args.segments}")
+        paths = []
         for label in REGION_LABELS:
             ply = os.path.join(args.segments, f"{label}.ply")
-            if not os.path.exists(ply):
-                continue
-            path = plan_segment(_load_oriented(ply), planner, label)
-            records.extend(_path_records(path))
-            planned.append(f"{label}: {len(path)}")
+            if os.path.exists(ply):
+                paths.append(plan_segment(_load_oriented(ply), planner, label))
     else:
-        path = plan_segment(_load_oriented(_require(args.cloud)), planner, args.label)
-        records.extend(_path_records(path))
-        planned.append(f"{args.label}: {len(path)}")
-    _write_json(records, args.out)
-    print(f"planned {len(records)} path points -> {args.out} "
-          f"({'; '.join(planned)})")
+        paths = [plan_segment(_load_oriented(_require(args.cloud)), planner, args.label)]
+    _write_paths(paths, args.out)
+    planned = "; ".join(f"{path.label}: {len(path)}" for path in paths)
+    print(f"planned {sum(map(len, paths))} path points -> {args.out} ({planned})")
     return 0
 
 

@@ -97,7 +97,7 @@ def _mean_normal(normals: np.ndarray, fallback: Vec3) -> Vec3:
 
 
 def bin_strips(cloud: PointCloud, diameter: float, axis: int,
-               correction: bool = True) -> list[Strip]:
+               correction: bool = True, label: str = "segment") -> list[Strip]:
     """Cut the cloud into adaptive strips along coordinate `axis` (0=x, 1=y).
 
     The cursor walks from the lowest to the highest coordinate. Each step
@@ -105,7 +105,8 @@ def bin_strips(cloud: PointCloud, diameter: float, axis: int,
     narrows the window to diameter * cos(obliquity) when correction is on,
     then commits the points inside the narrowed window as one strip and
     advances by its width. Empty seed windows advance by a full diameter
-    without emitting.
+    without emitting. A cursor so far from the origin that adding the width
+    leaves it where it was is an InvalidParam naming the region `label`.
     """
     if len(cloud) == 0:
         raise EmptySegment("cannot bin an empty segment")
@@ -124,20 +125,22 @@ def bin_strips(cloud: PointCloud, diameter: float, axis: int,
     index = 0
     while cursor <= hi_all + 1e-12:
         seed = (coord >= cursor) & (coord < cursor + diameter)
-        if not seed.any():
-            cursor += diameter
-            continue
-        eta_seed = _mean_normal(cloud.normals[seed], Z_AXIS)
         width = diameter
-        if correction:
-            o_x = strip_obliquity(eta_seed, bin_axis)
-            width = max(diameter * np.cos(o_x), MIN_STRIP_FRACTION * diameter)
-        member = (coord >= cursor) & (coord < cursor + width)
-        if member.any():
-            eta_s = _mean_normal(cloud.normals[member], Z_AXIS)
-            strips.append(Strip(index, cursor, cursor + width,
-                                np.flatnonzero(member), eta_s))
-            index += 1
+        if seed.any():
+            eta_seed = _mean_normal(cloud.normals[seed], Z_AXIS)
+            if correction:
+                o_x = strip_obliquity(eta_seed, bin_axis)
+                width = max(diameter * np.cos(o_x), MIN_STRIP_FRACTION * diameter)
+            member = (coord >= cursor) & (coord < cursor + width)
+            if member.any():
+                eta_s = _mean_normal(cloud.normals[member], Z_AXIS)
+                strips.append(Strip(index, cursor, cursor + width,
+                                    np.flatnonzero(member), eta_s))
+                index += 1
+        if cursor + width == cursor:
+            raise InvalidParam(f"region '{label}': strips of {diameter} m cannot "
+                               f"advance past {'xy'[axis]} = {cursor!r} m, too far "
+                               "from the origin")
         cursor += width
     if not strips:
         raise EmptySegment("binning produced no strips")
@@ -152,21 +155,32 @@ def sweep_patch(cloud: PointCloud, strip: Strip, sweep_axis: int,
     `step` centered on x_min + k * step; every member point joins the window
     with the nearest center. Occupied windows yield one patch each; returns
     their (centroids, normals), both (k, 3).
+
+    One sort (`np.unique`) numbers the occupied windows, and one `bincount`
+    for the positions and one for the normals add each window's rows in
+    index order from 0.0, as `mean` does, so every patch is the window's
+    mean bit for bit and a strip spanning billions of windows costs one
+    sort. (`np.add.reduceat` would not do: it adds a window's rows after
+    the first as a sum of their own, which rounds differently from three
+    rows up, and keeps a window of -0.0 at -0.0.) Normals are renormalized
+    as `_mean_normal` does; a sum that cancels out takes the strip's normal.
     """
     pos = cloud.positions[strip.points]
     nrm = cloud.normals[strip.points]
     coords = pos[:, sweep_axis]
-    x_min = float(coords.min())
-    span = float(coords.max()) - x_min
-    last = int(span / step)
-    cells = np.clip(np.round((coords - x_min) / step).astype(int), 0, last)
-    chi, eta = [], []
-    for k in range(last + 1):
-        sel = cells == k
-        if sel.any():
-            chi.append(pos[sel].mean(axis=0))
-            eta.append(_mean_normal(nrm[sel], strip.eta_s))
-    return np.reshape(chi, (-1, 3)), np.reshape(eta, (-1, 3))
+    x_min = coords.min()
+    last = np.floor((coords.max() - x_min) / step)
+    cells = np.minimum(np.round((coords - x_min) / step), last)
+    window = np.unique(cells, return_inverse=True)[1]
+    count = np.bincount(window)[:, None]
+    slots = (3 * window[:, None] + np.arange(3)).ravel()
+    chi = np.bincount(slots, pos.ravel()).reshape(-1, 3) / count
+    m = np.bincount(slots, nrm.ravel()).reshape(-1, 3) / count
+    n = row_norms(m)
+    flat = n < 1e-12
+    eta = m / np.where(flat, 1.0, n)[:, None]
+    eta[flat] = strip.eta_s
+    return chi, eta
 
 
 def plan_segment(cloud: PointCloud, config: PlannerConfig,
@@ -176,6 +190,9 @@ def plan_segment(cloud: PointCloud, config: PlannerConfig,
     Orientation "horizontal" bins along y and sweeps along x; "vertical" is
     the transpose; "auto" sweeps along the larger planar extent so rows are
     long and turns are few. Consecutive emitted rows alternate direction.
+    A patch whose mean overflows, or whose normal is then not a unit vector,
+    is an InvalidParam: a path point that `load_paths` would reject is never
+    returned.
     """
     if len(cloud) == 0:
         raise EmptySegment(f"region '{label}' has no points")
@@ -187,7 +204,7 @@ def plan_segment(cloud: PointCloud, config: PlannerConfig,
     bin_axis, sweep_axis = (1, 0) if orientation == "horizontal" else (0, 1)
 
     strips = bin_strips(cloud, config.laser_diameter, bin_axis,
-                        config.obliquity_correction)
+                        config.obliquity_correction, label)
     chi, eta, strip_of, widths = [], [], [], []
     for strip in strips:
         centroids, normals = sweep_patch(cloud, strip, sweep_axis,
@@ -202,8 +219,14 @@ def plan_segment(cloud: PointCloud, config: PlannerConfig,
         widths.append(strip.width)
     if not chi:
         raise EmptySegment(f"region '{label}' produced no path points")
-    return SegmentPath(label, np.concatenate(chi), np.concatenate(eta),
-                       np.concatenate(strip_of), orientation, widths)
+    chi, eta = np.concatenate(chi), np.concatenate(eta)
+    bad = ~(np.isfinite(chi).all(axis=1) & (np.abs(row_norms(eta) - 1.0) <= 1e-6))
+    if bad.any():
+        raise InvalidParam(f"path point {np.flatnonzero(bad)[0]} of '{label}' "
+                           "overflows: the region's coordinates or normals are "
+                           "too large to average")
+    return SegmentPath(label, chi, eta, np.concatenate(strip_of), orientation,
+                       widths)
 
 
 def path_to_poses(path: SegmentPath, standoff: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,13 @@
 """Shared synthetic fixtures: analytic clouds, landmark layouts, path stubs,
 and the reference implementations (brute-force raycast, np.unique voxel grid,
 all-pairs voxel neighbours, per-voxel loop and k-NN normals, eigh normals,
-per-patch poses, the simulator's tick loop over a segment, the full-query ICP
+the per-window strip sweep, per-patch poses, the dict-per-record path file
+writer and reader, the simulator's tick loop over a segment, the full-query ICP
 objective, the full-draw Monte Carlo coverage, the scalar point-in-polygon
 test and pixel projection, the unculled region assignment) that the fast
 versions are tested against."""
 
+import json
 import math
 from unittest import mock
 
@@ -13,11 +15,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from facelaser import registration
+from facelaser.cli import PATH_KEYS
 from facelaser.cloud import PointCloud, RayHit, VoxelGrid
 from facelaser.errors import (
     DegenerateNormal,
     FacelaserError,
     NoCorrespondences,
+    ParseError,
 )
 from facelaser.geometry import (
     Y_AXIS,
@@ -27,7 +31,7 @@ from facelaser.geometry import (
     project_points,
     rotation_from_normal,
 )
-from facelaser.pathplan import SegmentPath
+from facelaser.pathplan import SegmentPath, Strip, _mean_normal
 from facelaser.segmentation import FaceLandmarks, build_region_polygons, points_in_polygon
 from facelaser.simulator import PlanarRegion, ShotLog
 
@@ -297,6 +301,64 @@ def full_query_icp(*args, **kwargs) -> registration.IcpResult:
     cached objective."""
     with mock.patch.object(registration, "_plane_rmse", full_query_plane_rmse):
         return registration.icp_point_to_plane(*args, **kwargs)
+
+
+def loop_sweep_patch(cloud: PointCloud, strip: Strip, sweep_axis: int,
+                     step: float) -> tuple[np.ndarray, np.ndarray]:
+    """sweep_patch one window at a time: the mean of each occupied window's
+    points and the renormalized mean of their normals, k = 0 .. last."""
+    pos = cloud.positions[strip.points]
+    nrm = cloud.normals[strip.points]
+    coords = pos[:, sweep_axis]
+    x_min = float(coords.min())
+    span = float(coords.max()) - x_min
+    last = int(span / step)
+    cells = np.clip(np.round((coords - x_min) / step).astype(int), 0, last)
+    chi, eta = [], []
+    for k in range(last + 1):
+        sel = cells == k
+        if sel.any():
+            chi.append(pos[sel].mean(axis=0))
+            eta.append(_mean_normal(nrm[sel], strip.eta_s))
+    return np.reshape(chi, (-1, 3)), np.reshape(eta, (-1, 3))
+
+
+def path_records(path: SegmentPath) -> list[dict]:
+    """One paths.json record dict per path point."""
+    table = np.hstack([path.positions, path.normals]).tolist()
+    return [{**dict(zip(PATH_KEYS, row)), "segment_label": path.label,
+             "strip_index": strip}
+            for row, strip in zip(table, path.strip_indices.tolist())]
+
+
+def dumped_paths(paths: list[SegmentPath]) -> str:
+    """paths.json as json.dump writes the list of record dicts."""
+    records = [r for path in paths for r in path_records(path)]
+    return json.dumps(records, indent=2, sort_keys=True) + "\n"
+
+
+def loop_load_paths(path) -> dict:
+    """load_paths reading each record's coordinates key by key."""
+    with open(path, "r", encoding="utf-8") as f:
+        rows = json.load(f)
+    try:
+        grouped: dict[str, list] = {}
+        for r in rows:
+            grouped.setdefault(r["segment_label"], []).append(r)
+        out = {}
+        for label, rs in grouped.items():
+            xyz = np.array([[r[k] for k in PATH_KEYS] for r in rs], dtype=float)
+            if not np.isfinite(xyz).all():
+                raise ParseError(f"{path}: non-finite coordinate in '{label}'")
+            if np.any(np.abs(np.linalg.norm(xyz[:, 3:], axis=1) - 1.0) > 1e-6):
+                raise ParseError(f"{path}: normal in '{label}' is not a unit vector")
+            strips = [int(r["strip_index"]) for r in rs]
+            out[label] = SegmentPath(label, xyz[:, :3], xyz[:, 3:], strips, "unknown")
+    except KeyError as exc:
+        raise ParseError(f"{path}: path record without {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return out
 
 
 def loop_path_to_poses(path: SegmentPath, standoff: float) -> tuple[np.ndarray, np.ndarray]:

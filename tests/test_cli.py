@@ -3,6 +3,9 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from decimal import Decimal
 from pathlib import Path
@@ -10,15 +13,26 @@ from xml.dom import minidom
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facelaser import cli
 from facelaser.cli import SHOT_VALUES, RunConfig, _write_shots_csv, main, read_shots_csv
 from facelaser.cloud import PointCloud, load_ply, save_ply
+from facelaser.errors import ParseError
 from facelaser.geometry import RigidTransform
+from facelaser.pathplan import SegmentPath
 from facelaser.registration import estimate_viewpoints, merge_views
 from facelaser.simulator import ShotLog, coverage_metrics, run_path
 
-from support import ellipsoid_cloud, face_cloud, fibonacci_sphere, plane_grid
+from support import (
+    dumped_paths,
+    ellipsoid_cloud,
+    face_cloud,
+    fibonacci_sphere,
+    loop_load_paths,
+    plane_grid,
+)
 
 CAMERA = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
           "width": 640, "height": 480}
@@ -298,6 +312,127 @@ def test_plan_cloud_without_normals_exits_1(workdir, capsys, flag):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(ply) in err and "normals" in err
+    assert not (workdir / "paths.json").exists()
+
+
+LABELS = ["forehead", 'say "ah"', "back\\slash", "p\u00e4tch \u9854", "100%s %d", ""]
+
+
+@st.composite
+def segment_paths(draw):
+    """Up to four paths of up to six points, any finite floats (-0.0,
+    subnormal and near-overflow values too), labels with quotes,
+    backslashes, non-ASCII text and % signs."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    paths = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(1, 6))
+        label = draw(st.one_of(st.sampled_from(LABELS), st.text(max_size=6)))
+        values = np.array(draw(st.lists(finite, min_size=6 * n, max_size=6 * n)))
+        strips = draw(st.lists(st.integers(0, 2 ** 40), min_size=n, max_size=n))
+        paths.append(SegmentPath(label, values[:3 * n], values[3 * n:], strips,
+                                 "horizontal"))
+    return paths
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(segment_paths())
+def test_path_writer_matches_json_dump(tmp_path_factory, paths):
+    """paths.json from the columns is byte for byte json.dump of the record
+    dicts with indent=2 and sorted keys, an empty plan included."""
+    out = tmp_path_factory.mktemp("plan") / "paths.json"
+    cli._write_paths(paths, out)
+    assert out.read_bytes() == dumped_paths(paths).encode("utf-8")
+
+
+def test_plan_of_no_regions_writes_an_empty_list(workdir):
+    (workdir / "segs").mkdir()
+    assert run(workdir, "plan", "--segments", workdir / "segs",
+               "--out", workdir / "paths.json") == 0
+    assert (workdir / "paths.json").read_text() == "[]\n" == dumped_paths([])
+
+
+def test_path_reader_matches_key_by_key_reader(tmp_path):
+    """load_paths rebuilds the written columns, as the key-by-key reader does."""
+    rng = np.random.default_rng(7)
+    normals = rng.normal(size=(9, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    written = [SegmentPath(label, rng.normal(size=(3, 3)), normals[3 * k:3 * k + 3],
+                           [k, k, k + 1], "vertical")
+               for k, label in enumerate(["nose", 'say "ah"', "p\u00e4tch"])]
+    cli._write_paths(written, tmp_path / "paths.json")
+    got = cli.load_paths(tmp_path / "paths.json")
+    want = loop_load_paths(tmp_path / "paths.json")
+    assert list(got) == list(want) == [p.label for p in written]
+    for path, a, b in zip(written, got.values(), want.values()):
+        for column in ("positions", "normals", "strip_indices"):
+            assert np.array_equal(getattr(a, column), getattr(path, column))
+            assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
+
+
+BAD_RECORDS = {
+    "missing-field": [_without(GOOD_RECORD, "ny")],
+    "missing-strip": [_without(GOOD_RECORD, "strip_index")],
+    "not-a-number": [GOOD_RECORD, {**GOOD_RECORD, "y": "north"}],
+    "null": [{**GOOD_RECORD, "nz": None}],
+    "nested": [{**GOOD_RECORD, "x": [0.0, 1.0]}],
+    "non-finite": [{**GOOD_RECORD, "z": 1e400}],
+    "non-unit-normal": [{**GOOD_RECORD, "nz": 0.5}],
+    "list-record": [list(GOOD_RECORD.values())],
+    "string-record": ["x"],
+    "number-record": [GOOD_RECORD, 3],
+}
+
+
+@pytest.mark.parametrize("records", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
+def test_path_reader_errors_match_key_by_key_reader(tmp_path, records):
+    paths = tmp_path / "paths.json"
+    paths.write_text(json.dumps(records))
+    with pytest.raises(ParseError) as want:
+        loop_load_paths(paths)
+    with pytest.raises(ParseError) as got:
+        cli.load_paths(paths)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"{paths}: ")
+
+
+def _ascii_ply(rows) -> str:
+    names = ("x", "y", "z", "nx", "ny", "nz")
+    return (f"ply\nformat ascii 1.0\nelement vertex {len(rows)}\n"
+            + "".join(f"property float {n}\n" for n in names) + "end_header\n"
+            + "".join(" ".join(map(repr, row)) + "\n" for row in rows))
+
+
+def test_plan_far_region_exits_1_quickly(workdir):
+    """A region so far out that a strip's width does not move the cursor
+    (float32 at 1e14 m, or x = 1.5e308) is an error, not an endless walk:
+    `facelaser plan` exits 1 well inside the time limit."""
+    grid = plane_grid()
+    save_ply(PointCloud(grid.positions[:200] + 1e14, grid.normals[:200]),
+             workdir / "far.ply")
+    (workdir / "edge.ply").write_text(_ascii_ply(
+        [(1.5e308, 0.001 * k, 0.0, 0.0, 0.0, 1.0) for k in range(4)]))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for name in ("far.ply", "edge.ply"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "facelaser.cli", "plan", "--cloud", str(workdir / name),
+             "--label", "cheek", "--out", str(workdir / "paths.json")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: region 'cheek': strips of 0.004 m "
+                                      "cannot advance")
+        assert not (workdir / "paths.json").exists()
+
+
+def test_plan_overflowing_patch_exits_1(workdir, capsys):
+    """Three points at z = 1.5e308 in one window overflow its mean: plan
+    exits 1 naming the region and writes no paths.json with an Infinity."""
+    (workdir / "big.ply").write_text(_ascii_ply(
+        [(0.001 * k, 0.0, 1.5e308 if k < 3 else 0.0, 0.0, 0.0, 1.0) for k in range(4)]))
+    code = run(workdir, "plan", "--cloud", workdir / "big.ply", "--label", "chin",
+               "--out", workdir / "paths.json")
+    assert code == 1
+    assert "path point 0 of 'chin' overflows" in capsys.readouterr().err
     assert not (workdir / "paths.json").exists()
 
 

@@ -18,7 +18,7 @@ from facelaser.pathplan import (
     sweep_patch,
 )
 
-from support import loop_path_to_poses, plane_grid
+from support import loop_path_to_poses, loop_sweep_patch, plane_grid
 
 DIAM = 0.004
 
@@ -247,3 +247,85 @@ def test_path_to_poses_rejects_a_non_unit_normal():
     for build in (path_to_poses, loop_path_to_poses):
         with pytest.raises(ValueError, match="unit vector"):
             build(path, standoff=0.0)
+
+
+# Pairs that cancel exactly, and (0.6, 0, 0.8) against one that leaves a
+# sum of 2^-50, under the 1e-12 at which a patch takes the strip's normal.
+UNITS = [(0.0, 0.0, 1.0), (-0.0, -0.0, 1.0), (0.0, 0.0, -1.0), (-0.0, 1.0, -0.0),
+         (0.0, -1.0, 0.0), (0.6, -0.0, 0.8), (-0.6, 0.0, -0.8),
+         (-0.6, 0.0, -0.8 + 2.0 ** -50), (-0.0, 0.28, 0.96)]
+
+
+@st.composite
+def sweep_strips(draw):
+    """(cloud, strip, sweep axis, step) for sweep_patch: sweep coordinates at
+    whole and half steps from the lowest (rounding ties) or anywhere in a
+    dozen steps (so the last window is often clipped), other coordinates
+    often -0.0, axis and opposing normals that cancel in a window or nearly
+    do, and the strip's points a shuffled subset of the cloud, down to one
+    point."""
+    step = draw(st.sampled_from([2.0 ** -8, 0.004, 0.003]))
+    base = draw(st.sampled_from([0.0, -0.05, 0.37]))
+    n = draw(st.integers(1, 30))
+    along = st.one_of(st.integers(0, 24).map(lambda k: base + k * step / 2),
+                      st.floats(base, base + 12 * step))
+    across = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.1, 0.1))
+    axis = draw(st.integers(0, 1))
+    pos = np.array([draw(st.tuples(along, across, across)) for _ in range(n)])
+    pos[:, [0, axis]] = pos[:, [axis, 0]]
+    nrm = np.array([draw(st.sampled_from(UNITS)) for _ in range(n)])
+    points = np.array(draw(st.permutations(range(n))))[:draw(st.integers(1, n))]
+    strip = Strip(0, -1.0, 1.0, points, np.array(draw(st.sampled_from(UNITS))))
+    return PointCloud(pos, nrm), strip, axis, step
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sweep_strips())
+def test_sweep_patch_matches_window_loop(case):
+    """One sort and two bincounts give the per-window means, bit for bit:
+    each window adds its points in index order, a window of -0.0 sums to
+    0.0, and a cancelled normal takes the strip's."""
+    cloud, strip, axis, step = case
+    got = sweep_patch(cloud, strip, axis, step)
+    want = loop_sweep_patch(cloud, strip, axis, step)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_sweep_patch_spans_billions_of_windows():
+    """Two clusters 10 km apart along the sweep: 2.5e9 windows, two patches,
+    without visiting the empty windows in between."""
+    near = plane_grid(extent_x=0.003, extent_t=0.003)
+    far = PointCloud(near.positions + [1e4, 0.0, 0.0], near.normals)
+    cloud = PointCloud(np.vstack([near.positions, far.positions]),
+                       np.vstack([near.normals, far.normals]))
+    path = plan_segment(cloud, config())
+    assert path.orientation == "horizontal"
+    assert len(path) == 2 and list(path.strip_indices) == [0, 0]
+    assert np.allclose(path.positions[:, 0] - [0.0, 1e4], 0.0015, atol=1e-9)
+
+
+@pytest.mark.parametrize("offset", [1e14, 1.5e308])
+def test_far_region_is_rejected_not_walked(offset):
+    """A cursor that adding a strip's width leaves in place stops binning
+    with an error naming the region and the diameter."""
+    pos = plane_grid(extent_x=0.01, extent_t=0.01).positions
+    pos[:, 1] += offset
+    cloud = PointCloud(pos, np.tile(Z_AXIS, (len(pos), 1)))
+    with pytest.raises(InvalidParam, match=r"region 'nose': strips of 0\.004 m "
+                                           r"cannot advance past y = "):
+        plan_segment(cloud, config(orientation="horizontal"), "nose")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("field", ["positions", "normals"])
+def test_overflowing_patch_is_rejected(field):
+    """A patch mean that overflows (or a normal that then loses its length)
+    is an error naming the region, never an inf, NaN or zero path point."""
+    cloud = plane_grid(extent_x=0.003, extent_t=0.003)
+    values = getattr(cloud, field).copy()
+    values[:, 2] = 1.5e308 if field == "positions" else 1e200
+    cloud = PointCloud(values, cloud.normals) if field == "positions" else \
+        PointCloud(cloud.positions, values)
+    with pytest.raises(InvalidParam, match="path point 0 of 'chin' overflows"):
+        plan_segment(cloud, config(), "chin")

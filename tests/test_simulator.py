@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from facelaser.cli import _path_records, main as cli_main, read_shots_csv
+from facelaser.cli import main as cli_main, read_shots_csv
 from facelaser.cloud import PointCloud, save_ply
 from facelaser.errors import (
     AbortedOnSafety,
@@ -50,6 +50,7 @@ from facelaser.simulator import (
 
 from support import (
     full_draw_coverage,
+    path_records,
     plane_grid,
     scan_raycast,
     straight_path,
@@ -546,7 +547,7 @@ def simulate_two_segments(tmp_path, via):
     if via == "run_path":
         res = run_path(plan, DRIFT_CFG, motion=MotionScript.from_json(motion_file))
         return res.log, list(res.trajectory.time)
-    records = [r for path in plan.values() for r in _path_records(path)]
+    records = [r for path in plan.values() for r in path_records(path)]
     (tmp_path / "paths.json").write_text(json.dumps(records))
     shots, traj = tmp_path / "shots.csv", tmp_path / "traj.csv"
     assert cli_main(["simulate", "--paths", str(tmp_path / "paths.json"),
