@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     TooFewPoints,
 )
-from .geometry import CameraIntrinsics, PoseVector6, RigidTransform, parse_pose
+from .geometry import CameraIntrinsics, PoseVector6, RigidTransform, norms_by_column, parse_pose
 from .pathplan import PlannerConfig, SegmentPath, plan_segment
 from .registration import check_merge_leaf, estimate_viewpoints, merge_views
 from .segmentation import REGION_LABELS, FaceLandmarks, segment_face
@@ -296,7 +296,7 @@ def load_paths(path) -> dict:
             xyz = np.array([coordinates(r) for r in rs], dtype=float)
             if not np.isfinite(xyz).all():
                 raise ParseError(f"{path}: non-finite coordinate in '{label}'")
-            if np.any(np.abs(np.linalg.norm(xyz[:, 3:], axis=1) - 1.0) > 1e-6):
+            if np.any(np.abs(norms_by_column(xyz[:, 3:]) - 1.0) > 1e-6):
                 raise ParseError(f"{path}: normal in '{label}' is not a unit vector")
             strips = [int(r["strip_index"]) for r in rs]
             out[label] = SegmentPath(label, xyz[:, :3], xyz[:, 3:], strips, "unknown")

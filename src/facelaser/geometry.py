@@ -34,6 +34,14 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None]).reshape(len(v)))
 
 
+def norms_by_column(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=1) of an (n, 3) array, bit for bit, from its
+    three columns: sqrt((x*x + y*y) + z*z). numpy reduces along the short
+    axis several times more slowly."""
+    x, y, z = v[:, 0], v[:, 1], v[:, 2]
+    return np.sqrt((x * x + y * y) + z * z)
+
+
 def hat(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric cross-product matrix of v."""
     return np.array([

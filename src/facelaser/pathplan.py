@@ -105,7 +105,8 @@ def bin_strips(cloud: PointCloud, diameter: float, axis: int,
     narrows the window to diameter * cos(obliquity) when correction is on,
     then commits the points inside the narrowed window as one strip and
     advances by its width. Empty seed windows advance by a full diameter
-    without emitting. A cursor so far from the origin that adding the width
+    without emitting, found by a search of the sorted coordinates rather
+    than a mask each. A cursor so far from the origin that adding the width
     leaves it where it was is an InvalidParam naming the region `label`.
     """
     if len(cloud) == 0:
@@ -119,11 +120,20 @@ def bin_strips(cloud: PointCloud, diameter: float, axis: int,
 
     bin_axis = np.eye(3)[axis]
     coord = cloud.positions[:, axis]
-    hi_all = float(coord.max())
-    cursor = float(coord.min())
+    ordered = np.sort(coord)
+    hi_all = float(ordered[-1])
+    cursor = float(ordered[0])
     strips: list[Strip] = []
     index = 0
     while cursor <= hi_all + 1e-12:
+        # Step over the empty seed windows before the next coordinate without
+        # building their masks: the same cursor values, one addition each. A
+        # cursor that the diameter cannot move stops here and fails below.
+        at = int(np.searchsorted(ordered, cursor))
+        if at < len(ordered):
+            upcoming = float(ordered[at])
+            while cursor < cursor + diameter <= upcoming:
+                cursor += diameter
         seed = (coord >= cursor) & (coord < cursor + diameter)
         width = diameter
         if seed.any():
@@ -203,20 +213,22 @@ def plan_segment(cloud: PointCloud, config: PlannerConfig,
         orientation = "horizontal" if ext[0] >= ext[1] else "vertical"
     bin_axis, sweep_axis = (1, 0) if orientation == "horizontal" else (0, 1)
 
-    strips = bin_strips(cloud, config.laser_diameter, bin_axis,
-                        config.obliquity_correction, label)
     chi, eta, strip_of, widths = [], [], [], []
-    for strip in strips:
-        centroids, normals = sweep_patch(cloud, strip, sweep_axis,
-                                         config.laser_diameter)
-        if not len(centroids):
-            continue
-        if len(chi) % 2 == 1:
-            centroids, normals = centroids[::-1], normals[::-1]
-        chi.append(centroids)
-        eta.append(normals)
-        strip_of.append(np.full(len(centroids), strip.index))
-        widths.append(strip.width)
+    # An average that overflows fails the check below; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        strips = bin_strips(cloud, config.laser_diameter, bin_axis,
+                            config.obliquity_correction, label)
+        for strip in strips:
+            centroids, normals = sweep_patch(cloud, strip, sweep_axis,
+                                             config.laser_diameter)
+            if not len(centroids):
+                continue
+            if len(chi) % 2 == 1:
+                centroids, normals = centroids[::-1], normals[::-1]
+            chi.append(centroids)
+            eta.append(normals)
+            strip_of.append(np.full(len(centroids), strip.index))
+            widths.append(strip.width)
     if not chi:
         raise EmptySegment(f"region '{label}' produced no path points")
     chi, eta = np.concatenate(chi), np.concatenate(eta)

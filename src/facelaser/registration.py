@@ -257,8 +257,10 @@ def merge_views(clouds: list[PointCloud], poses: list[RigidTransform], leaf: flo
         try:
             if i > 0:
                 pre = view.transformed(base_inv.compose(poses[i]))
-                res = icp_point_to_plane(voxel_downsample(pre, ICP_SOURCE_LEAF_FACTOR * leaf),
-                                         model.cloud(), max_iter=max_iter,
+                # ICP reads only the source's positions.
+                source = voxel_downsample(PointCloud(pre.positions),
+                                          ICP_SOURCE_LEAF_FACTOR * leaf)
+                res = icp_point_to_plane(source, model.cloud(), max_iter=max_iter,
                                          gate=gate_multiplier * leaf)
                 if icp_log is not None:
                     icp_log.append(res)

@@ -58,6 +58,7 @@ from .geometry import (
     hat,
     interpolate_rotation,
     interpolate_rotations,
+    norms_by_column,
     parse_pose,
     rotation_to_axis_angle,
     rotations_to_axis_angle,
@@ -327,7 +328,7 @@ class MotionScript:
                        len(self.times) - 2)
         s = ((t - self.times[i]) / (self.times[i + 1] - self.times[i]))[:, None]
         head = (1.0 - s) * self._translations[i] + s * self._translations[i + 1]
-        shift = np.linalg.norm(head - anchor.translation, axis=1)
+        shift = norms_by_column(head - anchor.translation)
 
         rel = self._frames @ anchor.rotation.T                  # (m, 3, 3, 3)
         trace = np.trace(rel, axis1=2, axis2=3)[i]
@@ -338,7 +339,7 @@ class MotionScript:
                           2.0 * np.sin(0.5 * phi) ** 2], axis=1)
         sin2 = np.einsum("np,npk->nk", basis, skew)          # norm 2 sin(angle)
         cos2 = np.einsum("np,np->n", basis, trace) - 1.0     # 2 cos(angle)
-        angle = np.arctan2(0.5 * np.linalg.norm(sin2, axis=1), 0.5 * cos2)
+        angle = np.arctan2(0.5 * norms_by_column(sin2), 0.5 * cos2)
         return (shift > translation_tol) | (angle > rotation_tol)
 
 

@@ -1,11 +1,12 @@
 """Shared synthetic fixtures: analytic clouds, landmark layouts, path stubs,
 and the reference implementations (brute-force raycast, np.unique voxel grid,
-all-pairs voxel neighbours, per-voxel loop and k-NN normals, eigh normals,
-the per-window strip sweep, per-patch poses, the dict-per-record path file
-writer and reader, the simulator's tick loop over a segment, the full-query ICP
-objective, the full-draw Monte Carlo coverage, the scalar point-in-polygon
-test and pixel projection, the unculled region assignment) that the fast
-versions are tested against."""
+the re-stacked voxel grid sums, all-pairs voxel neighbours, per-voxel loop and
+k-NN normals, eigh normals, the mask-per-step strip binning, the per-window
+strip sweep, per-patch poses, the dict-per-record path file writer and reader,
+the simulator's tick loop over a segment, the full-query ICP objective, the
+full-draw Monte Carlo coverage, the scalar point-in-polygon test and pixel
+projection, the unculled region assignment) that the fast versions are tested
+against."""
 
 import json
 import math
@@ -16,10 +17,11 @@ from scipy.spatial import cKDTree
 
 from facelaser import registration
 from facelaser.cli import PATH_KEYS
-from facelaser.cloud import PointCloud, RayHit, VoxelGrid
+from facelaser.cloud import PointCloud, RayHit, VoxelGrid, _packing, _run_starts
 from facelaser.errors import (
     DegenerateNormal,
     FacelaserError,
+    InvalidParam,
     NoCorrespondences,
     ParseError,
 )
@@ -31,7 +33,13 @@ from facelaser.geometry import (
     project_points,
     rotation_from_normal,
 )
-from facelaser.pathplan import SegmentPath, Strip, _mean_normal
+from facelaser.pathplan import (
+    MIN_STRIP_FRACTION,
+    SegmentPath,
+    Strip,
+    _mean_normal,
+    strip_obliquity,
+)
 from facelaser.segmentation import FaceLandmarks, build_region_polygons, points_in_polygon
 from facelaser.simulator import PlanarRegion, ShotLog
 
@@ -195,6 +203,55 @@ def unique_voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     return PointCloud(positions, normals, colors)
 
 
+def axis0_packing(keys: np.ndarray, pad: int, scale: int = 1):
+    """_packing with the keys' box from numpy's axis-0 min and max."""
+    if not len(keys):
+        return None
+    lo, hi = keys.min(axis=0).tolist(), keys.max(axis=0).tolist()
+    sy, sz = hi[1] - lo[1] + 1 + pad, hi[2] - lo[2] + 1 + pad
+    if (hi[0] - lo[0] + 2 + pad) * sy * sz * scale > 2**63:
+        return None
+    code = ((keys[:, 0] - lo[0]) * sy + (keys[:, 1] - lo[1])) * sz + (keys[:, 2] - lo[2])
+    return code, lambda dx, dy, dz: (dx * sy + dy) * sz + dz
+
+
+class RestackedVoxelGrid(VoxelGrid):
+    """A VoxelGrid whose add stacks the stored sums above the new rows and
+    bins them all again, one bincount per column, from 0.0."""
+
+    def add(self, cloud: PointCloud) -> np.ndarray:
+        idx = np.floor(cloud.positions / self.leaf)
+        if not ((idx >= -2.0**63) & (idx < 2.0**63)).all():
+            raise ValueError("voxel indices must fit in int64")
+        keys = np.vstack([self.keys, idx.astype(np.int64)])
+        n = len(keys)
+        bits = max(n - 1, 0).bit_length()
+        packed = _packing(keys, 0, 1 << bits)
+        if packed is not None:
+            code = np.sort((packed[0] << bits) | np.arange(n))
+            order = code & ((1 << bits) - 1)
+            first = _run_starts(code >> bits)
+        else:
+            order = np.lexsort(keys.T[::-1])
+            first = np.ones(n, dtype=bool)
+            first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+        self.keys = keys[order[first]]
+        inverse = np.empty(n, dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        rows = {"count": np.ones((len(cloud), 1)), "positions": cloud.positions}
+        if cloud.has_normals:
+            rows["normals"] = cloud.normals
+        if cloud.colors is not None:
+            rows["colors"] = cloud.colors.astype(float)
+        if self.sums:
+            rows = {name: np.vstack([self.sums[name], block])
+                    for name, block in rows.items() if name in self.sums}
+        self.sums = {name: np.column_stack([
+            np.bincount(inverse, weights=col, minlength=len(self.keys)) for col in block.T])
+            for name, block in rows.items()}
+        return inverse[len(inverse) - len(cloud):]
+
+
 def eigh_normals(cloud: PointCloud, k: int, viewpoint):
     """k-NN normals by np.linalg.eigh of each k-NN covariance: the oracle of
     the closed-form `_smallest_eigenvectors`.
@@ -301,6 +358,36 @@ def full_query_icp(*args, **kwargs) -> registration.IcpResult:
     cached objective."""
     with mock.patch.object(registration, "_plane_rmse", full_query_plane_rmse):
         return registration.icp_point_to_plane(*args, **kwargs)
+
+
+def loop_bin_strips(cloud: PointCloud, diameter: float, axis: int,
+                    correction: bool = True) -> list[Strip]:
+    """bin_strips building both masks over every point at each cursor step,
+    empty windows included: the seed window's points, the narrowed width, and
+    the member points as a strip when there are any. Raises InvalidParam for
+    a cursor that adding the width leaves in place."""
+    bin_axis = np.eye(3)[axis]
+    coord = cloud.positions[:, axis]
+    hi_all = float(coord.max())
+    cursor = float(coord.min())
+    strips = []
+    while cursor <= hi_all + 1e-12:
+        seed = (coord >= cursor) & (coord < cursor + diameter)
+        width = diameter
+        if seed.any():
+            eta_seed = _mean_normal(cloud.normals[seed], Z_AXIS)
+            if correction:
+                o_x = strip_obliquity(eta_seed, bin_axis)
+                width = max(diameter * np.cos(o_x), MIN_STRIP_FRACTION * diameter)
+            member = (coord >= cursor) & (coord < cursor + width)
+            if member.any():
+                strips.append(Strip(len(strips), cursor, cursor + width,
+                                    np.flatnonzero(member),
+                                    _mean_normal(cloud.normals[member], Z_AXIS)))
+        if cursor + width == cursor:
+            raise InvalidParam(f"the cursor cannot advance past {cursor!r}")
+        cursor += width
+    return strips
 
 
 def loop_sweep_patch(cloud: PointCloud, strip: Strip, sweep_axis: int,

@@ -436,6 +436,23 @@ def test_plan_overflowing_patch_exits_1(workdir, capsys):
     assert not (workdir / "paths.json").exists()
 
 
+def test_plan_huge_normals_print_only_the_error(workdir):
+    """Normals of length 1e200 overflow the strip and patch averages: in a
+    fresh interpreter, with numpy's default warning filters, `plan` exits 1
+    and its stderr is the one error line, with no numpy RuntimeWarning."""
+    (workdir / "huge.ply").write_text(_ascii_ply(
+        [(0.001 * k, 0.0, 0.0, 0.0, 0.0, 1e200) for k in range(4)]))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "facelaser.cli", "plan", "--cloud", str(workdir / "huge.ply"),
+         "--label", "chin", "--out", str(workdir / "paths.json")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: path point 0 of 'chin' overflows: the region's "
+                           "coordinates or normals are too large to average\n")
+    assert not (workdir / "paths.json").exists()
+
+
 class TestViewpointsAndRegister:
     def test_viewpoints_writes_poses(self, workdir):
         out = workdir / "vp.json"

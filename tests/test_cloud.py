@@ -11,6 +11,7 @@ from facelaser.cloud import (
     PointCloud,
     RayHit,
     VoxelGrid,
+    _abs_max,
     _block_covariances,
     _packing,
     _smallest_eigenvectors,
@@ -26,6 +27,8 @@ from facelaser.errors import EmptyCloud, MissingField, ParseError, TooFewPoints
 from facelaser.geometry import RigidTransform, rotation_about_x
 
 from support import (
+    RestackedVoxelGrid,
+    axis0_packing,
     eigh_normals,
     face_cloud,
     fibonacci_sphere,
@@ -411,6 +414,40 @@ def test_voxel_grid_adds_up_like_one_pass(case):
         assert_same_cloud(grid.cloud(), voxel_downsample(concatenate(parts[:i + 1]), leaf))
 
 
+@st.composite
+def restack_parts(draw):
+    """grid_parts with about a third of the coordinates and normal entries
+    set to -0.0, and at times one part added a second time."""
+    parts, _, leaf = draw(grid_parts())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for i, part in enumerate(parts):
+        pos = part.positions.copy()
+        pos[rng.random(pos.shape) < 0.3] = -0.0
+        nrm = None if part.normals is None else part.normals.copy()
+        if nrm is not None:
+            nrm[rng.random(nrm.shape) < 0.3] = -0.0
+        parts[i] = PointCloud(pos, nrm, part.colors)
+    if draw(st.booleans()):
+        parts.append(parts[draw(st.integers(0, len(parts) - 1))])
+    return parts, leaf
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(restack_parts())
+def test_voxel_grid_sums_match_restacked_add(case):
+    """Binning only the new rows onto the stored sums gives, after every add,
+    the keys, voxel rows and sums of re-binning all of them, byte for byte."""
+    parts, leaf = case
+    grid, want = VoxelGrid(leaf), RestackedVoxelGrid(leaf)
+    for part in parts:
+        assert grid.add(part).tobytes() == want.add(part).tobytes()
+        assert grid.keys.tobytes() == want.keys.tobytes()
+        assert grid.sums.keys() == want.sums.keys()
+        for name, sums in want.sums.items():
+            assert grid.sums[name].shape == sums.shape
+            assert grid.sums[name].tobytes() == sums.tobytes()
+
+
 class TestEstimateNormals:
     def test_plane_normals_face_viewpoint(self, rng):
         xy = rng.uniform(-1, 1, size=(300, 2))
@@ -508,6 +545,28 @@ def test_closed_form_normals_match_eigh(case):
     # Up to sign, since a normal square to the line of sight may flip either way.
     gap = np.minimum(np.abs(got - want).max(axis=1), np.abs(got + want).max(axis=1))
     assert (gap[clear] <= 1e-9).all()
+
+
+def test_abs_max_matches_block_reduce():
+    """The largest absolute entry of each symmetric 3x3 matrix from its six
+    distinct entries is numpy's max over the block, byte for byte, on
+    subnormal, huge, infinite and -0.0 entries; a NaN entry gives a NaN
+    (numpy's block reduce drops the NaN's payload bits, the elementwise
+    maximum keeps them)."""
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(6000, 3, 3)) * 10.0 ** rng.choice([-320, -160, 0, 154, 300],
+                                                            size=(6000, 1, 1))
+    a[rng.random(a.shape) < 0.05] = -0.0
+    special = rng.random(a.shape) < 0.01
+    a[special] = rng.choice([np.inf, -np.inf, np.nan], size=special.sum())
+    a[::97] = 0.0
+    cov = np.triu(a) + np.triu(a, 1).transpose(0, 2, 1)
+    want = np.abs(cov).max(axis=(1, 2))
+    got = _abs_max(cov)
+    nan = np.isnan(want)
+    assert nan.any() and np.isinf(want).any() and (want == 0.0).any()
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 @st.composite
@@ -610,6 +669,23 @@ def test_neighbour_order_sums_like_sorted_pairs(case):
                                   np.array([w[-1] for w in want], dtype=np.intp))
     for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(neighbour_grids())
+def test_packing_box_matches_axis0_reduce(case):
+    """The keys' box taken column by column packs every key, and every move,
+    to the codes the axis-0 min and max give, at bases up to +-2**62 and
+    -2**63, or is too wide on both."""
+    parts, reach, _ = case
+    keys = np.floor(np.vstack(parts)).astype(np.int64)
+    for pad, scale in ((0, 1 << len(keys).bit_length()), (reach, 1)):
+        got, want = _packing(keys, pad, scale), axis0_packing(keys, pad, scale)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got[0].tobytes() == want[0].tobytes()
+            for move in ((1, 0, 0), (0, -1, 0), (0, 0, 1), (-reach, reach, -reach)):
+                assert got[1](*move) == want[1](*move)
 
 
 def grid_paths(cloud: PointCloud, leaf: float) -> tuple[bool, bool]:

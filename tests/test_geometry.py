@@ -14,6 +14,7 @@ from facelaser.geometry import (
     hat,
     interpolate_rotation,
     interpolate_rotations,
+    norms_by_column,
     project_points,
     rotation_about_x,
     rotation_about_y,
@@ -32,6 +33,23 @@ def random_rotation(rng):
 
 
 class TestBasics:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_norms_by_column_match_linalg_norm(self):
+        """Byte for byte np.linalg.norm(axis=1) on rows of subnormal, huge
+        (squares that overflow), infinite, NaN and -0.0 entries, on a
+        contiguous array and on a column slice of a wider one."""
+        rng = np.random.default_rng(3)
+        wide = rng.normal(size=(20000, 6)) * 10.0 ** rng.choice(
+            [-320, -160, 0, 154, 200, 308], size=(20000, 1))
+        wide[rng.random(wide.shape) < 0.05] = -0.0
+        special = rng.random(wide.shape) < 0.01
+        wide[special] = rng.choice([np.inf, -np.inf, np.nan], size=special.sum())
+        for v in (np.ascontiguousarray(wide[:, :3]), wide[:, 3:]):
+            want = np.linalg.norm(v, axis=1)
+            assert np.isnan(want).any() and np.isinf(want).any()
+            assert norms_by_column(v).tobytes() == want.tobytes()
+
     def test_unit_normalizes(self):
         v = unit(np.array([3.0, 0.0, 4.0]))
         assert np.allclose(v, [0.6, 0.0, 0.8])

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from facelaser.pathplan import (
     sweep_patch,
 )
 
-from support import loop_path_to_poses, loop_sweep_patch, plane_grid
+from support import loop_bin_strips, loop_path_to_poses, loop_sweep_patch, plane_grid
 
 DIAM = 0.004
 
@@ -131,6 +133,58 @@ class TestBinStrips:
             bin_strips(cloud, 0.0, 1)
         with pytest.raises(InvalidParam):
             bin_strips(cloud, DIAM, 2)
+
+
+def assert_same_strips(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.index, a.lo, a.hi) == (b.index, b.lo, b.hi)
+        assert a.points.tobytes() == b.points.tobytes()
+        assert a.eta_s.tobytes() == b.eta_s.tobytes()
+
+
+def test_far_point_is_binned_without_walking_the_gap():
+    """One point 100 m out along the bin axis: the 25,000 empty windows
+    before it build no masks, so the plan takes well under 0.1 s, and the
+    strips are the mask walk's."""
+    grid = plane_grid()
+    cloud = PointCloud(np.vstack([grid.positions, [0.01, 100.0, 0.0]]),
+                       np.vstack([grid.normals, Z_AXIS]))
+    start = time.perf_counter()
+    path = plan_segment(cloud, config(orientation="horizontal"))
+    assert time.perf_counter() - start < 0.1
+    assert path.strip_indices[-1] == 12
+    assert_same_strips(bin_strips(cloud, DIAM, axis=1), loop_bin_strips(cloud, DIAM, 1))
+
+
+@st.composite
+def gapped_clouds(draw):
+    """(cloud, axis, correction) for bin_strips: clusters along the bin axis
+    with gaps of whole, half and quarter diameters (so the next coordinate
+    often lies on or next to a window edge) or of any length up to 60
+    diameters, normals from UNITS, at bases near the origin or 1e3 m out."""
+    axis = draw(st.integers(0, 1))
+    base = draw(st.sampled_from([0.0, -0.05, 0.37, 1e3]))
+    gap = st.one_of(st.integers(0, 240).map(lambda k: k * DIAM / 4),
+                    st.floats(0.0, 60 * DIAM))
+    along = base + np.cumsum(draw(st.lists(gap, min_size=1, max_size=25)))
+    across = draw(st.lists(st.floats(-0.01, 0.01), min_size=len(along),
+                           max_size=len(along)))
+    pos = np.column_stack([along, across, np.zeros(len(along))])
+    pos[:, [0, axis]] = pos[:, [axis, 0]]
+    nrm = np.array([draw(st.sampled_from(UNITS)) for _ in range(len(pos))])
+    order = np.array(draw(st.permutations(range(len(pos)))))
+    return PointCloud(pos[order], nrm[order]), axis, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gapped_clouds())
+def test_bin_strips_matches_mask_walk(case):
+    """Skipping the empty windows by a search of the sorted coordinates
+    gives the mask walk's strips, bit for bit."""
+    cloud, axis, correction = case
+    assert_same_strips(bin_strips(cloud, DIAM, axis, correction),
+                       loop_bin_strips(cloud, DIAM, axis, correction))
 
 
 class TestSweepPatch:
@@ -317,11 +371,12 @@ def test_far_region_is_rejected_not_walked(offset):
         plan_segment(cloud, config(orientation="horizontal"), "nose")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field", ["positions", "normals"])
 def test_overflowing_patch_is_rejected(field):
     """A patch mean that overflows (or a normal that then loses its length)
-    is an error naming the region, never an inf, NaN or zero path point."""
+    is an error naming the region, never an inf, NaN or zero path point,
+    and numpy warns of nothing on the way."""
     cloud = plane_grid(extent_x=0.003, extent_t=0.003)
     values = getattr(cloud, field).copy()
     values[:, 2] = 1.5e308 if field == "positions" else 1e200
