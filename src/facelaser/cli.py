@@ -461,8 +461,16 @@ def _svg_overview(shots, paths, diameter: float, out) -> None:
 def cmd_report(args, cfg: RunConfig) -> int:
     log = read_shots_csv(_require(args.shots))
     cloud = load_ply(_require(args.cloud)) if args.cloud else None
-    rep = coverage_metrics(log, cfg.laser_diameter_m, cloud=cloud,
-                           samples=cfg.mc_samples, seed=cfg.seed)
+    sources = {"diameter": "config key: laser_diameter_m",
+               "samples": "config key: mc_samples",
+               "seed": "--seed" if args.seed is not None else "config key: seed"}
+    try:
+        rep = coverage_metrics(log, cfg.laser_diameter_m, cloud=cloud,
+                               samples=cfg.mc_samples, seed=cfg.seed)
+    except InvalidParam as exc:
+        if exc.name not in sources:
+            raise
+        raise ConfigError(f"{exc} ({sources[exc.name]})") from exc
     doc = {
         "n_shots": rep.n_shots,
         "n_spacings": rep.n_spacings,

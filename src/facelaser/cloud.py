@@ -188,19 +188,26 @@ def _parse_ply(data: bytes) -> PointCloud:
         if len(body) < need:
             raise ParseError(f"binary body holds {len(body)} bytes, expected {need}")
         rec = np.frombuffer(body[:need], dtype=dt)
-        cols = {name: rec[name].astype(float) for name, _ in props}
+        cols = {name: rec[name] for name, _ in props}
 
-    positions = np.column_stack([cols["x"], cols["y"], cols["z"]])
+    def float_block(names):
+        """The three columns, cast to float64 straight into one (n, 3) block."""
+        out = np.empty((count, 3))
+        for k, name in enumerate(names):
+            out[:, k] = cols[name]
+        return out
+
+    positions = float_block(("x", "y", "z"))
     normals = None
     if all(k in cols for k in ("nx", "ny", "nz")):
-        normals = np.column_stack([cols["nx"], cols["ny"], cols["nz"]])
+        normals = float_block(("nx", "ny", "nz"))
     for label, block in (("x/y/z", positions), ("nx/ny/nz", normals)):
         if block is not None and not np.isfinite(block).all():
             row = np.flatnonzero(~np.isfinite(block).all(axis=1))[0] + 1
             raise ParseError(f"vertex row {row} has a non-finite {label}")
     colors = None
     if all(k in cols for k in ("red", "green", "blue")):
-        colors = np.column_stack([cols["red"], cols["green"], cols["blue"]]).astype(np.uint8)
+        colors = float_block(("red", "green", "blue")).astype(np.uint8)
     return PointCloud(positions, normals, colors)
 
 
@@ -219,16 +226,17 @@ def save_ply(cloud: PointCloud, path) -> None:
 
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        fields = [(n, "<f4") for n in names]
-        if cloud.colors is not None:
-            fields += [(n, "<u1") for n in ("red", "green", "blue")]
-        rec = np.zeros(len(cloud), dtype=np.dtype(fields))
         flat = np.hstack(arrays)
+        if cloud.colors is None:
+            # All-float32 records have no padding: the rows are the records.
+            fh.write(flat.tobytes())
+            return
+        fields = [(n, "<f4") for n in names] + [(n, "<u1") for n in ("red", "green", "blue")]
+        rec = np.zeros(len(cloud), dtype=np.dtype(fields))
         for k, n in enumerate(names):
             rec[n] = flat[:, k]
-        if cloud.colors is not None:
-            for k, n in enumerate(("red", "green", "blue")):
-                rec[n] = cloud.colors[:, k]
+        for k, n in enumerate(("red", "green", "blue")):
+            rec[n] = cloud.colors[:, k]
         fh.write(rec.tobytes())
 
 

@@ -30,7 +30,12 @@ class TooFewPoints(FacelaserError):
 
 
 class InvalidParam(FacelaserError):
-    """Parameter outside its valid range."""
+    """Parameter outside its valid range; `name`, when given, names the
+    rejected parameter of the function that raised it."""
+
+    def __init__(self, message, name=None):
+        super().__init__(message)
+        self.name = name
 
 
 class NoCorrespondences(FacelaserError):

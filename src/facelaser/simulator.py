@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cloud import PointCloud, raycast_many
 from .errors import (
@@ -849,9 +848,13 @@ class PlanarRegion:
 
     def to_world(self, uv: np.ndarray) -> np.ndarray:
         uv = np.asarray(uv, dtype=float).reshape(-1, 2)
-        return (self.origin[None, :]
-                + uv[:, :1] * self.u_axis[None, :]
-                + uv[:, 1:] * self.v_axis[None, :])
+        return np.column_stack(self.world_columns(uv[:, 0], uv[:, 1]))
+
+    def world_columns(self, u: np.ndarray, v: np.ndarray):
+        """The x, y and z columns of the world points origin + u u_axis +
+        v v_axis, summed in that order."""
+        return tuple((o + u * a) + v * b
+                     for o, a, b in zip(self.origin, self.u_axis, self.v_axis))
 
 
 def _canonical_axis(a: np.ndarray) -> np.ndarray:
@@ -883,19 +886,29 @@ def default_shot_region(shots: np.ndarray, pad: float) -> PlanarRegion:
 
 # Monte Carlo samples drawn at a time, so memory does not grow with `samples`.
 MC_CHUNK = 1 << 16
+# Cell states of the coverage grid.
+EMPTY, COVERED, MIXED, CROWDED = range(4)
+# A mixed cell with more candidate shots than this is crowded: its samples
+# query the kd-tree instead of testing every candidate.
+MAX_CANDIDATES = 8
 
 
-def _classify_cells(tree: cKDTree, radius: float, region: PlanarRegion, samples: int):
-    """Square uv cells over the box, each proven covered, proven empty or mixed.
+def _classify_cells(tree, radius: float, region: PlanarRegion, samples: int):
+    """Square uv cells over the box, each empty, covered, mixed or crowded.
 
     The cell side starts at radius / 16 and doubles until there are at most
     samples / 8 cells. Any sample lies within `half` of its cell's centre in
     the world, so by the triangle inequality every sample of a cell whose
-    centre is nearer a shot than radius - half is covered, and no sample of a
-    cell with no shot within radius + half is. `margin` outweighs the rounding
-    of `to_world`, of the cell index and of the tree's distances by ~1e7.
-    Returns (covered, mixed) masks over the row-major cells, the side and the
-    (n_u, n_v) cell counts.
+    centre is nearer a shot than radius - half is covered, no sample of a
+    cell with no shot within reach = radius + half is, and every shot within
+    radius of a sample lies within reach of its cell's centre. `margin`
+    outweighs the rounding of `to_world`, of the cell index and of the
+    tree's distances by ~1e7. The other cells are mixed, with their shots
+    within reach as candidates, or crowded when those are more than
+    MAX_CANDIDATES.
+    Returns the int8 states over the row-major cells, the candidates of cell
+    c as `candidates[offsets[c]:offsets[c + 1]]` (none unless c is mixed),
+    the side and the (n_u, n_v) cell counts.
     """
     width = region.hi - region.lo
     # The floor bounds the doublings and the int64 cell index; the cap, one
@@ -910,9 +923,38 @@ def _classify_cells(tree: cKDTree, radius: float, region: PlanarRegion, samples:
     scale = max(np.abs(tree.data).max(), np.abs(region.origin).max()
                 + np.abs([region.lo, region.hi]).max() * (np.abs(u).max() + np.abs(v).max()))
     margin = 1e-9 * (1.0 + scale)
-    near, _ = tree.query(centres, distance_upper_bound=radius + half + margin)
-    covered = near < radius - half - margin
-    return covered, np.isfinite(near) & ~covered, side, shape
+    reach = radius + half + margin
+    near, _ = tree.query(centres, distance_upper_bound=reach)
+    state = np.where(np.isfinite(near), MIXED, EMPTY).astype(np.int8)
+    state[near < radius - half - margin] = COVERED
+    # One more neighbour than the cap tells a crowded cell; blocks of rows
+    # keep the (rows, MAX_CANDIDATES + 1) answers small.
+    mixed = np.flatnonzero(state == MIXED)
+    offsets = np.zeros(len(state) + 1, dtype=np.intp)
+    parts = [np.empty(0, dtype=np.intp)]
+    for first in range(0, len(mixed), MC_CHUNK // 16):
+        cells = mixed[first:first + MC_CHUNK // 16]
+        _, shot = tree.query(centres[cells], k=MAX_CANDIDATES + 1,
+                             distance_upper_bound=reach)
+        found = shot < tree.n
+        crowded = found[:, -1]
+        state[cells[crowded]] = CROWDED
+        found[crowded] = False
+        offsets[cells + 1] = np.count_nonzero(found, axis=1)
+        parts.append(shot[found])
+    np.cumsum(offsets, out=offsets)
+    return state, offsets, np.concatenate(parts), side, shape
+
+
+def _distances(x, y, z, shot_columns: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Distances from the points (x, y, z) to the shots `j` of the (3, n)
+    shot columns, in the kd-tree's own arithmetic (scipy's sqeuclidean over
+    three coordinates, then sqrt), so each is the tree's to the last bit."""
+    dx = x - shot_columns[0][j]
+    dy = y - shot_columns[1][j]
+    dz = z - shot_columns[2][j]
+    with np.errstate(over="ignore"):        # beyond the spot either way
+        return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 @dataclass
@@ -937,17 +979,22 @@ def coverage_metrics(log: ShotLog, diameter: float,
     treated; otherwise the fraction of `samples` points drawn uniformly, as
     one seeded stream, over the box `region` (by default the shot pattern's
     own best-fit box, padded by one spot radius). The count equals a kd-tree
-    query of every point, bit for bit; only the points in cells that
-    `_classify_cells` cannot settle are queried.
+    query of every point, bit for bit: `_classify_cells` settles whole cells,
+    a mixed cell's points are tested against its few candidate shots, and
+    only a crowded cell's points are queried.
     """
     if len(log) == 0:
         raise EmptyLog("no shots were fired")
-    if not 0.0 < diameter < math.inf:
-        raise InvalidParam(f"diameter must be positive and finite, not {diameter}")
+    radius = 0.5 * diameter
+    # Both counts compare squared distances: past a diameter of ~2.7e154 m
+    # they overflow, and no location would read covered.
+    if not (diameter > 0.0 and math.isfinite(radius * radius)):
+        raise InvalidParam(f"diameter must be positive, with a finite (diameter / 2)**2, "
+                           f"not {diameter}", "diameter")
     if samples < 1:
-        raise InvalidParam(f"samples must be at least 1, not {samples}")
+        raise InvalidParam(f"samples must be at least 1, not {samples}", "samples")
     if seed < 0:
-        raise InvalidParam(f"seed must be non-negative, not {seed}")
+        raise InvalidParam(f"seed must be non-negative, not {seed}", "seed")
     shots = log.positions
 
     same = (log.segment[1:] == log.segment[:-1]) & (log.strip[1:] == log.strip[:-1])
@@ -956,7 +1003,6 @@ def coverage_metrics(log: ShotLog, diameter: float,
     mean_sp = float(np.mean(gaps)) if len(gaps) else None
     var_sp = float(np.var(gaps)) if len(gaps) else None
 
-    radius = 0.5 * diameter
     tree = PointCloud(shots).kdtree()
     # Only whether a shot lies within `radius` counts, so the queries stop
     # there: a location with no shot that close reads inf.
@@ -967,18 +1013,33 @@ def coverage_metrics(log: ShotLog, diameter: float,
     else:
         if region is None:
             region = default_shot_region(shots, radius)
-        covered_cell, mixed_cell, side, shape = _classify_cells(tree, radius, region,
-                                                                samples)
+        state, offsets, candidates, side, shape = _classify_cells(tree, radius, region,
+                                                                   samples)
+        shot_columns = shots.T.copy()
         rng = np.random.default_rng(seed)
         covered = 0
         # Chunked draws take the same stream, bit for bit, as one (samples, 2)
-        # draw; only samples of mixed cells reach the tree.
+        # draw. A mixed cell's samples test its candidates, a crowded cell's
+        # query the tree.
         for start in range(0, samples, MC_CHUNK):
             uv = rng.uniform(region.lo, region.hi, (min(MC_CHUNK, samples - start), 2))
-            ij = np.minimum(((uv - region.lo) / side).astype(np.int64), shape - 1)
-            cell = ij[:, 0] * shape[1] + ij[:, 1]
-            covered += int(np.count_nonzero(covered_cell[cell]))
-            dist, _ = tree.query(region.to_world(uv[mixed_cell[cell]]),
+            u, v = uv[:, 0], uv[:, 1]
+            cell = (np.minimum(((u - region.lo[0]) / side).astype(np.int64), shape[0] - 1)
+                    * shape[1]
+                    + np.minimum(((v - region.lo[1]) / side).astype(np.int64), shape[1] - 1))
+            cell_state = state[cell]
+            covered += int(np.count_nonzero(cell_state == COVERED))
+            mixed = np.flatnonzero(cell_state == MIXED)
+            x, y, z = region.world_columns(u[mixed], v[mixed])
+            first = offsets[cell[mixed]]
+            last = offsets[cell[mixed] + 1] - 1
+            hit = np.zeros(len(mixed), dtype=bool)
+            # Past its own, a sample takes its cell's last candidate again.
+            for k in range(int((last - first).max(initial=-1)) + 1):
+                j = candidates[np.minimum(first + k, last)]
+                hit |= _distances(x, y, z, shot_columns, j) <= radius
+            covered += int(np.count_nonzero(hit))
+            dist, _ = tree.query(region.to_world(uv[cell_state == CROWDED]),
                                  distance_upper_bound=bound)
             covered += int(np.count_nonzero(dist <= radius))
         coverage = covered / samples

@@ -4,9 +4,10 @@ the re-stacked voxel grid sums, all-pairs voxel neighbours, per-voxel loop and
 k-NN normals, eigh normals, the mask-per-step strip binning, the per-window
 strip sweep, per-patch poses, the dict-per-record path file writer and reader,
 the simulator's tick loop over a segment, the full-query ICP objective, the
-full-draw Monte Carlo coverage, the scalar point-in-polygon test and pixel
-projection, the unculled region assignment) that the fast versions are tested
-against."""
+full-draw Monte Carlo coverage and the tree-queried chunked count, the
+stack-every-column PLY parser and the record-array PLY writer, the scalar
+point-in-polygon test and pixel projection, the unculled region assignment)
+that the fast versions are tested against."""
 
 import json
 import math
@@ -15,9 +16,17 @@ from unittest import mock
 import numpy as np
 from scipy.spatial import cKDTree
 
-from facelaser import registration
+from facelaser import registration, simulator
 from facelaser.cli import PATH_KEYS
-from facelaser.cloud import PointCloud, RayHit, VoxelGrid, _packing, _run_starts
+from facelaser.cloud import (
+    _PLY_TYPES,
+    PointCloud,
+    RayHit,
+    VoxelGrid,
+    _packing,
+    _parse_header,
+    _run_starts,
+)
 from facelaser.errors import (
     DegenerateNormal,
     FacelaserError,
@@ -488,6 +497,77 @@ def full_draw_coverage(log: ShotLog, diameter: float, region: PlanarRegion,
     dist, _ = cKDTree(log.positions).query(
         region.to_world(uv), distance_upper_bound=float(np.nextafter(radius, np.inf)))
     return int(np.count_nonzero(dist <= radius)) / samples
+
+
+def tree_coverage(log: ShotLog, diameter: float, region: PlanarRegion,
+                  samples: int, seed: int) -> float:
+    """coverage_metrics' chunked count with covered cells counted whole and
+    every sample of a mixed or crowded cell queried in the shots' kd-tree,
+    the cell index taken from the (n, 2) draw: the timing reference of the
+    per-cell candidate tests."""
+    radius = 0.5 * diameter
+    tree = PointCloud(log.positions).kdtree()
+    state, _, _, side, shape = simulator._classify_cells(tree, radius, region, samples)
+    rng = np.random.default_rng(seed)
+    covered = 0
+    for start in range(0, samples, simulator.MC_CHUNK):
+        uv = rng.uniform(region.lo, region.hi, (min(simulator.MC_CHUNK, samples - start), 2))
+        ij = np.minimum(((uv - region.lo) / side).astype(np.int64), shape - 1)
+        cell_state = state[ij[:, 0] * shape[1] + ij[:, 1]]
+        covered += int(np.count_nonzero(cell_state == simulator.COVERED))
+        dist, _ = tree.query(region.to_world(uv[cell_state >= simulator.MIXED]),
+                             distance_upper_bound=float(np.nextafter(radius, np.inf)))
+        covered += int(np.count_nonzero(dist <= radius))
+    return covered / samples
+
+
+def stacked_parse_ply(data: bytes) -> PointCloud:
+    """`cloud._parse_ply` with every binary property cast to float on its own
+    and the blocks stacked from those columns: the reference of the casts
+    straight into (n, 3) blocks."""
+    fmt, count, props, body_start = _parse_header(data)
+    if fmt == "ascii":
+        text = data[body_start:].decode("ascii", errors="replace")
+        table = np.array([[float(v) for v in r.split()] for r in text.splitlines()
+                          if r.strip()]).reshape(count, len(props))
+        cols = {name: table[:, k] for k, (name, _) in enumerate(props)}
+    else:
+        dt = np.dtype([(name, _PLY_TYPES[typ][0]) for name, typ in props])
+        rec = np.frombuffer(data[body_start:body_start + dt.itemsize * count], dtype=dt)
+        cols = {name: rec[name].astype(float) for name, _ in props}
+
+    def stack(names):
+        if not all(n in cols for n in names):
+            return None
+        return np.column_stack([cols[n] for n in names])
+
+    colors = stack(("red", "green", "blue"))
+    return PointCloud(stack(("x", "y", "z")), stack(("nx", "ny", "nz")),
+                      None if colors is None else colors.astype(np.uint8))
+
+
+def record_save_ply(cloud: PointCloud, path) -> None:
+    """`cloud.save_ply` writing every cloud through a structured record array:
+    the reference of its one-block write of clouds without colors."""
+    names = ["x", "y", "z"] + (["nx", "ny", "nz"] if cloud.has_normals else [])
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(cloud)}"]
+    header += [f"property float {n}" for n in names]
+    fields = [(n, "<f4") for n in names]
+    if cloud.colors is not None:
+        header += [f"property uchar {n}" for n in ("red", "green", "blue")]
+        fields += [(n, "<u1") for n in ("red", "green", "blue")]
+    header.append("end_header")
+    rec = np.zeros(len(cloud), dtype=np.dtype(fields))
+    blocks = [cloud.positions] + ([cloud.normals] if cloud.has_normals else [])
+    flat = np.hstack([b.astype("<f4") for b in blocks])
+    for k, n in enumerate(names):
+        rec[n] = flat[:, k]
+    if cloud.colors is not None:
+        for k, n in enumerate(("red", "green", "blue")):
+            rec[n] = cloud.colors[:, k]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        fh.write(rec.tobytes())
 
 
 def point_in_polygon(point, vertices) -> bool:

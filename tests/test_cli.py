@@ -115,6 +115,26 @@ class TestConfigHandling:
         assert err.startswith("error: ") and key.removeprefix("mc_") in err
         assert not list(tmp_path.glob("out.*"))
 
+    @pytest.mark.parametrize("config, flags, source", [
+        ({"mc_samples": 0}, [], "config key: mc_samples"),
+        ({"seed": -1}, [], "config key: seed"),
+        ({"seed": 3}, ["--seed", "-1"], "--seed"),
+        ({"laser_diameter_m": 1e160}, [], "config key: laser_diameter_m"),
+    ], ids=["zero-samples", "negative-seed", "negative-seed-flag", "huge-diameter"])
+    def test_report_names_the_rejected_coverage_value(self, tmp_path, capsys, config,
+                                                      flags, source):
+        """A coverage value `report` rejects is one error line that names the
+        config key, or the flag, it came from."""
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        (tmp_path / "shots.csv").write_text(SHOTS_HEADER + SHOT_ROW)
+        code = main(["--config", str(tmp_path / "config.json"), *flags, "report",
+                     "--shots", str(tmp_path / "shots.csv"), "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f" ({source})\n")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
+
     def test_missing_input_exits_2(self, workdir):
         assert run(workdir, "plan", "--cloud", workdir / "nope.ply",
                    "--out", workdir / "paths.json") == 2

@@ -14,6 +14,7 @@ from facelaser.cloud import (
     _abs_max,
     _block_covariances,
     _packing,
+    _parse_ply,
     _smallest_eigenvectors,
     concatenate,
     estimate_normals,
@@ -35,7 +36,9 @@ from support import (
     knn_normals,
     loop_grid_normals,
     neighbour_pairs,
+    record_save_ply,
     scan_raycast,
+    stacked_parse_ply,
     unique_voxel_downsample,
 )
 
@@ -103,6 +106,41 @@ class TestContainer:
     def test_concatenate_empty_list(self):
         with pytest.raises(EmptyCloud):
             concatenate([])
+
+
+PLY_DTYPES = {"float": "<f4", "double": "<f8", "int": "<i4", "short": "<i2", "uchar": "<u1"}
+
+# Vertex properties of hand-made PLY files: extra properties of every width,
+# properties out of the usual order, integer coordinates and float colors.
+PLY_LAYOUTS = {
+    "positions": [("x", "float"), ("y", "float"), ("z", "float")],
+    "extras": [("x", "float"), ("confidence", "double"), ("y", "float"), ("index", "int"),
+               ("z", "float"), ("flag", "uchar"), ("nx", "float"), ("ny", "float"),
+               ("nz", "float")],
+    "reordered": [("nz", "float"), ("blue", "uchar"), ("y", "double"), ("nx", "float"),
+                  ("x", "double"), ("red", "uchar"), ("z", "double"), ("ny", "float"),
+                  ("green", "uchar")],
+    "int-coordinates": [("x", "int"), ("y", "short"), ("z", "uchar"), ("red", "float"),
+                        ("green", "double"), ("blue", "uchar")],
+}
+
+# -0.0, float32 and float64 subnormals, and values near float32's largest.
+SPECIAL_FLOATS = np.array([-0.0, 0.0, 1e-45, -1e-40, 5e-324, 1e38, -3.4e38, 3.3e38])
+
+
+def _ply_column(rng, name, typ, n):
+    """n values of one property: colors in [0, 256), other floats over many
+    scales with SPECIAL_FLOATS mixed in, integers over the type's range."""
+    dtype = np.dtype(PLY_DTYPES[typ])
+    if name in ("red", "green", "blue"):
+        return rng.uniform(0.0, 256.0, n).astype(dtype)
+    if dtype.kind == "f":
+        values = rng.normal(size=n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+        pick = rng.random(n) < 0.3
+        values[pick] = rng.choice(SPECIAL_FLOATS, pick.sum())
+        return values.astype(dtype)
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, n, endpoint=True).astype(dtype)
 
 
 class TestPlyRoundTrip:
@@ -193,6 +231,46 @@ class TestPlyRoundTrip:
         path.write_bytes(header.encode() + body)
         c = load_ply(path)
         assert np.array_equal(c.positions[0], [0.125, -2.5, 7.0])
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    @pytest.mark.parametrize("layout", sorted(PLY_LAYOUTS))
+    def test_parse_matches_stacked_parse(self, rng, fmt, layout):
+        """Casting the record fields straight into (n, 3) float64 blocks
+        reads the bits that casting each property and stacking them read."""
+        props, n = PLY_LAYOUTS[layout], 64
+        cols = [_ply_column(rng, name, typ, n) for name, typ in props]
+        header = (f"ply\nformat {fmt} 1.0\nelement vertex {n}\n"
+                  + "".join(f"property {typ} {name}\n" for name, typ in props)
+                  + "end_header\n").encode()
+        if fmt == "ascii":
+            body = "".join(" ".join(repr(v.item()) for v in row) + "\n"
+                           for row in zip(*cols)).encode()
+        else:
+            rec = np.zeros(n, dtype=[(name, PLY_DTYPES[typ]) for name, typ in props])
+            for (name, _), col in zip(props, cols):
+                rec[name] = col
+            body = rec.tobytes()
+        got, want = _parse_ply(header + body), stacked_parse_ply(header + body)
+        for attr in ("positions", "normals", "colors"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("normals, colors", [(False, False), (True, False), (True, True)],
+                             ids=["positions", "normals", "colors"])
+    def test_save_matches_record_writer(self, rng, tmp_path, normals, colors):
+        """The one-block write of a cloud without colors has the bytes of
+        the record-array writer, on -0.0, subnormal and ~1e38 values."""
+        c = small_cloud(rng, n=64, normals=normals, colors=colors)
+        for block in (c.positions, c.normals):
+            if block is not None:
+                flat = block.reshape(-1)
+                pick = rng.choice(flat.size, flat.size // 2, replace=False)
+                flat[pick] = rng.choice(SPECIAL_FLOATS, pick.size)
+        save_ply(c, tmp_path / "blocks.ply")
+        record_save_ply(c, tmp_path / "records.ply")
+        assert (tmp_path / "blocks.ply").read_bytes() == (tmp_path / "records.ply").read_bytes()
 
     def test_list_property_rejected(self, tmp_path):
         text = (

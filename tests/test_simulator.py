@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -55,6 +56,7 @@ from support import (
     scan_raycast,
     straight_path,
     tick_legs,
+    tree_coverage,
     wall_cloud,
 )
 from test_acceptance import COLLISION_SCENARIOS, collision_run
@@ -659,6 +661,25 @@ class TestCoverageMetrics:
         with pytest.raises(InvalidParam):
             coverage_metrics(shot_log([0.0]), diameter, region=region)
 
+    @pytest.mark.parametrize("with_cloud", [False, True], ids=["box", "cloud"])
+    @pytest.mark.parametrize("diameter", [1e155, 1e160, 1e308])
+    def test_diameter_with_overflowing_square_rejected(self, diameter, with_cloud):
+        """Past ~2.7e154 m the squared radius overflows, and with it the
+        squared distances both counts compare, which read no location
+        covered."""
+        cloud = PointCloud(np.zeros((1, 3))) if with_cloud else None
+        with pytest.raises(InvalidParam, match=r"finite \(diameter / 2\)\*\*2"):
+            coverage_metrics(shot_log([0.0, 0.004]), diameter, cloud=cloud, samples=1000)
+
+    def test_largest_diameters_still_count(self):
+        """Just below the bound the squares are finite and the counts hold:
+        two spots in their padded box, and a cloud point on a shot."""
+        d = 1e154
+        report = coverage_metrics(shot_log([0.0, d]), d, samples=20_000)
+        assert report.coverage == pytest.approx(math.pi / 4, abs=0.02)
+        cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [3.0 * d, 0.0, 0.0]]))
+        assert coverage_metrics(shot_log([0.0, d]), d, cloud=cloud).coverage == 0.5
+
     @pytest.mark.parametrize("kwargs", [
         dict(samples=0), dict(samples=-3), dict(seed=-1),
     ], ids=["zero-samples", "negative-samples", "negative-seed"])
@@ -812,6 +833,119 @@ def test_coverage_equals_full_draw_at_cell_edges(case):
     log, d, region, samples, seed = case
     got = coverage_metrics(log, d, region=region, samples=samples, seed=seed)
     assert got.coverage == full_draw_coverage(log, d, region, samples, seed)
+
+
+@st.composite
+def crowded_cases(draw):
+    """9 to 300 shots in one to three clusters of a few radii, from
+    coincident to 1.5 radii wide, origins up to 1 km out: cells with more
+    candidates than MAX_CANDIDATES, whose samples query the tree, beside
+    mixed cells with a few. The box is the shots' own, or one of up to four
+    radii a side from the clusters' common origin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([0.004, 0.0015]))
+    r = 0.5 * d
+    rot = axis_angle_to_rotation(rng.normal(size=3))
+    origin = rng.uniform(-1.0, 1.0, 3) * draw(st.sampled_from([0.0, 1.0, 1000.0]))
+    n, k = draw(st.integers(9, 300)), draw(st.integers(1, 3))
+    centres = rng.uniform(-3.0, 3.0, (k, 3)) * r
+    spread = draw(st.sampled_from([0.0, 1e-6, 0.05, 0.5, 1.5])) * r
+    positions = origin + (centres[rng.integers(0, k, n)]
+                          + rng.uniform(-1.0, 1.0, (n, 3)) * spread) @ rot.T
+    if draw(st.booleans()):
+        region = simulator.default_shot_region(positions, r)
+    else:
+        region = PlanarRegion(origin, rot[:, 0], rot[:, 1], rng.uniform(-4.0, 0.0, 2) * r,
+                              rng.uniform(0.1, 4.0, 2) * r)
+    samples = draw(st.sampled_from([1, 100, 5000, 2**16 + 1]))
+    return _log_at(positions), d, region, samples, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(crowded_cases())
+def test_coverage_equals_full_draw_in_crowded_cells(case):
+    """Crowded cells' samples query the tree, and mixed cells' samples test
+    every candidate, so the count is the full draw's, exactly."""
+    log, d, region, samples, seed = case
+    got = coverage_metrics(log, d, region=region, samples=samples, seed=seed)
+    assert got.coverage == full_draw_coverage(log, d, region, samples, seed)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0, 1000.0]),
+       st.sampled_from([0.004, 0.0015, 0.001 * math.pi]))
+def test_candidate_distance_equals_tree_query(seed, scale, d):
+    """The distance a mixed cell's sample takes to a candidate shot is the
+    kd-tree's, bit for bit, so both decide `<= radius` alike: points within
+    8 ulps of the radius from a shot up to 1 km out, in random and in axis
+    directions."""
+    rng = np.random.default_rng(seed)
+    r, n = 0.5 * d, 4096
+    shot = rng.uniform(-1.0, 1.0, 3) * scale
+    unit = rng.normal(size=(n, 3))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    unit[: n // 8] = np.eye(3)[rng.integers(0, 3, n // 8)] * rng.choice([-1.0, 1.0], (n // 8, 1))
+    points = shot + (r + np.spacing(r) * rng.integers(-8, 9, n))[:, None] * unit
+    want, _ = PointCloud(shot[None]).kdtree().query(points)
+    got = simulator._distances(*points.T, shot[:, None], np.zeros(n, dtype=np.intp))
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0, 1000.0]))
+def test_world_columns_equal_broadcast_sum(seed, scale):
+    """World points built column by column, for the mixed samples and in
+    `to_world`, are the bits of the broadcast (n, 3) sum origin + u u_axis
+    + v v_axis."""
+    rng = np.random.default_rng(seed)
+    rot = axis_angle_to_rotation(rng.normal(size=3))
+    lo = rng.uniform(-1.0, 1.0, 2) * scale
+    region = PlanarRegion(rng.uniform(-1.0, 1.0, 3) * scale, rot[:, 0], rot[:, 1], lo,
+                          lo + rng.uniform(1e-3, 1.0, 2))
+    uv = rng.uniform(region.lo, region.hi, (1000, 2))
+    want = (region.origin[None, :] + uv[:, :1] * region.u_axis[None, :]
+            + uv[:, 1:] * region.v_axis[None, :])
+    got = np.column_stack(region.world_columns(uv[:, 0], uv[:, 1]))
+    assert got.tobytes() == want.tobytes()
+    assert region.to_world(uv).tobytes() == want.tobytes()
+
+
+def _best_times(*functions, repeats=3):
+    """Each function's fastest of `repeats` runs, the runs interleaved."""
+    best = [math.inf] * len(functions)
+    for _ in range(repeats):
+        for i, f in enumerate(functions):
+            start = time.perf_counter()
+            f()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize("spread", [1e-4, 0.0], ids=["within-0.1mm", "coincident"])
+def test_piled_shots_stay_on_the_tree(spread):
+    """2,000 shots piled within 0.1 mm, or on one point, crowd every mixed
+    cell: their samples query the tree, so the count stays exact, within
+    twice the time of querying every unsettled sample, and within the
+    memory bound, where testing thousands of candidates per sample would
+    take several times longer."""
+    rng = np.random.default_rng(7)
+    d, samples, seed = 0.004, 100_000, 2
+    log = _log_at(np.array([0.01, 0.02, 0.3]) + rng.uniform(-0.5, 0.5, (2000, 3)) * spread)
+    region = simulator.default_shot_region(log.positions, 0.5 * d)
+    got = coverage_metrics(log, d, samples=samples, seed=seed).coverage
+    assert got == full_draw_coverage(log, d, region, samples, seed)
+    assert got == tree_coverage(log, d, region, samples, seed)
+    fast, reference = _best_times(
+        lambda: coverage_metrics(log, d, samples=samples, seed=seed),
+        lambda: tree_coverage(log, d, region, samples, seed))
+    assert fast < 2.0 * reference
+    tracemalloc.start()
+    try:
+        coverage_metrics(log, d, samples=samples, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ------------------------------------------ segment blocks vs the tick loop
