@@ -149,9 +149,10 @@ def load_ply(path) -> PointCloud:
 
     Requires x/y/z properties (MissingField otherwise); nx/ny/nz and
     red/green/blue are picked up when present, other fixed-size properties
-    are skipped. A NaN or infinite x/y/z or nx/ny/nz raises ParseError
-    naming the (1-based) vertex row, a count or value that is not a number
-    raises it too, and every ParseError names the file.
+    are skipped. A NaN or infinite x/y/z or nx/ny/nz, or a red/green/blue
+    that uint8 cannot hold (non-finite, below 0 or from 256 up), raises
+    ParseError naming the (1-based) vertex row, a count or value that is not
+    a number raises it too, and every ParseError names the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -207,7 +208,13 @@ def _parse_ply(data: bytes) -> PointCloud:
             raise ParseError(f"vertex row {row} has a non-finite {label}")
     colors = None
     if all(k in cols for k in ("red", "green", "blue")):
-        colors = float_block(("red", "green", "blue")).astype(np.uint8)
+        colors = float_block(("red", "green", "blue"))
+        # uint8 holds what truncates into [0, 255]; NaN fails both tests.
+        outside = ~((colors >= 0.0) & (colors < 256.0)).all(axis=1)
+        if outside.any():
+            raise ParseError(f"vertex row {np.flatnonzero(outside)[0] + 1} has a "
+                             "red/green/blue outside [0, 256)")
+        colors = colors.astype(np.uint8)
     return PointCloud(positions, normals, colors)
 
 

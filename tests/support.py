@@ -3,12 +3,15 @@ and the reference implementations (brute-force raycast, np.unique voxel grid,
 the re-stacked voxel grid sums, all-pairs voxel neighbours, per-voxel loop and
 k-NN normals, eigh normals, the mask-per-step strip binning, the per-window
 strip sweep, per-patch poses, the dict-per-record path file writer and reader,
-the simulator's tick loop over a segment, the full-query ICP objective, the
-full-draw Monte Carlo coverage and the tree-queried chunked count, the
-stack-every-column PLY parser and the record-array PLY writer, the scalar
-point-in-polygon test and pixel projection, the unculled region assignment)
-that the fast versions are tested against."""
+the full-row traj.csv and per-row shots.csv writers, the DictReader shots
+reader, the per-point SVG overview, the simulator's tick loop over a segment,
+the full-query ICP objective, the full-draw Monte Carlo coverage and the
+tree-queried chunked count, the stack-every-column PLY parser and the
+record-array PLY writer, the scalar point-in-polygon test and pixel
+projection, the unculled region assignment) that the fast versions are tested
+against."""
 
+import csv
 import json
 import math
 from unittest import mock
@@ -17,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from facelaser import registration, simulator
-from facelaser.cli import PATH_KEYS
+from facelaser.cli import PATH_KEYS, SHOT_VALUES
 from facelaser.cloud import (
     _PLY_TYPES,
     PointCloud,
@@ -455,6 +458,80 @@ def loop_load_paths(path) -> dict:
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return out
+
+
+def row_traj_csv(traj, path) -> None:
+    """traj.csv with every column of every row through one "%.9g" format:
+    the writer before constant columns were formatted once."""
+    table = np.column_stack([traj.time, traj.position, traj.delta_d,
+                             traj.dist_l, traj.repulsing])
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write("time_s,x,y,z,delta_d,dist_l,repulsing_flag\n")
+        f.write("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d\n" * len(table)
+                % tuple(table.ravel().tolist()))
+
+
+def row_shots_csv(log: ShotLog, path) -> None:
+    """shots.csv as csv.writer writes it, one row per shot, values "%.9g"."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["index", *SHOT_VALUES, "strip", "segment"])
+        table = np.column_stack([log.time, log.positions, log.axis_angle]).tolist()
+        for i, (row, strip, label) in enumerate(zip(table, log.strip.tolist(),
+                                                    log.segment.tolist())):
+            w.writerow([i, *(format(v, ".9g") for v in row), strip, label])
+
+
+def dict_read_shots_csv(path) -> ShotLog:
+    """read_shots_csv through csv.DictReader, one float() per field."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            rows = list(csv.DictReader(f))
+        values = np.array([[float(r[k]) for k in SHOT_VALUES] for r in rows],
+                          dtype=float).reshape(-1, len(SHOT_VALUES))
+        strips = [int(r["strip"]) for r in rows]
+        segments = [r["segment"] for r in rows]
+    except KeyError as exc:
+        raise ParseError(f"{path}: shot log without column {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise ParseError(f"{path}: non-finite shot value")
+    return ShotLog(values[:, 0], values[:, 1:4], values[:, 4:], strips, segments)
+
+
+def point_svg_overview(shots, paths, diameter: float, out) -> None:
+    """The SVG overview with two f-strings per point."""
+    pts = [shots[:, :2]]
+    for p in (paths or {}).values():
+        pts.append(p.positions[:, :2])
+    allp = np.vstack(pts) * 1000.0
+    r_mm = 500.0 * diameter
+    lo = allp.min(axis=0) - 4.0 * r_mm
+    hi = allp.max(axis=0) + 4.0 * r_mm
+    size = hi - lo
+
+    def sx(v):
+        return f"{v - lo[0]:.3f}"
+
+    def sy(v):
+        return f"{hi[1] - v:.3f}"
+
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" '
+             f'viewBox="0 0 {size[0]:.3f} {size[1]:.3f}">',
+             f'<rect width="{size[0]:.3f}" height="{size[1]:.3f}" fill="white"/>']
+    for label, p in sorted((paths or {}).items()):
+        uv = p.positions[:, :2] * 1000.0
+        coords = " ".join(f"{sx(u)},{sy(v)}" for u, v in uv)
+        title = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        lines.append(f'<polyline points="{coords}" fill="none" stroke="black" '
+                     f'stroke-width="0.4"><title>{title}</title></polyline>')
+    for u, v in shots[:, :2] * 1000.0:
+        lines.append(f'<circle cx="{sx(u)}" cy="{sy(v)}" r="{r_mm:.3f}" '
+                     f'fill="none" stroke="red" stroke-width="0.25"/>')
+    lines.append("</svg>")
+    with open(out, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def loop_path_to_poses(path: SegmentPath, standoff: float) -> tuple[np.ndarray, np.ndarray]:

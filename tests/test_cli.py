@@ -1,9 +1,9 @@
-import csv
 import hashlib
 import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -13,25 +13,36 @@ from xml.dom import minidom
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from facelaser import cli
-from facelaser.cli import SHOT_VALUES, RunConfig, _write_shots_csv, main, read_shots_csv
+from facelaser.cli import (
+    SHOT_VALUES,
+    RunConfig,
+    _write_shots_csv,
+    _write_traj_csv,
+    main,
+    read_shots_csv,
+)
 from facelaser.cloud import PointCloud, load_ply, save_ply
 from facelaser.errors import ParseError
 from facelaser.geometry import RigidTransform
 from facelaser.pathplan import SegmentPath
 from facelaser.registration import estimate_viewpoints, merge_views
-from facelaser.simulator import ShotLog, coverage_metrics, run_path
+from facelaser.simulator import ShotLog, Trajectory, coverage_metrics, run_path
 
 from support import (
+    dict_read_shots_csv,
     dumped_paths,
     ellipsoid_cloud,
     face_cloud,
     fibonacci_sphere,
     loop_load_paths,
     plane_grid,
+    point_svg_overview,
+    row_shots_csv,
+    row_traj_csv,
 )
 
 CAMERA = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
@@ -293,13 +304,40 @@ class TestMalformedJsonInput:
     (SHOTS_HEADER, SHOT_ROW.replace("0.004", "abc")),
     (SHOTS_HEADER, SHOT_ROW.replace("0.004", "nan")),
     (SHOTS_HEADER, SHOT_ROW.replace("patch", "p\u00e4tch")),
-], ids=["missing-column", "not-a-number", "nan", "not-utf8"])
+    (SHOTS_HEADER, SHOT_ROW + SHOT_ROW.replace(",patch", "")),
+    (SHOTS_HEADER, SHOT_ROW + SHOT_ROW.replace("patch", "patch,extra")),
+], ids=["missing-column", "not-a-number", "nan", "not-utf8", "short-row", "long-row"])
 def test_report_malformed_shots_exits_1(workdir, capsys, header, row):
     shots = workdir / "shots.csv"
     shots.write_bytes((header + row).encode("latin-1"))
     code = run(workdir, "report", "--shots", shots, "--out", workdir / "report.json")
     _assert_input_error(capsys, code, "shots.csv")
     assert not (workdir / "report.json").exists()
+
+
+@pytest.mark.parametrize("row, count", [(SHOT_ROW.replace(",patch", ""), 9),
+                                        (SHOT_ROW.replace("patch", "patch,extra"), 11)],
+                         ids=["short", "long"])
+def test_shot_row_of_another_width_is_named(tmp_path, row, count):
+    shots = tmp_path / "shots.csv"
+    shots.write_text(SHOTS_HEADER + SHOT_ROW * 2 + row)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(shots))}: shot row 3 has "
+                                         f"{count} fields, the header 10$"):
+        read_shots_csv(shots)
+
+
+@pytest.mark.parametrize("flag, text", [("--paths", '[{"x": 0.0}]'), ("--cloud", "ply\n")],
+                         ids=["paths", "cloud"])
+def test_report_bad_input_writes_nothing(workdir, capsys, flag, text):
+    """A bad --paths or --cloud fails the report before it writes report.json
+    or the SVG."""
+    (workdir / "shots.csv").write_text(SHOTS_HEADER + SHOT_ROW)
+    bad = _write_doc(workdir / f"bad{flag}", text)
+    code = run(workdir, "report", "--shots", workdir / "shots.csv", flag, bad,
+               "--out", workdir / "report.json", "--out-svg", workdir / "o.svg")
+    _assert_input_error(capsys, code, bad.name)
+    assert not (workdir / "report.json").exists()
+    assert not (workdir / "o.svg").exists()
 
 
 def test_simulate_surface_without_normals_exits_1(workdir, capsys):
@@ -735,16 +773,142 @@ def test_shots_csv_rows_are_written_as_csv_writer_writes_them(tmp_path):
     log = ShotLog(values[:6], np.reshape(values * 3, (-1, 3))[:6], np.full((6, 3), -1 / 3),
                   [0, 1, 2, 3, 40, -1], labels)
     _write_shots_csv(log, tmp_path / "shots.csv")
-    with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["index", *SHOT_VALUES, "strip", "segment"])
-        table = np.column_stack([log.time, log.positions, log.axis_angle]).tolist()
-        for i, (row, strip, label) in enumerate(zip(table, log.strip.tolist(), labels)):
-            w.writerow([i, *(format(v, ".9g") for v in row), strip, label])
+    row_shots_csv(log, tmp_path / "ref.csv")
     assert (tmp_path / "shots.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     _write_shots_csv(ShotLog([], [], [], [], []), tmp_path / "empty.csv")
     assert (tmp_path / "empty.csv").read_text() == ",".join(
         ["index", *SHOT_VALUES, "strip", "segment"]) + "\n"
+
+
+# Labels csv.writer quotes (comma, quote, line breaks, the empty field in a
+# row of several) and labels with % signs, which a row template must escape.
+CSV_LABELS = ["nose", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "100%s %d", "%"]
+
+
+@st.composite
+def float_columns(draw, n: int, k: int) -> np.ndarray:
+    """(n, k) floats, each column either any floats (NaN, inf, -0.0 and
+    subnormals among them), one constant (inf, NaN, 0.0 or any), or 0.0
+    and -0.0 mixed."""
+    columns = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["any", "inf", "nan", "zero", "signed-zero", "constant"]))
+        if kind == "any":
+            columns.append(draw(st.lists(st.floats(), min_size=n, max_size=n)))
+        elif kind == "signed-zero":
+            columns.append(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n)))
+        else:
+            value = {"inf": math.inf, "nan": math.nan, "zero": 0.0}.get(kind)
+            columns.append([draw(st.floats()) if value is None else value] * n)
+    return np.array(columns, dtype=float).reshape(k, n).T
+
+
+def constant_or_varying(draw, values, n: int) -> list:
+    """n draws of `values`, or one draw n times."""
+    if draw(st.booleans()):
+        return [draw(values)] * n
+    return draw(st.lists(values, min_size=n, max_size=n))
+
+
+ROW_COUNTS = st.sampled_from([0, 1, 2, 9])
+
+
+@st.composite
+def trajectories(draw) -> Trajectory:
+    n = draw(ROW_COUNTS)
+    values = draw(float_columns(n, 6))
+    repulsing = constant_or_varying(draw, st.booleans(), n)
+    return Trajectory(values[:, 0], values[:, 1:4], values[:, 4], values[:, 5],
+                      np.array(repulsing, dtype=bool))
+
+
+@st.composite
+def shot_logs(draw) -> ShotLog:
+    n = draw(ROW_COUNTS)
+    values = draw(float_columns(n, 7))
+    strips = constant_or_varying(draw, st.integers(-2 ** 63, 2 ** 63 - 1), n)
+    labels = constant_or_varying(draw, st.one_of(st.sampled_from(CSV_LABELS),
+                                                 st.text(max_size=6)), n)
+    return ShotLog(values[:, 0], values[:, 1:4], values[:, 4:], strips, labels)
+
+
+SIGNED_ZEROS = np.array([0.0, -0.0, 0.0])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(trajectories())
+@example(Trajectory(np.arange(3.0), np.zeros((3, 3)), SIGNED_ZEROS, np.full(3, math.inf),
+                    np.zeros(3, dtype=bool)))
+def test_traj_writer_matches_full_row_format(tmp_path_factory, traj):
+    """traj.csv with its constant columns formatted once has the bytes of
+    every value formatted in every row."""
+    out = tmp_path_factory.mktemp("traj")
+    _write_traj_csv(traj, out / "traj.csv")
+    row_traj_csv(traj, out / "ref.csv")
+    assert (out / "traj.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(shot_logs())
+@example(ShotLog(SIGNED_ZEROS, np.ones((3, 3)), np.ones((3, 3)), [7] * 3, ["100%s"] * 3))
+def test_shots_writer_matches_csv_writer(tmp_path_factory, log):
+    out = tmp_path_factory.mktemp("shots")
+    _write_shots_csv(log, out / "shots.csv")
+    row_shots_csv(log, out / "ref.csv")
+    assert (out / "shots.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shot_logs())
+def test_shots_reader_matches_dict_reader(tmp_path_factory, log):
+    """read_shots_csv reads a written log as the DictReader reader does, or
+    fails where it fails. A bare carriage return in a label, which csv.writer
+    leaves unquoted, ends the row early, and only the message differs."""
+    path = tmp_path_factory.mktemp("shots") / "shots.csv"
+    _write_shots_csv(log, path)
+    try:
+        want = dict_read_shots_csv(path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            read_shots_csv(path)
+        if "\r" not in "".join(log.segment.tolist()):
+            assert str(got.value) == str(exc)
+        assert str(got.value).startswith(f"{path}: ")
+        return
+    got = read_shots_csv(path)
+    for column in ("time", "positions", "axis_angle", "strip"):
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+    assert got.segment.tolist() == want.segment.tolist() == log.segment.tolist()
+
+
+@st.composite
+def overviews(draw):
+    """Shot positions and paths with XML-hostile labels, at least one point
+    in all."""
+    def points(n):
+        coordinate = st.floats(-1.0, 1.0)
+        return np.array(draw(st.lists(coordinate, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+
+    shots = points(draw(st.integers(0, 6)))
+    labels = draw(st.lists(st.one_of(st.sampled_from(["a&b<c>", "nose"]), st.text(max_size=4)),
+                           max_size=3, unique=True))
+    paths = {}
+    for label in labels:
+        m = draw(st.integers(1, 5))
+        paths[label] = SegmentPath(label, points(m), np.tile([0.0, 0.0, 1.0], (m, 1)),
+                                   [0] * m, "horizontal")
+    assume(len(shots) or paths)
+    return shots, paths or None, draw(st.floats(1e-4, 1e-2))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(overviews())
+def test_svg_matches_per_point_writer(tmp_path_factory, overview):
+    shots, paths, diameter = overview
+    out = tmp_path_factory.mktemp("svg")
+    cli._svg_overview(shots, paths, diameter, out / "overview.svg")
+    point_svg_overview(shots, paths, diameter, out / "ref.svg")
+    assert (out / "overview.svg").read_bytes() == (out / "ref.svg").read_bytes()
 
 
 def sphere_cap(min_z: float, radius: float = 0.15) -> PointCloud:

@@ -197,6 +197,38 @@ class TestPlyRoundTrip:
         with pytest.raises(ParseError, match=f"vertex row 2 has a non-finite {label}"):
             load_ply(path)
 
+    @pytest.mark.parametrize("colour", ["300 20 30", "10 256 30", "10 20 -1", "nan 20 30",
+                                        "10 inf 30"])
+    def test_colour_uint8_cannot_hold_names_the_row(self, tmp_path, colour):
+        """A colour that would wrap or saturate in the uint8 cast (300 loaded
+        as 44, 256 as 0, -1 as 255) is an error naming its row."""
+        text = (
+            "ply\nformat ascii 1.0\nelement vertex 3\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "end_header\n"
+            f"0 0 0 255 0 7\n1 2 3 {colour}\n1 2 3 255.9 0 0\n"
+        )
+        path = tmp_path / "bad.ply"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=r"bad.ply: vertex row 2 has a red/green/blue "
+                                             r"outside \[0, 256\)"):
+            load_ply(path)
+
+    @pytest.mark.parametrize("value", [-0.5, 256.0, np.nan])
+    def test_binary_float_colour_uint8_cannot_hold_names_the_row(self, tmp_path, value):
+        header = ("ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
+                  + "".join(f"property float {n}\n"
+                            for n in ("x", "y", "z", "red", "green", "blue"))
+                  + "end_header\n")
+        table = np.zeros((3, 6), dtype="<f4")
+        table[:, 3:] = 255.5
+        table[2, 4] = value
+        path = tmp_path / "bad.ply"
+        path.write_bytes(header.encode() + table.tobytes())
+        with pytest.raises(ParseError, match="vertex row 3 has a red/green/blue outside"):
+            load_ply(path)
+
     def test_non_finite_binary_value_names_the_row(self, rng, tmp_path):
         c = small_cloud(rng, n=5)
         c.normals[3, 1] = np.inf
