@@ -172,8 +172,8 @@ def cmd_viewpoints(args, cfg: RunConfig) -> int:
 # ------------------------------------------------------------------ register
 
 def _grid_error(path, exc: ValueError) -> InvalidParam:
-    """A view the voxel grid rejects: a coordinate too far from the origin
-    for voxel_leaf_m."""
+    """A view the voxel grid rejects at voxel_leaf_m: a coordinate too far
+    from the origin, or keys too widely spread for an int64 code."""
     return InvalidParam(f"{path}: {exc} (config key: voxel_leaf_m)")
 
 
@@ -282,8 +282,8 @@ def load_paths(path) -> dict:
     """Rebuild {label: SegmentPath} from a flat path-record JSON file.
 
     Raises ParseError for text that is not JSON, a record that lacks a
-    field, coordinates that are not finite numbers and a normal that is not
-    a unit vector.
+    field, coordinates that are not finite numbers, a strip index that is
+    not a finite number and a normal that is not a unit vector.
     """
     rows = _read_json(path)
     coordinates = operator.itemgetter(*PATH_KEYS)
@@ -302,7 +302,7 @@ def load_paths(path) -> dict:
             out[label] = SegmentPath(label, xyz[:, :3], xyz[:, 3:], strips, "unknown")
     except KeyError as exc:
         raise ParseError(f"{path}: path record without {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return out
 
@@ -340,10 +340,12 @@ SHOT_VALUES = ("time_s", "x", "y", "z", "nu_x", "nu_y", "nu_z")
 
 
 def _csv_field(text: str) -> str:
-    """`text` as csv.writer writes it in a row of more than one field."""
+    """`text` as csv.writer writes it in a row of more than one field. The
+    writer quotes a field that holds a character of its line end, so a CR LF
+    end makes it quote a bare carriage return as well as a line feed."""
     line = io.StringIO()
-    csv.writer(line, lineterminator="\n").writerow([text, ""])
-    return line.getvalue()[:-2]
+    csv.writer(line, lineterminator="\r\n").writerow([text, ""])
+    return line.getvalue()[:-3]
 
 
 def _write_table(path, header, columns, specs) -> None:

@@ -254,12 +254,12 @@ def _packing(keys: np.ndarray, pad: int, scale: int = 1):
     lowest corner (x0, y0, z0) and radices sy and sz that leave `pad` unused
     values past each y and z. So codes sort as the keys do lexicographically,
     and a key moved by up to `pad` on each axis packs to no key's code but
-    its own. Returns the codes and the function that packs such a move, or
-    None when there are no keys, or their box is too wide for every code in
-    it, moved or times `scale`, to fit in int64.
+    its own. Returns the codes and the function that packs such a move (no
+    codes for no keys), or None when the keys' box is too wide for every code
+    in it, moved or times `scale`, to fit in int64.
     """
     if not len(keys):
-        return None
+        return keys[:, 0], lambda dx, dy, dz: 0
     # Python ints, so that the size check itself cannot overflow. One reduce
     # per column: numpy's axis-0 reduce of (n, 3) rows is ~15 times slower.
     lo, hi = [int(c.min()) for c in keys.T], [int(c.max()) for c in keys.T]
@@ -270,13 +270,7 @@ def _packing(keys: np.ndarray, pad: int, scale: int = 1):
     return code, lambda dx, dy, dz: (dx * sy + dy) * sz + dz
 
 
-_KEY_RECORD = np.dtype([("x", np.int64), ("y", np.int64), ("z", np.int64)])
-
-
-def _records(keys: np.ndarray) -> np.ndarray:
-    """(n, 3) int64 keys as n (x, y, z) records, which numpy compares, sorts
-    and searches lexicographically."""
-    return np.ascontiguousarray(keys).view(_KEY_RECORD).reshape(-1)
+_TOO_WIDE = "voxel keys span too many leaves for an int64 code"
 
 
 class VoxelGrid:
@@ -289,8 +283,9 @@ class VoxelGrid:
     sums are its points' values added in input order, so adding clouds one by
     one gives the sums, bit for bit, of one pass over their concatenation.
 
-    Where the keys' box is small enough, each key is handled as one int64
-    code (`_packing`); elsewhere, as three columns.
+    Each key is handled as one int64 code (`_packing`). Keys whose box holds
+    too many voxels for such a code (about 2**21 leaves a side, ~4 km at a
+    2 mm leaf) are a ValueError from `add` and `neighbours`.
     """
 
     def __init__(self, leaf: float):
@@ -315,7 +310,8 @@ class VoxelGrid:
         n = len(keys)
         # Rows sorted in lexicographic (x, y, z) order and, within a voxel, in
         # input order, its stored sums first: by one int64 code whose low bits
-        # are the row number, or else by a stable sort of the three columns.
+        # are the row number, or else, where the row bits do not fit, by a
+        # stable sort of the code.
         bits = max(n - 1, 0).bit_length()
         packed = _packing(keys, 0, 1 << bits)
         if packed is not None:
@@ -323,9 +319,11 @@ class VoxelGrid:
             order = code & ((1 << bits) - 1)
             first = _run_starts(code >> bits)
         else:
-            order = np.lexsort(keys.T[::-1])
-            first = np.ones(n, dtype=bool)
-            first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+            packed = _packing(keys, 0)
+            if packed is None:
+                raise ValueError(_TOO_WIDE)
+            order = np.argsort(packed[0], kind="stable")
+            first = _run_starts(packed[0][order])
         self.keys = np.take(keys, order[first], axis=0)
         inverse = np.empty(n, dtype=np.intp)
         inverse[order] = np.cumsum(first) - 1
@@ -360,56 +358,34 @@ class VoxelGrid:
         Each voxel's partners come in (dx, dy, dz) order of their key minus
         its own, which fixes the order in which sums over them add up.
 
-        A partner is found by searching the sorted keys for the voxel's key
-        moved by (dx, dy, dz): as one int64 code (`_packing`, padded by
-        `reach`) where the keys' box allows, else as an (x, y, z) record.
-        Codes are searched once per (dx, dy): the keys of one (x, y) column
-        have consecutive codes, so the partner one z higher is at the next
-        place, or at the same one when there was none. For all rows, only the
-        moves after (0, 0, 0) are searched; a pair found by a move is also the
-        pair of the opposite move, mirrored. Memory is O(len(self)) per move,
-        besides the pairs returned.
-
-        Keys are floors of doubles, so none lies in (2**63 - 1024, 2**63):
-        a record moved by a `reach` below 1024 cannot overflow, and one that
-        wraps (only from -2**63) lands where no key is.
+        A partner is found by searching the sorted codes (`_packing`, padded
+        by `reach`) for the voxel's code moved by (dx, dy, dz), once per
+        (dx, dy): the keys of one (x, y) column have consecutive codes, so the
+        partner one z higher is at the next place, or at the same one when
+        there was none. For all rows, only the moves after (0, 0, 0) are
+        searched; a pair found by a move is also the pair of the opposite
+        move, mirrored. Memory is O(len(self)) per move, besides the pairs
+        returned.
         """
-        keys, n = self.keys, len(self.keys)
-        packed = _packing(keys, reach)
+        packed = _packing(self.keys, reach)
         if packed is None:
-            table, x = _records(keys), np.ascontiguousarray(keys[:, 0])
-
-            def column(src, dx, dy, dzs):
-                # Only keys whose moved x is a key's x go on to the slower
-                # record search.
-                to = x[src] + dx
-                src = src[x.take(np.searchsorted(x, to), mode="clip") == to]
-                for dz in dzs:
-                    want = _records(keys[src] + (dx, dy, dz))
-                    at = np.searchsorted(table, want)
-                    hit = np.flatnonzero(table.take(at, mode="clip") == want)
-                    yield src[hit], at[hit]
-        else:
-            table, pack = packed
-
-            def column(src, dx, dy, dzs):
-                want = table[src] + pack(dx, dy, dzs[0])
-                at = np.searchsorted(table, want)
-                for _ in dzs:
-                    hit = table.take(at, mode="clip") == want
-                    index = np.flatnonzero(hit)
-                    yield src[index], at[index]
-                    at, want = at + hit, want + 1
-
+            raise ValueError(_TOO_WIDE)
+        table, pack = packed
         # Blocks of pairs in move order: each voxel's partners come in that
         # order, whatever the order between voxels.
         moves = list(itertools.product(range(-reach, reach + 1), repeat=3))
-        src = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+        src = np.arange(len(self)) if rows is None else np.asarray(rows, dtype=np.intp)
         searched = [m for m in moves if rows is not None or m > (0, 0, 0)]
         found = {}
         for (dx, dy), run in itertools.groupby(searched, key=lambda m: m[:2]):
             run = list(run)
-            found.update(zip(run, column(src, dx, dy, [m[2] for m in run])))
+            want = table[src] + pack(dx, dy, run[0][2])
+            at = np.searchsorted(table, want)
+            for move in run:
+                hit = table.take(at, mode="clip") == want
+                index = np.flatnonzero(hit)
+                found[move] = src[index], at[index]
+                at, want = at + hit, want + 1
         if rows is None:
             found[(0, 0, 0)] = src, src
         pairs = [found[m] if m in found else found[tuple(-d for d in m)][::-1] for m in moves]

@@ -58,11 +58,10 @@ class FaceLandmarks:
         try:
             with open(path, "r", encoding="utf-8") as f:
                 doc = json.load(f)
-            pts = doc["points"]
-            w, h = int(doc["width"]), int(doc["height"])
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(np.asarray(doc["points"], dtype=float), int(doc["width"]),
+                       int(doc["height"]))
+        except (KeyError, TypeError, ValueError, OverflowError, MalformedLandmarks) as exc:
             raise MalformedLandmarks(f"bad landmark file {path}: {exc}") from exc
-        return cls(np.asarray(pts, dtype=float), w, h)
 
     def to_json(self, path) -> None:
         doc = {

@@ -12,6 +12,7 @@ projection, the unculled region assignment) that the fast versions are tested
 against."""
 
 import csv
+import io
 import json
 import math
 from unittest import mock
@@ -26,7 +27,6 @@ from facelaser.cloud import (
     PointCloud,
     RayHit,
     VoxelGrid,
-    _packing,
     _parse_header,
     _run_starts,
 )
@@ -218,7 +218,7 @@ def unique_voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
 def axis0_packing(keys: np.ndarray, pad: int, scale: int = 1):
     """_packing with the keys' box from numpy's axis-0 min and max."""
     if not len(keys):
-        return None
+        return keys[:, 0], lambda dx, dy, dz: 0
     lo, hi = keys.min(axis=0).tolist(), keys.max(axis=0).tolist()
     sy, sz = hi[1] - lo[1] + 1 + pad, hi[2] - lo[2] + 1 + pad
     if (hi[0] - lo[0] + 2 + pad) * sy * sz * scale > 2**63:
@@ -228,27 +228,23 @@ def axis0_packing(keys: np.ndarray, pad: int, scale: int = 1):
 
 
 class RestackedVoxelGrid(VoxelGrid):
-    """A VoxelGrid whose add stacks the stored sums above the new rows and
-    bins them all again, one bincount per column, from 0.0."""
+    """A VoxelGrid whose add sorts the axis0_packing codes of all keys with a
+    stable argsort, stacks the stored sums above the new rows and bins them
+    all again, one bincount per column, from 0.0. Keys too wide for a code
+    are a ValueError, as in VoxelGrid."""
 
     def add(self, cloud: PointCloud) -> np.ndarray:
         idx = np.floor(cloud.positions / self.leaf)
         if not ((idx >= -2.0**63) & (idx < 2.0**63)).all():
             raise ValueError("voxel indices must fit in int64")
         keys = np.vstack([self.keys, idx.astype(np.int64)])
-        n = len(keys)
-        bits = max(n - 1, 0).bit_length()
-        packed = _packing(keys, 0, 1 << bits)
-        if packed is not None:
-            code = np.sort((packed[0] << bits) | np.arange(n))
-            order = code & ((1 << bits) - 1)
-            first = _run_starts(code >> bits)
-        else:
-            order = np.lexsort(keys.T[::-1])
-            first = np.ones(n, dtype=bool)
-            first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+        packed = axis0_packing(keys, 0)
+        if packed is None:
+            raise ValueError("voxel keys do not fit in an int64 code")
+        order = np.argsort(packed[0], kind="stable")
+        first = _run_starts(packed[0][order])
         self.keys = keys[order[first]]
-        inverse = np.empty(n, dtype=np.intp)
+        inverse = np.empty(len(keys), dtype=np.intp)
         inverse[order] = np.cumsum(first) - 1
         rows = {"count": np.ones((len(cloud), 1)), "positions": cloud.positions}
         if cloud.has_normals:
@@ -455,7 +451,7 @@ def loop_load_paths(path) -> dict:
             out[label] = SegmentPath(label, xyz[:, :3], xyz[:, 3:], strips, "unknown")
     except KeyError as exc:
         raise ParseError(f"{path}: path record without {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return out
 
@@ -472,14 +468,20 @@ def row_traj_csv(traj, path) -> None:
 
 
 def row_shots_csv(log: ShotLog, path) -> None:
-    """shots.csv as csv.writer writes it, one row per shot, values "%.9g"."""
+    """shots.csv as csv.writer writes it, one row per shot, values "%.9g".
+    Each row is written with a CR LF line end, which makes the writer quote a
+    carriage return in a label, and ends with its LF alone."""
+    def write(fields):
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(fields)
+        f.write(line.getvalue()[:-2] + "\n")
+
     with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["index", *SHOT_VALUES, "strip", "segment"])
+        write(["index", *SHOT_VALUES, "strip", "segment"])
         table = np.column_stack([log.time, log.positions, log.axis_angle]).tolist()
         for i, (row, strip, label) in enumerate(zip(table, log.strip.tolist(),
                                                     log.segment.tolist())):
-            w.writerow([i, *(format(v, ".9g") for v in row), strip, label])
+            write([i, *(format(v, ".9g") for v in row), strip, label])
 
 
 def dict_read_shots_csv(path) -> ShotLog:

@@ -212,8 +212,10 @@ class TestMalformedSimulateInput:
         ([{**GOOD_RECORD, "x": float("nan")}], [GOOD_KEY]),
         ([GOOD_RECORD], [{**GOOD_KEY, "t_s": float("inf")}]),
         ([{**GOOD_RECORD, "nz": 0.0}], [GOOD_KEY]),
+        ([{**GOOD_RECORD, "strip_index": 1e400}], [GOOD_KEY]),
     ], ids=["paths-missing-key", "motion-missing-key", "paths-not-json",
-            "motion-not-json", "paths-nan", "motion-inf", "paths-zero-normal"])
+            "motion-not-json", "paths-nan", "motion-inf", "paths-zero-normal",
+            "paths-strip-overflow"])
     def test_exits_1_with_message(self, workdir, capsys, paths, motion):
         for name, doc in (("paths.json", paths), ("motion.json", motion)):
             text = doc if isinstance(doc, str) else json.dumps(doc)
@@ -287,14 +289,29 @@ class TestMalformedJsonInput:
         _assert_input_error(capsys, code, "cam.json")
         assert not (workdir / "segs").exists()
 
-    def test_segment_landmarks_not_json(self, workdir, capsys, face_scene):
-        cloud, _, _ = face_scene
+    @pytest.mark.parametrize("change", [
+        None, {"points": [["a", 1.0]]}, {"points": [[1.0]]}, {"points": []},
+        {"width": 1e400}, {"height": -1}],
+        ids=["not-json", "not-a-number", "ragged", "67-points", "width-overflow",
+             "negative-height"])
+    def test_segment_landmarks(self, workdir, capsys, face_scene, change):
+        """Landmarks that are not JSON, whose first point is not two numbers
+        or is missing, or whose image size is too large for an int or not
+        positive, are an input error naming the file."""
+        cloud, landmarks, _ = face_scene
         save_ply(cloud, workdir / "face.ply")
-        landmarks = _write_doc(workdir / "lm.json", '{"points": [[1, 2],')
+        doc = {"points": landmarks.points.tolist(), "width": landmarks.width,
+               "height": landmarks.height}
+        if change is None:
+            doc = '{"points": [[1, 2],'
+        elif "points" in change:
+            doc["points"][:1] = change["points"]
+        else:
+            doc.update(change)
+        lm = _write_doc(workdir / "lm.json", doc)
         camera = _write_doc(workdir / "cam.json", CAMERA)
         code = run(workdir, "segment", "--cloud", workdir / "face.ply",
-                   "--landmarks", landmarks, "--camera", camera,
-                   "--out-dir", workdir / "segs")
+                   "--landmarks", lm, "--camera", camera, "--out-dir", workdir / "segs")
         _assert_input_error(capsys, code, "lm.json")
         assert not (workdir / "segs").exists()
 
@@ -326,8 +343,9 @@ def test_shot_row_of_another_width_is_named(tmp_path, row, count):
         read_shots_csv(shots)
 
 
-@pytest.mark.parametrize("flag, text", [("--paths", '[{"x": 0.0}]'), ("--cloud", "ply\n")],
-                         ids=["paths", "cloud"])
+@pytest.mark.parametrize("flag, text", [
+    ("--paths", '[{"x": 0.0}]'), ("--paths", json.dumps([{**GOOD_RECORD, "strip_index": 1e400}])),
+    ("--cloud", "ply\n")], ids=["paths", "paths-strip-overflow", "cloud"])
 def test_report_bad_input_writes_nothing(workdir, capsys, flag, text):
     """A bad --paths or --cloud fails the report before it writes report.json
     or the SVG."""
@@ -435,6 +453,7 @@ BAD_RECORDS = {
     "null": [{**GOOD_RECORD, "nz": None}],
     "nested": [{**GOOD_RECORD, "x": [0.0, 1.0]}],
     "non-finite": [{**GOOD_RECORD, "z": 1e400}],
+    "strip-overflow": [{**GOOD_RECORD, "strip_index": 1e400}],
     "non-unit-normal": [{**GOOD_RECORD, "nz": 0.5}],
     "list-record": [list(GOOD_RECORD.values())],
     "string-record": ["x"],
@@ -688,22 +707,25 @@ def test_register_empty_view_names_it(workdir, capsys, bare, index):
 @pytest.mark.parametrize("bare", [False, True], ids=["normals", "bare"])
 @pytest.mark.parametrize("index", [0, 2])
 def test_register_view_too_far_for_the_grid_names_it(workdir, capsys, bare, index):
-    """A view with a coordinate whose voxel index does not fit in int64 is an
-    input error that names the view and the leaf's config key."""
-    views, _ = ellipsoid_views()
-    far = views[index].positions.copy()
-    far[5, 1] = 1e20
-    views[index] = PointCloud(far, views[index].normals)
-    if bare:
-        views = [PointCloud(v.positions) for v in views]
-    names = save_views(workdir, views[:3])
-    code = register(workdir, names)
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "voxel_leaf_m" in err
-    assert f"{names[index]}: " in err
-    assert all(str(n) not in err for n in names if n != names[index])
-    assert not (workdir / "merged.ply").exists()
+    """A view with a coordinate whose voxel index does not fit in int64, or
+    with a point so far from the rest (1e7 m on each axis, 5e9 leaves) that
+    its voxel keys have no int64 code, is an input error that names the view
+    and the leaf's config key."""
+    for axes, value in (([1], 1e20), ([0, 1, 2], 1e7)):
+        views, _ = ellipsoid_views()
+        far = views[index].positions.copy()
+        far[5, axes] = value
+        views[index] = PointCloud(far, views[index].normals)
+        if bare:
+            views = [PointCloud(v.positions) for v in views]
+        names = save_views(workdir, views[:3])
+        code = register(workdir, names)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "voxel_leaf_m" in err
+        assert f"{names[index]}: " in err
+        assert all(str(n) not in err for n in names if n != names[index])
+        assert not (workdir / "merged.ply").exists()
 
 
 class TestSegmentCommand:
@@ -833,6 +855,7 @@ def shot_logs(draw) -> ShotLog:
 
 
 SIGNED_ZEROS = np.array([0.0, -0.0, 0.0])
+CR_LABELS = ["cr\rhere", "crlf\r\n", "\r"]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -851,6 +874,7 @@ def test_traj_writer_matches_full_row_format(tmp_path_factory, traj):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(shot_logs())
 @example(ShotLog(SIGNED_ZEROS, np.ones((3, 3)), np.ones((3, 3)), [7] * 3, ["100%s"] * 3))
+@example(ShotLog(SIGNED_ZEROS, np.ones((3, 3)), np.ones((3, 3)), [7] * 3, CR_LABELS))
 def test_shots_writer_matches_csv_writer(tmp_path_factory, log):
     out = tmp_path_factory.mktemp("shots")
     _write_shots_csv(log, out / "shots.csv")
@@ -860,10 +884,10 @@ def test_shots_writer_matches_csv_writer(tmp_path_factory, log):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(shot_logs())
+@example(ShotLog(SIGNED_ZEROS, np.ones((3, 3)), np.ones((3, 3)), [7] * 3, CR_LABELS))
 def test_shots_reader_matches_dict_reader(tmp_path_factory, log):
     """read_shots_csv reads a written log as the DictReader reader does, or
-    fails where it fails. A bare carriage return in a label, which csv.writer
-    leaves unquoted, ends the row early, and only the message differs."""
+    fails where it fails, with the same message."""
     path = tmp_path_factory.mktemp("shots") / "shots.csv"
     _write_shots_csv(log, path)
     try:
@@ -871,8 +895,7 @@ def test_shots_reader_matches_dict_reader(tmp_path_factory, log):
     except ParseError as exc:
         with pytest.raises(ParseError) as got:
             read_shots_csv(path)
-        if "\r" not in "".join(log.segment.tolist()):
-            assert str(got.value) == str(exc)
+        assert str(got.value) == str(exc)
         assert str(got.value).startswith(f"{path}: ")
         return
     got = read_shots_csv(path)
@@ -996,6 +1019,15 @@ class TestPatchPipeline:
         *_, svg = plan_simulate_report(workdir, workdir / "run", label="a&b<c>")
         titles = minidom.parse(str(svg)).getElementsByTagName("title")
         assert [t.firstChild.data for t in titles] == ["a&b<c>"]
+
+    def test_carriage_return_label_reaches_the_report(self, workdir):
+        """A label with a bare carriage return is quoted in shots.csv, so
+        report reads every shot of plan -> simulate."""
+        _, shots, _, report, _ = plan_simulate_report(workdir, workdir / "run", label="a\rb")
+        assert b'"a\rb"' in shots.read_bytes()
+        log = read_shots_csv(shots)
+        assert set(log.segment.tolist()) == {"a\rb"}
+        assert json.loads(report.read_text())["n_shots"] == len(log) > 100
 
     def test_report_against_cloud(self, workdir):
         _, shots, _, _, _ = plan_simulate_report(workdir, workdir / "run")

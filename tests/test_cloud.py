@@ -427,12 +427,31 @@ class TestVoxelDownsample:
 
     def test_rejects_voxel_indices_beyond_int64(self):
         """At a 1e-9 m leaf, 1e10 m is 1e19 voxels from the origin, past int64;
-        the cast used to wrap these three points into one voxel."""
+        the cast used to wrap these three points into one voxel. At +-9e9 m
+        the indices fit, but no int64 code spans the 1.8e19 voxels between
+        them; two points 10 um apart out there have codes."""
         far = PointCloud([[-1e10, 0.0, 0.0], [1e10, 0.0, 0.0], [2e10, 0.0, 0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="indices fit in int64"):
             voxel_downsample(far, 1e-9)
         near = PointCloud([[-9e9, 0.0, 0.0], [9e9, 0.0, 0.0]])
-        assert len(voxel_downsample(near, 1e-9)) == 2
+        with pytest.raises(ValueError, match="int64 code"):
+            voxel_downsample(near, 1e-9)
+        close = PointCloud([[9e9, 0.0, 0.0], [9e9 + 1e-5, 0.0, 0.0]])
+        assert len(voxel_downsample(close, 1e-9)) == 2
+
+    def test_empty_grid_has_no_pairs(self):
+        """No keys are not keys too wide for a code: an empty grid adds an
+        empty cloud and has no neighbour pairs."""
+        grid = VoxelGrid(0.1)
+        assert len(grid.add(PointCloud(np.zeros((0, 3))))) == 0
+        for rows in (None, []):
+            assert all(len(side) == 0 for side in grid.neighbours(1, rows))
+
+
+def packs(positions: np.ndarray, leaf: float) -> bool:
+    """Whether the voxel keys of these positions fit an int64 code, by the
+    axis0_packing oracle: VoxelGrid rejects the keys that do not."""
+    return axis0_packing(np.floor(positions / leaf).astype(np.int64), 0) is not None
 
 
 def assert_same_cloud(got: PointCloud, want: PointCloud) -> None:
@@ -471,8 +490,13 @@ def voxel_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(voxel_cases())
 def test_voxel_downsample_matches_unique(case):
-    """The sorted grid gives the np.unique grid's output, array for array."""
+    """The sorted grid gives the np.unique grid's output, array for array, or
+    rejects keys too wide for an int64 code."""
     cloud, leaf = case
+    if not packs(cloud.positions, leaf):
+        with pytest.raises(ValueError, match="int64 code"):
+            voxel_downsample(cloud, leaf)
+        return
     assert_same_cloud(voxel_downsample(cloud, leaf), unique_voxel_downsample(cloud, leaf))
 
 
@@ -509,11 +533,18 @@ def grid_parts(draw):
 @given(grid_parts())
 def test_voxel_grid_adds_up_like_one_pass(case):
     """A grid fed the parts one by one holds, after each, the voxel means of
-    their concatenation, array for array: voxel_downsample is the oracle."""
+    their concatenation, array for array: voxel_downsample is the oracle. A
+    part that makes the keys too wide for an int64 code is rejected, and the
+    grid is left as it was."""
     parts, kinds, leaf = case
     grid = VoxelGrid(leaf)
     for i, (part, kind) in enumerate(zip(parts, kinds)):
         before = len(grid)
+        if not packs(np.vstack([p.positions for p in parts[:i + 1]]), leaf):
+            with pytest.raises(ValueError, match="int64 code"):
+                grid.add(part)
+            assert len(grid) == before
+            return
         voxel = grid.add(part)
         keys = np.floor(part.positions / leaf).astype(np.int64)
         assert np.array_equal(grid.keys[voxel], keys)
@@ -546,10 +577,16 @@ def restack_parts(draw):
 @given(restack_parts())
 def test_voxel_grid_sums_match_restacked_add(case):
     """Binning only the new rows onto the stored sums gives, after every add,
-    the keys, voxel rows and sums of re-binning all of them, byte for byte."""
+    the keys, voxel rows and sums of re-binning all of them, byte for byte;
+    both reject a part that makes the keys too wide for an int64 code."""
     parts, leaf = case
     grid, want = VoxelGrid(leaf), RestackedVoxelGrid(leaf)
-    for part in parts:
+    for i, part in enumerate(parts):
+        if not packs(np.vstack([p.positions for p in parts[:i + 1]]), leaf):
+            for g in (grid, want):
+                with pytest.raises(ValueError, match="int64 code"):
+                    g.add(part)
+            return
         assert grid.add(part).tobytes() == want.add(part).tobytes()
         assert grid.keys.tobytes() == want.keys.tobytes()
         assert grid.sums.keys() == want.sums.keys()
@@ -739,16 +776,35 @@ def neighbour_grids(draw):
     return parts, reach, draw(st.booleans())
 
 
+def neighbour_grid(parts, reach: int, subset: bool):
+    """The leaf-1 VoxelGrid of the parts, added one by one, and the rows
+    whose pairs to find (every other row, or None for all). None where
+    `add` or `neighbours(reach)` rejects keys too wide for an int64 code,
+    as axis0_packing says they must."""
+    grid = VoxelGrid(1.0)
+    for i, part in enumerate(parts):
+        if not packs(np.vstack(parts[:i + 1]), 1.0):
+            with pytest.raises(ValueError, match="int64 code"):
+                grid.add(PointCloud(part))
+            return None
+        grid.add(PointCloud(part))
+    rows = np.arange(len(grid))[::2] if subset else None
+    if axis0_packing(grid.keys, reach) is None:
+        with pytest.raises(ValueError, match="int64 code"):
+            grid.neighbours(reach, rows)
+        return None
+    return grid, rows
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(neighbour_grids())
 def test_neighbour_pairs_match_all_pairs(case):
     """VoxelGrid.neighbours lists each pair the all-pairs comparison finds,
     once, and no other, for the whole grid or the rows asked for."""
     parts, reach, subset = case
-    grid = VoxelGrid(1.0)
-    for part in parts:
-        grid.add(PointCloud(part))
-    rows = np.arange(len(grid))[::2] if subset else None
+    if (built := neighbour_grid(parts, reach, subset)) is None:
+        return
+    grid, rows = built
     i, j = grid.neighbours(reach, rows)
     got = list(zip(i.tolist(), j.tolist()))
     want = neighbour_pairs(grid.keys, reach)
@@ -765,10 +821,9 @@ def test_neighbour_order_sums_like_sorted_pairs(case):
     over the all-pairs oracle's pairs sorted by (i, dx, dy, dz): each voxel's
     partners come in (dx, dy, dz) order, so its sums add up in that order."""
     parts, reach, subset = case
-    grid = VoxelGrid(1.0)
-    for part in parts:
-        grid.add(PointCloud(part))
-    rows = np.arange(len(grid))[::2] if subset else None
+    if (built := neighbour_grid(parts, reach, subset)) is None:
+        return
+    grid, rows = built
     keys = [tuple(map(int, key)) for key in grid.keys]
     want = sorted((i, *(b - a for a, b in zip(keys[i], keys[j])), j)
                   for i, j in neighbour_pairs(grid.keys, reach) if not subset or i % 2 == 0)
@@ -829,10 +884,18 @@ def grid_clouds_on_each_path(draw, paths):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_grid_paths_match_oracles(paths, expected, data):
-    """On either side of the int64-code switch, voxel_downsample gives the
-    np.unique grid's output and estimate_normals the per-voxel loop's."""
+    """Where the keys have int64 codes, with or without room for the row
+    bits, voxel_downsample gives the np.unique grid's output and
+    estimate_normals the per-voxel loop's; where they have none, both
+    raise the grid's ValueError."""
     cloud, leaf, viewpoint = data.draw(grid_clouds_on_each_path(paths))
     assert grid_paths(cloud, leaf) == expected
+    if paths == "wide":
+        with pytest.raises(ValueError, match="int64 code"):
+            voxel_downsample(cloud, leaf)
+        with pytest.raises(ValueError, match="int64 code"):
+            estimate_normals(cloud, leaf, viewpoint)
+        return
     assert_same_cloud(voxel_downsample(cloud, leaf), unique_voxel_downsample(cloud, leaf))
     # The assertions of the loop-oracle test, on this case.
     test_grid_normals_match_voxel_loop.hypothesis.inner_test((cloud, leaf, viewpoint))
