@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import operator
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -177,6 +179,22 @@ def _grid_error(path, exc: ValueError) -> InvalidParam:
     return InvalidParam(f"{path}: {exc} (config key: voxel_leaf_m)")
 
 
+def _read_view(path, leaf: float) -> PointCloud:
+    """A `register` view with normals: the PLY's own, or PCA normals on its
+    leaf grid. Every error names the file."""
+    v = load_ply(_require(path))
+    if len(v) == 0:
+        raise EmptyCloud(f"{path}: the view has no points")
+    if v.has_normals:
+        return v
+    try:
+        return estimate_normals(v, leaf, np.zeros(3))
+    except (EmptyCloud, TooFewPoints) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise _grid_error(path, exc) from exc
+
+
 def cmd_register(args, cfg: RunConfig) -> int:
     docs = _read_json(args.poses)
     if not isinstance(docs, list):
@@ -189,35 +207,36 @@ def cmd_register(args, cfg: RunConfig) -> int:
         check_merge_leaf(leaf)
     except InvalidParam as exc:
         raise ConfigError(f"{exc} (config key: voxel_leaf_m)") from exc
-    views = []
-    for p in args.views:
-        v = load_ply(_require(p))
-        if len(v) == 0:
-            raise EmptyCloud(f"{p}: the view has no points")
-        if not v.has_normals:
-            try:
-                v = estimate_normals(v, leaf, np.zeros(3))
-            except (EmptyCloud, TooFewPoints) as exc:
-                raise type(exc)(f"{p}: {exc}") from exc
-            except ValueError as exc:
-                raise _grid_error(p, exc) from exc
-        views.append(v)
     log = []
-    try:
-        merged = merge_views(views, poses, leaf, gate_multiplier=cfg.gate_multiplier,
-                             icp_log=log)
-    except InvalidParam as exc:
-        # The leaf is checked above, so merge_views rejected the gate.
-        raise ConfigError(f"{exc} (config key: gate_multiplier)") from exc
-    except NoCorrespondences as exc:
-        raise NoCorrespondences(f"{args.views[exc.view]}: {exc}") from exc
-    except ValueError as exc:
-        raise _grid_error(args.views[exc.view], exc) from exc
+    # One worker reads the views and estimates their normals while ICP
+    # aligns the ones before them; both spend most of their time in numpy
+    # and kd-tree code that releases the interpreter lock.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        views = pool.map(functools.partial(_read_view, leaf=leaf), args.views)
+        try:
+            try:
+                merged = merge_views(views, poses, leaf, gate_multiplier=cfg.gate_multiplier,
+                                     icp_log=log)
+            except (InvalidParam, NoCorrespondences, ValueError):
+                # A view that cannot be read beats an earlier view's merge
+                # error, as if every view were read before any ICP: read the
+                # rest, so that the first of them to fail raises its error.
+                for _ in views:
+                    pass
+                raise
+        except InvalidParam as exc:
+            if exc.name != "gate_multiplier":
+                raise
+            raise ConfigError(f"{exc} (config key: gate_multiplier)") from exc
+        except NoCorrespondences as exc:
+            raise NoCorrespondences(f"{args.views[exc.view]}: {exc}") from exc
+        except ValueError as exc:
+            raise _grid_error(args.views[exc.view], exc) from exc
     save_ply(merged, args.out)
     if args.icp_log:
         _write_json([{"rmse": r.rmse, "iterations": r.iterations,
                       "converged": r.converged} for r in log], args.icp_log)
-    print(f"merged {len(views)} views -> {args.out} ({len(merged)} points)")
+    print(f"merged {len(args.views)} views -> {args.out} ({len(merged)} points)")
     return 0
 
 

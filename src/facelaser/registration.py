@@ -8,6 +8,7 @@ running voxel model with point-to-plane ICP, and add it to the model.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,17 +222,21 @@ def check_merge_leaf(leaf: float) -> None:
                            f"it finite, not {leaf}")
 
 
-def merge_views(clouds: list[PointCloud], poses: list[RigidTransform], leaf: float,
+def merge_views(clouds: Iterable[PointCloud], poses: list[RigidTransform], leaf: float,
                 max_iter: int = 30, gate_multiplier: float = 10.0,
                 icp_log: list | None = None) -> PointCloud:
     """Fuse per-view clouds into one model in the first view's frame.
 
-    `poses` holds the base-frame view poses, one per cloud. Every cloud after
-    the first is pre-aligned by its known pose relative to view 0, ICP-refined
-    against the model so far (pairs farther apart than gate_multiplier * leaf
-    are ignored), and added to it. Pass a list as icp_log to collect the
+    `clouds` is any iterable of views, read one at a time, so a view can be
+    loaded while the one before it is aligned; each is checked for normals,
+    and counted against `poses`, when it is reached. `poses` holds the
+    base-frame view poses, one per cloud. Every cloud after the first is
+    pre-aligned by its known pose relative to view 0, ICP-refined against
+    the model so far (pairs farther apart than gate_multiplier * leaf are
+    ignored), and added to it. Pass a list as icp_log to collect the
     per-pair IcpResults. An error raised for one view (NoCorrespondences, or
-    the voxel grid's ValueError) carries that view's index as `view`.
+    the voxel grid's ValueError) carries that view's index as `view`; a bad
+    gate is an InvalidParam named "gate_multiplier".
 
     The model is a VoxelGrid at `leaf`: per-voxel sums of the aligned
     full-resolution views, which each view joins once. It equals
@@ -242,18 +247,17 @@ def merge_views(clouds: list[PointCloud], poses: list[RigidTransform], leaf: flo
     check_merge_leaf(leaf)
     if not 0 < gate_multiplier * leaf < np.inf:
         raise InvalidParam(f"gate multiplier must be positive, and times the leaf "
-                           f"finite, not {gate_multiplier}")
-    if len(clouds) != len(poses):
-        raise ValueError(f"{len(clouds)} clouds but {len(poses)} poses")
-    if not clouds:
-        raise EmptyCloud("no views to merge")
-    for c in clouds:
-        if not c.has_normals:
-            raise ValueError("every view needs normals before merging")
+                           f"finite, not {gate_multiplier}", name="gate_multiplier")
 
     model = VoxelGrid(leaf)
-    base_inv = poses[0].invert()
+    base_inv = poses[0].invert() if poses else None
+    count = 0
     for i, view in enumerate(clouds):
+        count = i + 1
+        if count > len(poses):
+            raise ValueError(f"more than {len(poses)} clouds for {len(poses)} poses")
+        if not view.has_normals:
+            raise ValueError("every view needs normals before merging")
         try:
             if i > 0:
                 pre = view.transformed(base_inv.compose(poses[i]))
@@ -269,4 +273,8 @@ def merge_views(clouds: list[PointCloud], poses: list[RigidTransform], leaf: flo
         except (NoCorrespondences, ValueError) as exc:
             exc.view = i
             raise
+    if count != len(poses):
+        raise ValueError(f"{count} clouds but {len(poses)} poses")
+    if not count:
+        raise EmptyCloud("no views to merge")
     return model.cloud()

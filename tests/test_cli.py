@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from decimal import Decimal
 from pathlib import Path
@@ -25,9 +26,9 @@ from facelaser.cli import (
     main,
     read_shots_csv,
 )
-from facelaser.cloud import PointCloud, load_ply, save_ply
+from facelaser.cloud import PointCloud, estimate_normals, load_ply, save_ply
 from facelaser.errors import ParseError
-from facelaser.geometry import RigidTransform
+from facelaser.geometry import RigidTransform, parse_pose
 from facelaser.pathplan import SegmentPath
 from facelaser.registration import estimate_viewpoints, merge_views
 from facelaser.simulator import ShotLog, Trajectory, coverage_metrics, run_path
@@ -636,6 +637,7 @@ class TestRegisterBareViews:
         seen = []
 
         def spy(clouds, *args, **kwargs):
+            clouds = list(clouds)
             seen.extend(clouds)
             return merge_views(clouds, *args, **kwargs)
 
@@ -685,6 +687,50 @@ def test_register_view_out_of_the_gate_names_it(workdir, capsys):
     assert err.startswith("error: ") and "rejected all pairs" in err
     assert f"{names[2]}: " in err and str(names[1]) not in err
     assert not (workdir / "merged.ply").exists()
+
+
+@pytest.mark.parametrize("bad", ["empty", "unreadable"])
+def test_register_view_error_beats_an_earlier_icp_error(workdir, capsys, bad):
+    """Views are read while earlier ones are aligned, but a view that cannot
+    be read is still the error named, ahead of an earlier view's ICP
+    failure, as when every view was read before any ICP."""
+    views, _ = ellipsoid_views()
+    views[1] = PointCloud(views[1].positions + [0.5, 0.0, 0.0], views[1].normals)
+    views[2] = PointCloud(np.empty((0, 3)), np.empty((0, 3)))
+    names = save_views(workdir, views[:4])
+    if bad == "unreadable":
+        names[2].write_bytes(b"not a ply file\n")
+    assert register(workdir, names) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{names[2]}: " in err
+    assert str(names[1]) not in err and "rejected all pairs" not in err
+    assert not (workdir / "merged.ply").exists()
+
+
+def test_register_threads_match_a_serial_merge(workdir):
+    """With the interpreter switching threads every microsecond, `register`
+    writes the bytes that merge_views over views read one after another
+    gives, and leaves no thread behind."""
+    leaf = 0.004
+    config = json.loads((workdir / "config.json").read_text())
+    _write_doc(workdir / "config.json", {**config, "voxel_leaf_m": leaf})
+    views, _ = ellipsoid_views(12000, min_cos=0.2)
+    names = save_views(workdir, [PointCloud(v.positions) for v in views])
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert register(workdir, names) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    poses = [parse_pose(d, "vp.json") for d in json.loads((workdir / "vp.json").read_text())]
+    serial = [estimate_normals(load_ply(name), leaf, np.zeros(3)) for name in names]
+    log = []
+    save_ply(merge_views(serial, poses, leaf, icp_log=log), workdir / "serial.ply")
+    assert (workdir / "merged.ply").read_bytes() == (workdir / "serial.ply").read_bytes()
+    cli._write_json([{"rmse": r.rmse, "iterations": r.iterations,
+                      "converged": r.converged} for r in log], workdir / "serial.json")
+    assert (workdir / "icp.json").read_bytes() == (workdir / "serial.json").read_bytes()
 
 
 @pytest.mark.parametrize("bare", [False, True], ids=["normals", "bare"])

@@ -756,11 +756,20 @@ def neighbour_grids(draw):
     """Leaf-1 clouds of clustered voxels around bases that mix negative keys,
     keys near +-2**62 and the int64 limits, with columns that skip z keys,
     split over one to three `add` calls; a reach of 1 or 2 and, at times, a
-    subset of rows."""
+    subset of rows. Most extra clusters lie within 2**19 leaves of the
+    first, so their keys share an int64 code; one in four takes bases of
+    its own, which mostly have none."""
     bases = [0.0, -6.0, 2.0**52, -2.0**52, 2.0**62, -2.0**62, -2.0**63, 2.0**63 - 1024]
+    first = np.array([draw(st.sampled_from(bases)) for _ in range(3)])
     points = []
-    for _ in range(draw(st.integers(1, 3))):
-        base = np.array([draw(st.sampled_from(bases)) for _ in range(3)])
+    for cluster in range(draw(st.integers(1, 3))):
+        if cluster == 0:
+            base = first
+        elif draw(st.integers(0, 3)):
+            shift = [draw(st.integers(-2**19, 2**19)) for _ in range(3)]
+            base = np.clip(first + shift, bases[-2], bases[-1])
+        else:
+            base = np.array([draw(st.sampled_from(bases)) for _ in range(3)])
         if draw(st.booleans()):
             offsets = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3),
                                     min_size=1, max_size=25))

@@ -419,6 +419,17 @@ class TestMergeViews:
         with pytest.raises(ValueError):
             merge_views(views[:2], poses, leaf=self.LEAF)
 
+    def test_views_from_an_iterator(self):
+        """Any iterable of views merges as the list does, read once, and a
+        view beyond the poses is rejected when it is reached."""
+        _, poses, views = self.make_scene()
+        want = merge_views(views, poses, leaf=self.LEAF)
+        got = merge_views(iter(views), poses, leaf=self.LEAF)
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert got.normals.tobytes() == want.normals.tobytes()
+        with pytest.raises(ValueError, match="more than 2 clouds"):
+            merge_views(iter(views), poses[:2], leaf=self.LEAF)
+
     def test_views_need_normals(self):
         _, poses, views = self.make_scene()
         bare = PointCloud(views[1].positions.copy())
