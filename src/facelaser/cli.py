@@ -210,7 +210,7 @@ def cmd_register(args, cfg: RunConfig) -> int:
     log = []
     # One worker reads the views and estimates their normals while ICP
     # aligns the ones before them; both spend most of their time in numpy
-    # and kd-tree code that releases the interpreter lock.
+    # code that releases the interpreter lock.
     with ThreadPoolExecutor(max_workers=1) as pool:
         views = pool.map(functools.partial(_read_view, leaf=leaf), args.views)
         try:

@@ -256,10 +256,11 @@ def _packing(keys: np.ndarray, pad: int, scale: int = 1):
     and a key moved by up to `pad` on each axis packs to no key's code but
     its own. Returns the codes and the function that packs such a move (no
     codes for no keys), or None when the keys' box is too wide for every code
-    in it, moved or times `scale`, to fit in int64.
+    in it, moved or times `scale`, to fit in int64. The box's corners
+    (lo, hi), as lists of ints, come last (None for no keys).
     """
     if not len(keys):
-        return keys[:, 0], lambda dx, dy, dz: 0
+        return keys[:, 0], lambda dx, dy, dz: 0, None, None
     # Python ints, so that the size check itself cannot overflow. One reduce
     # per column: numpy's axis-0 reduce of (n, 3) rows is ~15 times slower.
     lo, hi = [int(c.min()) for c in keys.T], [int(c.max()) for c in keys.T]
@@ -267,7 +268,7 @@ def _packing(keys: np.ndarray, pad: int, scale: int = 1):
     if (hi[0] - lo[0] + 2 + pad) * sy * sz * scale > 2**63:
         return None
     code = ((keys[:, 0] - lo[0]) * sy + (keys[:, 1] - lo[1])) * sz + (keys[:, 2] - lo[2])
-    return code, lambda dx, dy, dz: (dx * sy + dy) * sz + dz
+    return code, lambda dx, dy, dz: (dx * sy + dy) * sz + dz, lo, hi
 
 
 _TOO_WIDE = "voxel keys span too many leaves for an int64 code"
@@ -294,6 +295,7 @@ class VoxelGrid:
         self.leaf = leaf
         self.keys = np.empty((0, 3), dtype=np.int64)
         self.sums: dict[str, np.ndarray] = {}
+        self._packed = None          # `lookup`'s packing of `keys`, made on first use
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -325,6 +327,7 @@ class VoxelGrid:
             order = np.argsort(packed[0], kind="stable")
             first = _run_starts(packed[0][order])
         self.keys = np.take(keys, order[first], axis=0)
+        self._packed = None
         inverse = np.empty(n, dtype=np.intp)
         inverse[order] = np.cumsum(first) - 1
 
@@ -370,7 +373,7 @@ class VoxelGrid:
         packed = _packing(self.keys, reach)
         if packed is None:
             raise ValueError(_TOO_WIDE)
-        table, pack = packed
+        table, pack = packed[:2]
         # Blocks of pairs in move order: each voxel's partners come in that
         # order, whatever the order between voxels.
         moves = list(itertools.product(range(-reach, reach + 1), repeat=3))
@@ -390,6 +393,38 @@ class VoxelGrid:
             found[(0, 0, 0)] = src, src
         pairs = [found[m] if m in found else found[tuple(-d for d in m)][::-1] for m in moves]
         return tuple(np.concatenate(side) for side in zip(*pairs))
+
+    def lookup(self, points: np.ndarray, last=None) -> tuple[np.ndarray, np.ndarray]:
+        """The voxel each of the (n, 3) points falls in (floor(p / leaf)), as
+        its int64 code (`_packing`) and its row of `keys`; -1 for both where
+        the key lies outside the keys' box, which is never packed, and a row
+        of -1 where no voxel has the code.
+
+        `last` is the (codes, rows) of an earlier lookup of as many points on
+        the grid as it is now: only the points whose code differs from it are
+        searched again, and the rows are the ones a fresh lookup gives.
+        """
+        n = len(points)
+        if not len(self):
+            return np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.intp)
+        if self._packed is None:
+            self._packed = _packing(self.keys, 0)       # add made sure it fits
+        table, pack, lo, hi = self._packed
+        idx = np.floor(points / self.leaf)
+        # Every key is a floor cast to int64, so lo and hi are exact as floats;
+        # NaN fails the comparisons and lies outside.
+        inside = np.logical_and.reduce([(c >= a) & (c <= b) for c, a, b in zip(idx.T, lo, hi)])
+        code = np.full(n, -1, dtype=np.int64)
+        key = np.compress(inside, idx, axis=0).astype(np.int64)
+        code[inside] = pack(key[:, 0] - lo[0], key[:, 1] - lo[1], key[:, 2] - lo[2])
+        if last is None:
+            rows, todo = np.empty(n, dtype=np.intp), slice(None)
+        else:
+            rows, todo = last[1].copy(), np.flatnonzero(code != last[0])
+        want = code[todo]
+        at = np.searchsorted(table, want)
+        rows[todo] = np.where(table.take(at, mode="clip") == want, at, -1)
+        return code, rows
 
     def cloud(self) -> PointCloud:
         """The voxel means, one point per voxel in voxel order. Normals are

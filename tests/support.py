@@ -5,7 +5,7 @@ k-NN normals, eigh normals, the mask-per-step strip binning, the per-window
 strip sweep, per-patch poses, the dict-per-record path file writer and reader,
 the full-row traj.csv and per-row shots.csv writers, the DictReader shots
 reader, the per-point SVG overview, the simulator's tick loop over a segment,
-the full-query ICP objective, the full-draw Monte Carlo coverage and the
+the key-dict voxel lookup, the fresh-lookup ICP, the full-draw Monte Carlo coverage and the
 tree-queried chunked count, the stack-every-column PLY parser and the
 record-array PLY writer, the scalar point-in-polygon test and pixel
 projection, the unculled region assignment) that the fast versions are tested
@@ -34,7 +34,6 @@ from facelaser.errors import (
     DegenerateNormal,
     FacelaserError,
     InvalidParam,
-    NoCorrespondences,
     ParseError,
 )
 from facelaser.geometry import (
@@ -340,31 +339,33 @@ def loop_grid_normals(cloud: PointCloud, leaf: float, viewpoint):
     return normals[inverse], covs, np.linalg.eigvalsh(covs), counts
 
 
-def full_query_plane_rmse(src: np.ndarray, nearest, tgt_pos: np.ndarray,
-                          tgt_nrm: np.ndarray):
-    """registration._plane_rmse with a fresh kd-tree query of every source
-    row, k=1 and bounded one ulp above the gate, at every evaluation: the
-    oracle of the cached matches. `nearest` gives only its tree and gate."""
-    tree, gate = nearest.tree, nearest.gate
-    if gate is None:
-        _, j = tree.query(src)
-        keep = np.ones(len(src), dtype=bool)
-    else:
-        dist, j = tree.query(src, distance_upper_bound=np.nextafter(gate, np.inf))
-        keep = dist <= gate
-        if not keep.any():
-            raise NoCorrespondences(f"gate {gate:.4g} m rejected all pairs")
-    p = src[keep]
-    q = tgt_pos[j[keep]]
-    n = tgt_nrm[j[keep]]
-    b = np.einsum("ij,ij->i", p - q, n)
-    return float(np.sqrt(np.mean(b * b))), p, q, n, b
+def dict_lookup(grid: VoxelGrid, points: np.ndarray) -> tuple[list, list]:
+    """Each point's voxel row by a dict of the grid's keys, -1 where none,
+    and whether its key lies in the keys' box, in Python integers."""
+    rows = {tuple(key): row for row, key in enumerate(grid.keys.tolist())}
+    lo, hi = grid.keys.min(axis=0).tolist(), grid.keys.max(axis=0).tolist()
+    want_rows, inside = [], []
+    for p in (points / grid.leaf).tolist():
+        key = tuple(math.floor(c) if math.isfinite(c) else None for c in p)
+        inside.append(None not in key and all(a <= k <= b for k, a, b in zip(key, lo, hi)))
+        want_rows.append(rows.get(key, -1))
+    return want_rows, inside
 
 
-def full_query_icp(*args, **kwargs) -> registration.IcpResult:
-    """icp_point_to_plane evaluating full_query_plane_rmse in place of the
-    cached objective."""
-    with mock.patch.object(registration, "_plane_rmse", full_query_plane_rmse):
+def model_grid(cloud: PointCloud, leaf: float) -> VoxelGrid:
+    """The VoxelGrid at `leaf` of one cloud: an ICP target."""
+    grid = VoxelGrid(leaf)
+    grid.add(cloud)
+    return grid
+
+
+def fresh_lookup_icp(*args, **kwargs) -> registration.IcpResult:
+    """icp_point_to_plane with every evaluation looking up every source
+    point afresh (VoxelGrid.lookup without `last`): the oracle of the
+    row cache."""
+    lookup = VoxelGrid.lookup
+    with mock.patch.object(VoxelGrid, "lookup", lambda grid, points, last=None:
+                           lookup(grid, points)):
         return registration.icp_point_to_plane(*args, **kwargs)
 
 

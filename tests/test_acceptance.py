@@ -55,6 +55,7 @@ from support import (
     canonical_landmarks,
     ellipsoid_cloud,
     face_cloud,
+    model_grid,
     plane_grid,
     point_in_polygon,
     straight_path,
@@ -204,7 +205,9 @@ def test_criterion_05_icp_recovers_known_transform():
     # (<=10 deg, <=10 mm) disturbance envelope.
     pert = RigidTransform(axis_angle_to_rotation(axis * math.radians(8.0)),
                           np.array([0.005, -0.004, 0.007]))
-    res = icp_point_to_plane(target.transformed(pert), target)
+    # ICP pairs each point with the voxel it falls in; at the 2 mm default
+    # leaf each voxel holds one target point.
+    res = icp_point_to_plane(target.transformed(pert), model_grid(target, 0.002))
     expect = pert.invert()
     rot_err = math.degrees(np.linalg.norm(rotation_to_axis_angle(
         res.transform.rotation @ expect.rotation.T)))

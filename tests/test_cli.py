@@ -662,6 +662,20 @@ class TestRegisterBareViews:
         radius = np.linalg.norm(model / RADII, axis=1)
         assert np.abs(radius - 1.0).max() * min(RADII) < 0.1 * self.LEAF
 
+    def test_exact_views_do_not_slide(self):
+        """Noise-free views at exact poses stay put: with leaf-grid normals
+        at the 2 mm default leaf, each ICP transform moves its view's points
+        by at most 0.1 mm (0.03-0.05 mm here; nearest-point pairing slid
+        them 0.34-0.67 mm along the surface)."""
+        views, poses = ellipsoid_views(40000, min_cos=0.2)
+        bare = [estimate_normals(PointCloud(v.positions), 0.002, np.zeros(3)) for v in views]
+        log = []
+        merge_views(bare, poses, 0.002, icp_log=log)
+        base_inv = poses[0].invert()
+        for view, pose, res in zip(bare[1:], poses[1:], log):
+            pre = view.transformed(base_inv.compose(pose)).positions
+            assert np.linalg.norm(res.transform.apply(pre) - pre, axis=1).max() <= 1e-4
+
     @pytest.mark.parametrize("points", [
         [[0.0, 0.0, 0.2], [0.01, 0.0, 0.2], [0.0, 0.01, 0.2]],
         [0.0005, 0.0005, 0.2005] + 0.0004 * fibonacci_sphere(50),
@@ -684,7 +698,7 @@ def test_register_view_out_of_the_gate_names_it(workdir, capsys):
     code = register(workdir, names)
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "rejected all pairs" in err
+    assert err.startswith("error: ") and "no source point fell in a model voxel" in err
     assert f"{names[2]}: " in err and str(names[1]) not in err
     assert not (workdir / "merged.ply").exists()
 
@@ -703,7 +717,7 @@ def test_register_view_error_beats_an_earlier_icp_error(workdir, capsys, bad):
     assert register(workdir, names) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{names[2]}: " in err
-    assert str(names[1]) not in err and "rejected all pairs" not in err
+    assert str(names[1]) not in err and "model voxel" not in err
     assert not (workdir / "merged.ply").exists()
 
 

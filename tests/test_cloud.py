@@ -30,6 +30,7 @@ from facelaser.geometry import RigidTransform, rotation_about_x
 from support import (
     RestackedVoxelGrid,
     axis0_packing,
+    dict_lookup,
     eigh_normals,
     face_cloud,
     fibonacci_sphere,
@@ -860,6 +861,46 @@ def test_packing_box_matches_axis0_reduce(case):
             assert got[0].tobytes() == want[0].tobytes()
             for move in ((1, 0, 0), (0, -1, 0), (0, 0, 1), (-reach, reach, -reach)):
                 assert got[1](*move) == want[1](*move)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(neighbour_grids(), st.integers(0, 2**32 - 1))
+def test_lookup_matches_a_key_dict(case, seed):
+    """VoxelGrid.lookup finds each point's voxel row as a dict of the keys
+    does, -1 where no voxel holds it, at keys up to +-2**62 and -2**63; a
+    point outside the keys' box, or not finite, has code -1. Given an
+    earlier lookup of other points as `last`, it returns the fresh codes
+    and rows."""
+    parts, _, _ = case
+    if (built := neighbour_grid(parts, 1, False)) is None:
+        return
+    grid, _ = built
+    rng = np.random.default_rng(seed)
+    near = grid.keys[rng.integers(0, len(grid), 60)].astype(float)
+    # Voxel corners (on faces), inner points, and neighbours up to two out.
+    near += rng.integers(-2, 3, near.shape) + rng.choice([0.0, 0.25, 0.5], near.shape)
+    odd = np.array([[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf],
+                    [1e300, 0.0, 0.0], [-1e300, -1e300, -1e300], [2.0**63, 0.0, 0.0]])
+    points = np.vstack([near, odd])
+    codes, rows = grid.lookup(points)
+    want_rows, inside = dict_lookup(grid, points)
+    assert rows.tolist() == want_rows
+    assert ((codes >= 0) == np.array(inside)).all()
+    earlier = grid.lookup(points[rng.permutation(len(points))])
+    again = grid.lookup(points, earlier)
+    assert again[0].tobytes() == codes.tobytes() and again[1].tobytes() == rows.tobytes()
+
+
+def test_lookup_follows_the_grid():
+    """A lookup after another add finds the voxels that add made and the
+    rows it moved; an empty grid holds no point."""
+    grid = VoxelGrid(1.0)
+    points = np.array([[0.5, 0.5, 0.5], [3.5, 0.5, 0.5], [-1.5, 0.5, 0.5]])
+    assert grid.lookup(points)[1].tolist() == [-1, -1, -1]
+    grid.add(PointCloud(points[:2]))
+    assert grid.lookup(points)[1].tolist() == [0, 1, -1]
+    grid.add(PointCloud(points[2:]))
+    assert grid.lookup(points)[1].tolist() == [1, 2, 0]
 
 
 def grid_paths(cloud: PointCloud, leaf: float) -> tuple[bool, bool]:

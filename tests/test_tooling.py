@@ -12,7 +12,7 @@ from facelaser.cloud import PointCloud, estimate_normals, save_ply, voxel_downsa
 from facelaser.geometry import RigidTransform, axis_angle_to_rotation
 from facelaser.registration import icp_point_to_plane
 
-from support import ellipsoid_cloud
+from support import ellipsoid_cloud, model_grid
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -45,7 +45,8 @@ def _register_call(name):
     source = target.transformed(RigidTransform(
         axis_angle_to_rotation(np.array([0.02, -0.01, 0.03])),
         np.array([0.002, 0.0, -0.001])))
-    res = icp_point_to_plane(source, target)
+    grid = model_grid(target, 0.006)
+    res = icp_point_to_plane(source, grid)
     down = voxel_downsample(target, 0.02)
     return {
         "cloud.estimate_normals": (
@@ -56,7 +57,7 @@ def _register_call(name):
             {"cloud.voxel_downsample.in_points": len(target),
              "cloud.voxel_downsample.out_points": len(down)}),
         "registration.icp_point_to_plane": (
-            icp_point_to_plane, (source, target),
+            icp_point_to_plane, (source, grid),
             {"registration.icp_point_to_plane.iterations": res.iterations,
              "registration.icp_point_to_plane.converged": int(res.converged),
              "registration.icp_point_to_plane.final_rmse_max": res.rmse}),
