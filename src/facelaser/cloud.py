@@ -256,11 +256,10 @@ def _packing(keys: np.ndarray, pad: int, scale: int = 1):
     and a key moved by up to `pad` on each axis packs to no key's code but
     its own. Returns the codes and the function that packs such a move (no
     codes for no keys), or None when the keys' box is too wide for every code
-    in it, moved or times `scale`, to fit in int64. The box's corners
-    (lo, hi), as lists of ints, come last (None for no keys).
+    in it, moved or times `scale`, to fit in int64.
     """
     if not len(keys):
-        return keys[:, 0], lambda dx, dy, dz: 0, None, None
+        return keys[:, 0], lambda dx, dy, dz: 0
     # Python ints, so that the size check itself cannot overflow. One reduce
     # per column: numpy's axis-0 reduce of (n, 3) rows is ~15 times slower.
     lo, hi = [int(c.min()) for c in keys.T], [int(c.max()) for c in keys.T]
@@ -268,7 +267,7 @@ def _packing(keys: np.ndarray, pad: int, scale: int = 1):
     if (hi[0] - lo[0] + 2 + pad) * sy * sz * scale > 2**63:
         return None
     code = ((keys[:, 0] - lo[0]) * sy + (keys[:, 1] - lo[1])) * sz + (keys[:, 2] - lo[2])
-    return code, lambda dx, dy, dz: (dx * sy + dy) * sz + dz, lo, hi
+    return code, lambda dx, dy, dz: (dx * sy + dy) * sz + dz
 
 
 _TOO_WIDE = "voxel keys span too many leaves for an int64 code"
@@ -295,7 +294,7 @@ class VoxelGrid:
         self.leaf = leaf
         self.keys = np.empty((0, 3), dtype=np.int64)
         self.sums: dict[str, np.ndarray] = {}
-        self._packed = None          # `lookup`'s packing of `keys`, made on first use
+        self._packed = None          # `lookup`'s packing and box of `keys`, made on first use
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -373,7 +372,7 @@ class VoxelGrid:
         packed = _packing(self.keys, reach)
         if packed is None:
             raise ValueError(_TOO_WIDE)
-        table, pack = packed[:2]
+        table, pack = packed
         # Blocks of pairs in move order: each voxel's partners come in that
         # order, whatever the order between voxels.
         moves = list(itertools.product(range(-reach, reach + 1), repeat=3))
@@ -408,7 +407,9 @@ class VoxelGrid:
         if not len(self):
             return np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.intp)
         if self._packed is None:
-            self._packed = _packing(self.keys, 0)       # add made sure it fits
+            # add made sure the keys fit. One reduce per column, as in _packing.
+            self._packed = (*_packing(self.keys, 0), [int(c.min()) for c in self.keys.T],
+                            [int(c.max()) for c in self.keys.T])
         table, pack, lo, hi = self._packed
         idx = np.floor(points / self.leaf)
         # Every key is a floor cast to int64, so lo and hi are exact as floats;
@@ -426,24 +427,26 @@ class VoxelGrid:
         rows[todo] = np.where(table.take(at, mode="clip") == want, at, -1)
         return code, rows
 
-    def cloud(self) -> PointCloud:
+    def cloud(self, colors: bool = True) -> PointCloud:
         """The voxel means, one point per voxel in voxel order. Normals are
-        renormalized (zero where they cancel), colors rounded."""
+        renormalized (zero where they cancel), colors rounded, or left out
+        with colors=False."""
         if len(self) == 0:
             raise EmptyCloud("the voxel grid is empty")
         counts = self.sums["count"]
         positions = self.sums["positions"] / counts
         normals = None
         if "normals" in self.sums:
-            normals = self.sums["normals"] / counts
-            norms = norms_by_column(normals)
-            safe = norms > 1e-12
-            normals[safe] /= norms[safe, None]
-            normals[~safe] = 0.0
-        colors = None
-        if "colors" in self.sums:
-            colors = np.rint(self.sums["colors"] / counts).astype(np.uint8)
-        return PointCloud(positions, normals, colors)
+            mean = self.sums["normals"] / counts
+            norms = norms_by_column(mean)
+            # One masked divide: a boolean row selection of the (n, 3) means
+            # and its write-back take several times longer.
+            normals = np.divide(mean, norms[:, None], out=np.zeros_like(mean),
+                                where=(norms > 1e-12)[:, None])
+        rgb = None
+        if colors and "colors" in self.sums:
+            rgb = np.rint(self.sums["colors"] / counts).astype(np.uint8)
+        return PointCloud(positions, normals, rgb)
 
 
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:

@@ -45,7 +45,7 @@ def _register_call(name):
     source = target.transformed(RigidTransform(
         axis_angle_to_rotation(np.array([0.02, -0.01, 0.03])),
         np.array([0.002, 0.0, -0.001])))
-    grid = model_grid(target, 0.006)
+    grid = model_grid(target, 0.002)
     res = icp_point_to_plane(source, grid)
     down = voxel_downsample(target, 0.02)
     return {
