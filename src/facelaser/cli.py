@@ -69,7 +69,6 @@ class RunConfig:
     obliquity_correction: bool = PlannerConfig.obliquity_correction
     orientation: str = PlannerConfig.orientation
     mc_samples: int = 1_000_000
-    gate_multiplier: float = 10.0
     point_timeout_s: float = SimConfig.point_timeout
     sensor_ring_radius_m: float = SensorRig.ring_radius
     sensor_offset_m: float = SensorRig.offset
@@ -215,19 +214,14 @@ def cmd_register(args, cfg: RunConfig) -> int:
         views = pool.map(functools.partial(_read_view, leaf=leaf), args.views)
         try:
             try:
-                merged = merge_views(views, poses, leaf, gate_multiplier=cfg.gate_multiplier,
-                                     icp_log=log)
-            except (InvalidParam, NoCorrespondences, ValueError):
+                merged = merge_views(views, poses, leaf, icp_log=log)
+            except (NoCorrespondences, ValueError):
                 # A view that cannot be read beats an earlier view's merge
                 # error, as if every view were read before any ICP: read the
                 # rest, so that the first of them to fail raises its error.
                 for _ in views:
                     pass
                 raise
-        except InvalidParam as exc:
-            if exc.name != "gate_multiplier":
-                raise
-            raise ConfigError(f"{exc} (config key: gate_multiplier)") from exc
         except NoCorrespondences as exc:
             raise NoCorrespondences(f"{args.views[exc.view]}: {exc}") from exc
         except ValueError as exc:

@@ -39,7 +39,7 @@ class InvalidParam(FacelaserError):
 
 
 class NoCorrespondences(FacelaserError):
-    """Distance gate rejected every candidate pair."""
+    """No source point fell in a target voxel, so ICP has nothing to pair."""
 
 
 class MalformedLandmarks(FacelaserError):

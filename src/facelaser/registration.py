@@ -43,16 +43,18 @@ ICP_LINE_SEARCH_STEPS = 4
 # ICP pairs a point only with the model voxel it falls in, so one level
 # captures a view only within about a leaf of its place. merge_views first
 # aligns each view against coarser grids of the model, at leaf * 2**k for k
-# from ICP_COARSE_LEVELS down to 1 (none coarser than the gate), stopping
-# each once an iteration changes its rmse by less than ICP_COARSE_TOL
-# relative. On the benchmark's scan_60k views (seeds 1-10, 2 mm leaf, 20 mm
-# gate) with the injected pose error scaled from 1x (3 mm, 1 deg) to 3.33x
-# (10 mm, 3.3 deg), the leaf alone left a view 30-65 mm off, or paired no
-# point, at every seed from 2x on, and one 16 mm level before it lost a
-# view at 3.33x; these levels placed every view within 0.12 mm of its true
-# pose, and a 1e-3 tolerance only took more steps.
+# from ICP_COARSE_LEVELS down to 1, stopping each once an iteration changes
+# its rmse by less than ICP_COARSE_TOL relative. On the benchmark's scan_60k
+# views (seeds 1-10, 2 mm leaf) with the injected pose error scaled from 1x
+# (3 mm, 1 deg) to 3.33x (10 mm, 3.3 deg), the leaf alone left a view
+# 30-65 mm off, or paired no point, at every seed from 2x on, and one 16 mm
+# level before it lost a view at 3.33x; these levels placed every view
+# within 0.12 mm of its true pose, and a 1e-3 tolerance only took more steps.
 ICP_COARSE_LEVELS = 3
 ICP_COARSE_TOL = 1e-2
+
+# The iteration cap of every ICP level in merge_views.
+ICP_MAX_ITER = 30
 
 
 def estimate_viewpoints(face_pose: RigidTransform, d_min: float, phi_step: float,
@@ -100,25 +102,18 @@ class IcpResult:
     rmse_history: list = field(default_factory=list)
 
 
-def _plane_rmse(src: np.ndarray, target: VoxelGrid, model: PointCloud,
-                gate: float | None, last):
+def _plane_rmse(src: np.ndarray, target: VoxelGrid, model: PointCloud, last):
     """The point-to-plane rmse of `src` against the target voxels its points
-    fall in, with the kept points, their voxels' normals (from `model`, the
+    fall in, with the paired points, their voxels' normals (from `model`, the
     target's cloud), the residuals, and the lookup to pass as `last` next
-    time. A pair farther apart than `gate` is ignored."""
+    time."""
     found = target.lookup(src, last)
     # take, not fancy indexing: several times faster on (n, 3) rows.
     keep = np.flatnonzero(found[1] >= 0)
+    if not len(keep):
+        raise NoCorrespondences("no source point fell in a model voxel")
     p, j = src.take(keep, axis=0), found[1].take(keep)
     d = p - model.positions.take(j, axis=0)
-    # A point and its voxel's mean lie in one leaf cube, at most sqrt(3)
-    # leaves apart, so a gate of two leaves or more ignores no pair.
-    if gate is not None and gate < 2.0 * target.leaf:
-        near = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", d, d)) <= gate)
-        p, j, d = p.take(near, axis=0), j.take(near), d.take(near, axis=0)
-    if not len(p):
-        within = "" if gate is None else f" within the {gate:.4g} m gate"
-        raise NoCorrespondences(f"no source point fell in a model voxel{within}")
     n = model.normals.take(j, axis=0)
     b = np.einsum("ij,ij->i", d, n)
     return float(np.sqrt(np.mean(b * b))), p, n, b, found
@@ -126,16 +121,16 @@ def _plane_rmse(src: np.ndarray, target: VoxelGrid, model: PointCloud,
 
 def icp_point_to_plane(source: PointCloud, target: VoxelGrid,
                        init: RigidTransform | None = None, max_iter: int = 50,
-                       tol: float = 1e-10, gate: float | None = None) -> IcpResult:
+                       tol: float = 1e-10) -> IcpResult:
     """Point-to-plane ICP aligning source onto a voxel grid's model (the grid
     must hold normals).
 
     Each iteration pairs every transformed source point with the mean and
-    normal of the target voxel it falls in, if any (optionally distance-
-    gated): a lookup, not a nearest-point search (Koide et al., "Voxelized
-    GICP for Fast and Accurate 3D Point Cloud Registration", ICRA 2021). It
-    linearizes the rotation around the current estimate and solves the 6x6
-    normal equations for the twist [omega, t]. The update is backtracked
+    normal of the target voxel it falls in, if any: a lookup, not a
+    nearest-point search (Koide et al., "Voxelized GICP for Fast and
+    Accurate 3D Point Cloud Registration", ICRA 2021). It linearizes the
+    rotation around the current estimate and solves the 6x6 normal
+    equations for the twist [omega, t]. The update is backtracked
     (halved, at most ICP_LINE_SEARCH_STEPS trials) until the freshly
     re-evaluated objective does not increase, so the recorded rmse history is
     non-increasing; a trial step that pairs no point does not help either.
@@ -159,7 +154,7 @@ def icp_point_to_plane(source: PointCloud, target: VoxelGrid,
     t = init if init is not None else RigidTransform.identity()
     src0 = source.positions
 
-    rmse, p, n, b, found = _plane_rmse(t.apply(src0), target, model, gate, None)
+    rmse, p, n, b, found = _plane_rmse(t.apply(src0), target, model, None)
     history = [rmse]
     converged = False
     iterations = 0
@@ -178,7 +173,7 @@ def icp_point_to_plane(source: PointCloud, target: VoxelGrid,
             rot = axis_angle_to_rotation(step * x[:3])
             cand = RigidTransform(rot @ t.rotation, rot @ t.translation + step * x[3:])
             try:
-                cand_eval = _plane_rmse(cand.apply(src0), target, model, gate, found)
+                cand_eval = _plane_rmse(cand.apply(src0), target, model, found)
             except NoCorrespondences:
                 cand_eval = None        # a step that pairs nothing does not help
             if cand_eval is not None:
@@ -202,14 +197,14 @@ def icp_point_to_plane(source: PointCloud, target: VoxelGrid,
 
 def check_merge_leaf(leaf: float) -> None:
     """Raise InvalidParam unless merge_views can run at `leaf`: positive,
-    with ICP_SOURCE_LEAF_FACTOR * leaf finite."""
-    if not (0 < leaf and ICP_SOURCE_LEAF_FACTOR * leaf < np.inf):
-        raise InvalidParam(f"leaf must be positive, and {ICP_SOURCE_LEAF_FACTOR:g} times "
+    with its coarsest ICP grid's leaf, 2**ICP_COARSE_LEVELS * leaf, finite
+    (which bounds the ICP source's leaf too)."""
+    if not (0 < leaf and 2.0**ICP_COARSE_LEVELS * leaf < np.inf):
+        raise InvalidParam(f"leaf must be positive, and {2**ICP_COARSE_LEVELS} times "
                            f"it finite, not {leaf}")
 
 
 def merge_views(clouds: Iterable[PointCloud], poses: list[RigidTransform], leaf: float,
-                max_iter: int = 30, gate_multiplier: float = 10.0,
                 icp_log: list | None = None) -> PointCloud:
     """Fuse per-view clouds into one model in the first view's frame.
 
@@ -218,11 +213,10 @@ def merge_views(clouds: Iterable[PointCloud], poses: list[RigidTransform], leaf:
     and counted against `poses`, when it is reached. `poses` holds the
     base-frame view poses, one per cloud. Every cloud after the first is
     pre-aligned by its known pose relative to view 0, ICP-refined against
-    the model so far (pairs farther apart than gate_multiplier * leaf are
-    ignored), and added to it. Pass a list as icp_log to collect the
+    the model so far, and added to it. Pass a list as icp_log to collect the
     per-pair IcpResults at the leaf. An error raised for one view
     (NoCorrespondences, or the voxel grid's ValueError) carries that view's
-    index as `view`; a bad gate is an InvalidParam named "gate_multiplier".
+    index as `view`.
 
     The model is a VoxelGrid at `leaf`: per-voxel sums of the aligned
     full-resolution views, which each view joins once. It equals
@@ -230,17 +224,11 @@ def merge_views(clouds: Iterable[PointCloud], poses: list[RigidTransform], leaf:
     pairs the view downsampled at ICP_SOURCE_LEAF_FACTOR * leaf with the
     voxels of coarser grids first, coarsest first, then with the model's
     (ICP_COARSE_LEVELS); the coarser grids hold the aligned views at that
-    same downsampling. Both that leaf and the gate must be finite.
+    same downsampling. Each level runs at most ICP_MAX_ITER iterations.
     """
     check_merge_leaf(leaf)
-    gate = gate_multiplier * leaf
-    if not 0 < gate < np.inf:
-        raise InvalidParam(f"gate multiplier must be positive, and times the leaf "
-                           f"finite, not {gate_multiplier}", name="gate_multiplier")
-
     model = VoxelGrid(leaf)
-    coarse = [VoxelGrid(leaf * 2.0**k) for k in range(ICP_COARSE_LEVELS, 0, -1)
-              if leaf * 2.0**k <= gate]
+    coarse = [VoxelGrid(leaf * 2.0**k) for k in range(ICP_COARSE_LEVELS, 0, -1)]
     base_inv = poses[0].invert() if poses else None
     count = 0
     for i, view in enumerate(clouds):
@@ -258,9 +246,9 @@ def merge_views(clouds: Iterable[PointCloud], poses: list[RigidTransform], leaf:
             if i > 0:
                 t = None
                 for grid in coarse:
-                    t = icp_point_to_plane(small, grid, init=t, max_iter=max_iter,
-                                           tol=ICP_COARSE_TOL, gate=gate).transform
-                res = icp_point_to_plane(small, model, init=t, max_iter=max_iter, gate=gate)
+                    t = icp_point_to_plane(small, grid, init=t, max_iter=ICP_MAX_ITER,
+                                           tol=ICP_COARSE_TOL).transform
+                res = icp_point_to_plane(small, model, init=t, max_iter=ICP_MAX_ITER)
                 if icp_log is not None:
                     icp_log.append(res)
                 view, small = view.transformed(res.transform), small.transformed(res.transform)

@@ -101,12 +101,11 @@ class TestConfigHandling:
         ("voxel_leaf_m", "-1", "register"),
         ("voxel_leaf_m", "1e-30", "register"),
         ("voxel_leaf_m", "1e308", "register"),
-        ("gate_multiplier", "0", "register"),
-        ("gate_multiplier", "-1", "register"),
+        ("voxel_leaf_m", "5e307", "register"),
     ], ids=["nan-diameter", "nan-standoff", "inf-control-rate", "nan-timeout",
             "zero-samples", "negative-samples", "negative-seed",
             "control-rate-below-pulse-rate", "zero-leaf", "negative-leaf", "tiny-leaf",
-            "huge-leaf", "zero-gate", "negative-gate"])
+            "huge-leaf", "huge-coarse-grid-leaf"])
     def test_bad_value_exits_1(self, tmp_path, capsys, key, text, command):
         (tmp_path / "config.json").write_text(f'{{"{key}": {text}}}')
         (tmp_path / "paths.json").write_text(json.dumps([
@@ -126,6 +125,20 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key.removeprefix("mc_") in err
         assert not list(tmp_path.glob("out.*"))
+
+    def test_gate_multiplier_is_an_unknown_key(self, tmp_path, capsys):
+        """ICP has no distance gate: a config that sets gate_multiplier is
+        rejected as any unknown key is."""
+        (tmp_path / "config.json").write_text('{"gate_multiplier": 10.0}')
+        save_ply(plane_grid(0.01, 0.01), tmp_path / "view.ply")
+        (tmp_path / "poses.json").write_text(json.dumps([
+            {"translation": [0.0, 0.0, -0.25], "axis_angle": [0.0, 0.0, 0.0]}]))
+        code = run(tmp_path, "register", "--views", tmp_path / "view.ply",
+                   "--poses", tmp_path / "poses.json", "--out", tmp_path / "out.ply")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown config keys ['gate_multiplier']" in err
+        assert not (tmp_path / "out.ply").exists()
 
     @pytest.mark.parametrize("config, flags, source", [
         ({"mc_samples": 0}, [], "config key: mc_samples"),
@@ -164,7 +177,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Config keys whose default is a plain function default in the library.
 FUNCTION_DEFAULTS = {
-    "gate_multiplier": (merge_views, "gate_multiplier"),
     "viewpoint_arc_model": (estimate_viewpoints, "arc_model"),
     "mc_samples": (coverage_metrics, "samples"),
     "seed": (coverage_metrics, "seed"),
@@ -690,8 +702,9 @@ class TestRegisterBareViews:
         assert not (workdir / "merged.ply").exists()
 
 
-def test_register_view_out_of_the_gate_names_it(workdir, capsys):
-    """A view with no pair inside the ICP gate is named in the error."""
+def test_register_view_in_no_model_voxel_names_it(workdir, capsys):
+    """A view none of whose points falls in a model voxel is named in the
+    error."""
     views, _ = ellipsoid_views()
     views[2] = PointCloud(views[2].positions + [0.5, 0.0, 0.0], views[2].normals)
     names = save_views(workdir, views[:3])

@@ -25,7 +25,6 @@ from facelaser.geometry import (
 )
 from facelaser.registration import (
     IcpResult,
-    _plane_rmse,
     estimate_viewpoints,
     icp_point_to_plane,
     merge_views,
@@ -174,21 +173,11 @@ class TestIcp:
         full, half = tried[1] - tried[0], tried[2] - tried[0]
         assert np.abs(half - 0.5 * full).max() < 1e-2 * np.abs(full).max()
 
-    def test_gate_can_reject_everything(self):
+    def test_a_source_in_no_voxel_pairs_nothing(self):
         target = self.make_target(400)
         far = target.transformed(RigidTransform(np.eye(3), np.array([1.0, 0, 0])))
         with pytest.raises(NoCorrespondences, match="no source point fell in a model voxel"):
-            icp_point_to_plane(far, model_grid(target, self.LEAF), gate=0.01)
-
-    def test_gate_keeps_a_pair_at_exactly_the_gate(self):
-        """Both points fall in the one voxel; the first is exactly the gate
-        from its mean, the second one ulp farther."""
-        grid = model_grid(PointCloud([[0.25, 0.25, 0.25]], [[1.0, 0.0, 0.0]]), 1.0)
-        src = np.array([[0.75, 0.25, 0.25], [0.25, 0.25 + np.nextafter(0.5, 1.0), 0.25]])
-        rmse, p, n, b, (codes, rows) = _plane_rmse(src, grid, grid.cloud(), 0.5, None)
-        assert rows.tolist() == [0, 0]
-        assert np.array_equal(p, src[:1]) and np.array_equal(n, [[1.0, 0.0, 0.0]])
-        assert rmse == 0.5
+            icp_point_to_plane(far, model_grid(target, self.LEAF))
 
     def test_converging_pair_requeries_few_rows(self, monkeypatch):
         """Near convergence a step moves few points into another voxel, so
@@ -209,7 +198,7 @@ class TestIcp:
             return found
 
         monkeypatch.setattr(VoxelGrid, "lookup", counted_lookup)
-        res = icp_point_to_plane(source, target, gate=0.02)
+        res = icp_point_to_plane(source, target)
         assert res.converged and res.rmse < 2e-4
         assert len(searched) > 5
         assert sum(searched) < 0.5 * len(searched) * len(source)
@@ -241,55 +230,43 @@ def lattice(shape) -> np.ndarray:
 
 @st.composite
 def icp_cases(draw):
-    """Source, target grid, start pose and gate for ICP, of five kinds:
+    """Source, target grid, start pose and iteration cap for ICP, of four
+    kinds:
     - "face": lattice targets, one per voxel at its low corner, and sources
       on lattice points (voxel corners) and midpoints;
-    - "edge": sources straight above the lattice's top layer at exactly the
-      gate from their voxel's mean, or one ulp beyond;
-    - "drift": a moved copy of part of an ellipsoid, which starts partly
-      beyond the gate and drifts into it;
+    - "drift": a moved copy of part of an ellipsoid that starts more than a
+      leaf off, so that some evaluations pair no point;
     - "plane": a flat target, whose normal equations take the pinv branch;
-    - "free": an ellipsoid, a noisy moved copy and any gate, None included.
+    - "free": an ellipsoid and a noisy moved copy.
     """
-    kind = draw(st.sampled_from(["face", "edge", "drift", "plane", "free"]))
+    kind = draw(st.sampled_from(["face", "drift", "plane", "free"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     start = RigidTransform.identity()
     leaf = PITCH
-    if kind in ("face", "edge"):
+    if kind == "face":
         pos = lattice((6, 6, 3))
         normals = rng.normal(size=pos.shape)
         target = PointCloud(pos, normals / np.linalg.norm(normals, axis=1, keepdims=True))
         rows = rng.choice(len(pos), size=draw(st.integers(1, 60)))
-        if kind == "face":
-            src = pos[rows] + 0.5 * PITCH * rng.integers(0, 3, size=(len(rows), 3))
-            gate = draw(st.sampled_from([None, 0.5 * PITCH, PITCH, 3.0 * PITCH]))
-            if draw(st.booleans()):
-                start = perturbation(rng.normal(0.0, 1e-3, 3), rng.normal(0.0, 1e-4, 3))
-        else:
-            gate = draw(st.sampled_from([0.25, 0.5, 0.75])) * PITCH
-            src = pos[rows] * [1.0, 1.0, 0.0] + [0.0, 0.0, 2.0 * PITCH + gate]
-            beyond = rng.random(len(src)) < 0.3
-            src[beyond, 2] = np.nextafter(src[beyond, 2], np.inf)
-        source = PointCloud(src)
+        source = PointCloud(pos[rows] + 0.5 * PITCH * rng.integers(0, 3, size=(len(rows), 3)))
+        if draw(st.booleans()):
+            start = perturbation(rng.normal(0.0, 1e-3, 3), rng.normal(0.0, 1e-4, 3))
     elif kind == "plane":
         target = plane_grid(0.02, 0.02, 0.001, 0.001, tilt=draw(st.floats(-0.5, 0.5)))
         pert = perturbation(rng.normal(0.0, 0.02, 3), rng.normal(0.0, 0.002, 3))
         source = target.select(rng.random(len(target)) < 0.5).transformed(pert)
-        gate = draw(st.sampled_from([None, 0.005, 0.02]))
         leaf = draw(st.sampled_from([0.002, 0.004]))
     else:
         target = ellipsoid_cloud(draw(st.integers(50, 800)), radii=(0.09, 0.12, 0.07),
                                  front_only=True)
+        leaf = draw(st.sampled_from([0.01, 0.02, 0.04]))
         offset = rng.normal(0.0, 0.01, 3)
+        if kind == "drift":
+            offset *= draw(st.floats(1.0, 3.0)) * leaf / float(np.linalg.norm(offset))
         pert = perturbation(rng.normal(0.0, 0.03, 3), offset)
         source = target.select(rng.random(len(target)) < 0.6).transformed(pert)
         source = PointCloud(source.positions + rng.normal(0.0, 1e-4, (len(source), 3)))
-        if kind == "drift":
-            gate = draw(st.floats(0.3, 1.5)) * float(np.linalg.norm(offset))
-        else:
-            gate = draw(st.one_of(st.none(), st.floats(0.002, 0.05)))
-        leaf = draw(st.sampled_from([0.01, 0.02, 0.04]))
-    return source, model_grid(target, leaf), start, gate, draw(st.integers(1, 25))
+    return source, model_grid(target, leaf), start, draw(st.integers(1, 25))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -299,14 +276,14 @@ def test_cached_rows_give_the_fresh_lookup_result(case):
     returns, bit for bit, what looking up every source point at every
     evaluation returns: the same transform, rmse history, iteration count
     and convergence, or the same error."""
-    source, target, start, gate, max_iter = case
+    source, target, start, max_iter = case
     try:
-        want = fresh_lookup_icp(source, target, init=start, max_iter=max_iter, gate=gate)
+        want = fresh_lookup_icp(source, target, init=start, max_iter=max_iter)
     except NoCorrespondences as exc:
         with pytest.raises(NoCorrespondences, match=re.escape(str(exc))):
-            icp_point_to_plane(source, target, init=start, max_iter=max_iter, gate=gate)
+            icp_point_to_plane(source, target, init=start, max_iter=max_iter)
         return
-    got = icp_point_to_plane(source, target, init=start, max_iter=max_iter, gate=gate)
+    got = icp_point_to_plane(source, target, init=start, max_iter=max_iter)
     assert np.array_equal(got.transform.rotation, want.transform.rotation)
     assert np.array_equal(got.transform.translation, want.transform.translation)
     assert got.rmse_history == want.rmse_history
@@ -402,28 +379,13 @@ class TestMergeViews:
         _, poses, views = self.make_scene(n=8000, noise=2e-4)
         log = []
         merge_views(views, poses, leaf=self.LEAF, icp_log=log)
-        # Three coarser levels (32, 16 and 8 mm, inside the 40 mm gate), then the leaf.
+        # Three coarser levels (32, 16 and 8 mm), then the leaf.
         levels = registration.ICP_COARSE_LEVELS + 1
         assert len(calls) == levels * (len(views) - 1)
         assert all(got is res for (_, got), res in zip(calls[levels - 1::levels], log))
         for count, res in calls:
             assert count <= 1 + 4 * res.iterations
         assert all(res.converged for res in log)
-
-    def test_coarser_levels_stay_inside_the_gate(self, monkeypatch):
-        """A grid coarser than the gate is skipped: with a gate of 2.5
-        leaves, only the leaf and the two-leaf grid align each view."""
-        leaves = []
-        icp = registration.icp_point_to_plane
-
-        def leaf_of_target(source, target, **kwargs):
-            leaves.append(target.leaf)
-            return icp(source, target, **kwargs)
-
-        monkeypatch.setattr(registration, "icp_point_to_plane", leaf_of_target)
-        _, poses, views = self.make_scene()
-        merge_views(views, poses, leaf=self.LEAF, gate_multiplier=2.5)
-        assert leaves == [2.0 * self.LEAF, self.LEAF] * (len(views) - 1)
 
     def test_pose_count_mismatch(self):
         _, poses, views = self.make_scene()
@@ -447,19 +409,13 @@ class TestMergeViews:
         with pytest.raises(ValueError):
             merge_views([views[0], bare, views[2]], poses, leaf=self.LEAF)
 
-    @pytest.mark.parametrize("multiplier", [0.0, -1.0, np.nan])
-    def test_gate_multiplier_must_be_positive(self, multiplier):
+    @pytest.mark.parametrize("leaf", [1e308, 5e307], ids=["icp-leaf", "coarse-grid-leaf"])
+    def test_overflowing_scale_rejected_before_any_view(self, leaf):
+        """A leaf whose coarsest ICP grid, at 8 leaves, overflows is rejected,
+        even when the source's 2-leaf grid does not (5e307)."""
         _, poses, views = self.make_scene()
-        with pytest.raises(InvalidParam, match="gate multiplier"):
-            merge_views(views[:1], poses[:1], leaf=self.LEAF, gate_multiplier=multiplier)
-
-    @pytest.mark.parametrize("leaf, multiplier, match", [
-        (1e308, 10.0, "leaf must be"), (1e300, 1e10, "gate multiplier")],
-        ids=["icp-leaf", "gate"])
-    def test_overflowing_scale_rejected_before_any_view(self, leaf, multiplier, match):
-        _, poses, views = self.make_scene()
-        with pytest.raises(InvalidParam, match=match) as exc:
-            merge_views(views, poses, leaf=leaf, gate_multiplier=multiplier)
+        with pytest.raises(InvalidParam, match="leaf must be") as exc:
+            merge_views(views, poses, leaf=leaf)
         assert not hasattr(exc.value, "view")
 
     def test_no_views(self):
