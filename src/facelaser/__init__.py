@@ -22,7 +22,6 @@ from .geometry import (
     PoseVector6,
     RigidTransform,
     axis_angle_to_rotation,
-    face_pose_from_eyes,
     interpolate_rotation,
     project_points,
     rotation_from_normal,

@@ -66,12 +66,6 @@ class RigidTransform:
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
 
-    def as_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """self applied after other's frame embedding: (self o other)(x) = self(other(x))."""
         return RigidTransform(
@@ -119,16 +113,19 @@ class PoseVector6:
 
 def parse_pose(doc, source) -> RigidTransform:
     """The pose of a {"translation", "axis_angle"} document; ParseError names
-    `source` when a field is missing or a value is not a finite number."""
+    `source` when a field is missing, a value is not a finite number, or the
+    axis_angle is too long for its norm to be finite (past ~1.3e154)."""
     try:
         psi = PoseVector6(doc["translation"], doc["axis_angle"])
     except KeyError as exc:
         raise ParseError(f"{source}: pose without {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{source}: {exc}") from exc
-    if not (np.isfinite(psi.position).all() and np.isfinite(psi.axis_angle).all()):
-        raise ParseError(f"{source}: non-finite pose value")
-    return psi.to_transform()
+    with np.errstate(over="ignore", invalid="ignore"):
+        pose = psi.to_transform()           # NaN once the axis_angle norm overflows
+    if not (np.isfinite(psi.position).all() and np.isfinite(pose.rotation).all()):
+        raise ParseError(f"{source}: non-finite pose value or rotation")
+    return pose
 
 
 @dataclass
@@ -147,27 +144,6 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
-
-
-def face_pose_from_eyes(d_l: Vec3, d_r: Vec3) -> RigidTransform:
-    """Face frame from the two detected eye positions in camera coordinates.
-
-    Origin is the eye midpoint; x points from the origin through the right
-    eye, y completes [0,0,1] x x, z = x cross y.
-    """
-    d_l = np.asarray(d_l, dtype=float)
-    d_r = np.asarray(d_r, dtype=float)
-    baseline = d_r - d_l
-    if np.linalg.norm(baseline) < 1e-6:
-        raise DegenerateInput("eye positions coincide")
-    origin = 0.5 * (d_l + d_r)
-    alpha = unit(d_r - origin)
-    c = np.cross(Z_AXIS, alpha)
-    if np.linalg.norm(c) < 1e-9:
-        raise DegenerateInput("eye baseline is parallel to the optical axis")
-    beta = c / np.linalg.norm(c)
-    gamma = unit(np.cross(alpha, beta))
-    return RigidTransform(np.column_stack([alpha, beta, gamma]), origin)
 
 
 def rotation_from_normal(eta: Vec3, reference: Vec3 = Y_AXIS) -> np.ndarray:

@@ -63,16 +63,6 @@ class FaceLandmarks:
         except (KeyError, TypeError, ValueError, OverflowError, MalformedLandmarks) as exc:
             raise MalformedLandmarks(f"bad landmark file {path}: {exc}") from exc
 
-    def to_json(self, path) -> None:
-        doc = {
-            "points": [[float(u), float(v)] for u, v in self.points],
-            "width": self.width,
-            "height": self.height,
-        }
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
-
 
 @dataclass
 class RegionPolygon:

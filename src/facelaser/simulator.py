@@ -21,17 +21,15 @@ A segment is evaluated in blocks, not tick by tick. Between two events (the
 head leaving the dead-band, a point timeout, the guard engaging) every leg
 is a straight line at max_speed, so the ticks of all the segment's remaining
 legs are built in one array pass: one clock, the positions, the travel and
-the trigger, with one pass per shot bounded to its strip. Each block checks
-the dead-band on the starts of its own ticks in one call, up to the first
-one at or after the motion script's last keyframe, from which on the head
-stands still. The shots of a block get their rotations in one stacked
-slerp. The guard does not change that until it engages: the repulsive
+the trigger, with one pass per shot bounded to its strip, and one dead-band
+check. The guard does not change that until it engages: the repulsive
 velocity is exactly zero while the fused distance is at least l_min (Khatib,
 IJRR 5(1), 1986). So a guarded block casts the sensor rays of each leg's
 ticks in one batch, keeps the ticks before the first one whose distance is
 below l_min, and steps tick by tick from there to the end of that leg,
-because from then on the guard's feedback can bend the path. The tick loop
-is the reference the blocks are tested against.
+because from then on the guard's feedback can bend the path. There `step`
+moves the tool and feeds the guard; the ticks are logged, and the dead-band
+checked, by the blocks' code. This tick loop is the blocks' reference.
 """
 
 from __future__ import annotations
@@ -47,6 +45,7 @@ from .errors import (
     AbortedOnSafety,
     ContactError,
     EmptyLog,
+    FacelaserError,
     InvalidParam,
     MissingField,
     ParseError,
@@ -258,8 +257,9 @@ class MotionScript:
         self.poses = list(poses)
         if len(self.times) != len(self.poses) or len(self.poses) == 0:
             raise InvalidParam("need equally many times and poses, at least one")
-        if np.any(np.diff(self.times) <= 0):
-            raise InvalidParam("keyframe times must be strictly increasing")
+        if not math.isfinite(float(self.times[-1]) - float(self.times[0])) \
+                or np.any(np.diff(self.times) <= 0):
+            raise InvalidParam("keyframe times must be strictly increasing, over a finite span")
         self._translations = np.array([p.translation for p in self.poses])
         # Over keyframe interval i the rotation is R_i exp(phi K_i), phi going
         # from 0 to the interval's angle about the unit axis whose cross
@@ -278,8 +278,9 @@ class MotionScript:
     def from_json(cls, path) -> "MotionScript":
         """Keyframes as [{"t_s": .., "translation": [..], "axis_angle": [..]}].
 
-        Raises ParseError for text that is not JSON, a keyframe that lacks a
-        field, and values that are not finite numbers.
+        Raises ParseError, naming the file, for text that is not JSON, a
+        keyframe that lacks a field, values that are not finite numbers, and
+        keyframes the constructor rejects.
         """
         try:
             with open(path, "r", encoding="utf-8") as f:
@@ -291,7 +292,10 @@ class MotionScript:
             raise ParseError(f"{path}: {exc}") from exc
         if not np.isfinite(times).all():
             raise ParseError(f"{path}: non-finite motion keyframe time")
-        return cls(times, [parse_pose(row, path) for row in doc])
+        try:
+            return cls(times, [parse_pose(row, path) for row in doc])
+        except InvalidParam as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
     def pose_at(self, t: float) -> RigidTransform:
         if t <= self.times[0] or len(self.poses) == 1:
@@ -327,7 +331,8 @@ class MotionScript:
                        len(self.times) - 2)
         s = ((t - self.times[i]) / (self.times[i + 1] - self.times[i]))[:, None]
         head = (1.0 - s) * self._translations[i] + s * self._translations[i + 1]
-        shift = norms_by_column(head - anchor.translation)
+        with np.errstate(over="ignore"):    # a shift past float range reads inf
+            shift = norms_by_column(head - anchor.translation)
 
         rel = self._frames @ anchor.rotation.T                  # (m, 3, 3, 3)
         trace = np.trace(rel, axis1=2, axis2=3)[i]
@@ -356,7 +361,6 @@ class EffectorState:
 @dataclass
 class StepInfo:
     moved: float
-    fired: bool
     arrived: bool
     dist_l: float                           # fused surface distance, inf if none
     repulsing: bool
@@ -404,17 +408,17 @@ class Trajectory:
 FIRE_FRACTION = 1.0 - 1e-9
 
 
-def step(state: EffectorState, target: Vec3, config: SimConfig, armed: bool,
+def step(state: EffectorState, target: Vec3, config: SimConfig,
          rig: SensorRig | None = None, cloud: PointCloud | None = None,
          carry: RigidTransform | None = None) -> tuple[EffectorState, StepInfo]:
-    """One control tick toward `target`; returns the new state and what happened.
+    """One control tick of motion and guard toward `target`; returns the new
+    state and what happened.
 
     Tracking velocity points at the target at max_speed (shortened on the
     final approach so the tick lands exactly). The repulsive term is added
-    and the sum clamped back to max_speed. With `armed`, travel accumulates
-    into delta_d and the laser fires when it reaches one diameter. The
-    guarded surface is `carry` applied to `cloud`, as sensor_fusion_many
-    takes it.
+    and the sum clamped back to max_speed. The guarded surface is `carry`
+    applied to `cloud`, as sensor_fusion_many takes it. delta_d passes
+    through unchanged: the run's `_trigger` adds the travel up.
     """
     dt = 1.0 / config.control_rate
     to_target = target - state.position
@@ -442,14 +446,9 @@ def step(state: EffectorState, target: Vec3, config: SimConfig, armed: bool,
 
     new_pos = state.position + v * dt
     moved = float(np.linalg.norm(v) * dt)
-    delta_d = state.delta_d + moved if armed else state.delta_d
-    fired = False
-    if armed and delta_d >= config.laser_diameter * FIRE_FRACTION:
-        fired = True
-        delta_d = 0.0
     arrived = bool(np.linalg.norm(new_pos - target) <= 1e-9)
-    new_state = EffectorState(new_pos, state.rotation, state.time + dt, delta_d)
-    return new_state, StepInfo(moved, fired, arrived, dist_l, repulsing)
+    new_state = EffectorState(new_pos, state.rotation, state.time + dt, state.delta_d)
+    return new_state, StepInfo(moved, arrived, dist_l, repulsing)
 
 
 @dataclass
@@ -508,8 +507,9 @@ def _trigger(moved: np.ndarray, stretch: np.ndarray, base: np.ndarray,
 
     `stretch` numbers the armed stretch each tick belongs to, -1 where it is
     unarmed, and `base` is delta_d before the stretch (held on unarmed
-    ticks). Travel is summed one tick at a time from the last shot, as `step`
-    sums it, with one pass per shot bounded to that shot's stretch.
+    ticks). Travel is summed one tick at a time from the last shot, in order,
+    with one pass per shot bounded to that shot's stretch; a tick whose sum
+    reaches `threshold` fires and leaves delta_d at 0.
     """
     delta_d = base.copy()
     fired = []
@@ -559,17 +559,32 @@ class _Run:
         columns = map(np.concatenate, zip(*self.shots)) if self.shots else ([],) * 5
         return RunResult(ShotLog(*columns, self.total), trajectory, self.state)
 
-    def _record(self, time, position, delta_d, dist_l=math.inf, repulsing=False) -> None:
-        """Append trajectory rows: per-row arrays, or the scalars of one row."""
+    def _log(self, legs, stretch, base, times, positions, moved, dist_l,
+             repulsing=False) -> np.ndarray:
+        """Log ticks, and return delta_d after each: tick i, of leg legs[i],
+        moves moved[i] and ends at times[i] in positions[i], having sensed
+        dist_l[i]. `_trigger` fires on `stretch` and `base`; the shots get
+        their rotations in one stacked slerp. All but times, positions and
+        moved may be one value for every tick."""
+        legs, stretch, base = (np.broadcast_to(a, moved.shape) for a in (legs, stretch, base))
+        delta_d, fired = _trigger(moved, stretch, base, self.config.laser_diameter * FIRE_FRACTION)
+        if fired.size:
+            legs = legs[fired]
+            rotations = interpolate_rotations(self.leg_from[legs], self.tgt_rot[legs],
+                                              self._fractions(legs, times[fired]))
+            self.shots.append((times[fired], positions[fired],
+                               rotations_to_axis_angle(rotations), self.strips[legs],
+                               np.full(len(legs), self.label)))
+        self.total += float(moved.sum())
         if self.record:
-            position = np.asarray(position, dtype=float).reshape(-1, 3)
-            block = np.empty((len(position), 7))
-            block[:, 0] = time
-            block[:, 1:4] = position
+            block = np.empty((len(moved), 7))
+            block[:, 0] = times
+            block[:, 1:4] = positions
             block[:, 4] = delta_d
             block[:, 5] = dist_l
             block[:, 6] = repulsing
             self.samples.append(block)
+        return delta_d
 
     def segment(self, path: SegmentPath, standoff: float) -> None:
         self.plan_rot, self.plan_pos = path_to_poses(path, standoff)
@@ -585,8 +600,8 @@ class _Run:
         if self.state is None:
             self.state = EffectorState(self.tgt_pos[0].copy(), self.plan_rot[0].copy())
             first = 1
-        self.state.delta_d = 0.0
-        self._record(self.state.time, self.state.position, 0.0)
+        self._log(0, -1, 0.0, np.array([self.state.time]), self.state.position[None],
+                  np.zeros(1), math.inf)
         if first < n:
             self._open(first)
             self._legs(first)
@@ -609,31 +624,57 @@ class _Run:
     def _tick_leg(self, j: int) -> None:
         """One `step` per tick to the end of leg j, the guard fed on every
         tick: the rest of a leg once the guard engages, and the reference
-        `_legs` is tested against."""
-        cfg = self.config
-        armed = self.in_strip[j] and cfg.laser_enabled
-        while float(np.linalg.norm(self.tgt_pos[j] - self.state.position)) > 1e-9:
+        `_legs` is tested against. Only the motion and the guard feed back,
+        so the ticks run in windows up to the leg's end, a timeout or the next
+        dead-band event, and each is logged as a block before a re-anchor
+        moves tgt_rot. The dead-band is scanned on the starts of the ticks
+        the leg takes at max_speed, with the bits of `step`'s clock."""
+        cfg, dt = self.config, 1.0 / self.config.control_rate
+        skip = arrived = False              # skip: the window starts on a re-anchor
+        while not arrived and (skip or np.linalg.norm(self.tgt_pos[j] - self.state.position)
+                               > 1e-9):
+            due, exits = math.inf, False    # ticks to the next dead-band event
             if self.motion is not None:
-                head = self.motion.pose_at(self.state.time)
-                if motion_exceeds_deadband(self.anchor, head, cfg.deadband_translation,
-                                           cfg.deadband_rotation):
-                    self._reanchor(head, j)
-            state, info = step(self.state, self.tgt_pos[j], cfg, armed,
-                               self.rig, self.cloud, self.carry)
-            self.state = state
-            self.total += info.moved
-            state.rotation = self._rotation(j, state.time)
-            if info.fired:
-                self._shoot_many([j], [state.time], state.position[None].copy())
-            self._record(state.time, state.position, state.delta_d,
-                         info.dist_l, info.repulsing)
-            if info.arrived:
-                break
-            if cfg.point_timeout is not None and \
-                    state.time - self.leg_t0[j] > cfg.point_timeout:
+                ahead = float(np.linalg.norm(self.tgt_pos[j] - self.state.position)) - 1e-9
+                starts = np.full(skip + math.ceil(ahead / (cfg.max_speed * dt)), dt)
+                starts[0] = self.state.time
+                due = self._leaves(np.add.accumulate(starts), skip)
+                exits = due < len(starts)
+            rows, late = [], False          # time, position, moved, dist_l, repulsing
+            while len(rows) < due and not (arrived or late):
+                state, info = step(self.state, self.tgt_pos[j], cfg, self.rig, self.cloud,
+                                   self.carry)
+                self.state = state
+                state.rotation = self._rotation(j, state.time)
+                rows.append((state.time, state.position, info.moved, info.dist_l,
+                             info.repulsing))
+                arrived = info.arrived
+                late = not arrived and cfg.point_timeout is not None and \
+                    state.time - self.leg_t0[j] > cfg.point_timeout
+            if rows:
+                armed = self.in_strip[j] and cfg.laser_enabled
+                self.state.delta_d = float(self._log(j, 0 if armed else -1, self.state.delta_d,
+                                                     *map(np.array, zip(*rows)))[-1])
+            if late:
                 self._abort(j)
+            skip = exits and not arrived
+            if skip:
+                self._reanchor(self.motion.pose_at(self.state.time))
         self.state.position = self.tgt_pos[j].copy()
         self.state.rotation = self.tgt_rot[j].copy()
+
+    def _leaves(self, starts: np.ndarray, skip: int) -> float:
+        """Ticks to the first start from starts[skip] on where the head is out
+        of the dead-band, checked up to the first one at or after the last
+        keyframe, from which on the head stands still: len(starts) if none of
+        them is, and inf if that one was checked too."""
+        cfg = self.config
+        end = int(np.searchsorted(starts, self.motion.times[-1])) + 1
+        out = np.flatnonzero(self.motion.leaves_deadband(
+            self.anchor, starts[skip:end], cfg.deadband_translation, cfg.deadband_rotation))
+        if out.size:
+            return skip + int(out[0])
+        return len(starts) if end > len(starts) else math.inf
 
     def _legs(self, j: int) -> None:
         """The segment from the open leg j to its last target, in blocks that
@@ -645,10 +686,9 @@ class _Run:
         max_speed; the leg takes the fewest ticks that end within 1e-9 of its
         target, and none if it starts that close. The clock adds one dt per
         tick over all legs, as the tick loop's does. The head leaves the
-        dead-band on the first tick whose start is out of it, checked up to
-        the first tick at or after the last keyframe, which decides for every
-        later one; a block that resumes on the re-anchoring tick skips that
-        tick, as the tick loop does. A guarded block casts the rays of each
+        dead-band on the first tick whose start is out of it (`_leaves`); a
+        block that resumes on the re-anchoring tick skips that tick, as the
+        tick loop does. A guarded block casts the rays of each
         leg's ticks in one batch, keeps the ticks before the first one where
         the guard engages, and hands the rest of that leg to the tick loop.
         """
@@ -680,13 +720,8 @@ class _Run:
             ran = n                         # ticks run before the next event
             exits = late = engages = False
             if self.motion is not None:
-                skip = int(resumed)
-                end = min(n, int(np.searchsorted(times, self.motion.times[-1])) + 1)
-                out = np.flatnonzero(self.motion.leaves_deadband(
-                    self.anchor, times[skip:end], cfg.deadband_translation,
-                    cfg.deadband_rotation))
-                if out.size:
-                    ran, exits = skip + int(out[0]), True
+                ran = min(n, self._leaves(times[:n], int(resumed)))
+                exits = ran < n
             if cfg.point_timeout is not None:
                 # The tick that arrives is never late.
                 over = np.flatnonzero((times[1:ran + 1] - self.leg_t0[j + of[:ran]]
@@ -721,11 +756,8 @@ class _Run:
             reset[0] = False
             group = np.cumsum(reset)        # legs that share one delta_d
             base = np.where(group == 0, state.delta_d, 0.0)
-            delta_d, fired = _trigger(moved, np.where(armed[of], group[of], -1),
-                                      base[of], cfg.laser_diameter * FIRE_FRACTION)
-            self._shoot_many(j + of[fired], times[fired + 1], positions[fired])
-            self.total += float(moved.sum())
-            self._record(times[1:ran + 1], positions, delta_d, dist_l)
+            delta_d = self._log(j + of, np.where(armed[of], group[of], -1), base[of],
+                                times[1:ran + 1], positions, moved, dist_l)
 
             # The open leg after the block: the last one, or the one the event is in.
             i = int(of[-1]) if late else int(np.searchsorted(first, ran, side="right")) - 1
@@ -753,7 +785,7 @@ class _Run:
                 j, resumed = j + 1, False
                 self._open(j)
             else:
-                self._reanchor(self.motion.pose_at(state.time), j)
+                self._reanchor(self.motion.pose_at(state.time))
                 resumed = True
 
     def _sense(self, j: int, rotation: np.ndarray, tip: np.ndarray,
@@ -791,23 +823,14 @@ class _Run:
         return np.minimum(1.0, (np.asarray(t) - self.leg_t0[j]) * self.config.max_speed
                           / self.leg_len0[j])
 
-    def _shoot_many(self, legs, times, positions) -> None:
-        """Log shots at once: leg legs[i] fires shot i, at times[i] from
-        positions[i]."""
-        if len(legs):
-            rotations = interpolate_rotations(self.leg_from[legs], self.tgt_rot[legs],
-                                              self._fractions(legs, times))
-            self.shots.append((times, positions, rotations_to_axis_angle(rotations),
-                               self.strips[legs], np.full(len(legs), self.label)))
-
-    def _reanchor(self, head: RigidTransform, j: int) -> None:
-        # The open leg j reads its target from tgt_rot like every leg, so
-        # nothing is left to patch. `j` stays because the derandomized
-        # differential tests wrap this method as (run, head, leg): an edit to
-        # their source would re-seed their examples.
+    def _reanchor(self, head: RigidTransform) -> None:
         self.anchor = head
         self.carry = head.compose(self.head0.invert())
         self._carry_targets()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(row_norms(self.tgt_pos - self.state.position)).all():
+                raise FacelaserError(f"the head pose at t = {self.state.time:.6g} s carries "
+                                     f"the targets of '{self.label}' out of float range")
 
     def _abort(self, j: int):
         raise AbortedOnSafety(

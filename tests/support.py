@@ -1,11 +1,13 @@
-"""Shared synthetic fixtures: analytic clouds, landmark layouts, path stubs,
+"""Shared synthetic fixtures: analytic clouds, landmark layouts and their
+JSON writer, path stubs, the face frame from the eyes, 4x4 pose matrices,
 and the reference implementations (brute-force raycast, np.unique voxel grid,
 the re-stacked voxel grid sums, all-pairs voxel neighbours, per-voxel loop and
 k-NN normals, eigh normals, the mask-per-step strip binning, the per-window
 strip sweep, per-patch poses, the dict-per-record path file writer and reader,
 the full-row traj.csv and per-row shots.csv writers, the DictReader shots
-reader, the per-point SVG overview, the simulator's tick loop over a segment,
-the key-dict voxel lookup, the fresh-lookup ICP, the full-draw Monte Carlo coverage and the
+reader, the per-point SVG overview, the simulator's tick loop over a segment
+and its per-tick trigger, the key-dict voxel lookup, the fresh-lookup ICP,
+the full-draw Monte Carlo coverage and the
 tree-queried chunked count, the stack-every-column PLY parser and the
 record-array PLY writer, the scalar point-in-polygon test and pixel
 projection, the unculled region assignment) that the fast versions are tested
@@ -31,6 +33,7 @@ from facelaser.cloud import (
     _run_starts,
 )
 from facelaser.errors import (
+    DegenerateInput,
     DegenerateNormal,
     FacelaserError,
     InvalidParam,
@@ -43,6 +46,7 @@ from facelaser.geometry import (
     RigidTransform,
     project_points,
     rotation_from_normal,
+    unit,
 )
 from facelaser.pathplan import (
     MIN_STRIP_FRACTION,
@@ -55,6 +59,46 @@ from facelaser.segmentation import FaceLandmarks, build_region_polygons, points_
 from facelaser.simulator import PlanarRegion, ShotLog
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+
+
+def as_matrix(t: RigidTransform) -> np.ndarray:
+    """The 4x4 homogeneous matrix of a rigid transform."""
+    m = np.eye(4)
+    m[:3, :3] = t.rotation
+    m[:3, 3] = t.translation
+    return m
+
+
+def face_pose_from_eyes(d_l, d_r) -> RigidTransform:
+    """Face frame from the two detected eye positions in camera coordinates.
+
+    Origin is the eye midpoint; x points from the origin through the right
+    eye, y completes [0,0,1] x x, z = x cross y.
+    """
+    d_l = np.asarray(d_l, dtype=float)
+    d_r = np.asarray(d_r, dtype=float)
+    if np.linalg.norm(d_r - d_l) < 1e-6:
+        raise DegenerateInput("eye positions coincide")
+    origin = 0.5 * (d_l + d_r)
+    alpha = unit(d_r - origin)
+    c = np.cross(Z_AXIS, alpha)
+    if np.linalg.norm(c) < 1e-9:
+        raise DegenerateInput("eye baseline is parallel to the optical axis")
+    beta = c / np.linalg.norm(c)
+    gamma = unit(np.cross(alpha, beta))
+    return RigidTransform(np.column_stack([alpha, beta, gamma]), origin)
+
+
+def landmarks_to_json(landmarks: FaceLandmarks, path) -> None:
+    """Write landmarks in the format FaceLandmarks.from_json reads."""
+    doc = {
+        "points": [[float(u), float(v)] for u, v in landmarks.points],
+        "width": landmarks.width,
+        "height": landmarks.height,
+    }
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -565,6 +609,19 @@ def tick_legs(run, j) -> None:
             return
         j += 1
         run._open(j)
+
+
+def tick_trigger(delta_d: float, moved: float, armed: bool,
+                 diameter: float) -> tuple[float, bool]:
+    """The distance trigger on one control tick, the reference of
+    `simulator._trigger`: while armed, the tick's travel adds to delta_d, and
+    the laser fires once the sum reaches diameter * FIRE_FRACTION, leaving
+    delta_d at 0. Returns delta_d after the tick and whether it fired."""
+    if armed:
+        delta_d += moved
+        if delta_d >= diameter * simulator.FIRE_FRACTION:
+            return 0.0, True
+    return delta_d, False
 
 
 def full_draw_coverage(log: ShotLog, diameter: float, region: PlanarRegion,

@@ -55,6 +55,7 @@ from support import (
     canonical_landmarks,
     ellipsoid_cloud,
     face_cloud,
+    landmarks_to_json,
     model_grid,
     plane_grid,
     point_in_polygon,
@@ -445,7 +446,7 @@ def _pipeline_inputs(root):
     (inputs / "motion.json").write_text(json.dumps(MOTION_JSON))
     (inputs / "config.json").write_text(json.dumps(
         {"mc_samples": 100_000, "n_per_side": 1}))
-    canonical_landmarks().to_json(inputs / "lm.json")
+    landmarks_to_json(canonical_landmarks(), inputs / "lm.json")
 
     # Views of the world-frame face as each scanner pose would capture them;
     # the first pose is the world frame itself, so the fused cloud lines up

@@ -39,6 +39,7 @@ from support import (
     ellipsoid_cloud,
     face_cloud,
     fibonacci_sphere,
+    landmarks_to_json,
     loop_load_paths,
     plane_grid,
     point_svg_overview,
@@ -247,6 +248,7 @@ BAD_POSES = {
     "not-json": "{translation: [0, 0, 0.25]",
     "missing-key": _without(GOOD_POSE, "axis_angle"),
     "non-finite": {**GOOD_POSE, "translation": [float("nan"), 0.0, 0.25]},
+    "huge-rotation": {**GOOD_POSE, "axis_angle": [0.0, 0.0, 1e308]},   # its norm overflows
 }
 
 
@@ -282,6 +284,22 @@ class TestMalformedJsonInput:
         _assert_input_error(capsys, code, "poses.json")
         assert not (workdir / "merged.ply").exists()
 
+    @pytest.mark.parametrize("keys", [
+        [{**GOOD_KEY, "axis_angle": [0.0, 0.0, 1e308]}],
+        [{**GOOD_KEY, "t_s": -1e308}, {**GOOD_KEY, "t_s": 1e308}],
+        [],
+        [GOOD_KEY, GOOD_KEY],
+    ], ids=["huge-rotation", "infinite-interval", "empty", "repeated-time"])
+    def test_simulate_motion(self, workdir, capsys, keys):
+        """A keyframe whose rotation is not finite, and keyframes the motion
+        script rejects, are an input error naming the file."""
+        paths = _write_doc(workdir / "paths.json", [GOOD_RECORD, {**GOOD_RECORD, "x": 0.01}])
+        motion = _write_doc(workdir / "motion.json", keys)
+        code = run(workdir, "simulate", "--paths", paths, "--motion", motion,
+                   "--out-shots", workdir / "shots.csv")
+        _assert_input_error(capsys, code, "motion.json")
+        assert not (workdir / "shots.csv").exists()
+
     @pytest.mark.parametrize("doc", [
         '{"fx": 500.0,',
         _without(CAMERA, "fy"),
@@ -294,7 +312,7 @@ class TestMalformedJsonInput:
     def test_segment_camera(self, workdir, capsys, face_scene, doc):
         cloud, landmarks, _ = face_scene
         save_ply(cloud, workdir / "face.ply")
-        landmarks.to_json(workdir / "lm.json")
+        landmarks_to_json(landmarks, workdir / "lm.json")
         camera = _write_doc(workdir / "cam.json", doc)
         code = run(workdir, "segment", "--cloud", workdir / "face.ply",
                    "--landmarks", workdir / "lm.json", "--camera", camera,
@@ -369,6 +387,22 @@ def test_report_bad_input_writes_nothing(workdir, capsys, flag, text):
     _assert_input_error(capsys, code, bad.name)
     assert not (workdir / "report.json").exists()
     assert not (workdir / "o.svg").exists()
+
+
+def test_simulate_motion_out_of_float_range_exits_1(workdir, capsys):
+    """A head that moves from x = 1e308 m to -1e308 m leaves the dead-band on
+    the first tick after t = 0 and carries the targets so far that their
+    distance overflows: exit 1, naming that tick's time."""
+    paths = _write_doc(workdir / "paths.json", [GOOD_RECORD, {**GOOD_RECORD, "x": 0.01}])
+    motion = _write_doc(workdir / "motion.json", [
+        {**GOOD_KEY, "translation": [1e308, 0.0, 0.0]},
+        {**GOOD_KEY, "t_s": 1.0, "translation": [-1e308, 0.0, 0.0]}])
+    code = run(workdir, "simulate", "--paths", paths, "--motion", motion,
+               "--out-shots", workdir / "shots.csv")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "t = 0.008 s" in err and "float range" in err
+    assert not (workdir / "shots.csv").exists()
 
 
 def test_simulate_surface_without_normals_exits_1(workdir, capsys):
@@ -805,7 +839,7 @@ class TestSegmentCommand:
     def test_writes_region_files(self, workdir, face_scene):
         cloud, landmarks, _ = face_scene
         save_ply(cloud, workdir / "face.ply")
-        landmarks.to_json(workdir / "lm.json")
+        landmarks_to_json(landmarks, workdir / "lm.json")
         (workdir / "cam.json").write_text(json.dumps(CAMERA))
         segdir = workdir / "segs"
         assert run(workdir, "segment", "--cloud", workdir / "face.ply",

@@ -30,7 +30,7 @@ from facelaser.registration import (
     merge_views,
 )
 
-from support import ellipsoid_cloud, fresh_lookup_icp, model_grid, plane_grid
+from support import as_matrix, ellipsoid_cloud, fresh_lookup_icp, model_grid, plane_grid
 
 D = 0.25
 STEP = np.radians(10.0)
@@ -78,7 +78,7 @@ class TestViewpoints:
         fp = face_pose()
         frontal = estimate_viewpoints(fp, D, STEP, n_per_side=1)[0]
         expect = fp.compose(RigidTransform(np.eye(3), np.array([0.0, 0.0, -D])))
-        assert np.allclose(frontal.as_matrix(), expect.as_matrix(), atol=1e-12)
+        assert np.allclose(as_matrix(frontal), as_matrix(expect), atol=1e-12)
 
     def test_arc_ordering(self):
         t = [p.translation for p in local_viewpoints(2)]
@@ -123,7 +123,7 @@ class TestIcp:
         assert isinstance(res, IcpResult)
         assert res.converged
         assert res.rmse < 1e-9
-        assert np.allclose(res.transform.as_matrix(), np.eye(4), atol=1e-9)
+        assert np.allclose(as_matrix(res.transform), np.eye(4), atol=1e-9)
 
     def test_recovers_known_perturbation(self):
         target = self.make_target()

@@ -16,7 +16,12 @@ from facelaser.segmentation import (
     segment_face,
 )
 
-from support import canonical_landmarks, point_in_polygon, unculled_assignment
+from support import (
+    canonical_landmarks,
+    landmarks_to_json,
+    point_in_polygon,
+    unculled_assignment,
+)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 BOWTIE = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -41,7 +46,7 @@ class TestLandmarks:
 
     def test_json_roundtrip(self, landmarks, tmp_path):
         path = tmp_path / "lm.json"
-        landmarks.to_json(path)
+        landmarks_to_json(landmarks, path)
         back = FaceLandmarks.from_json(path)
         assert np.array_equal(back.points, landmarks.points)
         assert (back.width, back.height) == (landmarks.width, landmarks.height)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -56,6 +56,7 @@ from support import (
     scan_raycast,
     straight_path,
     tick_legs,
+    tick_trigger,
     tree_coverage,
     wall_cloud,
 )
@@ -355,12 +356,59 @@ def test_leaves_deadband_matches_per_pose_check(data):
             (t, shift, angle)
 
 
+@st.composite
+def trigger_runs(draw):
+    """A diameter and ticks in stretches, each (armed, delta_d before it,
+    travel per tick). Travel is any size up to two diameters, none, or an
+    exact fraction or multiple of the diameter or of the firing threshold,
+    whose sums land on the threshold."""
+    diameter = draw(st.floats(1e-4, 1e-2))
+    exact = st.tuples(st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+                      st.sampled_from([1.0, simulator.FIRE_FRACTION]))
+    travel = st.one_of(st.floats(0.0, 2.0 * diameter), st.just(0.0),
+                       exact.map(lambda f: f[0] * (diameter * f[1])))
+    base = st.one_of(st.just(0.0), st.floats(0.0, 2.0 * diameter))
+    stretches = st.tuples(st.booleans(), base, st.lists(travel, max_size=12))
+    return diameter, draw(st.lists(stretches, min_size=1, max_size=6))
+
+
+# One diameter of travel per tick of sim_config(), and half of one.
+@example((0.002, [(False, 0.0, [0.002]), (True, 0.0, [0.001, 0.001])]))
+@example((0.002, [(True, 0.0015, [0.002])]))
+@example((0.002, [(False, 0.1, [0.002, 0.002])]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(trigger_runs())
+def test_trigger_matches_per_tick_rule(case):
+    """`_trigger` gives the per-tick rule's delta_d after every tick, bit for
+    bit, and fires on the same ticks: travel accumulates only while armed,
+    an unarmed tick never fires and holds its delta_d, and a shot resets
+    delta_d to 0."""
+    diameter, stretches = case
+    moved, stretch, base, want, fired = [], [], [], [], []
+    for number, (armed, start, ticks) in enumerate(stretches):
+        delta_d = start
+        for travel in ticks:
+            delta_d, fires = tick_trigger(delta_d, travel, armed, diameter)
+            if fires:
+                fired.append(len(moved))
+            moved.append(travel)
+            stretch.append(number if armed else -1)
+            base.append(start)
+            want.append(delta_d)
+    stretch, base = np.array(stretch, dtype=int), np.array(base)
+    got, shots = simulator._trigger(np.array(moved), stretch, base,
+                                    diameter * simulator.FIRE_FRACTION)
+    assert got.tolist() == want and shots.tolist() == fired
+    assert (stretch[shots] >= 0).all() and (got[shots] == 0.0).all()
+    assert np.array_equal(got[stretch < 0], base[stretch < 0])
+
+
 class TestStep:
     def test_final_tick_lands_exactly(self):
         cfg = sim_config()
         state = EffectorState(np.array([0.0, 0.0, 0.0]), np.eye(3))
         target = np.array([0.0005, 0.0, 0.0])  # a quarter tick away
-        new, info = step(state, target, cfg, armed=False)
+        new, info = step(state, target, cfg)
         assert info.arrived
         assert np.array_equal(new.position, target)
         assert info.moved == pytest.approx(0.0005)
@@ -368,31 +416,9 @@ class TestStep:
     def test_cruise_speed_is_clamped(self):
         cfg = sim_config()
         state = EffectorState(np.zeros(3), np.eye(3))
-        new, info = step(state, np.array([1.0, 0.0, 0.0]), cfg, armed=False)
+        new, info = step(state, np.array([1.0, 0.0, 0.0]), cfg)
         assert info.moved == pytest.approx(cfg.max_speed / cfg.control_rate)
         assert not info.arrived
-
-    def test_travel_accumulates_only_when_armed(self):
-        cfg = sim_config()
-        state = EffectorState(np.zeros(3), np.eye(3))
-        target = np.array([1.0, 0.0, 0.0])
-        idle, _ = step(state, target, cfg, armed=False)
-        assert idle.delta_d == 0.0
-        armed, _ = step(state, target, cfg, armed=True)
-        assert armed.delta_d in (0.0, pytest.approx(0.002))
-
-    def test_fires_at_diameter_and_resets(self):
-        cfg = sim_config()
-        state = EffectorState(np.zeros(3), np.eye(3), delta_d=0.0015)
-        new, info = step(state, np.array([1.0, 0.0, 0.0]), cfg, armed=True)
-        assert info.fired
-        assert new.delta_d == 0.0
-
-    def test_never_fires_unarmed(self):
-        cfg = sim_config()
-        state = EffectorState(np.zeros(3), np.eye(3), delta_d=0.1)
-        _, info = step(state, np.array([1.0, 0.0, 0.0]), cfg, armed=False)
-        assert not info.fired
 
     def test_carried_surface_acts_as_its_copy(self):
         """Rays cast back through `carry` see what a moved copy of the cloud shows."""
@@ -403,8 +429,8 @@ class TestStep:
         state = EffectorState(pose.translation, pose.rotation)
         target = pose.translation + carry.apply_direction([0.01, 0.0, 0.0])
         cfg = SimConfig(0.004, 5.0)
-        new, info = step(state, target, cfg, True, SensorRig(), wall, carry)
-        ref, ref_info = step(state, target, cfg, True, SensorRig(), wall.transformed(carry))
+        new, info = step(state, target, cfg, SensorRig(), wall, carry)
+        ref, ref_info = step(state, target, cfg, SensorRig(), wall.transformed(carry))
         assert info.repulsing and ref_info.repulsing
         assert info.dist_l == pytest.approx(ref_info.dist_l, rel=1e-12)
         assert np.allclose(new.position, ref.position, rtol=0.0, atol=1e-15)
@@ -1239,9 +1265,9 @@ def test_segment_blocks_match_tick_loop(case):
     clocks = []
     real = simulator._Run._reanchor
 
-    def reanchor(run, head, leg):
+    def reanchor(run, head):
         clocks.append(run.state.time)
-        real(run, head, leg)
+        real(run, head)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator._Run, "_reanchor", reanchor)
@@ -1273,9 +1299,9 @@ def test_deadband_scan_ends_at_the_last_keyframe(level, reanchors):
     real_reanchor, real_scan = simulator._Run._reanchor, MotionScript.leaves_deadband
     clocks, scans = ([], []), []
 
-    def reanchor(run, head, leg):
+    def reanchor(run, head):
         clocks[tick_loop].append(run.state.time)
-        real_reanchor(run, head, leg)
+        real_reanchor(run, head)
 
     def scan(script, anchor, times, *tolerances):
         scans.append(np.asarray(times))
