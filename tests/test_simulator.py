@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -372,18 +372,9 @@ def trigger_runs(draw):
     return diameter, draw(st.lists(stretches, min_size=1, max_size=6))
 
 
-# One diameter of travel per tick of sim_config(), and half of one.
-@example((0.002, [(False, 0.0, [0.002]), (True, 0.0, [0.001, 0.001])]))
-@example((0.002, [(True, 0.0015, [0.002])]))
-@example((0.002, [(False, 0.1, [0.002, 0.002])]))
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(trigger_runs())
-def test_trigger_matches_per_tick_rule(case):
-    """`_trigger` gives the per-tick rule's delta_d after every tick, bit for
-    bit, and fires on the same ticks: travel accumulates only while armed,
-    an unarmed tick never fires and holds its delta_d, and a shot resets
-    delta_d to 0."""
-    diameter, stretches = case
+def check_trigger(diameter, stretches):
+    """Holds `_trigger` to the per-tick rule on one case of `trigger_runs`
+    and returns its delta_d after every tick and the ticks that fired."""
     moved, stretch, base, want, fired = [], [], [], [], []
     for number, (armed, start, ticks) in enumerate(stretches):
         delta_d = start
@@ -401,6 +392,17 @@ def test_trigger_matches_per_tick_rule(case):
     assert got.tolist() == want and shots.tolist() == fired
     assert (stretch[shots] >= 0).all() and (got[shots] == 0.0).all()
     assert np.array_equal(got[stretch < 0], base[stretch < 0])
+    return got, shots
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(trigger_runs())
+def test_trigger_matches_per_tick_rule(case):
+    """`_trigger` gives the per-tick rule's delta_d after every tick, bit for
+    bit, and fires on the same ticks: travel accumulates only while armed,
+    an unarmed tick never fires and holds its delta_d, and a shot resets
+    delta_d to 0."""
+    check_trigger(*case)
 
 
 class TestStep:
@@ -419,6 +421,32 @@ class TestStep:
         new, info = step(state, np.array([1.0, 0.0, 0.0]), cfg)
         assert info.moved == pytest.approx(cfg.max_speed / cfg.control_rate)
         assert not info.arrived
+
+    # The trigger cases run one cruise tick of sim_config(), one diameter of
+    # travel, or half of one, through the tick loop's `_trigger`.
+    @staticmethod
+    def cruise_tick():
+        cfg = sim_config()
+        state = EffectorState(np.zeros(3), np.eye(3))
+        return cfg.laser_diameter, step(state, np.array([1.0, 0.0, 0.0]), cfg)[1].moved
+
+    def test_travel_accumulates_only_when_armed(self):
+        diameter, moved = self.cruise_tick()
+        half = 0.5 * moved
+        got, shots = check_trigger(diameter, [(False, 0.0, [moved]),
+                                              (True, 0.0, [half, half])])
+        assert got.tolist() == [0.0, half, 0.0] and shots.tolist() == [2]
+        assert moved == pytest.approx(0.002)
+
+    def test_fires_at_diameter_and_resets(self):
+        diameter, moved = self.cruise_tick()
+        got, shots = check_trigger(diameter, [(True, 0.0015, [moved])])
+        assert shots.tolist() == [0] and got.tolist() == [0.0]
+
+    def test_never_fires_unarmed(self):
+        diameter, moved = self.cruise_tick()
+        got, shots = check_trigger(diameter, [(False, 0.1, [moved, moved])])
+        assert shots.size == 0 and got.tolist() == [0.1, 0.1]
 
     def test_carried_surface_acts_as_its_copy(self):
         """Rays cast back through `carry` see what a moved copy of the cloud shows."""
