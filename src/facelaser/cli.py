@@ -466,19 +466,22 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
+def _svg_bounds(shots, paths, diameter: float) -> tuple[np.ndarray, np.ndarray]:
+    """The overview's (x, y) corners [mm]: two spot diameters around the
+    shots and path points."""
+    allp = np.vstack([shots[:, :2]] + [p.positions[:, :2] for p in (paths or {}).values()])
+    return allp.min(axis=0) * 1000.0 - 2000.0 * diameter, \
+        allp.max(axis=0) * 1000.0 + 2000.0 * diameter
+
+
 def _svg_overview(shots, paths, diameter: float, out) -> None:
     """Frontal-plane (x, y) overview: black path polylines, red shot circles.
 
     Coordinates are emitted in millimetres with fixed precision so the file
     is byte-stable.
     """
-    pts = [shots[:, :2]]
-    for p in (paths or {}).values():
-        pts.append(p.positions[:, :2])
-    allp = np.vstack(pts) * 1000.0
     r_mm = 500.0 * diameter
-    lo = allp.min(axis=0) - 4.0 * r_mm
-    hi = allp.max(axis=0) + 4.0 * r_mm
+    lo, hi = _svg_bounds(shots, paths, diameter)
     size = hi - lo
 
     def points(xy, spec: str, sep: str) -> str:
@@ -515,6 +518,14 @@ def cmd_report(args, cfg: RunConfig) -> int:
         if exc.name not in sources:
             raise
         raise ConfigError(f"{exc} ({sources[exc.name]})") from exc
+    if not all(v is None or math.isfinite(v) for v in (rep.mean_spacing, rep.var_spacing)):
+        raise ParseError(f"{args.shots}: the shot spacing is out of float range")
+    if args.out_svg:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = _svg_bounds(log.positions, paths, cfg.laser_diameter_m)
+            if not np.isfinite(hi - lo).all():
+                raise ParseError(f"{args.shots}: the shots{' and paths' if paths else ''} "
+                                 f"span too wide a range in millimetres for the SVG overview")
     doc = {
         "n_shots": rep.n_shots,
         "n_spacings": rep.n_spacings,

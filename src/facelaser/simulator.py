@@ -30,6 +30,8 @@ below l_min, and steps tick by tick from there to the end of that leg,
 because from then on the guard's feedback can bend the path. There `step`
 moves the tool and feeds the guard; the ticks are logged, and the dead-band
 checked, by the blocks' code. This tick loop is the blocks' reference.
+Only `_Run._log` carries the travel toward the next shot from tick to tick,
+by strip run, across events. No leg takes more ticks than make it late.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class SimConfig:
     laser_diameter: float                   # shot pitch on the path [m]
     pulse_rate: float                       # pulses per second [Hz]
     control_rate: float = 125.0             # control ticks per second [Hz]
-    point_timeout: float | None = 30.0      # abort if one target takes longer [s]
+    point_timeout: float = 30.0             # abort if one target takes longer [s]
     laser_enabled: bool = True
     deadband_translation: float = 3e-3      # ignore head motion below this [m]
     deadband_rotation: float = math.radians(4.0)    # and below this [rad]
@@ -83,8 +85,8 @@ class SimConfig:
         if self.pulse_rate > self.control_rate:
             raise InvalidParam("pulse_rate exceeds control_rate, but the laser fires "
                                "at most once per control tick")
-        if self.point_timeout is not None and not 0 < self.point_timeout < math.inf:
-            raise InvalidParam("point_timeout must be positive and finite, or None")
+        if not 0 < self.point_timeout < math.inf:
+            raise InvalidParam("point_timeout must be positive and finite")
         if not (self.deadband_translation >= 0 and self.deadband_rotation >= 0):
             raise InvalidParam("dead-band bounds must be non-negative")
 
@@ -352,18 +354,6 @@ class EffectorState:
     position: Vec3
     rotation: np.ndarray
     time: float = 0.0
-    delta_d: float = 0.0                    # travel since the last shot [m]
-
-    def pose(self) -> RigidTransform:
-        return RigidTransform(self.rotation, self.position)
-
-
-@dataclass
-class StepInfo:
-    moved: float
-    arrived: bool
-    dist_l: float                           # fused surface distance, inf if none
-    repulsing: bool
 
 
 @dataclass
@@ -410,15 +400,16 @@ FIRE_FRACTION = 1.0 - 1e-9
 
 def step(state: EffectorState, target: Vec3, config: SimConfig,
          rig: SensorRig | None = None, cloud: PointCloud | None = None,
-         carry: RigidTransform | None = None) -> tuple[EffectorState, StepInfo]:
+         carry: RigidTransform | None = None) -> tuple[EffectorState, float, bool, float, bool]:
     """One control tick of motion and guard toward `target`; returns the new
-    state and what happened.
+    state, the travel, whether it arrived, the fused surface distance (inf
+    if none) and whether the guard repulsed.
 
     Tracking velocity points at the target at max_speed (shortened on the
     final approach so the tick lands exactly). The repulsive term is added
     and the sum clamped back to max_speed. The guarded surface is `carry`
-    applied to `cloud`, as sensor_fusion_many takes it. delta_d passes
-    through unchanged: the run's `_trigger` adds the travel up.
+    applied to `cloud`, as sensor_fusion_many takes it. The trigger is not
+    stepped here: the run's `_log` adds the travel up.
     """
     dt = 1.0 / config.control_rate
     to_target = target - state.position
@@ -433,7 +424,7 @@ def step(state: EffectorState, target: Vec3, config: SimConfig,
     dist_l = math.inf
     repulsing = False
     if rig is not None and cloud is not None:
-        fused = sensor_fusion(rig, cloud, state.pose(), carry)
+        fused = sensor_fusion(rig, cloud, RigidTransform(state.rotation, state.position), carry)
         if fused is not None:
             dist_l = float(np.linalg.norm(fused))
             v_rep = repulsive_velocity(fused, rig.l_min, rig.kappa)
@@ -447,8 +438,8 @@ def step(state: EffectorState, target: Vec3, config: SimConfig,
     new_pos = state.position + v * dt
     moved = float(np.linalg.norm(v) * dt)
     arrived = bool(np.linalg.norm(new_pos - target) <= 1e-9)
-    new_state = EffectorState(new_pos, state.rotation, state.time + dt, state.delta_d)
-    return new_state, StepInfo(moved, arrived, dist_l, repulsing)
+    new_state = EffectorState(new_pos, state.rotation, state.time + dt)
+    return new_state, moved, arrived, dist_l, repulsing
 
 
 @dataclass
@@ -501,23 +492,24 @@ def run_path(paths, config: SimConfig, standoff: float = 0.0,
     return run.result()
 
 
-def _trigger(moved: np.ndarray, stretch: np.ndarray, base: np.ndarray,
+def _trigger(moved: np.ndarray, stretch: np.ndarray, carry: tuple[int, float],
              threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """delta_d after each tick, and the ticks where the laser fires.
 
     `stretch` numbers the armed stretch each tick belongs to, -1 where it is
-    unarmed, and `base` is delta_d before the stretch (held on unarmed
-    ticks). Travel is summed one tick at a time from the last shot, in order,
-    with one pass per shot bounded to that shot's stretch; a tick whose sum
-    reaches `threshold` fires and leaves delta_d at 0.
+    unarmed; the stretch that `carry` = (stretch, delta_d) numbers starts
+    from its delta_d, every other from 0, and unarmed ticks read 0. Travel
+    is summed one tick at a time from the last shot, in order, with one pass
+    per shot bounded to that shot's stretch; a tick whose sum reaches
+    `threshold` fires and leaves delta_d at 0.
     """
-    delta_d = base.copy()
+    delta_d = np.zeros(len(moved))
     fired = []
     edges = np.flatnonzero(np.diff(stretch, prepend=-2)).tolist() + [len(moved)]
     for lo, hi in zip(edges, edges[1:]):
         if stretch[lo] < 0:
             continue
-        begin, start = lo, base[lo]
+        begin, start = lo, carry[1] if stretch[lo] == carry[0] else 0.0
         while begin < hi:
             acc = moved[begin:hi].copy()
             acc[0] += start
@@ -551,6 +543,8 @@ class _Run:
         self.shots: list[tuple] = []        # blocks of time, position, axis_angle, strip, label
         self.samples: list[np.ndarray] = []  # (k, 7) blocks of trajectory rows
         self.total = 0.0
+        # Every leg is late by this tick: no block or scan takes more of one.
+        self.max_ticks = np.ceil(config.point_timeout * config.control_rate) + 2
 
     def result(self) -> RunResult:
         rows = np.concatenate(self.samples) if self.samples else np.empty((0, 7))
@@ -559,15 +553,19 @@ class _Run:
         columns = map(np.concatenate, zip(*self.shots)) if self.shots else ([],) * 5
         return RunResult(ShotLog(*columns, self.total), trajectory, self.state)
 
-    def _log(self, legs, stretch, base, times, positions, moved, dist_l,
-             repulsing=False) -> np.ndarray:
-        """Log ticks, and return delta_d after each: tick i, of leg legs[i],
-        moves moved[i] and ends at times[i] in positions[i], having sensed
-        dist_l[i]. `_trigger` fires on `stretch` and `base`; the shots get
-        their rotations in one stacked slerp. All but times, positions and
-        moved may be one value for every tick."""
-        legs, stretch, base = (np.broadcast_to(a, moved.shape) for a in (legs, stretch, base))
-        delta_d, fired = _trigger(moved, stretch, base, self.config.laser_diameter * FIRE_FRACTION)
+    def _log(self, legs, times, positions, moved, dist_l, repulsing=False) -> None:
+        """Log ticks: tick i, of leg legs[i], moves moved[i] and ends at
+        times[i] in positions[i], having sensed dist_l[i]. `_trigger` fires
+        on the armed legs' ticks by strip run, from `carried`, which only
+        this method keeps: the run and delta_d of the last armed tick logged.
+        The shots get their rotations in one stacked slerp. All but times,
+        positions and moved may be one value for every tick."""
+        legs = np.broadcast_to(legs, moved.shape)
+        stretch = np.where(self.armed[legs], self.run_of[legs], -1)
+        delta_d, fired = _trigger(moved, stretch, self.carried,
+                                  self.config.laser_diameter * FIRE_FRACTION)
+        if len(moved) and stretch[-1] >= 0:
+            self.carried = int(stretch[-1]), float(delta_d[-1])
         if fired.size:
             legs = legs[fired]
             rotations = interpolate_rotations(self.leg_from[legs], self.tgt_rot[legs],
@@ -584,42 +582,47 @@ class _Run:
             block[:, 5] = dist_l
             block[:, 6] = repulsing
             self.samples.append(block)
-        return delta_d
 
     def segment(self, path: SegmentPath, standoff: float) -> None:
         self.plan_rot, self.plan_pos = path_to_poses(path, standoff)
-        self._carry_targets()
         self.label = path.label
+        self._carry_targets(f"the plan at standoff {standoff:g} m")
         self.strips = np.asarray(path.strip_indices)
-        # A leg between two targets of one strip; every other leg resets delta_d.
-        self.in_strip = np.concatenate([[False], self.strips[1:] == self.strips[:-1]])
         n = len(self.plan_pos)
+        # Legs within a strip are armed with the laser on; runs are numbered by first target.
+        in_strip = np.concatenate([[False], self.strips[1:] == self.strips[:-1]])
+        self.armed = in_strip & self.config.laser_enabled
+        self.run_of = np.maximum.accumulate(np.where(in_strip, 0, np.arange(n)))
+        self.carried = (-1, 0.0)
         self.leg_t0, self.leg_len0 = np.empty((2, n))
         self.leg_from = np.empty((n, 3, 3))
         first = 0
         if self.state is None:
             self.state = EffectorState(self.tgt_pos[0].copy(), self.plan_rot[0].copy())
             first = 1
-        self._log(0, -1, 0.0, np.array([self.state.time]), self.state.position[None],
-                  np.zeros(1), math.inf)
+        self._log(0, np.array([self.state.time]), self.state.position[None], np.zeros(1),
+                  math.inf)
         if first < n:
             self._open(first)
             self._legs(first)
 
-    def _carry_targets(self) -> None:
+    def _carry_targets(self, cause: str) -> None:
+        """The targets carried by the head; `cause` is what put them out of range."""
         if self.carry is None:
             self.tgt_pos, self.tgt_rot = self.plan_pos, self.plan_rot
         else:
             self.tgt_pos = self.carry.apply(self.plan_pos)
             self.tgt_rot = self.carry.rotation @ self.plan_rot
+        tool = self.tgt_pos[0] if self.state is None else self.state.position
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(row_norms(self.tgt_pos - tool)).all():
+                raise FacelaserError(f"{cause} puts the targets of '{self.label}' out of "
+                                     f"float range of the tool")
 
     def _open(self, j: int) -> None:
         """Begin the leg toward target j from the current state."""
-        state = self.state
-        if not self.in_strip[j]:
-            state.delta_d = 0.0
-        self.leg_t0[j], self.leg_from[j] = state.time, state.rotation
-        self.leg_len0[j] = np.linalg.norm(self.tgt_pos[j] - state.position)
+        self.leg_t0[j], self.leg_from[j] = self.state.time, self.state.rotation
+        self.leg_len0[j] = np.linalg.norm(self.tgt_pos[j] - self.state.position)
 
     def _tick_leg(self, j: int) -> None:
         """One `step` per tick to the end of leg j, the guard fed on every
@@ -636,25 +639,21 @@ class _Run:
             due, exits = math.inf, False    # ticks to the next dead-band event
             if self.motion is not None:
                 ahead = float(np.linalg.norm(self.tgt_pos[j] - self.state.position)) - 1e-9
-                starts = np.full(skip + math.ceil(ahead / (cfg.max_speed * dt)), dt)
+                starts = np.full(skip + math.ceil(min(ahead / (cfg.max_speed * dt),
+                                                      self.max_ticks)), dt)
                 starts[0] = self.state.time
                 due = self._leaves(np.add.accumulate(starts), skip)
                 exits = due < len(starts)
             rows, late = [], False          # time, position, moved, dist_l, repulsing
             while len(rows) < due and not (arrived or late):
-                state, info = step(self.state, self.tgt_pos[j], cfg, self.rig, self.cloud,
-                                   self.carry)
+                state, moved, arrived, dist_l, repulsing = step(
+                    self.state, self.tgt_pos[j], cfg, self.rig, self.cloud, self.carry)
                 self.state = state
                 state.rotation = self._rotation(j, state.time)
-                rows.append((state.time, state.position, info.moved, info.dist_l,
-                             info.repulsing))
-                arrived = info.arrived
-                late = not arrived and cfg.point_timeout is not None and \
-                    state.time - self.leg_t0[j] > cfg.point_timeout
+                rows.append((state.time, state.position, moved, dist_l, repulsing))
+                late = not arrived and state.time - self.leg_t0[j] > cfg.point_timeout
             if rows:
-                armed = self.in_strip[j] and cfg.laser_enabled
-                self.state.delta_d = float(self._log(j, 0 if armed else -1, self.state.delta_d,
-                                                     *map(np.array, zip(*rows)))[-1])
+                self._log(j, *map(np.array, zip(*rows)))
             if late:
                 self._abort(j)
             skip = exits and not arrived
@@ -701,7 +700,8 @@ class _Run:
             starts = np.vstack([state.position, self.tgt_pos[j:-1]])
             to_target = self.tgt_pos[j:] - starts
             dist = row_norms(to_target)
-            ticks = np.maximum(1, np.ceil((dist - 1e-9) / s)).astype(np.intp)
+            need = np.maximum(1, np.ceil((dist - 1e-9) / s))    # the ticks to arrive
+            ticks = np.minimum(need, self.max_ticks).astype(np.intp)
             idle = dist <= 1e-9
             idle[0] &= not resumed
             ticks[idle] = 0
@@ -722,12 +722,12 @@ class _Run:
             if self.motion is not None:
                 ran = min(n, self._leaves(times[:n], int(resumed)))
                 exits = ran < n
-            if cfg.point_timeout is not None:
-                # The tick that arrives is never late.
-                over = np.flatnonzero((times[1:ran + 1] - self.leg_t0[j + of[:ran]]
-                                       > cfg.point_timeout) & (k[:ran] < ticks[of[:ran]]))
-                if over.size:
-                    ran, exits, late = int(over[0]) + 1, False, True
+            # The tick that arrives is never late, and a capped leg's last
+            # tick does not arrive.
+            over = np.flatnonzero((times[1:ran + 1] - self.leg_t0[j + of[:ran]]
+                                   > cfg.point_timeout) & (k[:ran] < need[of[:ran]]))
+            if over.size:
+                ran, exits, late = int(over[0]) + 1, False, True
 
             of, k = of[:ran], k[:ran]
             travel = np.minimum(k * s, dist[of])
@@ -751,20 +751,12 @@ class _Run:
 
             moved = np.diff(travel, prepend=0.0)
             moved[k == 1] = travel[k == 1]
-            armed = self.in_strip[j:] & cfg.laser_enabled
-            reset = ~self.in_strip[j:]
-            reset[0] = False
-            group = np.cumsum(reset)        # legs that share one delta_d
-            base = np.where(group == 0, state.delta_d, 0.0)
-            delta_d = self._log(j + of, np.where(armed[of], group[of], -1), base[of],
-                                times[1:ran + 1], positions, moved, dist_l)
+            self._log(j + of, times[1:ran + 1], positions, moved, dist_l)
 
             # The open leg after the block: the last one, or the one the event is in.
             i = int(of[-1]) if late else int(np.searchsorted(first, ran, side="right")) - 1
             i = min(i, len(ticks) - 1)
             state.time = float(times[ran])
-            state.delta_d = float(delta_d[-1]) if ran and group[of[-1]] == group[i] \
-                else float(base[i])
             if not (exits or late or engages):
                 state.position = self.tgt_pos[-1].copy()
                 state.rotation = self.tgt_rot[-1].copy()
@@ -799,8 +791,7 @@ class _Run:
         the end of the tick before. The guard engages on a distance below
         l_min and on a sensor hit at the tip, which `step` raises
         ContactError for. The ticks are cast in one batch, at a few kB per
-        tick; a point_timeout caps a leg's block at point_timeout *
-        control_rate ticks.
+        tick, and a leg's block is at most max_ticks long.
         """
         rotations = interpolate_rotations(self.leg_from[j], self.tgt_rot[j],
                                           self._fractions(j, times))
@@ -826,11 +817,7 @@ class _Run:
     def _reanchor(self, head: RigidTransform) -> None:
         self.anchor = head
         self.carry = head.compose(self.head0.invert())
-        self._carry_targets()
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(row_norms(self.tgt_pos - self.state.position)).all():
-                raise FacelaserError(f"the head pose at t = {self.state.time:.6g} s carries "
-                                     f"the targets of '{self.label}' out of float range")
+        self._carry_targets(f"the head pose at t = {self.state.time:.6g} s")
 
     def _abort(self, j: int):
         raise AbortedOnSafety(
@@ -1022,9 +1009,10 @@ def coverage_metrics(log: ShotLog, diameter: float,
 
     same = (log.segment[1:] == log.segment[:-1]) & (log.strip[1:] == log.strip[:-1])
     hop = np.diff(shots, axis=0)[same]
-    gaps = row_norms(hop)
-    mean_sp = float(np.mean(gaps)) if len(gaps) else None
-    var_sp = float(np.var(gaps)) if len(gaps) else None
+    with np.errstate(over="ignore", invalid="ignore"):   # past float range: inf, NaN
+        gaps = row_norms(hop)
+        mean_sp = float(np.mean(gaps)) if len(gaps) else None
+        var_sp = float(np.var(gaps)) if len(gaps) else None
 
     tree = PointCloud(shots).kdtree()
     # Only whether a shot lies within `radius` counts, so the queries stop

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import fields
 from decimal import Decimal
 from pathlib import Path
@@ -389,6 +390,31 @@ def test_report_bad_input_writes_nothing(workdir, capsys, flag, text):
     assert not (workdir / "o.svg").exists()
 
 
+@pytest.mark.parametrize("rows, svg, message", [
+    ([-1e200, 1e200], False, "the shot spacing is out of float range"),
+    ([1e306, 1e306], True, "the shots span too wide a range in millimetres for the SVG "
+                           "overview"),
+], ids=["spacing-overflow", "svg-overflow"])
+def test_report_out_of_float_range_exits_1(workdir, capsys, rows, svg, message):
+    """Shots whose spacing, or whose SVG extent in millimetres, is past float
+    range: exit 1 naming the shots file, with neither report.json nor the SVG
+    written, instead of Infinity, NaN or nan in them."""
+    shots = workdir / "shots.csv"
+    shots.write_text(SHOTS_HEADER + "".join(
+        SHOT_ROW.replace("0,0.2,0.004,0", f"{i},0.{i + 2},{x!r},{0.004 * i}")
+        for i, x in enumerate(rows)))
+    argv = ["report", "--shots", shots, "--out", workdir / "report.json"]
+    if svg:
+        argv += ["--out-svg", workdir / "o.svg"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(workdir, *argv)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {shots}: {message}\n"
+    assert not (workdir / "report.json").exists()
+    assert not (workdir / "o.svg").exists()
+
+
 def test_simulate_motion_out_of_float_range_exits_1(workdir, capsys):
     """A head that moves from x = 1e308 m to -1e308 m leaves the dead-band on
     the first tick after t = 0 and carries the targets so far that their
@@ -402,6 +428,40 @@ def test_simulate_motion_out_of_float_range_exits_1(workdir, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "t = 0.008 s" in err and "float range" in err
+    assert not (workdir / "shots.csv").exists()
+
+
+@pytest.mark.parametrize("far, config, keys, message", [
+    (1e6, {}, None, "target 1 of 'patch' not reached within 30 s (remaining 1e+06 m)"),
+    (1e15, {}, None, "target 1 of 'patch' not reached within 30 s (remaining 1e+15 m)"),
+    (0.01, {"pulse_rate_hz": 1e-9}, None,
+     "target 1 of 'patch' not reached within 30 s (remaining 0.01 m)"),
+    (0.01, {"standoff_m": 1e300}, None,
+     "the plan at standoff 1e+300 m puts the targets of 'patch' out of float range of "
+     "the tool"),
+    (0.01, {}, [1e150, -1e150],
+     "target 1 of 'patch' not reached within 30 s (remaining 2e+150 m)"),
+], ids=["1e6-m-leg", "1e15-m-leg", "slow-pulse-rate", "far-standoff", "far-head-motion"])
+def test_simulate_leg_too_long_to_finish_exits_1(workdir, capsys, far, config, keys, message):
+    """A leg that cannot finish before its point timeout ends the run at the
+    timeout, whatever its length in ticks, and a standoff that carries the
+    targets out of float range is named at the segment's start: exit 1 with
+    one error line and no output. The head motion case's keyframes move the
+    head from x = 1e150 m to -1e150 m over 1 s."""
+    second = {**GOOD_RECORD, "x": far}
+    if "standoff_m" in config:
+        second.update(nz=0.0, ny=1.0)     # the targets part at the standoff
+    paths = _write_doc(workdir / "paths.json", [GOOD_RECORD, second])
+    cfg = _write_doc(workdir / "config.json", config)
+    argv = ["--config", cfg, "simulate", "--paths", paths, "--out-shots", workdir / "shots.csv"]
+    if keys is not None:
+        argv += ["--motion", _write_doc(workdir / "motion.json", [
+            {**GOOD_KEY, "t_s": float(t), "translation": [x, 0.0, 0.0]}
+            for t, x in enumerate(keys)])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(list(map(str, argv))) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (workdir / "shots.csv").exists()
 
 

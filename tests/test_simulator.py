@@ -358,40 +358,44 @@ def test_leaves_deadband_matches_per_pose_check(data):
 
 @st.composite
 def trigger_runs(draw):
-    """A diameter and ticks in stretches, each (armed, delta_d before it,
-    travel per tick). Travel is any size up to two diameters, none, or an
-    exact fraction or multiple of the diameter or of the firing threshold,
-    whose sums land on the threshold."""
+    """A diameter, ticks in stretches, each (armed, travel per tick), and the
+    travel carried in as (stretch, delta_d): the first armed stretch goes on
+    from it, or no stretch does. Travel is any size up to two diameters,
+    none, or an exact fraction or multiple of the diameter or of the firing
+    threshold, whose sums land on the threshold."""
     diameter = draw(st.floats(1e-4, 1e-2))
     exact = st.tuples(st.sampled_from([0.25, 0.5, 1.0, 2.0]),
                       st.sampled_from([1.0, simulator.FIRE_FRACTION]))
     travel = st.one_of(st.floats(0.0, 2.0 * diameter), st.just(0.0),
                        exact.map(lambda f: f[0] * (diameter * f[1])))
-    base = st.one_of(st.just(0.0), st.floats(0.0, 2.0 * diameter))
-    stretches = st.tuples(st.booleans(), base, st.lists(travel, max_size=12))
-    return diameter, draw(st.lists(stretches, min_size=1, max_size=6))
+    stretches = draw(st.lists(st.tuples(st.booleans(), st.lists(travel, max_size=12)),
+                              min_size=1, max_size=6))
+    armed = [number for number, (on, _) in enumerate(stretches) if on]
+    goes_on = armed[0] if armed and draw(st.booleans()) else len(stretches)
+    carried = draw(st.one_of(st.floats(0.0, 2.0 * diameter),
+                             exact.map(lambda f: f[0] * (diameter * f[1]))))
+    return diameter, (goes_on, carried), stretches
 
 
-def check_trigger(diameter, stretches):
+def check_trigger(diameter, carry, stretches):
     """Holds `_trigger` to the per-tick rule on one case of `trigger_runs`
     and returns its delta_d after every tick and the ticks that fired."""
-    moved, stretch, base, want, fired = [], [], [], [], []
-    for number, (armed, start, ticks) in enumerate(stretches):
-        delta_d = start
+    moved, stretch, want, fired = [], [], [], []
+    for number, (armed, ticks) in enumerate(stretches):
+        delta_d = carry[1] if armed and number == carry[0] else 0.0
         for travel in ticks:
             delta_d, fires = tick_trigger(delta_d, travel, armed, diameter)
             if fires:
                 fired.append(len(moved))
             moved.append(travel)
             stretch.append(number if armed else -1)
-            base.append(start)
             want.append(delta_d)
-    stretch, base = np.array(stretch, dtype=int), np.array(base)
-    got, shots = simulator._trigger(np.array(moved), stretch, base,
+    stretch = np.array(stretch, dtype=int)
+    got, shots = simulator._trigger(np.array(moved), stretch, carry,
                                     diameter * simulator.FIRE_FRACTION)
     assert got.tolist() == want and shots.tolist() == fired
     assert (stretch[shots] >= 0).all() and (got[shots] == 0.0).all()
-    assert np.array_equal(got[stretch < 0], base[stretch < 0])
+    assert (got[stretch < 0] == 0.0).all()
     return got, shots
 
 
@@ -400,8 +404,8 @@ def check_trigger(diameter, stretches):
 def test_trigger_matches_per_tick_rule(case):
     """`_trigger` gives the per-tick rule's delta_d after every tick, bit for
     bit, and fires on the same ticks: travel accumulates only while armed,
-    an unarmed tick never fires and holds its delta_d, and a shot resets
-    delta_d to 0."""
+    only the stretch the carry names starts from its delta_d, an unarmed
+    tick never fires and reads 0, and a shot resets delta_d to 0."""
     check_trigger(*case)
 
 
@@ -410,17 +414,17 @@ class TestStep:
         cfg = sim_config()
         state = EffectorState(np.array([0.0, 0.0, 0.0]), np.eye(3))
         target = np.array([0.0005, 0.0, 0.0])  # a quarter tick away
-        new, info = step(state, target, cfg)
-        assert info.arrived
+        new, moved, arrived, _, _ = step(state, target, cfg)
+        assert arrived
         assert np.array_equal(new.position, target)
-        assert info.moved == pytest.approx(0.0005)
+        assert moved == pytest.approx(0.0005)
 
     def test_cruise_speed_is_clamped(self):
         cfg = sim_config()
         state = EffectorState(np.zeros(3), np.eye(3))
-        new, info = step(state, np.array([1.0, 0.0, 0.0]), cfg)
-        assert info.moved == pytest.approx(cfg.max_speed / cfg.control_rate)
-        assert not info.arrived
+        new, moved, arrived, _, _ = step(state, np.array([1.0, 0.0, 0.0]), cfg)
+        assert moved == pytest.approx(cfg.max_speed / cfg.control_rate)
+        assert not arrived
 
     # The trigger cases run one cruise tick of sim_config(), one diameter of
     # travel, or half of one, through the tick loop's `_trigger`.
@@ -428,25 +432,26 @@ class TestStep:
     def cruise_tick():
         cfg = sim_config()
         state = EffectorState(np.zeros(3), np.eye(3))
-        return cfg.laser_diameter, step(state, np.array([1.0, 0.0, 0.0]), cfg)[1].moved
+        return cfg.laser_diameter, step(state, np.array([1.0, 0.0, 0.0]), cfg)[1]
 
     def test_travel_accumulates_only_when_armed(self):
         diameter, moved = self.cruise_tick()
         half = 0.5 * moved
-        got, shots = check_trigger(diameter, [(False, 0.0, [moved]),
-                                              (True, 0.0, [half, half])])
+        got, shots = check_trigger(diameter, (2, 0.0), [(False, [moved]), (True, [half, half])])
         assert got.tolist() == [0.0, half, 0.0] and shots.tolist() == [2]
         assert moved == pytest.approx(0.002)
 
     def test_fires_at_diameter_and_resets(self):
         diameter, moved = self.cruise_tick()
-        got, shots = check_trigger(diameter, [(True, 0.0015, [moved])])
+        got, shots = check_trigger(diameter, (0, 0.0015), [(True, [moved])])
         assert shots.tolist() == [0] and got.tolist() == [0.0]
 
     def test_never_fires_unarmed(self):
+        """Unarmed ticks read 0 and never fire, even in the stretch that the
+        carry names."""
         diameter, moved = self.cruise_tick()
-        got, shots = check_trigger(diameter, [(False, 0.1, [moved, moved])])
-        assert shots.size == 0 and got.tolist() == [0.1, 0.1]
+        got, shots = check_trigger(diameter, (0, 0.1), [(False, [moved, moved])])
+        assert shots.size == 0 and got.tolist() == [0.0, 0.0]
 
     def test_carried_surface_acts_as_its_copy(self):
         """Rays cast back through `carry` see what a moved copy of the cloud shows."""
@@ -457,10 +462,11 @@ class TestStep:
         state = EffectorState(pose.translation, pose.rotation)
         target = pose.translation + carry.apply_direction([0.01, 0.0, 0.0])
         cfg = SimConfig(0.004, 5.0)
-        new, info = step(state, target, cfg, SensorRig(), wall, carry)
-        ref, ref_info = step(state, target, cfg, SensorRig(), wall.transformed(carry))
-        assert info.repulsing and ref_info.repulsing
-        assert info.dist_l == pytest.approx(ref_info.dist_l, rel=1e-12)
+        new, _, _, dist_l, repulsing = step(state, target, cfg, SensorRig(), wall, carry)
+        ref, _, _, ref_dist_l, ref_repulsing = step(state, target, cfg, SensorRig(),
+                                                    wall.transformed(carry))
+        assert repulsing and ref_repulsing
+        assert dist_l == pytest.approx(ref_dist_l, rel=1e-12)
         assert np.allclose(new.position, ref.position, rtol=0.0, atol=1e-15)
 
 
@@ -493,6 +499,16 @@ class TestRunPath:
         xs, ys = res.log.positions[:, 0], res.log.positions[:, 1]
         assert xs == pytest.approx([0.002, 0.004, 0.002, 0.0])
         assert ys == pytest.approx([0.0, 0.0, 0.003, 0.003])
+
+    def test_each_segment_restarts_the_pitch(self):
+        """A 10 mm strip leaves 2 mm of travel toward a next shot; the next
+        segment, one strip again, still fires one diameter from its start."""
+        second = straight_path(0.01, label="second")
+        second.positions = second.positions + [0.0, 0.01, 0.0]
+        res = run_path({"first": straight_path(0.01, label="first"), "second": second},
+                       SimConfig(0.004, 5.0))
+        assert res.log.segment.tolist() == ["first"] * 2 + ["second"] * 2
+        assert res.log.positions[:, 0] == pytest.approx([0.004, 0.008] * 2, abs=1e-12)
 
     def test_approach_leg_is_dark(self):
         cfg = sim_config()
@@ -1065,7 +1081,7 @@ def assert_same_run(paths, cfg, **kwargs):
                     f"loop's {b[i]!r}; a sensor hit flipped at the beam edge")
     assert np.array_equal(fast.trajectory.repulsing, ref.trajectory.repulsing)
     a, b = fast.final_state, ref.final_state
-    assert a.time == b.time and abs(a.delta_d - b.delta_d) <= 1e-12
+    assert a.time == b.time
     assert np.abs(a.position - b.position).max() <= 1e-12
     assert np.abs(a.rotation - b.rotation).max() <= 1e-12
     return fast_abort
@@ -1138,7 +1154,7 @@ def runs(draw, guards):
     diameter = draw(st.floats(0.001, 0.006))
     ticks_per_shot = draw(st.floats(1.5, 30.0))
     # A wall can hold the tool off a target for good; the timeout ends such a run.
-    timeouts = [None, 30.0, 30.0, 0.3, 1.0] if guard in ("none", "idle") else [0.3, 1.0]
+    timeouts = [1e6, 30.0, 30.0, 0.3, 1.0] if guard in ("none", "idle") else [0.3, 1.0]
     cfg = SimConfig(diameter, rate / ticks_per_shot, control_rate=rate,
                     point_timeout=draw(st.sampled_from(timeouts)),
                     laser_enabled=draw(st.sampled_from([True, True, False])),
@@ -1441,6 +1457,51 @@ def test_guard_steps_from_where_it_engages_to_the_end_of_the_leg():
     # the engaging tick to the one that arrives, and on no leg before or after.
     assert calls == traj.time[engages - 1:arrives[0]].tolist()
     assert traj.time[-1] > traj.time[arrives[0]] + 1.0
+
+
+@pytest.mark.parametrize("laser", [True, False], ids=["laser-on", "laser-off"])
+def test_carried_travel_restarts_at_every_strip_run(laser):
+    """Two strips over `bump_run`'s bump: the guard engages on the first
+    strip's second leg, and the head steps 5 mm, out of the dead-band, in
+    the middle of the second strip's leg. Replayed from the trajectory's
+    tick travel, delta_d reads 0 on every unarmed tick (the dark leg between
+    the strips, and every tick with the laser off), restarts from 0 at each
+    strip run, goes on across the engaged guard and the re-anchor, and
+    fires on the shots' ticks."""
+    path, _, guard = bump_run()
+    chi = np.vstack([path.positions, [[-0.05, 0.06, 0.05]]])
+    plan = SegmentPath("bump", chi, [Z_AXIS] * 5, [0, 0, 0, 1, 1], "horizontal")
+    cfg = SimConfig(0.004, 5.0, laser_enabled=laser)
+    shift = np.array([0.0, 0.005, 0.0])
+    motion = MotionScript([0.0, 13.0, 13.004], [RigidTransform.identity()] * 2
+                          + [RigidTransform(np.eye(3), shift)])
+    res = run_path(plan, cfg, motion=motion, **guard)
+    traj = res.trajectory
+    assert traj.repulsing.any()
+
+    # Leg j ends on the tick that arrives at target j, carried by the step
+    # for the last one.
+    ends = [0]
+    for j, target in enumerate(chi[1:] + np.vstack([np.zeros((3, 3)), shift]), 1):
+        near = np.linalg.norm(traj.position[ends[-1] + 1:] - target, axis=1) <= 1e-9
+        assert near.any(), f"target {j} not reached"
+        ends.append(ends[-1] + 1 + int(np.argmax(near)))
+    assert ends[-1] == len(traj) - 1
+    assert traj.delta_d[0] == 0.0
+
+    travel = np.linalg.norm(np.diff(traj.position, axis=0), axis=1)
+    fired, delta_d = [], 0.0
+    for j in range(1, 5):
+        armed = laser and plan.strip_indices[j] == plan.strip_indices[j - 1]
+        if not armed:
+            delta_d = 0.0                   # the next strip run starts from 0
+        for i in range(ends[j - 1] + 1, ends[j] + 1):
+            delta_d, fires = tick_trigger(delta_d, travel[i - 1], armed, cfg.laser_diameter)
+            if fires:
+                fired.append(traj.time[i])
+            assert traj.delta_d[i] == (pytest.approx(delta_d, abs=1e-12) if armed else 0.0)
+    assert res.log.time.tolist() == fired
+    assert set(res.log.strip.tolist()) == ({0, 1} if laser else set())
 
 
 @pytest.mark.parametrize("height", [0.1, 1.0], ids=["sensed", "out-of-range"])
