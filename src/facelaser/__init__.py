@@ -4,7 +4,6 @@ from .errors import (
     AbortedOnSafety,
     ConfigError,
     ContactError,
-    DegenerateInput,
     DegenerateNormal,
     EmptyCloud,
     EmptyLog,
@@ -19,12 +18,10 @@ from .errors import (
 )
 from .geometry import (
     CameraIntrinsics,
-    PoseVector6,
     RigidTransform,
     axis_angle_to_rotation,
     interpolate_rotation,
     project_points,
-    rotation_from_normal,
     rotation_to_axis_angle,
 )
 from .cloud import (

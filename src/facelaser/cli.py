@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     TooFewPoints,
 )
-from .geometry import CameraIntrinsics, PoseVector6, RigidTransform, norms_by_column, parse_pose
+from .geometry import CameraIntrinsics, RigidTransform, dump_pose, norms_by_column, parse_pose
 from .pathplan import PlannerConfig, SegmentPath, plan_segment
 from .registration import check_merge_leaf, estimate_viewpoints, merge_views
 from .segmentation import REGION_LABELS, FaceLandmarks, segment_face
@@ -144,12 +144,6 @@ def _read_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _dump_pose(t: RigidTransform) -> dict:
-    psi = PoseVector6.from_transform(t)
-    return {"translation": [float(x) for x in psi.position],
-            "axis_angle": [float(x) for x in psi.axis_angle]}
-
-
 def _write_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
@@ -163,9 +157,9 @@ def cmd_viewpoints(args, cfg: RunConfig) -> int:
         pose = parse_pose(_read_json(args.face_pose), args.face_pose)
     else:
         pose = RigidTransform.identity()
-    poses = estimate_viewpoints(pose, cfg.d_min_m, cfg.phi_step_rad,
-                                cfg.n_per_side, cfg.viewpoint_arc_model)
-    _write_json([_dump_pose(p) for p in poses], args.out)
+    poses = cfg._build(functools.partial(estimate_viewpoints, pose), "d_min_m",
+                       "phi_step_rad", "n_per_side", "viewpoint_arc_model")
+    _write_json([dump_pose(p) for p in poses], args.out)
     print(f"wrote {len(poses)} viewpoint poses -> {args.out}")
     return 0
 
@@ -449,8 +443,13 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         surface = load_ply(_require(args.surface))
         rig = cfg.rig()
     motion = MotionScript.from_json(_require(args.motion)) if args.motion else None
-    res = run_path(paths, cfg.sim(), standoff=cfg.standoff_m, rig=rig,
-                   cloud=surface, motion=motion, record=args.out_traj is not None)
+    try:
+        res = run_path(paths, cfg.sim(), standoff=cfg.standoff_m, rig=rig, cloud=surface,
+                       motion=motion, record=args.out_traj is not None)
+    except InvalidParam as exc:
+        if exc.name != "standoff":
+            raise
+        raise ConfigError(f"{exc} (config key: standoff_m)") from exc
     _write_shots_csv(res.log, args.out_shots)
     if args.out_traj:
         _write_traj_csv(res.trajectory, args.out_traj)
@@ -526,6 +525,16 @@ def cmd_report(args, cfg: RunConfig) -> int:
             if not np.isfinite(hi - lo).all():
                 raise ParseError(f"{args.shots}: the shots{' and paths' if paths else ''} "
                                  f"span too wide a range in millimetres for the SVG overview")
+    # Coverage measures shots and points in absolute coordinates, which stop
+    # resolving the spot once their float spacing passes a millionth of its
+    # radius: beyond ~1.7e7 m at a 2 mm radius.
+    radius = 0.5 * cfg.laser_diameter_m
+    scored = [log.positions] + ([] if cloud is None else [cloud.positions])
+    reach = max(float(np.abs(p).max(initial=0.0)) for p in scored)
+    if np.spacing(reach) > 1e-6 * radius:
+        raise ParseError(f"{args.shots}: the shots{'' if cloud is None else ' and cloud'} "
+                         f"lie up to {reach:g} m from the origin, too far to resolve the "
+                         f"{radius:g} m spot radius")
     doc = {
         "n_shots": rep.n_shots,
         "n_spacings": rep.n_spacings,

@@ -5,10 +5,6 @@ class FacelaserError(Exception):
     """Base class for all package-specific failures."""
 
 
-class DegenerateInput(FacelaserError):
-    """Input geometry collapses (coincident eyes, baseline parallel to the optical axis)."""
-
-
 class DegenerateNormal(FacelaserError):
     """Approach normal is parallel to the crossing reference axis."""
 

@@ -10,22 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DegenerateNormal, ParseError
+from .errors import ParseError
 
 # A Vec3 is a plain float64 ndarray of shape (3,).
 Vec3 = np.ndarray
 
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
-
-
-def unit(v: np.ndarray) -> np.ndarray:
-    """Normalize v; raises DegenerateInput on (near-)zero norm."""
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n < 1e-12:
-        raise DegenerateInput("cannot normalize a zero-length vector")
-    return v / n
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
@@ -92,40 +83,29 @@ class RigidTransform:
         return d @ self.rotation.T
 
 
-@dataclass
-class PoseVector6:
-    """Position stacked with an axis-angle orientation (the robot pose format)."""
-
-    position: np.ndarray
-    axis_angle: np.ndarray
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        self.axis_angle = np.asarray(self.axis_angle, dtype=float).reshape(3)
-
-    @classmethod
-    def from_transform(cls, t: RigidTransform) -> "PoseVector6":
-        return cls(t.translation.copy(), rotation_to_axis_angle(t.rotation))
-
-    def to_transform(self) -> RigidTransform:
-        return RigidTransform(axis_angle_to_rotation(self.axis_angle), self.position.copy())
-
-
 def parse_pose(doc, source) -> RigidTransform:
     """The pose of a {"translation", "axis_angle"} document; ParseError names
     `source` when a field is missing, a value is not a finite number, or the
     axis_angle is too long for its norm to be finite (past ~1.3e154)."""
     try:
-        psi = PoseVector6(doc["translation"], doc["axis_angle"])
+        translation, axis_angle = (np.asarray(v, dtype=float).reshape(3)
+                                   for v in (doc["translation"], doc["axis_angle"]))
     except KeyError as exc:
         raise ParseError(f"{source}: pose without {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{source}: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
-        pose = psi.to_transform()           # NaN once the axis_angle norm overflows
-    if not (np.isfinite(psi.position).all() and np.isfinite(pose.rotation).all()):
+        rotation = axis_angle_to_rotation(axis_angle)   # NaN once its norm overflows
+    if not (np.isfinite(translation).all() and np.isfinite(rotation).all()):
         raise ParseError(f"{source}: non-finite pose value or rotation")
-    return pose
+    return RigidTransform(rotation, translation)
+
+
+def dump_pose(t: RigidTransform) -> dict:
+    """The {"translation", "axis_angle"} document of a pose, as parse_pose
+    reads it."""
+    return {"translation": t.translation.tolist(),
+            "axis_angle": rotation_to_axis_angle(t.rotation).tolist()}
 
 
 @dataclass
@@ -144,27 +124,6 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
-
-
-def rotation_from_normal(eta: Vec3, reference: Vec3 = Y_AXIS) -> np.ndarray:
-    """Orientation whose z-axis is the unit surface normal eta.
-
-    x = reference cross eta (normalized), y = eta cross x. Raises
-    DegenerateNormal when eta is parallel to the reference axis; callers may
-    retry with Z_AXIS as the fallback crossing vector.
-    """
-    eta = np.asarray(eta, dtype=float)
-    n = np.linalg.norm(eta)
-    if abs(n - 1.0) > 1e-6:
-        raise ValueError("eta must be a unit vector")
-    gamma = eta / n
-    c = np.cross(np.asarray(reference, dtype=float), gamma)
-    cn = np.linalg.norm(c)
-    if cn < 1e-6:
-        raise DegenerateNormal("normal is parallel to the crossing reference axis")
-    alpha = c / cn
-    beta = unit(np.cross(gamma, alpha))
-    return np.column_stack([alpha, beta, gamma])
 
 
 def rotation_to_axis_angle(rotation: np.ndarray) -> np.ndarray:

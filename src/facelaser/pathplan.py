@@ -247,11 +247,13 @@ def path_to_poses(path: SegmentPath, standoff: float) -> tuple[np.ndarray, np.nd
 
     The tool frame's z-axis is the outward patch normal (the beam leaves
     along -z). The in-plane reference defaults to the face y-axis and falls
-    back to z for patches whose normal is parallel to y. Each rotation is
-    the one rotation_from_normal builds for its patch, bit for bit.
+    back to z for patches whose normal is parallel to y. Its oracle is
+    `loop_path_to_poses` in tests/support.py, which builds each patch's
+    rotation alone with `rotation_from_normal`; every rotation equals that
+    one bit for bit.
     """
     if standoff < 0:
-        raise InvalidParam("standoff must be non-negative")
+        raise InvalidParam("standoff must be non-negative", "standoff")
     eta = path.normals
     norm = row_norms(eta)
     if (np.abs(norm - 1.0) > 1e-6).any():

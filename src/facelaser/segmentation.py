@@ -69,11 +69,6 @@ class RegionPolygon:
     label: str
     vertices: np.ndarray        # (n, 2) pixel coordinates, implicitly closed
 
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2 or len(self.vertices) < 3:
-            raise ValueError("polygon needs at least 3 (u, v) vertices")
-
 
 def _segments_properly_intersect(p1, p2, p3, p4) -> bool:
     def orient(a, b, c):

@@ -467,15 +467,14 @@ def run_path(paths, config: SimConfig, standoff: float = 0.0,
     t = 0, and the guard casts its rays back into the plan frame, where the
     cloud stays. A leg that cannot be reached within
     point_timeout (typically because the safety field holds the tool off)
-    aborts the run.
+    aborts the run. A negative standoff is path_to_poses' InvalidParam, at
+    the first segment.
 
     With both `rig` and `cloud` the run is guarded. Each segment is evaluated
     in blocks of legs up to the first tick where the guard engages; from
     there to the end of that leg the run steps tick by tick. The result
     equals the tick loop's to rounding.
     """
-    if standoff < 0:
-        raise InvalidParam("standoff must be non-negative")
     guarded = rig is not None and cloud is not None
     if guarded:
         if not cloud.has_normals:
@@ -755,7 +754,6 @@ class _Run:
 
             # The open leg after the block: the last one, or the one the event is in.
             i = int(of[-1]) if late else int(np.searchsorted(first, ran, side="right")) - 1
-            i = min(i, len(ticks) - 1)
             state.time = float(times[ran])
             if not (exits or late or engages):
                 state.position = self.tgt_pos[-1].copy()
@@ -974,7 +972,6 @@ class CoverageReport:
     mean_spacing: float | None              # consecutive same-strip shots [m]
     var_spacing: float | None               # population variance [m^2]
     coverage: float                         # fraction of the region treated
-    path_length: float
 
 
 def coverage_metrics(log: ShotLog, diameter: float,
@@ -1054,5 +1051,4 @@ def coverage_metrics(log: ShotLog, diameter: float,
                                  distance_upper_bound=bound)
             covered += int(np.count_nonzero(dist <= radius))
         coverage = covered / samples
-    return CoverageReport(len(log), len(gaps), mean_sp, var_sp, coverage,
-                          log.path_length)
+    return CoverageReport(len(log), len(gaps), mean_sp, var_sp, coverage)

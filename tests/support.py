@@ -3,8 +3,9 @@ JSON writer, path stubs, the face frame from the eyes, 4x4 pose matrices,
 and the reference implementations (brute-force raycast, np.unique voxel grid,
 the re-stacked voxel grid sums, all-pairs voxel neighbours, per-voxel loop and
 k-NN normals, eigh normals, the mask-per-step strip binning, the per-window
-strip sweep, per-patch poses, the dict-per-record path file writer and reader,
-the full-row traj.csv and per-row shots.csv writers, the DictReader shots
+strip sweep, one patch's tool frame and the per-patch poses, the
+dict-per-record path file writer and reader, the full-row traj.csv and
+per-row shots.csv writers, the DictReader shots
 reader, the per-point SVG overview, the simulator's tick loop over a segment
 and its per-tick trigger, the key-dict voxel lookup, the fresh-lookup ICP,
 the full-draw Monte Carlo coverage and the
@@ -33,7 +34,6 @@ from facelaser.cloud import (
     _run_starts,
 )
 from facelaser.errors import (
-    DegenerateInput,
     DegenerateNormal,
     FacelaserError,
     InvalidParam,
@@ -45,8 +45,6 @@ from facelaser.geometry import (
     CameraIntrinsics,
     RigidTransform,
     project_points,
-    rotation_from_normal,
-    unit,
 )
 from facelaser.pathplan import (
     MIN_STRIP_FRACTION,
@@ -67,6 +65,19 @@ def as_matrix(t: RigidTransform) -> np.ndarray:
     m[:3, :3] = t.rotation
     m[:3, 3] = t.translation
     return m
+
+
+class DegenerateInput(FacelaserError):
+    """Input geometry collapses (coincident eyes, baseline parallel to the optical axis)."""
+
+
+def unit(v: np.ndarray) -> np.ndarray:
+    """Normalize v; raises DegenerateInput on (near-)zero norm."""
+    v = np.asarray(v, dtype=float)
+    n = np.linalg.norm(v)
+    if n < 1e-12:
+        raise DegenerateInput("cannot normalize a zero-length vector")
+    return v / n
 
 
 def face_pose_from_eyes(d_l, d_r) -> RigidTransform:
@@ -579,6 +590,27 @@ def point_svg_overview(shots, paths, diameter: float, out) -> None:
     lines.append("</svg>")
     with open(out, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def rotation_from_normal(eta, reference=Y_AXIS) -> np.ndarray:
+    """Orientation whose z-axis is the unit surface normal eta.
+
+    x = reference cross eta (normalized), y = eta cross x. Raises
+    DegenerateNormal when eta is parallel to the reference axis; callers may
+    retry with Z_AXIS as the fallback crossing vector.
+    """
+    eta = np.asarray(eta, dtype=float)
+    n = np.linalg.norm(eta)
+    if abs(n - 1.0) > 1e-6:
+        raise ValueError("eta must be a unit vector")
+    gamma = eta / n
+    c = np.cross(np.asarray(reference, dtype=float), gamma)
+    cn = np.linalg.norm(c)
+    if cn < 1e-6:
+        raise DegenerateNormal("normal is parallel to the crossing reference axis")
+    alpha = c / cn
+    beta = unit(np.cross(gamma, alpha))
+    return np.column_stack([alpha, beta, gamma])
 
 
 def loop_path_to_poses(path: SegmentPath, standoff: float) -> tuple[np.ndarray, np.ndarray]:

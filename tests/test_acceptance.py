@@ -23,9 +23,7 @@ from facelaser.geometry import (
     Y_AXIS,
     Z_AXIS,
     axis_angle_to_rotation,
-    rotation_from_normal,
     rotation_to_axis_angle,
-    unit,
 )
 from facelaser.pathplan import (
     PlannerConfig,
@@ -59,7 +57,9 @@ from support import (
     model_grid,
     plane_grid,
     point_in_polygon,
+    rotation_from_normal,
     straight_path,
+    unit,
     wall_cloud,
 )
 

@@ -93,6 +93,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("key, text, command", [
         ("laser_diameter_m", "NaN", "simulate"),
         ("standoff_m", "NaN", "simulate"),
+        ("standoff_m", "-0.001", "simulate"),
         ("control_rate_hz", "Infinity", "simulate"),
         ("point_timeout_s", "NaN", "simulate"),
         ("mc_samples", "0", "report"),
@@ -104,8 +105,8 @@ class TestConfigHandling:
         ("voxel_leaf_m", "1e-30", "register"),
         ("voxel_leaf_m", "1e308", "register"),
         ("voxel_leaf_m", "5e307", "register"),
-    ], ids=["nan-diameter", "nan-standoff", "inf-control-rate", "nan-timeout",
-            "zero-samples", "negative-samples", "negative-seed",
+    ], ids=["nan-diameter", "nan-standoff", "negative-standoff", "inf-control-rate",
+            "nan-timeout", "zero-samples", "negative-samples", "negative-seed",
             "control-rate-below-pulse-rate", "zero-leaf", "negative-leaf", "tiny-leaf",
             "huge-leaf", "huge-coarse-grid-leaf"])
     def test_bad_value_exits_1(self, tmp_path, capsys, key, text, command):
@@ -126,6 +127,7 @@ class TestConfigHandling:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key.removeprefix("mc_") in err
+        assert err.count("\n") == 1
         assert not list(tmp_path.glob("out.*"))
 
     def test_gate_multiplier_is_an_unknown_key(self, tmp_path, capsys):
@@ -415,6 +417,38 @@ def test_report_out_of_float_range_exits_1(workdir, capsys, rows, svg, message):
     assert not (workdir / "o.svg").exists()
 
 
+@pytest.mark.parametrize("shot_x, cloud_x, message", [
+    (1e17, None, "the shots lie up to 1e+17 m"),
+    (0.0, 1e17, "the shots and cloud lie up to 1e+17 m"),
+], ids=["shots", "cloud"])
+def test_report_too_far_to_resolve_the_spot_exits_1(tmp_path, capsys, shot_x, cloud_x,
+                                                    message):
+    """Coverage measures in absolute coordinates. At 1e17 m, where float64
+    steps by 16 m, two shots 4 mm apart read a coverage of 1.0; so shots, or
+    a --cloud, that far out are an input error naming the shots file, with
+    neither report.json nor the SVG written."""
+    shots = tmp_path / "shots.csv"
+    shots.write_text(SHOTS_HEADER + f"0,0.2,{shot_x!r},0,0,0,0,0,0,patch\n"
+                     + f"1,0.4,{shot_x!r},0.004,0,0,0,0,0,patch\n")
+    argv = ["report", "--shots", str(shots), "--out", str(tmp_path / "report.json"),
+            "--out-svg", str(tmp_path / "o.svg")]
+    if cloud_x is not None:
+        save_ply(PointCloud([[cloud_x, 0.0, 0.0], [0.0, 0.0, 0.0]]), tmp_path / "cloud.ply")
+        argv += ["--cloud", str(tmp_path / "cloud.ply")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {shots}: {message} from the origin, too far to resolve the 0.002 m "
+        "spot radius\n")
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "o.svg").exists()
+    shots.write_text(SHOTS_HEADER + "0,0.2,0,0,0,0,0,0,0,patch\n"
+                     + "1,0.4,0,0.004,0,0,0,0,0,patch\n")
+    assert main(argv[:7]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["coverage_fraction"] == 0.785118
+
+
 def test_simulate_motion_out_of_float_range_exits_1(workdir, capsys):
     """A head that moves from x = 1e308 m to -1e308 m leaves the dead-band on
     the first tick after t = 0 and carries the targets so far that their
@@ -637,7 +671,39 @@ def test_plan_huge_normals_print_only_the_error(workdir):
     assert not (workdir / "paths.json").exists()
 
 
+# sha256 of `viewpoints` with the default config and VIEWPOINTS_FACE_POSE.
+VIEWPOINTS_FACE_POSE = {"translation": [0.012, -0.034, 0.41], "axis_angle": [0.2, -0.35, 0.1]}
+VIEWPOINTS_SHA256 = "c31fdd965fee2da6aa80fece80fa7b2083efa13f983cc7675c788fd4637315ea"
+
+
 class TestViewpointsAndRegister:
+    def test_viewpoints_golden_bytes(self, tmp_path):
+        """The pose documents `viewpoints` writes, from a face pose turned
+        about all three axes, keep their bytes."""
+        pose = _write_doc(tmp_path / "face_pose.json", VIEWPOINTS_FACE_POSE)
+        assert main(["viewpoints", "--face-pose", str(pose),
+                     "--out", str(tmp_path / "vp.json")]) == 0
+        digest = hashlib.sha256((tmp_path / "vp.json").read_bytes()).hexdigest()
+        assert digest == VIEWPOINTS_SHA256
+
+    @pytest.mark.parametrize("config, message", [
+        ({"d_min_m": 0.0}, "d_min must be positive"),
+        ({"phi_step_rad": 1.6}, "phi_step must lie in (0, pi/2)"),
+        ({"n_per_side": -1}, "n_per_side must be non-negative"),
+        ({"viewpoint_arc_model": "oval"},
+         "arc_model must be one of ('circular', 'as_printed')"),
+    ], ids=["d_min", "phi_step", "n_per_side", "arc_model"])
+    def test_viewpoints_names_the_config_keys(self, tmp_path, capsys, config, message):
+        """A value estimate_viewpoints rejects is one error line naming the
+        config keys that feed it, and no vp.json."""
+        cfg = _write_doc(tmp_path / "config.json", config)
+        code = main(["--config", str(cfg), "viewpoints", "--out", str(tmp_path / "vp.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {message} (config keys: d_min_m, phi_step_rad, n_per_side, "
+            "viewpoint_arc_model)\n")
+        assert not (tmp_path / "vp.json").exists()
+
     def test_viewpoints_writes_poses(self, workdir):
         out = workdir / "vp.json"
         assert run(workdir, "viewpoints", "--out", out) == 0

@@ -2,28 +2,35 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from facelaser.errors import DegenerateInput, DegenerateNormal
+from facelaser.errors import DegenerateNormal
 from facelaser.geometry import (
     CameraIntrinsics,
-    PoseVector6,
     RigidTransform,
     Y_AXIS,
     Z_AXIS,
     axis_angle_to_rotation,
+    dump_pose,
     hat,
     interpolate_rotation,
     interpolate_rotations,
     norms_by_column,
+    parse_pose,
     project_points,
     rotation_about_x,
     rotation_about_y,
-    rotation_from_normal,
     rotation_to_axis_angle,
     rotations_to_axis_angle,
-    unit,
 )
 
-from support import BehindCamera, as_matrix, face_pose_from_eyes, project_point
+from support import (
+    BehindCamera,
+    DegenerateInput,
+    as_matrix,
+    face_pose_from_eyes,
+    project_point,
+    rotation_from_normal,
+    unit,
+)
 
 
 def random_rotation(rng):
@@ -145,7 +152,7 @@ class TestAxisAngle:
 class TestPoseVector:
     def test_roundtrip(self, rng):
         t = RigidTransform(random_rotation(rng), rng.normal(size=3))
-        back = PoseVector6.from_transform(t).to_transform()
+        back = parse_pose(dump_pose(t), "pose")
         assert np.allclose(as_matrix(back), as_matrix(t), atol=1e-9)
 
 

@@ -23,7 +23,6 @@ from facelaser.geometry import (
     Z_AXIS,
     axis_angle_to_rotation,
     interpolate_rotation,
-    rotation_from_normal,
     rotation_to_axis_angle,
 )
 
@@ -53,6 +52,7 @@ from support import (
     full_draw_coverage,
     path_records,
     plane_grid,
+    rotation_from_normal,
     scan_raycast,
     straight_path,
     tick_legs,

@@ -1,5 +1,8 @@
-"""The benchmark's traced run resolves its functions by name in facelaser."""
+"""The benchmark's traced run resolves its functions by name in facelaser,
+and everything defined in src/facelaser is reached from a stage or a traced
+name."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -15,6 +18,7 @@ from facelaser.registration import icp_point_to_plane
 from support import ellipsoid_cloud, model_grid
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "facelaser"
 
 
 def _load_tracing():
@@ -35,6 +39,62 @@ def test_traced_name_resolves(layer, name):
     for part in name.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _unreached_defs():
+    """The module-level defs and classes of src/facelaser, and the methods
+    of its reached classes, that nothing reaches from the roots: `cli.main`,
+    `cli.build_parser`, every `cli.cmd_*` and every traced name.
+
+    A bare name reaches every module-level def or class of that name, since
+    src/ imports functions by name; an attribute reaches every method of
+    that name. A reached class reaches its dunder methods and the names in
+    its decorators, bases and non-method body. Module-level statements other
+    than defs run on import, so the names in them are reached too."""
+    nodes, by_name, reached, on_import = {}, {}, set(), []
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                on_import.append(node)
+                continue
+            key = (module, node.name)
+            nodes[key] = node
+            by_name.setdefault(node.name, []).append(key)
+            if isinstance(node, ast.ClassDef):
+                nodes.update({(*key, sub.name): sub for sub in node.body
+                              if isinstance(sub, ast.FunctionDef)})
+            if module == "cli" and (node.name in ("main", "build_parser")
+                                    or node.name.startswith("cmd_")):
+                reached.add(key)
+    for layer, name in _traced_names():
+        parts = name.split(".")
+        reached |= {(layer, parts[0]), (layer, *parts)}
+    while True:
+        names, attrs = set(), set()
+        for node in on_import + [nodes[key] for key in reached]:
+            parts = [node]
+            if isinstance(node, ast.ClassDef):      # its methods are reached one by one
+                parts = [*node.decorator_list, *node.bases,
+                         *(s for s in node.body if not isinstance(s, ast.FunctionDef))]
+            for sub in (sub for part in parts for sub in ast.walk(part)):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    attrs.add(sub.attr)
+        found = {key for name in names for key in by_name.get(name, ())}
+        found |= {key for key in nodes if len(key) == 3 and key[:2] in reached
+                  and (key[2] in attrs or key[2].startswith("__"))}
+        if found <= reached:
+            return sorted(".".join(key) for key in nodes.keys() - reached
+                          if len(key) == 2 or key[:2] in reached)
+        reached |= found
+
+
+def test_src_holds_only_what_a_stage_runs():
+    """Every def and class in src/facelaser runs in a stage or is traced by
+    name: an oracle that only tests call belongs in tests/support.py."""
+    assert _unreached_defs() == []
 
 
 def _register_call(name):
