@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptyCloud, MissingField, ParseError, TooFewPoints
 from .geometry import RigidTransform, norms_by_column, row_norms
@@ -22,9 +21,17 @@ _PLY_TYPES = {
     "uint": ("<u4", 4), "uint32": ("<u4", 4),
 }
 
-# raycast covers a ray with at most this many search balls, so a radius that
-# is tiny against the cloud's extent widens the balls instead of multiplying them.
-MAX_RAY_BALLS = 1024
+# raycast walks a ray in at most this many steps, so a radius that is tiny
+# against the cloud's extent widens the cells instead of multiplying the steps.
+MAX_RAY_STEPS = 1024
+# A cell index's dense table holds at most this many cells per point (64 for
+# fewer than 8 points): its side grows until it does, so memory is O(points).
+CELLS_PER_POINT = 8
+# Index queries take their rows in blocks of this many, and the candidate
+# pairs of a block in chunks of about this many, so a query's memory stays
+# bounded however many points crowd its cells.
+QUERY_BLOCK = 1 << 14
+PAIR_CHUNK = 1 << 16
 
 
 class PointCloud:
@@ -42,7 +49,8 @@ class PointCloud:
             raise ValueError("normals length mismatch")
         if self.colors is not None and len(self.colors) != len(self.positions):
             raise ValueError("colors length mismatch")
-        self._tree = None
+        self._bounds = None
+        self._index: dict[float, CellIndex] = {}
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -52,25 +60,24 @@ class PointCloud:
         return self.normals is not None
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lowest and highest coordinate on each axis, computed once
+        (read-only arrays)."""
         if len(self) == 0:
             raise EmptyCloud("empty cloud has no bounds")
-        return self.positions.min(axis=0), self.positions.max(axis=0)
+        if self._bounds is None:
+            self._bounds = self.positions.min(axis=0), self.positions.max(axis=0)
+            for end in self._bounds:
+                end.setflags(write=False)
+        return self._bounds
 
-    def kdtree(self) -> cKDTree:
-        """The cloud's kd-tree, built once, by sliding-midpoint splits.
-
-        Unbalanced, uncompacted nodes (Maneewongvatana & Mount, "It's okay to
-        be skinny, if your friends are fat", 1999) build about twice as fast
-        as the default median splits on a face scan, and answer the guard's
-        bounded nearest-point queries about three times as fast.
-        Queries are exact either way: only the index returned on an exact
-        distance tie can differ. Points clustered geometrically (x = 2^-k)
-        or on a line can make a query several times slower.
-        """
-        if self._tree is None:
-            self._tree = cKDTree(self.positions, balanced_tree=False,
-                                 compact_nodes=False)
-        return self._tree
+    def kdtree(self, side: float) -> CellIndex:
+        """The cloud's cell index for cells of side `side` or more, built once
+        per side. It is a `CellIndex`, not a tree; the name stays because the
+        benchmark's tracer times this method by it."""
+        index = self._index.get(side)
+        if index is None:
+            index = self._index[side] = CellIndex(self.positions, side, self.bounds())
+        return index
 
     def select(self, mask_or_index) -> "PointCloud":
         return PointCloud(
@@ -606,6 +613,167 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _distances(x, y, z, columns: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Distances from the points (x, y, z) to the points `j` of the (3, n)
+    columns: the x, y and z differences squared and summed in that order,
+    then sqrt. Every distance the package compares with a search radius is
+    rounded this way."""
+    return np.sqrt(_squared(x, y, z, columns, j))
+
+
+def _squared(x, y, z, columns: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The squares of `_distances`."""
+    with np.errstate(over="ignore"):        # beyond any bound either way
+        dx = x - columns[0][j]
+        dy = y - columns[1][j]
+        dz = z - columns[2][j]
+        return dx * dx + dy * dy + dz * dz
+
+
+# The moves from a cell to its 3x3x3 block, and for each of the 64 ways a
+# query can lie near the faces of its cell (per axis, two bits: near the low
+# face, near the high one) the moves to search, as a run of _NEAR_MOVES.
+MOVES = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+_NEAR = [[k for k, move in enumerate(MOVES.tolist())
+          if all(d == 0 or (bits >> (4 - 2 * a)) & (1 if d < 0 else 2)
+                 for a, d in enumerate(move))] for bits in range(64)]
+_NEAR_COUNT = np.array([len(moves) for moves in _NEAR])
+_NEAR_FIRST = np.cumsum(_NEAR_COUNT) - _NEAR_COUNT
+_NEAR_MOVES = np.concatenate(_NEAR)
+
+
+def expand_ranges(rows: np.ndarray, first: np.ndarray, count: np.ndarray):
+    """Each row once per place of its range first .. first + count - 1:
+    blocks of (rows, places) in the rows' order, a new block starting at the
+    first range past each multiple of PAIR_CHUNK places."""
+    offset = np.cumsum(count) - count
+    heads = np.flatnonzero(_run_starts(offset // PAIR_CHUNK)).tolist()
+    for lo, hi in zip(heads, heads[1:] + [len(rows)]):
+        c = count[lo:hi]
+        yield (np.repeat(rows[lo:hi], c),
+               np.arange(int(c.sum())) + np.repeat(first[lo:hi] - (offset[lo:hi] - offset[lo]), c))
+
+
+class CellIndex:
+    """Points binned in cubic cells, for searches within a fixed distance.
+
+    A point's cell is floor((p - mins) / side) on each axis, as one int64
+    code (`_packing`, padded by two cells, so the 26 neighbours of every
+    cell in the box have codes too). A dense table over the codes, `starts`,
+    holds where each cell's points begin in `order`, the point indices
+    sorted by cell and, within a cell, by index. So every point within
+    `side` of a query lies in the 3x3x3 cells around the query's, and each
+    cell is one lookup.
+
+    `side` is at least the side asked for: it doubles until the table holds
+    at most CELLS_PER_POINT cells per point (64 for fewer than 8 points), so
+    the index takes O(len(positions)) memory whatever the side.
+    """
+
+    def __init__(self, positions: np.ndarray, side: float, bounds=None):
+        if not len(positions):
+            raise EmptyCloud("an empty cloud has no cell index")
+        self.mins, self.maxes = bounds if bounds is not None else (
+            positions.min(axis=0), positions.max(axis=0))
+        extent = self.maxes - self.mins
+        if not (np.isfinite(extent).all() and 0.0 < side < math.inf):
+            raise ValueError("a cell index needs a finite extent and a positive, finite side")
+        limit = CELLS_PER_POINT * max(len(positions), 8)
+        while np.prod(np.floor(extent / side) + 3.0) > limit:
+            side *= 2.0
+        self.side = side
+        self.top = np.floor(extent / side)              # the highest key on each axis
+        self.columns = np.ascontiguousarray(positions.T)
+        keys = np.floor((positions - self.mins) / side).astype(np.int64)
+        code, self._pack = _packing(keys, 2)
+        base = -self._pack(-1, -1, -1)
+        code += base
+        size = int(np.prod(self.top + 3.0))
+        self.order = np.argsort(code, kind="stable")
+        self.starts = np.zeros(size + 1, dtype=np.intp)
+        np.cumsum(np.bincount(code, minlength=size), out=self.starts[1:])
+        self._move_codes = self._pack(*MOVES.T) + base
+
+    def keys(self, points: np.ndarray) -> np.ndarray:
+        """Each point's cell key, clipped into the box."""
+        return np.clip(np.floor((points - self.mins) / self.side), 0.0, self.top).astype(np.int64)
+
+    def around(self, keys: np.ndarray) -> np.ndarray:
+        """The table rows of the 3x3x3 cells around each (n, 3) key, in
+        MOVES order: (n, 27)."""
+        return self._pack(keys[:, 0], keys[:, 1], keys[:, 2])[:, None] + self._move_codes
+
+    def expand(self, rows: np.ndarray, cells: np.ndarray):
+        """Each (row, cell) pair once per point of the cell: blocks of (rows,
+        point indices) in the pairs' order (`expand_ranges`)."""
+        first = self.starts[cells]
+        for row, at in expand_ranges(rows, first, self.starts[cells + 1] - first):
+            yield row, self.order[at]
+
+    def candidates(self, points: np.ndarray, bound: float):
+        """Blocks of (query rows, point indices) pairs, grouped by ascending
+        row, that hold every point within `bound` (at most `side`) of each
+        query: the points of the cells around the query's that reach within
+        `bound` of it on every axis."""
+        if not bound <= self.side:
+            raise ValueError(f"bound {bound} exceeds the cell side {self.side}")
+        # The neighbour cell on a side is searched when the query is within
+        # `bound` of that face; the hair covers the rounding of the keys.
+        reach = bound / self.side + 1e-6
+        for first in range(0, len(points), QUERY_BLOCK):
+            block = points[first:first + QUERY_BLOCK]
+            at = (block - self.mins) / self.side
+            key = np.clip(np.floor(at), 0.0, self.top)
+            place = at - key
+            near = (place < reach) + 2 * (place > 1.0 - reach)
+            near = (near[:, 0] * 4 + near[:, 1]) * 4 + near[:, 2]
+            key = key.astype(np.int64)
+            base = self._pack(key[:, 0], key[:, 1], key[:, 2])
+            for rows, at in expand_ranges(np.arange(len(block)), _NEAR_FIRST[near],
+                                          _NEAR_COUNT[near]):
+                cells = base[rows] + self._move_codes[_NEAR_MOVES[at]]
+                full = self.starts[cells + 1] > self.starts[cells]
+                for row, idx in self.expand(rows[full], cells[full]):
+                    yield row + first, idx
+
+    def within(self, points: np.ndarray, bound: float):
+        """Every pair of a query point and an indexed point nearer than
+        `bound` (at most `side`): blocks of (query rows, point indices,
+        distances), grouped by ascending row. A point counts when its squared
+        distance is below bound**2, as in scipy's kd-tree, and its distance
+        is `_distances`'."""
+        bound2 = float(bound) * float(bound)          # Python floats overflow to inf quietly
+        for rows, idx in self.candidates(points, bound):
+            x, y, z = (np.take(c, rows) for c in points.T)
+            s2 = _squared(x, y, z, self.columns, idx)
+            keep = np.flatnonzero(s2 < bound2)
+            yield rows[keep], idx[keep], np.sqrt(s2[keep])
+
+    def nearest(self, points: np.ndarray, bound: float) -> np.ndarray:
+        """The distance from each point to its nearest indexed point, inf
+        where none is nearer than `bound` (see `within`)."""
+        out = np.full(len(points), math.inf)
+        for rows, _, dist in self.within(points, bound):
+            if len(rows):
+                heads = np.flatnonzero(_run_starts(rows))
+                out[rows[heads]] = np.minimum(out[rows[heads]],
+                                              np.minimum.reduceat(dist, heads))
+        return out
+
+
+def ray_side(cloud: PointCloud, radius: float, need: float = 0.0) -> float:
+    """The cell side raycast_many walks `cloud` with at `radius`: the 3x3x3
+    cells around each step every `side` along a ray hold every point within
+    `need` of it, when 2 need / sqrt(3) <= side. `need` is the radius plus
+    the rounding slack; up to radius * (1 + 2**-10) the side depends on the
+    radius and the cloud alone, so one index serves every batch. No ray
+    clipped to the box takes more than MAX_RAY_STEPS steps."""
+    need = max(radius * (1.0 + 2.0 ** -10), need)
+    lo, hi = cloud.bounds()
+    diagonal = float(np.linalg.norm(hi - lo + 2.0 * need))
+    return max(2.0 / math.sqrt(3.0) * need, diagonal / (MAX_RAY_STEPS - 2))
+
+
 def raycast_many(cloud: PointCloud, origins, directions, radius: float,
                  max_range: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """raycast for a batch of rays: each ray's hit index and distance.
@@ -614,15 +782,17 @@ def raycast_many(cloud: PointCloud, origins, directions, radius: float,
     (n,) Euclidean distance from its origin to the hit, inf on a miss. Each
     ray's hit is the one a scan of every point gives, bit for bit.
 
-    The search runs on the cloud's kd-tree. Each ray is clipped to
-    [0, max_range] and to the tree's bounding box grown by `radius`, and its
-    clipped span is covered by balls every h >= 2 radius, each of radius
-    hypot(radius, h / 2): every point within `radius` of the span lies in one
-    of them. One query marks the balls of all rays that hold a point, one
-    more gathers their points, and the exact cylinder test runs on those
-    points alone. The pick is linear in the candidate rows, which come
-    grouped by ray: a `minimum.reduceat` for each ray's smallest t, and one
-    more for the lowest index among its rows at that t.
+    The search runs on the cloud's cell index (`ray_side`). Each ray is
+    clipped to [0, max_range] and to the cloud's bounding box grown by
+    `radius`, and walked in steps of the cell side s. Every point within
+    `radius` of the clipped span lies in the 3x3x3 cells around some step,
+    in a cell whose centre is within radius + s sqrt(3) / 2 of the ray. The
+    occupied cells of all steps are looked up first, those with their
+    centre farther from the ray are dropped, each (ray, cell) pair is kept
+    once, and the exact cylinder test runs on the points of those cells
+    alone. The pick is linear in the candidate rows, which come grouped by
+    ray: a `minimum.reduceat` for each ray's smallest t, and one more for
+    the lowest index among its rows at that t.
     """
     origins = np.asarray(origins, dtype=float).reshape(-1, 3)
     d = np.asarray(directions, dtype=float).reshape(-1, 3)
@@ -644,13 +814,13 @@ def raycast_many(cloud: PointCloud, origins, directions, radius: float,
     if len(cloud) == 0 or n == 0:
         return index, distance
 
-    tree = cloud.kdtree()
-    # A hair of slack keeps rounding in the clip and the ball centres from
-    # dropping a point that sits exactly on a boundary.
-    extent = max(map(abs, tree.mins.tolist() + tree.maxes.tolist()))
+    mins, maxes = cloud.bounds()
+    # A hair of slack keeps rounding in the clip, the steps and the cell keys
+    # from dropping a point that sits exactly on a boundary.
+    extent = max(map(abs, mins.tolist() + maxes.tolist()))
     slack = 1e-9 * (1.0 + np.maximum(np.abs(origins).max(axis=1), extent))
-    pad = (radius + slack)[:, None]
-    lo, hi = tree.mins - pad - origins, tree.maxes + pad - origins
+    need = radius + slack
+    lo, hi = mins - need[:, None] - origins, maxes + need[:, None] - origins
     flat = d == 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a, b = lo / d, hi / d
@@ -663,25 +833,27 @@ def raycast_many(cloud: PointCloud, origins, directions, radius: float,
     if not len(live):
         return index, distance
 
+    cells = cloud.kdtree(ray_side(cloud, radius, float(need.max())))
+    s = cells.side
     t0, span = t0[live], t1[live] - t0[live]
-    h = np.maximum(span / (MAX_RAY_BALLS - 1), 2.0 * radius)
-    count = np.ceil(span / h).astype(np.intp) + 1
+    count = np.ceil(span / s).astype(np.intp) + 1
     ray = np.repeat(live, count)
     step = np.arange(len(ray)) - np.repeat(np.cumsum(count) - count, count)
-    at = np.repeat(t0, count) + np.repeat(h, count) * step
-    centres = origins[ray] + at[:, None] * d[ray]
-    reach = np.repeat(np.hypot(radius, 0.5 * h) + slack[live], count)
-    nearest, _ = tree.query(centres, distance_upper_bound=float(reach.max()))
-    occupied = nearest <= reach
-    if not occupied.any():
+    at = np.repeat(t0, count) + s * step
+    key = cells.keys(origins[ray] + at[:, None] * d[ray])
+    block = cells.around(key)
+    step, move = np.nonzero(cells.starts[block + 1] > cells.starts[block])
+    ray = ray[step]
+    centre = cells.mins + (key[step] + MOVES[move] + 0.5) * s
+    rel = centre - origins[ray]
+    off = rel - (rel * d[ray]).sum(axis=1)[:, None] * d[ray]
+    close = (off * off).sum(axis=1) <= (need[ray] + 0.5 * math.sqrt(3.0) * s) ** 2
+    pair = np.unique(ray[close] * len(cells.starts) + block[step[close], move[close]])
+    ray, block = np.divmod(pair, len(cells.starts))
+    if not len(ray):
         return index, distance
-    balls = tree.query_ball_point(centres[occupied], reach[occupied], return_sorted=False)
-    sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
-    idx = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
-                      count=int(sizes.sum()))
-    # One row per point of an occupied ball, grouped by ray; a point in two
-    # balls of a ray has two rows.
-    ray = np.repeat(ray[occupied], sizes)
+    # Pairs are few per ray: one chunk unless a ray crosses a crowd of points.
+    ray, idx = map(np.concatenate, zip(*cells.expand(ray, block)))
     rel = np.zeros((len(idx) + 1, 3))
     np.subtract(cloud.positions[idx], origins[ray], out=rel[:-1])
     # t as the scan rounds it: one matrix-vector product per ray. numpy takes
@@ -703,7 +875,7 @@ def raycast_many(cloud: PointCloud, origins, directions, radius: float,
         return index, distance
     # Nearest along each ray, the lowest index on a tie. The candidates are
     # grouped by ray: take each ray's smallest t, then the lowest index among
-    # its rows at that t. A point in two balls gives two equal rows.
+    # its rows at that t.
     ray, t, idx = ray[candidates], t[candidates], idx[candidates]
     starts = _run_starts(ray)
     heads = np.flatnonzero(starts)

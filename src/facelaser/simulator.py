@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, raycast_many
+from .cloud import (PointCloud, _distances, _run_starts, expand_ranges, ray_side,
+                    raycast_many)
 from .errors import (
     AbortedOnSafety,
     ContactError,
@@ -211,10 +212,10 @@ def _beyond_reach(rig: SensorRig, cloud: PointCloud, rotations: np.ndarray,
     """
     if not len(cloud) or not (np.isfinite(rotations).all() and np.isfinite(tips).all()):
         return False
-    tree = cloud.kdtree()
-    gap = np.maximum(np.maximum(tree.mins - tips, tips - tree.maxes), 0.0)
+    mins, maxes = cloud.bounds()
+    gap = np.maximum(np.maximum(mins - tips, tips - maxes), 0.0)
     reach = rig.max_range + math.hypot(rig.ring_radius, rig.offset) + rig.beam_radius
-    scale = 1.0 + max(np.abs(tips).max(), np.abs(tree.mins).max(), np.abs(tree.maxes).max())
+    scale = 1.0 + max(np.abs(tips).max(), np.abs(mins).max(), np.abs(maxes).max())
     return bool((row_norms(gap) > reach + 1e-9 * scale).all())
 
 
@@ -480,7 +481,7 @@ def run_path(paths, config: SimConfig, standoff: float = 0.0,
         if not cloud.has_normals:
             raise MissingField("the guarded surface has no normals, which the "
                                "proximity sensors need")
-        cloud.kdtree()                      # built here, not on a control tick
+        cloud.kdtree(ray_side(cloud, rig.beam_radius))   # here, not on a control tick
     run = _Run(config, motion, rig if guarded else None,
                cloud if guarded else None, record)
     if start is not None:
@@ -897,11 +898,14 @@ MC_CHUNK = 1 << 16
 # Cell states of the coverage grid.
 EMPTY, COVERED, MIXED, CROWDED = range(4)
 # A mixed cell with more candidate shots than this is crowded: its samples
-# query the kd-tree instead of testing every candidate.
+# test these many candidates nearest the cell's front first, then only those
+# that the sample's projection leaves in reach.
 MAX_CANDIDATES = 8
+# _classify_cells settles squares of this many cells a side before the cells.
+BLOCK = 4
 
 
-def _classify_cells(tree, radius: float, region: PlanarRegion, samples: int):
+def _classify_cells(shots: np.ndarray, radius: float, region: PlanarRegion, samples: int):
     """Square uv cells over the box, each empty, covered, mixed or crowded.
 
     The cell side starts at radius / 16 and doubles until there are at most
@@ -910,13 +914,24 @@ def _classify_cells(tree, radius: float, region: PlanarRegion, samples: int):
     centre is nearer a shot than radius - half is covered, no sample of a
     cell with no shot within reach = radius + half is, and every shot within
     radius of a sample lies within reach of its cell's centre. `margin`
-    outweighs the rounding of `to_world`, of the cell index and of the
-    tree's distances by ~1e7. The other cells are mixed, with their shots
-    within reach as candidates, or crowded when those are more than
-    MAX_CANDIDATES.
+    outweighs the rounding of `to_world`, of the cell index, of the
+    distances and of the projections by ~1e7. The other cells are mixed, or
+    crowded when they have more than MAX_CANDIDATES candidates: their shots
+    within reach. The same test settles squares of BLOCK x BLOCK cells
+    first, and only the cells of squares it leaves mixed are looked up one
+    by one. The centres are looked up in a cell index of the shots'
+    distinct positions, of cells at least as wide as a square's reach, and
+    a candidate is the first shot at its position.
+
+    A crowded cell keeps only the candidates that its nearest shot does
+    not beat at every corner. Its axis is the unit vector to its centre
+    from that shot, and its candidates come in descending order of their
+    projection on it: a sample can lie within radius of a shot only if its
+    own projection exceeds the shot's by at most radius (`_crowd_hits`).
     Returns the int8 states over the row-major cells, the candidates of cell
-    c as `candidates[offsets[c]:offsets[c + 1]]` (none unless c is mixed),
-    the side and the (n_u, n_v) cell counts.
+    c as `candidates[offsets[c]:offsets[c + 1]]` (none unless c is mixed or
+    crowded) with their projections, the (cells, 3) axes (zero but for
+    crowded cells), the side, the (n_u, n_v) cell counts and the margin.
     """
     width = region.hi - region.lo
     # The floor bounds the doublings and the int64 cell index; the cap, one
@@ -925,44 +940,131 @@ def _classify_cells(tree, radius: float, region: PlanarRegion, samples: int):
     while np.prod(np.ceil(width / side)) > max(samples / 8.0, 1.0):
         side = min(2.0 * side, width.max())
     shape = np.ceil(width / side).astype(np.int64)
-    centres = region.to_world(region.lo + side * (np.indices(shape).reshape(2, -1).T + 0.5))
+    ij = np.indices(shape).reshape(2, -1).T
     u, v = region.u_axis, region.v_axis
     half = 0.5 * side * max(np.linalg.norm(u + v), np.linalg.norm(u - v))
-    scale = max(np.abs(tree.data).max(), np.abs(region.origin).max()
+    scale = max(np.abs(shots).max(), np.abs(region.origin).max()
                 + np.abs([region.lo, region.hi]).max() * (np.abs(u).max() + np.abs(v).max()))
     margin = 1e-9 * (1.0 + scale)
     reach = radius + half + margin
-    near, _ = tree.query(centres, distance_upper_bound=reach)
-    state = np.where(np.isfinite(near), MIXED, EMPTY).astype(np.int8)
-    state[near < radius - half - margin] = COVERED
-    # One more neighbour than the cap tells a crowded cell; blocks of rows
-    # keep the (rows, MAX_CANDIDATES + 1) answers small.
-    mixed = np.flatnonzero(state == MIXED)
+    # Shots at one position cover alike: the index holds each position once.
+    spots, shot_of = np.unique(shots, axis=0, return_index=True)
+    # Squares of BLOCK x BLOCK cells are tested first, at their own half: an
+    # empty or covered square settles its cells, and only the cells of the
+    # others are looked up one by one.
+    blocks = -(-shape // BLOCK)
+    reach_b = radius + BLOCK * half + margin
+    index = PointCloud(spots).kdtree(reach_b)
+    near, _, count = _nearest_within(index, region.to_world(
+        region.lo + BLOCK * side * (np.indices(blocks).reshape(2, -1).T + 0.5)), reach_b)
+    state = np.where(count > 0, MIXED, EMPTY).astype(np.int8)
+    state[near < radius - BLOCK * half - margin] = COVERED
+    state = state[(ij[:, 0] // BLOCK) * blocks[1] + ij[:, 1] // BLOCK]
+    todo = np.flatnonzero(state == MIXED)
+    centres = region.to_world(region.lo + side * (ij[todo] + 0.5))
+    near, champion, count = _nearest_within(index, centres, reach)
+    settled = np.where(count > 0, MIXED, EMPTY).astype(np.int8)
+    settled[near < radius - half - margin] = COVERED
+    settled[(settled == MIXED) & (count > MAX_CANDIDATES)] = CROWDED
+    state[todo] = settled
+    # A crowded cell's candidate y is left out when its champion z is nearer
+    # than y to each corner of the cell, and so, |x - y|^2 - |x - z|^2 being
+    # linear in x, to every sample x of the cell: z covers what y covers.
+    # `slack` outweighs the rounding of the squares, and overflow or NaN
+    # leaves y in.
+    crowded = np.flatnonzero(settled == CROWDED)            # rows of `todo`
+    rank = np.full(len(state), -1, dtype=np.intp)
+    rank[todo[crowded]] = np.arange(len(crowded))
+    corners = [region.to_world(region.lo + side * (ij[todo[crowded]] + c))
+               for c in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    champ = spots[champion[crowded]]
+    reach, margin = float(reach), float(margin)
+    slack = 4.0 * reach * (margin + 1e-12 * reach)
+    # The candidates of the unsettled cells, grouped by cell in cell order.
+    open_ = np.flatnonzero(settled >= MIXED)
+    cell, candidates = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for rows, idx, _ in index.within(centres[open_], reach):
+        rows = open_[rows]
+        k = rank[todo[rows]]
+        some = np.flatnonzero(k >= 0)
+        y, z = spots[idx[some]], champ[k[some]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            beaten = np.logical_and.reduce([
+                np.einsum("ij,ij->i", c[k[some]] - y, c[k[some]] - y)
+                - np.einsum("ij,ij->i", c[k[some]] - z, c[k[some]] - z) > slack
+                for c in corners])
+        keep = np.ones(len(rows), dtype=bool)
+        keep[some[beaten]] = False
+        cell.append(todo[rows[keep]])
+        candidates.append(idx[keep])
+    cell, candidates = np.concatenate(cell), np.concatenate(candidates)
     offsets = np.zeros(len(state) + 1, dtype=np.intp)
-    parts = [np.empty(0, dtype=np.intp)]
-    for first in range(0, len(mixed), MC_CHUNK // 16):
-        cells = mixed[first:first + MC_CHUNK // 16]
-        _, shot = tree.query(centres[cells], k=MAX_CANDIDATES + 1,
-                             distance_upper_bound=reach)
-        found = shot < tree.n
-        crowded = found[:, -1]
-        state[cells[crowded]] = CROWDED
-        found[crowded] = False
-        offsets[cells + 1] = np.count_nonzero(found, axis=1)
-        parts.append(shot[found])
-    np.cumsum(offsets, out=offsets)
-    return state, offsets, np.concatenate(parts), side, shape
+    offsets[1:] = np.cumsum(np.bincount(cell, minlength=len(state)))
+    # Each crowded cell's axis runs from its champion to its centre, and its
+    # candidates are sorted along it.
+    axes = np.zeros((len(state), 3))
+    toward = centres[crowded] - champ
+    length = row_norms(toward)
+    axes[todo[crowded]] = np.where(length[:, None] > 0.0,
+                                   toward / np.where(length > 0.0, length, 1.0)[:, None],
+                                   [1.0, 0.0, 0.0])
+    w = axes[cell]
+    spot = spots[candidates]
+    proj = spot[:, 0] * w[:, 0] + spot[:, 1] * w[:, 1] + spot[:, 2] * w[:, 2]
+    order = np.lexsort((-proj, cell))
+    return state, offsets, shot_of[candidates[order]], proj[order], axes, side, shape, margin
 
 
-def _distances(x, y, z, shot_columns: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Distances from the points (x, y, z) to the shots `j` of the (3, n)
-    shot columns, in the kd-tree's own arithmetic (scipy's sqeuclidean over
-    three coordinates, then sqrt), so each is the tree's to the last bit."""
-    dx = x - shot_columns[0][j]
-    dy = y - shot_columns[1][j]
-    dz = z - shot_columns[2][j]
-    with np.errstate(over="ignore"):        # beyond the spot either way
-        return np.sqrt(dx * dx + dy * dy + dz * dz)
+def _nearest_within(index, points: np.ndarray, bound: float):
+    """For each point, the distance to its nearest indexed point nearer than
+    `bound` (inf if none), that point's index (the first of equals; 0 if
+    none) and how many are nearer than `bound`."""
+    near = np.full(len(points), math.inf)
+    nearest = np.zeros(len(points), dtype=np.intp)
+    count = np.zeros(len(points), dtype=np.intp)
+    for rows, idx, dist in index.within(points, bound):
+        starts = _run_starts(rows)
+        heads = np.flatnonzero(starts)
+        least = np.minimum.reduceat(dist, heads)
+        at = np.minimum.reduceat(np.where(dist == least[np.cumsum(starts) - 1],
+                                          np.arange(len(dist)), len(dist)), heads)
+        better = least < near[rows[heads]]
+        near[rows[heads[better]]] = least[better]
+        nearest[rows[heads[better]]] = idx[at[better]]
+        count += np.bincount(rows, minlength=len(points))
+    return near, nearest, count
+
+
+def _crowd_hits(x, y, z, cells, offsets, candidates, proj, axes, shot_columns,
+                radius: float, margin: float) -> np.ndarray:
+    """Which samples (x, y, z) of crowded cells `cells` lie within radius
+    of a candidate of their cell, in `_distances`' arithmetic.
+
+    Each sample tests the MAX_CANDIDATES candidates farthest along its
+    cell's axis w, which settle most covered samples, and then only the
+    candidates whose projection on w is at least the sample's minus radius
+    and margin: for the others (x - shot) . w, and so the distance, exceeds
+    radius. The candidates are sorted by descending projection, so those
+    are a run found by bisection."""
+    first, last = offsets[cells], offsets[cells + 1]
+    hit = np.zeros(len(cells), dtype=bool)
+    for k in range(MAX_CANDIDATES):
+        hit |= _distances(x, y, z, shot_columns,
+                          candidates[np.minimum(first + k, last - 1)]) <= radius
+    w = axes[cells]
+    limit = (x * w[:, 0] + y * w[:, 1] + z * w[:, 2]) - radius - margin
+    start = np.minimum(first + MAX_CANDIDATES, last)
+    lo, hi = np.where(hit, last, start), last.copy()
+    while (active := np.flatnonzero(lo < hi)).size:
+        mid = (lo[active] + hi[active]) // 2
+        ahead = proj[mid] >= limit[active]
+        lo[active[ahead]] = mid[ahead] + 1
+        hi[active[~ahead]] = mid[~ahead]
+    rest = np.flatnonzero(lo > start)
+    for rows, at in expand_ranges(rest, start[rest], lo[rest] - start[rest]):
+        close = _distances(x[rows], y[rows], z[rows], shot_columns, candidates[at]) <= radius
+        hit[rows[close]] = True
+    return hit
 
 
 @dataclass
@@ -985,10 +1087,12 @@ def coverage_metrics(log: ShotLog, diameter: float,
     of a shot center: against a cloud it is the fraction of cloud points
     treated; otherwise the fraction of `samples` points drawn uniformly, as
     one seeded stream, over the box `region` (by default the shot pattern's
-    own best-fit box, padded by one spot radius). The count equals a kd-tree
-    query of every point, bit for bit: `_classify_cells` settles whole cells,
-    a mixed cell's points are tested against its few candidate shots, and
-    only a crowded cell's points are queried.
+    own best-fit box, padded by one spot radius). A location is treated when
+    its distance to the nearest shot, in `_distances`' arithmetic, is at
+    most the radius, and the count is that of a nearest-shot query of every
+    location, bit for bit: `_classify_cells` settles whole cells, a mixed
+    cell's points are tested against its few candidate shots, and only a
+    crowded cell's points are looked up in the shots' cell index.
     """
     if len(log) == 0:
         raise EmptyLog("no shots were fired")
@@ -1011,24 +1115,23 @@ def coverage_metrics(log: ShotLog, diameter: float,
         mean_sp = float(np.mean(gaps)) if len(gaps) else None
         var_sp = float(np.var(gaps)) if len(gaps) else None
 
-    tree = PointCloud(shots).kdtree()
-    # Only whether a shot lies within `radius` counts, so the queries stop
+    # Only whether a shot lies within `radius` counts, so the lookups stop
     # there: a location with no shot that close reads inf.
     bound = float(np.nextafter(radius, np.inf))
     if cloud is not None:
-        dist, _ = tree.query(cloud.positions, distance_upper_bound=bound)
+        dist = PointCloud(shots).kdtree(bound).nearest(cloud.positions, bound)
         coverage = float(np.mean(dist <= radius))
     else:
         if region is None:
             region = default_shot_region(shots, radius)
-        state, offsets, candidates, side, shape = _classify_cells(tree, radius, region,
-                                                                   samples)
+        state, offsets, candidates, proj, axes, side, shape, margin = _classify_cells(
+            shots, radius, region, samples)
         shot_columns = shots.T.copy()
         rng = np.random.default_rng(seed)
         covered = 0
         # Chunked draws take the same stream, bit for bit, as one (samples, 2)
         # draw. A mixed cell's samples test its candidates, a crowded cell's
-        # query the tree.
+        # look their nearest shot up in the index.
         for start in range(0, samples, MC_CHUNK):
             uv = rng.uniform(region.lo, region.hi, (min(MC_CHUNK, samples - start), 2))
             u, v = uv[:, 0], uv[:, 1]
@@ -1047,8 +1150,10 @@ def coverage_metrics(log: ShotLog, diameter: float,
                 j = candidates[np.minimum(first + k, last)]
                 hit |= _distances(x, y, z, shot_columns, j) <= radius
             covered += int(np.count_nonzero(hit))
-            dist, _ = tree.query(region.to_world(uv[cell_state == CROWDED]),
-                                 distance_upper_bound=bound)
-            covered += int(np.count_nonzero(dist <= radius))
+            crowd = np.flatnonzero(cell_state == CROWDED)
+            x, y, z = region.world_columns(u[crowd], v[crowd])
+            covered += int(np.count_nonzero(_crowd_hits(
+                x, y, z, cell[crowd], offsets, candidates, proj, axes, shot_columns,
+                radius, margin)))
         coverage = covered / samples
     return CoverageReport(len(log), len(gaps), mean_sp, var_sp, coverage)

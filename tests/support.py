@@ -671,12 +671,13 @@ def full_draw_coverage(log: ShotLog, diameter: float, region: PlanarRegion,
 def tree_coverage(log: ShotLog, diameter: float, region: PlanarRegion,
                   samples: int, seed: int) -> float:
     """coverage_metrics' chunked count with covered cells counted whole and
-    every sample of a mixed or crowded cell queried in the shots' kd-tree,
-    the cell index taken from the (n, 2) draw: the timing reference of the
-    per-cell candidate tests."""
+    every sample of a mixed or crowded cell queried in a kd-tree of the
+    shots, the cell index taken from the (n, 2) draw: the timing reference
+    of the per-cell candidate tests."""
     radius = 0.5 * diameter
-    tree = PointCloud(log.positions).kdtree()
-    state, _, _, side, shape = simulator._classify_cells(tree, radius, region, samples)
+    tree = cKDTree(log.positions)
+    state, *_, side, shape, _ = simulator._classify_cells(log.positions, radius, region,
+                                                          samples)
     rng = np.random.default_rng(seed)
     covered = 0
     for start in range(0, samples, simulator.MC_CHUNK):

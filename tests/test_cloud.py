@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from facelaser.cloud import (
+    CELLS_PER_POINT,
     PointCloud,
     RayHit,
     VoxelGrid,
@@ -1183,8 +1184,9 @@ def test_ray_ending_exactly_at_its_only_point():
 
 def test_tied_hit_takes_the_lower_index_whatever_the_ball_order():
     """Two points mirrored about a ray share its t bit for bit. Placed either
-    way round among off-ray points, the kd-tree lists the higher index first
-    in a ball at least once, and the hit is still the lower index, the scan's."""
+    way round among off-ray points, a sliding-midpoint kd-tree lists the
+    higher index first in a ball at least once, and the hit is still the
+    lower index, the scan's."""
     rng = np.random.default_rng(3)
     filler = rng.uniform(-0.05, 0.05, size=(60, 3)) + [0.2, 0.0, 0.0]
     pair = np.array([[-0.001, 0.0, 0.03], [0.001, 0.0, 0.03]])
@@ -1192,7 +1194,8 @@ def test_tied_hit_takes_the_lower_index_whatever_the_ball_order():
     for a, b in ((0, 1), (1, 0)):
         pos = np.vstack([filler[:30], pair[a], filler[30:], pair[b]])
         cloud = PointCloud(pos, fibonacci_sphere(len(pos)))
-        ball = cloud.kdtree().query_ball_point([0.0, 0.0, 0.03], 0.002, return_sorted=False)
+        ball = cKDTree(pos, balanced_tree=False, compact_nodes=False).query_ball_point(
+            [0.0, 0.0, 0.03], 0.002, return_sorted=False)
         assert sorted(ball) == [30, 61]
         higher_first.append(ball[0] == 61)
         index, distance = raycast_many(cloud, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.0015)
@@ -1203,17 +1206,16 @@ def test_tied_hit_takes_the_lower_index_whatever_the_ball_order():
 
 
 def test_point_in_two_balls_of_a_ray():
-    """A short ray is covered by balls every 2 r, of radius r sqrt(2), so
-    points midway between the first two centres lie in both and give two
-    rows each. The tie between two such points still goes to the lower
-    index, the scan's."""
+    """Two points tie in t midway between the first two of the balls every
+    2 r, of radius r sqrt(2), that cover a short ray, and lie in both. The
+    tie still goes to the lower index, the scan's."""
     r = 0.001
     rng = np.random.default_rng(5)
     filler = rng.uniform(-0.05, 0.05, size=(40, 3)) + [0.2, 0.0, 0.0]
     pos = np.vstack([filler, [[0.0, -0.02, -0.02]], [[0.5 * r, 0.0, r], [-0.5 * r, 0.0, r]]])
     cloud = PointCloud(pos, fibonacci_sphere(len(pos)))
     for centre in ([0.0, 0.0, 0.0], [0.0, 0.0, 2.0 * r]):
-        ball = cloud.kdtree().query_ball_point(centre, math.hypot(r, r))
+        ball = cKDTree(pos).query_ball_point(centre, math.hypot(r, r))
         assert {41, 42} <= set(ball)
     index, distance = raycast_many(cloud, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], r, 3.0 * r)
     want = scan_raycast(cloud, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], r, 3.0 * r)
@@ -1223,47 +1225,65 @@ def test_point_in_two_balls_of_a_ray():
 
 @st.composite
 def tree_clouds(draw):
-    """A cloud of 1-200 points on a lattice (so distances tie often) or
-    anywhere, with repeated points, queries on a half-pitch lattice or
-    anywhere, a distance bound and a ball radius."""
+    """A cloud, a cell side, queries, a distance bound up to the side and a
+    ball radius up to the bound. The cloud is 1-200 points on a lattice of
+    pitch `side` (so distances tie often and points lie on cell boundaries)
+    or anywhere, with repeated points; or a single point; or one point many
+    times; or a few points across 1 km at a 1e-6 m side. Queries lie on the
+    half-pitch lattice or anywhere, and ten at exactly `bound` from a point
+    along an axis."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["lattice", "anywhere", "single", "coincident", "km"]))
+    side = draw(st.sampled_from([0.25, 0.1, 1e-3, 3.0]))
     n = draw(st.integers(1, 200))
-    pitch = draw(st.sampled_from([0.25, 0.1, 1e-3, 3.0]))
-    if draw(st.booleans()):
-        pos = rng.integers(-4, 5, size=(n, 3)) * pitch
-        queries = rng.integers(-9, 10, size=(40, 3)) * (0.5 * pitch)
+    if kind == "km":
+        side = 1e-6
+        pos = rng.uniform(-500.0, 500.0, size=(draw(st.integers(2, 20)), 3))
+    elif kind == "lattice":
+        pos = rng.integers(-4, 5, size=(n, 3)) * side
+    elif kind == "anywhere":
+        pos = rng.uniform(-4.0, 4.0, size=(n, 3)) * side
     else:
-        pos = rng.uniform(-4.0, 4.0, size=(n, 3)) * pitch
-        queries = rng.uniform(-5.0, 5.0, size=(40, 3)) * pitch
-    pos = np.vstack([pos, pos[rng.integers(0, n, size=draw(st.integers(0, 30)))]])
-    bound = draw(st.sampled_from([0.5, 1.0, 2.0, math.inf])) * pitch
-    radius = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5])) * pitch
-    return pos, queries, bound, radius
-
-
-def squared_distances(pos: np.ndarray, index: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """|p - q|^2 summed over x, y, z in turn, as the kd-tree sums it; nan
-    for the index len(pos) of a missing neighbour."""
-    d = np.vstack([pos, np.full((1, 3), np.nan)])[index] - queries
-    return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
+        pos = np.tile(rng.uniform(-4.0, 4.0, size=(1, 3)) * side,
+                      (1 if kind == "single" else n, 1))
+    pos = np.vstack([pos, pos[rng.integers(0, len(pos), size=draw(st.integers(0, 30)))]])
+    bound = draw(st.sampled_from([0.25, 0.5, 1.0])) * side
+    if kind == "km":
+        queries = pos[rng.integers(0, len(pos), 40)] + rng.uniform(-2.0, 2.0, (40, 3)) * bound
+    elif draw(st.booleans()):
+        queries = rng.integers(-9, 10, size=(40, 3)) * (0.5 * side)
+    else:
+        queries = rng.uniform(-5.0, 5.0, size=(40, 3)) * side
+    axis = np.eye(3)[rng.integers(0, 3, 10)] * rng.choice([-1.0, 1.0], (10, 1))
+    queries[:10] = pos[rng.integers(0, len(pos), 10)] + bound * axis
+    radius = draw(st.sampled_from([0.0, 0.5, 1.0])) * bound
+    return pos, side, queries, bound, radius
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(tree_clouds())
 def test_kdtree_answers_as_a_default_tree(case):
-    """The cloud's sliding-midpoint tree gives a default cKDTree's bounded k=1
-    and k=2 distances and its ball sets; a returned index differs only where
-    its point ties in distance with the default tree's."""
-    pos, queries, bound, radius = case
-    tree, default = PointCloud(pos).kdtree(), cKDTree(pos)
-    for k in (1, 2):
-        got, got_index = tree.query(queries, k=k, distance_upper_bound=bound)
-        want, want_index = default.query(queries, k=k, distance_upper_bound=bound)
-        assert np.array_equal(got, want)
-        at = queries if k == 1 else queries[:, None, :]
-        moved = got_index != want_index
-        assert np.array_equal(squared_distances(pos, got_index, at)[moved],
-                              squared_distances(pos, want_index, at)[moved])
-    for got, want in zip(tree.query_ball_point(queries, radius),
-                         default.query_ball_point(queries, radius)):
-        assert sorted(got) == sorted(want)
+    """The cloud's cell index gives a default cKDTree's bounded k=1
+    distances bit for bit, with a point at the bound reading inf, and its
+    candidates hold every member of the tree's ball. Its table holds at most
+    CELLS_PER_POINT cells per point (64 for fewer than 8), however small
+    the side asked for is against the cloud's extent."""
+    pos, side, queries, bound, radius = case
+    index, default = PointCloud(pos).kdtree(side), cKDTree(pos)
+    assert index.side >= side
+    assert len(index.starts) - 1 <= CELLS_PER_POINT * max(len(pos), 8)
+    got = index.nearest(queries, bound)
+    want, _ = default.query(queries, k=1, distance_upper_bound=bound)
+    assert got.tobytes() == want.tobytes()
+    # No point lies nearer than the bound to a query exactly there along an
+    # axis from its nearest point: the query reads inf.
+    nearest, _ = default.query(queries[:10])
+    alone = default.query(queries[:10], k=1, distance_upper_bound=np.nextafter(bound, 0.0))[0]
+    at_bound = (nearest == bound) & np.isinf(alone)
+    assert np.isinf(got[:10][at_bound]).all()
+    found = [set() for _ in queries]
+    for rows, idx in index.candidates(queries, radius):
+        for row, i in zip(rows.tolist(), idx.tolist()):
+            found[row].add(i)
+    for row, ball in enumerate(default.query_ball_point(queries, radius)):
+        assert set(ball) <= found[row]

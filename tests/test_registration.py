@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from facelaser.cloud import (
     PointCloud,
@@ -325,7 +326,7 @@ class TestMergeViews:
         merged = merge_views(views, poses, leaf=self.LEAF, icp_log=log)
         assert 0 < len(merged) <= sum(len(v) for v in views)
         # The model is in view 0's frame: that view's points lie on it.
-        dist, _ = merged.kdtree().query(views[0].positions)
+        dist, _ = cKDTree(merged.positions).query(views[0].positions)
         assert dist.max() < self.LEAF
         assert len(log) == len(views) - 1
         assert all(r.rmse < 1e-4 for r in log)
@@ -334,7 +335,7 @@ class TestMergeViews:
         world, poses, views = self.make_scene()
         merged = merge_views(views, poses, leaf=self.LEAF)
         reference = world.transformed(poses[0].invert())
-        dist, _ = reference.kdtree().query(merged.positions)
+        dist, _ = cKDTree(reference.positions).query(merged.positions)
         # Every fused point sits on the reference surface, well under a leaf.
         assert dist.max() < self.LEAF
 

@@ -956,7 +956,7 @@ def test_candidate_distance_equals_tree_query(seed, scale, d):
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
     unit[: n // 8] = np.eye(3)[rng.integers(0, 3, n // 8)] * rng.choice([-1.0, 1.0], (n // 8, 1))
     points = shot + (r + np.spacing(r) * rng.integers(-8, 9, n))[:, None] * unit
-    want, _ = PointCloud(shot[None]).kdtree().query(points)
+    want, _ = cKDTree(shot[None]).query(points)
     got = simulator._distances(*points.T, shot[:, None], np.zeros(n, dtype=np.intp))
     assert got.tobytes() == want.tobytes()
 

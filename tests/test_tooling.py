@@ -5,6 +5,9 @@ name."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,15 +44,83 @@ def test_traced_name_resolves(layer, name):
     assert callable(owner)
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _bound_names(scope) -> set:
+    """The names a function, lambda or comprehension binds in its own scope:
+    parameters, stored names, defs, imports and `except ... as` names, less
+    its global and nonlocal ones. Nested scopes bind their own."""
+    if isinstance(scope, _COMPREHENSIONS):
+        return {sub.id for gen in scope.generators for sub in ast.walk(gen.target)
+                if isinstance(sub, ast.Name)}
+    a = scope.args
+    names = {arg.arg for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+             if arg is not None}
+    shared = set()
+    todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            shared |= set(node.names)
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef, *_COMPREHENSIONS)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names - shared
+
+
+def _free_loads(node, bound=frozenset()):
+    """The names `node` loads that no function, lambda or comprehension
+    around the load binds: the names that resolve to module level."""
+    if isinstance(node, ast.Name):
+        return {node.id} if isinstance(node.ctx, ast.Load) and node.id not in bound else set()
+    inner, outer = list(ast.iter_child_nodes(node)), []
+    if isinstance(node, _FUNCTIONS):
+        # Decorators, defaults and annotations belong to the enclosing scope.
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+        outer = [*getattr(node, "decorator_list", ()), *a.defaults,
+                 *(d for d in a.kw_defaults if d is not None),
+                 *(p.annotation for p in params if p is not None and p.annotation),
+                 *([node.returns] if getattr(node, "returns", None) else [])]
+        inner = list(node.body) if isinstance(node.body, list) else [node.body]
+    own = bound | _bound_names(node) if isinstance(node, (*_FUNCTIONS, *_COMPREHENSIONS)) \
+        else bound
+    return set().union(set(), *(_free_loads(sub, own) for sub in inner),
+                       *(_free_loads(sub, bound) for sub in outer))
+
+
+def test_cli_imports_no_scipy():
+    """A fresh interpreter that imports facelaser.cli loads no scipy module:
+    the package runs on numpy alone, and every stage starts without
+    scipy's import time."""
+    code = ("import sys, facelaser.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def _unreached_defs():
     """The module-level defs and classes of src/facelaser, and the methods
     of its reached classes, that nothing reaches from the roots: `cli.main`,
     `cli.build_parser`, every `cli.cmd_*` and every traced name.
 
     A bare name reaches every module-level def or class of that name, since
-    src/ imports functions by name; an attribute reaches every method of
-    that name. A reached class reaches its dunder methods and the names in
-    its decorators, bases and non-method body. Module-level statements other
+    src/ imports functions by name, when it is loaded and no function around
+    it binds it (`_free_loads`): a local, parameter or field of that name
+    reaches nothing. An attribute reaches every method of that name. A
+    reached class reaches its dunder methods and the names in its
+    decorators, bases and non-method body. Module-level statements other
     than defs run on import, so the names in them are reached too."""
     nodes, by_name, reached, on_import = {}, {}, set(), []
     for path in sorted(SRC.glob("*.py")):
@@ -77,11 +148,9 @@ def _unreached_defs():
             if isinstance(node, ast.ClassDef):      # its methods are reached one by one
                 parts = [*node.decorator_list, *node.bases,
                          *(s for s in node.body if not isinstance(s, ast.FunctionDef))]
-            for sub in (sub for part in parts for sub in ast.walk(part)):
-                if isinstance(sub, ast.Name):
-                    names.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    attrs.add(sub.attr)
+            for part in parts:
+                names |= _free_loads(part)
+                attrs |= {sub.attr for sub in ast.walk(part) if isinstance(sub, ast.Attribute)}
         found = {key for name in names for key in by_name.get(name, ())}
         found |= {key for key in nodes if len(key) == 3 and key[:2] in reached
                   and (key[2] in attrs or key[2].startswith("__"))}
