@@ -896,17 +896,13 @@ def default_shot_region(shots: np.ndarray, pad: float) -> PlanarRegion:
 # Monte Carlo samples drawn at a time, so memory does not grow with `samples`.
 MC_CHUNK = 1 << 16
 # Cell states of the coverage grid.
-EMPTY, COVERED, MIXED, CROWDED = range(4)
-# A mixed cell with more candidate shots than this is crowded: its samples
-# test these many candidates nearest the cell's front first, then only those
-# that the sample's projection leaves in reach.
-MAX_CANDIDATES = 8
+EMPTY, COVERED, MIXED = range(3)
 # _classify_cells settles squares of this many cells a side before the cells.
 BLOCK = 4
 
 
 def _classify_cells(shots: np.ndarray, radius: float, region: PlanarRegion, samples: int):
-    """Square uv cells over the box, each empty, covered, mixed or crowded.
+    """Square uv cells over the box, each empty, covered or mixed.
 
     The cell side starts at radius / 16 and doubles until there are at most
     samples / 8 cells. Any sample lies within `half` of its cell's centre in
@@ -914,24 +910,20 @@ def _classify_cells(shots: np.ndarray, radius: float, region: PlanarRegion, samp
     centre is nearer a shot than radius - half is covered, no sample of a
     cell with no shot within reach = radius + half is, and every shot within
     radius of a sample lies within reach of its cell's centre. `margin`
-    outweighs the rounding of `to_world`, of the cell index, of the
-    distances and of the projections by ~1e7. The other cells are mixed, or
-    crowded when they have more than MAX_CANDIDATES candidates: their shots
-    within reach. The same test settles squares of BLOCK x BLOCK cells
-    first, and only the cells of squares it leaves mixed are looked up one
-    by one. The centres are looked up in a cell index of the shots'
-    distinct positions, of cells at least as wide as a square's reach, and
-    a candidate is the first shot at its position.
+    outweighs the rounding of `to_world`, of the cell index and of the
+    distances by ~1e7. The same test settles squares of BLOCK x BLOCK cells
+    first, and only the cells of squares it leaves mixed are tested one by
+    one. The centres are looked up in a cell index of the shots' distinct
+    positions, of cells at least as wide as a square's reach.
 
-    A crowded cell keeps only the candidates that its nearest shot does
-    not beat at every corner. Its axis is the unit vector to its centre
-    from that shot, and its candidates come in descending order of their
-    projection on it: a sample can lie within radius of a shot only if its
-    own projection exceeds the shot's by at most radius (`_crowd_hits`).
+    The other cells are mixed. A mixed cell's candidates are its shots
+    within reach, less those its nearest shot z beats at every corner of
+    the cell: |x - y|^2 - |x - z|^2 is linear in x, so z is then nearer than
+    y to every sample x of the cell, and covers whatever y covers. A
+    candidate is the first shot at its position.
     Returns the int8 states over the row-major cells, the candidates of cell
-    c as `candidates[offsets[c]:offsets[c + 1]]` (none unless c is mixed or
-    crowded) with their projections, the (cells, 3) axes (zero but for
-    crowded cells), the side, the (n_u, n_v) cell counts and the margin.
+    c as `candidates[offsets[c]:offsets[c + 1]]` (none unless c is mixed),
+    the side and the (n_u, n_v) cell counts.
     """
     width = region.hi - region.lo
     # The floor bounds the doublings and the int64 cell index; the cap, one
@@ -947,81 +939,48 @@ def _classify_cells(shots: np.ndarray, radius: float, region: PlanarRegion, samp
                 + np.abs([region.lo, region.hi]).max() * (np.abs(u).max() + np.abs(v).max()))
     margin = 1e-9 * (1.0 + scale)
     reach = radius + half + margin
-    # Shots at one position cover alike: the index holds each position once.
-    spots, shot_of = np.unique(shots, axis=0, return_index=True)
-    # Squares of BLOCK x BLOCK cells are tested first, at their own half: an
-    # empty or covered square settles its cells, and only the cells of the
-    # others are looked up one by one.
-    blocks = -(-shape // BLOCK)
     reach_b = radius + BLOCK * half + margin
+    spots, shot_of = np.unique(shots, axis=0, return_index=True)
     index = PointCloud(spots).kdtree(reach_b)
-    near, _, count = _nearest_within(index, region.to_world(
+    blocks = -(-shape // BLOCK)
+    near, _ = _nearest_within(index, region.to_world(
         region.lo + BLOCK * side * (np.indices(blocks).reshape(2, -1).T + 0.5)), reach_b)
-    state = np.where(count > 0, MIXED, EMPTY).astype(np.int8)
+    state = np.where(near < reach_b, MIXED, EMPTY).astype(np.int8)
     state[near < radius - BLOCK * half - margin] = COVERED
     state = state[(ij[:, 0] // BLOCK) * blocks[1] + ij[:, 1] // BLOCK]
     todo = np.flatnonzero(state == MIXED)
-    centres = region.to_world(region.lo + side * (ij[todo] + 0.5))
-    near, champion, count = _nearest_within(index, centres, reach)
-    settled = np.where(count > 0, MIXED, EMPTY).astype(np.int8)
-    settled[near < radius - half - margin] = COVERED
-    settled[(settled == MIXED) & (count > MAX_CANDIDATES)] = CROWDED
-    state[todo] = settled
-    # A crowded cell's candidate y is left out when its champion z is nearer
-    # than y to each corner of the cell, and so, |x - y|^2 - |x - z|^2 being
-    # linear in x, to every sample x of the cell: z covers what y covers.
-    # `slack` outweighs the rounding of the squares, and overflow or NaN
-    # leaves y in.
-    crowded = np.flatnonzero(settled == CROWDED)            # rows of `todo`
-    rank = np.full(len(state), -1, dtype=np.intp)
-    rank[todo[crowded]] = np.arange(len(crowded))
-    corners = [region.to_world(region.lo + side * (ij[todo[crowded]] + c))
+    near, nearest = _nearest_within(index, region.to_world(region.lo + side * (ij[todo] + 0.5)),
+                                    reach)
+    mixed = near < reach
+    state[todo[~mixed]] = EMPTY
+    state[todo[near < radius - half - margin]] = COVERED
+    mixed &= near >= radius - half - margin
+    todo, lead = todo[mixed], spots[nearest[mixed]]
+    # `slack` outweighs the rounding of the squares at the corners; overflow
+    # or NaN keeps the candidate.
+    corners = [region.to_world(region.lo + side * (ij[todo] + c))
                for c in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    champ = spots[champion[crowded]]
-    reach, margin = float(reach), float(margin)
-    slack = 4.0 * reach * (margin + 1e-12 * reach)
-    # The candidates of the unsettled cells, grouped by cell in cell order.
-    open_ = np.flatnonzero(settled >= MIXED)
+    slack = 4.0 * float(reach) * (float(margin) + 1e-12 * float(reach))
     cell, candidates = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for rows, idx, _ in index.within(centres[open_], reach):
-        rows = open_[rows]
-        k = rank[todo[rows]]
-        some = np.flatnonzero(k >= 0)
-        y, z = spots[idx[some]], champ[k[some]]
+    for rows, idx, _ in index.within(region.to_world(region.lo + side * (ij[todo] + 0.5)), reach):
+        y, z = spots[idx], lead[rows]
         with np.errstate(over="ignore", invalid="ignore"):
             beaten = np.logical_and.reduce([
-                np.einsum("ij,ij->i", c[k[some]] - y, c[k[some]] - y)
-                - np.einsum("ij,ij->i", c[k[some]] - z, c[k[some]] - z) > slack
-                for c in corners])
-        keep = np.ones(len(rows), dtype=bool)
-        keep[some[beaten]] = False
-        cell.append(todo[rows[keep]])
-        candidates.append(idx[keep])
-    cell, candidates = np.concatenate(cell), np.concatenate(candidates)
+                np.einsum("ij,ij->i", c[rows] - y, c[rows] - y)
+                - np.einsum("ij,ij->i", c[rows] - z, c[rows] - z) > slack for c in corners])
+        cell.append(todo[rows[~beaten]])
+        candidates.append(shot_of[idx[~beaten]])
     offsets = np.zeros(len(state) + 1, dtype=np.intp)
-    offsets[1:] = np.cumsum(np.bincount(cell, minlength=len(state)))
-    # Each crowded cell's axis runs from its champion to its centre, and its
-    # candidates are sorted along it.
-    axes = np.zeros((len(state), 3))
-    toward = centres[crowded] - champ
-    length = row_norms(toward)
-    axes[todo[crowded]] = np.where(length[:, None] > 0.0,
-                                   toward / np.where(length > 0.0, length, 1.0)[:, None],
-                                   [1.0, 0.0, 0.0])
-    w = axes[cell]
-    spot = spots[candidates]
-    proj = spot[:, 0] * w[:, 0] + spot[:, 1] * w[:, 1] + spot[:, 2] * w[:, 2]
-    order = np.lexsort((-proj, cell))
-    return state, offsets, shot_of[candidates[order]], proj[order], axes, side, shape, margin
+    offsets[1:] = np.cumsum(np.bincount(np.concatenate(cell), minlength=len(state)))
+    return state, offsets, np.concatenate(candidates), side, shape
 
 
 def _nearest_within(index, points: np.ndarray, bound: float):
     """For each point, the distance to its nearest indexed point nearer than
-    `bound` (inf if none), that point's index (the first of equals; 0 if
-    none) and how many are nearer than `bound`."""
+    `bound` (inf if none) and that point's index (the first of equals; 0 if
+    none)."""
     near = np.full(len(points), math.inf)
     nearest = np.zeros(len(points), dtype=np.intp)
-    count = np.zeros(len(points), dtype=np.intp)
     for rows, idx, dist in index.within(points, bound):
         starts = _run_starts(rows)
         heads = np.flatnonzero(starts)
@@ -1031,40 +990,7 @@ def _nearest_within(index, points: np.ndarray, bound: float):
         better = least < near[rows[heads]]
         near[rows[heads[better]]] = least[better]
         nearest[rows[heads[better]]] = idx[at[better]]
-        count += np.bincount(rows, minlength=len(points))
-    return near, nearest, count
-
-
-def _crowd_hits(x, y, z, cells, offsets, candidates, proj, axes, shot_columns,
-                radius: float, margin: float) -> np.ndarray:
-    """Which samples (x, y, z) of crowded cells `cells` lie within radius
-    of a candidate of their cell, in `_distances`' arithmetic.
-
-    Each sample tests the MAX_CANDIDATES candidates farthest along its
-    cell's axis w, which settle most covered samples, and then only the
-    candidates whose projection on w is at least the sample's minus radius
-    and margin: for the others (x - shot) . w, and so the distance, exceeds
-    radius. The candidates are sorted by descending projection, so those
-    are a run found by bisection."""
-    first, last = offsets[cells], offsets[cells + 1]
-    hit = np.zeros(len(cells), dtype=bool)
-    for k in range(MAX_CANDIDATES):
-        hit |= _distances(x, y, z, shot_columns,
-                          candidates[np.minimum(first + k, last - 1)]) <= radius
-    w = axes[cells]
-    limit = (x * w[:, 0] + y * w[:, 1] + z * w[:, 2]) - radius - margin
-    start = np.minimum(first + MAX_CANDIDATES, last)
-    lo, hi = np.where(hit, last, start), last.copy()
-    while (active := np.flatnonzero(lo < hi)).size:
-        mid = (lo[active] + hi[active]) // 2
-        ahead = proj[mid] >= limit[active]
-        lo[active[ahead]] = mid[ahead] + 1
-        hi[active[~ahead]] = mid[~ahead]
-    rest = np.flatnonzero(lo > start)
-    for rows, at in expand_ranges(rest, start[rest], lo[rest] - start[rest]):
-        close = _distances(x[rows], y[rows], z[rows], shot_columns, candidates[at]) <= radius
-        hit[rows[close]] = True
-    return hit
+    return near, nearest
 
 
 @dataclass
@@ -1090,9 +1016,8 @@ def coverage_metrics(log: ShotLog, diameter: float,
     own best-fit box, padded by one spot radius). A location is treated when
     its distance to the nearest shot, in `_distances`' arithmetic, is at
     most the radius, and the count is that of a nearest-shot query of every
-    location, bit for bit: `_classify_cells` settles whole cells, a mixed
-    cell's points are tested against its few candidate shots, and only a
-    crowded cell's points are looked up in the shots' cell index.
+    location, bit for bit: `_classify_cells` settles whole cells, and a
+    mixed cell's points are tested against its candidate shots alone.
     """
     if len(log) == 0:
         raise EmptyLog("no shots were fired")
@@ -1124,14 +1049,13 @@ def coverage_metrics(log: ShotLog, diameter: float,
     else:
         if region is None:
             region = default_shot_region(shots, radius)
-        state, offsets, candidates, proj, axes, side, shape, margin = _classify_cells(
-            shots, radius, region, samples)
+        state, offsets, candidates, side, shape = _classify_cells(shots, radius, region,
+                                                                   samples)
         shot_columns = shots.T.copy()
         rng = np.random.default_rng(seed)
         covered = 0
         # Chunked draws take the same stream, bit for bit, as one (samples, 2)
-        # draw. A mixed cell's samples test its candidates, a crowded cell's
-        # look their nearest shot up in the index.
+        # draw. A mixed cell's samples test its candidates.
         for start in range(0, samples, MC_CHUNK):
             uv = rng.uniform(region.lo, region.hi, (min(MC_CHUNK, samples - start), 2))
             u, v = uv[:, 0], uv[:, 1]
@@ -1143,17 +1067,11 @@ def coverage_metrics(log: ShotLog, diameter: float,
             mixed = np.flatnonzero(cell_state == MIXED)
             x, y, z = region.world_columns(u[mixed], v[mixed])
             first = offsets[cell[mixed]]
-            last = offsets[cell[mixed] + 1] - 1
             hit = np.zeros(len(mixed), dtype=bool)
-            # Past its own, a sample takes its cell's last candidate again.
-            for k in range(int((last - first).max(initial=-1)) + 1):
-                j = candidates[np.minimum(first + k, last)]
-                hit |= _distances(x, y, z, shot_columns, j) <= radius
+            for rows, at in expand_ranges(np.arange(len(mixed)), first,
+                                          offsets[cell[mixed] + 1] - first):
+                close = _distances(x[rows], y[rows], z[rows], shot_columns, candidates[at])
+                hit[rows[close <= radius]] = True
             covered += int(np.count_nonzero(hit))
-            crowd = np.flatnonzero(cell_state == CROWDED)
-            x, y, z = region.world_columns(u[crowd], v[crowd])
-            covered += int(np.count_nonzero(_crowd_hits(
-                x, y, z, cell[crowd], offsets, candidates, proj, axes, shot_columns,
-                radius, margin)))
         coverage = covered / samples
     return CoverageReport(len(log), len(gaps), mean_sp, var_sp, coverage)

@@ -676,8 +676,8 @@ def tree_coverage(log: ShotLog, diameter: float, region: PlanarRegion,
     of the per-cell candidate tests."""
     radius = 0.5 * diameter
     tree = cKDTree(log.positions)
-    state, *_, side, shape, _ = simulator._classify_cells(log.positions, radius, region,
-                                                          samples)
+    state, _, _, side, shape = simulator._classify_cells(log.positions, radius, region,
+                                                         samples)
     rng = np.random.default_rng(seed)
     covered = 0
     for start in range(0, samples, simulator.MC_CHUNK):

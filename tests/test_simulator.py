@@ -899,7 +899,7 @@ def cell_edge_cases(draw):
 @given(cell_edge_cases())
 def test_coverage_equals_full_draw_at_cell_edges(case):
     """The margin keeps a cell whose proof is within rounding of failing
-    mixed, so its corner samples still reach the tree."""
+    mixed, so its corner samples are still tested."""
     log, d, region, samples, seed = case
     got = coverage_metrics(log, d, region=region, samples=samples, seed=seed)
     assert got.coverage == full_draw_coverage(log, d, region, samples, seed)
@@ -908,10 +908,10 @@ def test_coverage_equals_full_draw_at_cell_edges(case):
 @st.composite
 def crowded_cases(draw):
     """9 to 300 shots in one to three clusters of a few radii, from
-    coincident to 1.5 radii wide, origins up to 1 km out: cells with more
-    candidates than MAX_CANDIDATES, whose samples query the tree, beside
-    mixed cells with a few. The box is the shots' own, or one of up to four
-    radii a side from the clusters' common origin."""
+    coincident to 1.5 radii wide, origins up to 1 km out: cells with many
+    candidates, most of which the nearest shot beats, beside cells with a
+    few. The box is the shots' own, or one of up to four radii a side from
+    the clusters' common origin."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.sampled_from([0.004, 0.0015]))
     r = 0.5 * d
@@ -934,8 +934,8 @@ def crowded_cases(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(crowded_cases())
 def test_coverage_equals_full_draw_in_crowded_cells(case):
-    """Crowded cells' samples query the tree, and mixed cells' samples test
-    every candidate, so the count is the full draw's, exactly."""
+    """A crowded cell's samples test only the candidates its nearest shot
+    does not beat, and the count is still the full draw's, exactly."""
     log, d, region, samples, seed = case
     got = coverage_metrics(log, d, region=region, samples=samples, seed=seed)
     assert got.coverage == full_draw_coverage(log, d, region, samples, seed)
@@ -994,10 +994,11 @@ def _best_times(*functions, repeats=3):
 @pytest.mark.parametrize("spread", [1e-4, 0.0], ids=["within-0.1mm", "coincident"])
 def test_piled_shots_stay_on_the_tree(spread):
     """2,000 shots piled within 0.1 mm, or on one point, crowd every mixed
-    cell: their samples query the tree, so the count stays exact, within
-    twice the time of querying every unsettled sample, and within the
-    memory bound, where testing thousands of candidates per sample would
-    take several times longer."""
+    cell: their samples test only the shots the nearest one does not beat,
+    or the one position, so the count stays exact, within twice the time of
+    querying every unsettled sample in a kd-tree, and within the memory
+    bound, where testing thousands of candidates per sample would take
+    several times longer."""
     rng = np.random.default_rng(7)
     d, samples, seed = 0.004, 100_000, 2
     log = _log_at(np.array([0.01, 0.02, 0.3]) + rng.uniform(-0.5, 0.5, (2000, 3)) * spread)
