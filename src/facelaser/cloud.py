@@ -683,7 +683,8 @@ class CellIndex:
             side *= 2.0
         self.side = side
         self.top = np.floor(extent / side)              # the highest key on each axis
-        self.columns = np.ascontiguousarray(positions.T)
+        self.positions = positions
+        self._columns = None                            # the (3, n) coordinates, made on first use
         keys = np.floor((positions - self.mins) / side).astype(np.int64)
         code, self._pack = _packing(keys, 2)
         base = -self._pack(-1, -1, -1)
@@ -743,9 +744,11 @@ class CellIndex:
         distance is below bound**2, as in scipy's kd-tree, and its distance
         is `_distances`'."""
         bound2 = float(bound) * float(bound)          # Python floats overflow to inf quietly
+        if self._columns is None:
+            self._columns = np.ascontiguousarray(self.positions.T)
         for rows, idx in self.candidates(points, bound):
             x, y, z = (np.take(c, rows) for c in points.T)
-            s2 = _squared(x, y, z, self.columns, idx)
+            s2 = _squared(x, y, z, self._columns, idx)
             keep = np.flatnonzero(s2 < bound2)
             yield rows[keep], idx[keep], np.sqrt(s2[keep])
 
