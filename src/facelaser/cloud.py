@@ -752,16 +752,22 @@ class CellIndex:
             keep = np.flatnonzero(s2 < bound2)
             yield rows[keep], idx[keep], np.sqrt(s2[keep])
 
-    def nearest(self, points: np.ndarray, bound: float) -> np.ndarray:
-        """The distance from each point to its nearest indexed point, inf
+    def nearest(self, points: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+        """For each point, the distance to its nearest indexed point and that
+        point's index (the first of equals met); inf and len(positions)
         where none is nearer than `bound` (see `within`)."""
-        out = np.full(len(points), math.inf)
-        for rows, _, dist in self.within(points, bound):
-            if len(rows):
-                heads = np.flatnonzero(_run_starts(rows))
-                out[rows[heads]] = np.minimum(out[rows[heads]],
-                                              np.minimum.reduceat(dist, heads))
-        return out
+        near = np.full(len(points), math.inf)
+        nearest = np.full(len(points), len(self.positions), dtype=np.intp)
+        for rows, idx, dist in self.within(points, bound):
+            starts = _run_starts(rows)
+            heads = np.flatnonzero(starts)
+            least = np.minimum.reduceat(dist, heads)
+            at = np.minimum.reduceat(np.where(dist == least[np.cumsum(starts) - 1],
+                                              np.arange(len(dist)), len(dist)), heads)
+            better = least < near[rows[heads]]
+            near[rows[heads[better]]] = least[better]
+            nearest[rows[heads[better]]] = idx[at[better]]
+        return near, nearest
 
 
 def ray_side(cloud: PointCloud, radius: float, need: float = 0.0) -> float:

@@ -42,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import (PointCloud, _distances, _run_starts, expand_ranges, ray_side,
-                    raycast_many)
+from .cloud import PointCloud, _distances, expand_ranges, ray_side, raycast_many
 from .errors import (
     AbortedOnSafety,
     ContactError,
@@ -943,21 +942,21 @@ def _classify_cells(shots: np.ndarray, radius: float, region: PlanarRegion, samp
     spots, shot_of = np.unique(shots, axis=0, return_index=True)
     index = PointCloud(spots).kdtree(reach_b)
     blocks = -(-shape // BLOCK)
-    near, _ = _nearest_within(index, region.to_world(
+    near, _ = index.nearest(region.to_world(
         region.lo + BLOCK * side * (np.indices(blocks).reshape(2, -1).T + 0.5)), reach_b)
     state = np.where(near < reach_b, MIXED, EMPTY).astype(np.int8)
     state[near < radius - BLOCK * half - margin] = COVERED
     state = state[(ij[:, 0] // BLOCK) * blocks[1] + ij[:, 1] // BLOCK]
     todo = np.flatnonzero(state == MIXED)
-    near, nearest = _nearest_within(index, region.to_world(region.lo + side * (ij[todo] + 0.5)),
-                                    reach)
+    near, nearest = index.nearest(region.to_world(region.lo + side * (ij[todo] + 0.5)), reach)
     mixed = near < reach
     state[todo[~mixed]] = EMPTY
     state[todo[near < radius - half - margin]] = COVERED
     mixed &= near >= radius - half - margin
     todo, lead = todo[mixed], spots[nearest[mixed]]
-    # `slack` outweighs the rounding of the squares at the corners; overflow
-    # or NaN keeps the candidate.
+    # Each mixed cell's shots within reach, less those its nearest shot
+    # beats at every corner. `slack` outweighs the rounding of the squares
+    # there; overflow or NaN keeps the shot.
     corners = [region.to_world(region.lo + side * (ij[todo] + c))
                for c in ((0, 0), (0, 1), (1, 0), (1, 1))]
     slack = 4.0 * float(reach) * (float(margin) + 1e-12 * float(reach))
@@ -973,24 +972,6 @@ def _classify_cells(shots: np.ndarray, radius: float, region: PlanarRegion, samp
     offsets = np.zeros(len(state) + 1, dtype=np.intp)
     offsets[1:] = np.cumsum(np.bincount(np.concatenate(cell), minlength=len(state)))
     return state, offsets, np.concatenate(candidates), side, shape
-
-
-def _nearest_within(index, points: np.ndarray, bound: float):
-    """For each point, the distance to its nearest indexed point nearer than
-    `bound` (inf if none) and that point's index (the first of equals; 0 if
-    none)."""
-    near = np.full(len(points), math.inf)
-    nearest = np.zeros(len(points), dtype=np.intp)
-    for rows, idx, dist in index.within(points, bound):
-        starts = _run_starts(rows)
-        heads = np.flatnonzero(starts)
-        least = np.minimum.reduceat(dist, heads)
-        at = np.minimum.reduceat(np.where(dist == least[np.cumsum(starts) - 1],
-                                          np.arange(len(dist)), len(dist)), heads)
-        better = least < near[rows[heads]]
-        near[rows[heads[better]]] = least[better]
-        nearest[rows[heads[better]]] = idx[at[better]]
-    return near, nearest
 
 
 @dataclass
@@ -1044,7 +1025,7 @@ def coverage_metrics(log: ShotLog, diameter: float,
     # there: a location with no shot that close reads inf.
     bound = float(np.nextafter(radius, np.inf))
     if cloud is not None:
-        dist = PointCloud(shots).kdtree(bound).nearest(cloud.positions, bound)
+        dist, _ = PointCloud(shots).kdtree(bound).nearest(cloud.positions, bound)
         coverage = float(np.mean(dist <= radius))
     else:
         if region is None:

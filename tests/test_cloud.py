@@ -1260,21 +1260,33 @@ def tree_clouds(draw):
     return pos, side, queries, bound, radius
 
 
+def squared_distances(pos: np.ndarray, index: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """|p - q|^2 summed over x, y, z in turn, as the kd-tree sums it."""
+    d = pos[index] - queries
+    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(tree_clouds())
 def test_kdtree_answers_as_a_default_tree(case):
     """The cloud's cell index gives a default cKDTree's bounded k=1
-    distances bit for bit, with a point at the bound reading inf, and its
-    candidates hold every member of the tree's ball. Its table holds at most
+    distances bit for bit, with a point at the bound reading inf, and an
+    index that differs only where its point ties in distance with the
+    tree's; its candidates hold every member of the tree's ball. Its table holds at most
     CELLS_PER_POINT cells per point (64 for fewer than 8), however small
     the side asked for is against the cloud's extent."""
     pos, side, queries, bound, radius = case
     index, default = PointCloud(pos).kdtree(side), cKDTree(pos)
     assert index.side >= side
     assert len(index.starts) - 1 <= CELLS_PER_POINT * max(len(pos), 8)
-    got = index.nearest(queries, bound)
-    want, _ = default.query(queries, k=1, distance_upper_bound=bound)
+    got, got_index = index.nearest(queries, bound)
+    want, want_index = default.query(queries, k=1, distance_upper_bound=bound)
     assert got.tobytes() == want.tobytes()
+    # An index found is a point at that distance: the tree's, or one tied with it.
+    found = np.isfinite(got)
+    assert (got_index[~found] == len(pos)).all()
+    assert np.array_equal(squared_distances(pos, got_index[found], queries[found]),
+                          squared_distances(pos, want_index[found], queries[found]))
     # No point lies nearer than the bound to a query exactly there along an
     # axis from its nearest point: the query reads inf.
     nearest, _ = default.query(queries[:10])
