@@ -670,11 +670,8 @@ class CellIndex:
     the index takes O(len(positions)) memory whatever the side.
     """
 
-    def __init__(self, positions: np.ndarray, side: float, bounds=None):
-        if not len(positions):
-            raise EmptyCloud("an empty cloud has no cell index")
-        self.mins, self.maxes = bounds if bounds is not None else (
-            positions.min(axis=0), positions.max(axis=0))
+    def __init__(self, positions: np.ndarray, side: float, bounds):
+        self.mins, self.maxes = bounds                  # the points' lowest and highest
         extent = self.maxes - self.mins
         if not (np.isfinite(extent).all() and 0.0 < side < math.inf):
             raise ValueError("a cell index needs a finite extent and a positive, finite side")

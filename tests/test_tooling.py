@@ -94,7 +94,7 @@ def _free_loads(node, bound=frozenset()):
         inner = list(node.body) if isinstance(node.body, list) else [node.body]
     own = bound | _bound_names(node) if isinstance(node, (*_FUNCTIONS, *_COMPREHENSIONS)) \
         else bound
-    return set().union(set(), *(_free_loads(sub, own) for sub in inner),
+    return set().union(*(_free_loads(sub, own) for sub in inner),
                        *(_free_loads(sub, bound) for sub in outer))
 
 
