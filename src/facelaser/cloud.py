@@ -32,6 +32,9 @@ CELLS_PER_POINT = 8
 # bounded however many points crowd its cells.
 QUERY_BLOCK = 1 << 14
 PAIR_CHUNK = 1 << 16
+# A cell index's searches take each cell's points in runs of at most this
+# many near each other, and skip a run whose bounding box lies too far.
+GROUP = 16
 
 
 class PointCloud:
@@ -50,7 +53,7 @@ class PointCloud:
         if self.colors is not None and len(self.colors) != len(self.positions):
             raise ValueError("colors length mismatch")
         self._bounds = None
-        self._index: dict[float, CellIndex] = {}
+        self._index: CellIndex | None = None
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -71,13 +74,14 @@ class PointCloud:
         return self._bounds
 
     def kdtree(self, side: float) -> CellIndex:
-        """The cloud's cell index for cells of side `side` or more, built once
-        per side. It is a `CellIndex`, not a tree; the name stays because the
-        benchmark's tracer times this method by it."""
-        index = self._index.get(side)
-        if index is None:
-            index = self._index[side] = CellIndex(self.positions, side, self.bounds())
-        return index
+        """The cloud's cell index for cells of side `side` or more: the one
+        built last while its side is at least `side` (wider cells answer
+        every search narrower ones do), else a new one in its place. It is a
+        `CellIndex`, not a tree; the name stays because the benchmark's
+        tracer times this method by it."""
+        if self._index is None or self._index.side < side:
+            self._index = CellIndex(self.positions, side, self.bounds())
+        return self._index
 
     def select(self, mask_or_index) -> "PointCloud":
         return PointCloud(
@@ -640,6 +644,9 @@ _NEAR = [[k for k, move in enumerate(MOVES.tolist())
 _NEAR_COUNT = np.array([len(moves) for moves in _NEAR])
 _NEAR_FIRST = np.cumsum(_NEAR_COUNT) - _NEAR_COUNT
 _NEAR_MOVES = np.concatenate(_NEAR)
+# Each 10-bit integer with its bits spread to every third place: a point's
+# Morton code is _SPREAD[x] << 2 | _SPREAD[y] << 1 | _SPREAD[z].
+_SPREAD = np.array([sum((i >> b & 1) << 3 * b for b in range(10)) for i in range(1024)])
 
 
 def expand_ranges(rows: np.ndarray, first: np.ndarray, count: np.ndarray):
@@ -668,6 +675,11 @@ class CellIndex:
     `side` is at least the side asked for: it doubles until the table holds
     at most CELLS_PER_POINT cells per point (64 for fewer than 8 points), so
     the index takes O(len(positions)) memory whatever the side.
+
+    The searches (`runs_near`, `nearest`) take each cell's points in runs
+    of at most GROUP near each other (`_runs`), so a search can skip a run
+    whose bounding box lies too far from the query (`gaps`), and a crowd of
+    points in one cell costs a query few of them.
     """
 
     def __init__(self, positions: np.ndarray, side: float, bounds):
@@ -682,6 +694,7 @@ class CellIndex:
         self.top = np.floor(extent / side)              # the highest key on each axis
         self.positions = positions
         self._columns = None                            # the (3, n) coordinates, made on first use
+        self._grouped = None                            # the runs, made on first use
         keys = np.floor((positions - self.mins) / side).astype(np.int64)
         code, self._pack = _packing(keys, 2)
         base = -self._pack(-1, -1, -1)
@@ -708,18 +721,50 @@ class CellIndex:
         for row, at in expand_ranges(rows, first, self.starts[cells + 1] - first):
             yield row, self.order[at]
 
-    def candidates(self, points: np.ndarray, bound: float):
-        """Blocks of (query rows, point indices) pairs, grouped by ascending
-        row, that hold every point within `bound` (at most `side`) of each
-        query: the points of the cells around the query's that reach within
-        `bound` of it on every axis."""
-        if not bound <= self.side:
-            raise ValueError(f"bound {bound} exceeds the cell side {self.side}")
-        # The neighbour cell on a side is searched when the query is within
-        # `bound` of that face; the hair covers the rounding of the keys.
-        reach = bound / self.side + 1e-6
+    def _runs(self):
+        """Each cell's points in runs of at most GROUP near each other, made
+        on first use: the cell's points in the Morton order of their place
+        in the cell's own bounding box (10 bits an axis), cut every GROUP
+        points. Returns the point indices in that order, where each run
+        begins in it (and the end), each run's lowest and highest
+        coordinates, (3, runs), and each table row's first run (and the
+        end)."""
+        if self._grouped is None:
+            count = np.diff(self.starts)
+            full = np.flatnonzero(count)
+            cell = np.repeat(np.arange(len(full)), count[full])
+            pos = self.positions[self.order]
+            lo = np.minimum.reduceat(pos, self.starts[full])
+            width = np.maximum.reduceat(pos, self.starts[full]) - lo
+            with np.errstate(divide="ignore", invalid="ignore"):      # 0 / 0 on a flat axis
+                place = np.floor((pos - lo[cell]) / width[cell] * 1024.0)
+            place = np.clip(np.nan_to_num(place), 0, 1023).astype(np.intp)
+            morton = (_SPREAD[place[:, 0]] << 2) | (_SPREAD[place[:, 1]] << 1) | _SPREAD[place[:, 2]]
+            order = self.order[np.lexsort((morton, cell))]
+            runs = -(-count // GROUP)
+            first_run = np.zeros(len(self.starts), dtype=np.intp)
+            np.cumsum(runs, out=first_run[1:])
+            of = np.repeat(np.arange(len(runs)), runs)
+            first = self.starts[of] + GROUP * (np.arange(len(of)) - first_run[of])
+            pos = self.positions[order]
+            self._grouped = (order, np.append(first, len(order)),
+                             np.minimum.reduceat(pos, first).T.copy(),
+                             np.maximum.reduceat(pos, first).T.copy(), first_run)
+        return self._grouped
+
+    def runs_near(self, points: np.ndarray, bound):
+        """Blocks of (query rows, runs), grouped by ascending row: each query
+        with every run of the cells around its own, which hold every point
+        within `bound` (at most `side`; a scalar or one per query) of it."""
+        bound = np.broadcast_to(np.asarray(bound, dtype=float), (len(points),))
+        if not (bound <= self.side).all():
+            raise ValueError(f"bound {bound.max()} exceeds the cell side {self.side}")
+        first_run = self._runs()[4]
         for first in range(0, len(points), QUERY_BLOCK):
             block = points[first:first + QUERY_BLOCK]
+            # The neighbour cell on a side is searched when the query is within
+            # the bound of that face; the hair covers the rounding of the keys.
+            reach = bound[first:first + QUERY_BLOCK].max() / self.side + 1e-6
             at = (block - self.mins) / self.side
             key = np.clip(np.floor(at), 0.0, self.top)
             place = at - key
@@ -727,57 +772,98 @@ class CellIndex:
             near = (near[:, 0] * 4 + near[:, 1]) * 4 + near[:, 2]
             key = key.astype(np.int64)
             base = self._pack(key[:, 0], key[:, 1], key[:, 2])
-            for rows, at in expand_ranges(np.arange(len(block)), _NEAR_FIRST[near],
-                                          _NEAR_COUNT[near]):
-                cells = base[rows] + self._move_codes[_NEAR_MOVES[at]]
-                full = self.starts[cells + 1] > self.starts[cells]
-                for row, idx in self.expand(rows[full], cells[full]):
-                    yield row + first, idx
+            for rows, at in expand_ranges(np.arange(first, first + len(block)),
+                                          _NEAR_FIRST[near], _NEAR_COUNT[near]):
+                cells = base[rows - first] + self._move_codes[_NEAR_MOVES[at]]
+                count = first_run[cells + 1] - first_run[cells]
+                for rows, run in expand_ranges(rows, first_run[cells], count):
+                    if len(run):
+                        yield rows, run
 
-    def within(self, points: np.ndarray, bound: float):
-        """Every pair of a query point and an indexed point nearer than
-        `bound` (at most `side`): blocks of (query rows, point indices,
-        distances), grouped by ascending row. A point counts when its squared
-        distance is below bound**2, as in scipy's kd-tree, and its distance
-        is `_distances`'."""
-        bound2 = float(bound) * float(bound)          # Python floats overflow to inf quietly
-        if self._columns is None:
-            self._columns = np.ascontiguousarray(self.positions.T)
-        for rows, idx in self.candidates(points, bound):
-            x, y, z = (np.take(c, rows) for c in points.T)
-            s2 = _squared(x, y, z, self._columns, idx)
-            keep = np.flatnonzero(s2 < bound2)
-            yield rows[keep], idx[keep], np.sqrt(s2[keep])
+    def gaps(self, points: np.ndarray, rows: np.ndarray, runs: np.ndarray) -> np.ndarray:
+        """The squared least distance from each query row of `points` to its
+        run's box, rounded as `_squared` rounds. That rounding is monotone
+        in each difference, so no point of the run lies nearer in its
+        arithmetic."""
+        _, _, lo, hi, _ = self._runs()
+        total = 0.0
+        with np.errstate(over="ignore"):
+            for q, low, high in zip(points.T, lo, hi):
+                q = np.take(q, rows)
+                gap = np.maximum(np.take(low, runs) - q, q - np.take(high, runs))
+                np.maximum(gap, 0.0, out=gap)
+                total = total + gap * gap
+        return total
+
+    def run_points(self, rows: np.ndarray, runs: np.ndarray):
+        """Each (row, run) pair once per point of the run: blocks of (rows,
+        point indices) in the pairs' order (`expand_ranges`)."""
+        order, first = self._runs()[:2]
+        for row, at in expand_ranges(rows, first[runs], first[runs + 1] - first[runs]):
+            yield row, order[at]
 
     def nearest(self, points: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
-        """For each point, the distance to its nearest indexed point and that
-        point's index (the first of equals met); inf and len(positions)
-        where none is nearer than `bound` (see `within`)."""
-        near = np.full(len(points), math.inf)
+        """For each point, the distance to its nearest indexed point and the
+        index of one point at that distance; inf and len(positions) where
+        none is nearer than `bound` (at most `side`). A point counts when its
+        squared distance is below bound**2, as in scipy's kd-tree, and its
+        distance is `_distances`'.
+
+        Each query measures first the run whose box lies nearest, then only
+        the runs whose box lies nearer than the best point met."""
+        best2 = np.full(len(points), float(bound) * float(bound))  # Python floats overflow to inf quietly
         nearest = np.full(len(points), len(self.positions), dtype=np.intp)
-        for rows, idx, dist in self.within(points, bound):
+        for rows, run in self.runs_near(points, bound):
+            least = self.gaps(points, rows, run)
             starts = _run_starts(rows)
             heads = np.flatnonzero(starts)
-            least = np.minimum.reduceat(dist, heads)
-            at = np.minimum.reduceat(np.where(dist == least[np.cumsum(starts) - 1],
-                                              np.arange(len(dist)), len(dist)), heads)
-            better = least < near[rows[heads]]
-            near[rows[heads[better]]] = least[better]
-            nearest[rows[heads[better]]] = idx[at[better]]
-        return near, nearest
+            tight = np.where(least == np.minimum.reduceat(least, heads)[np.cumsum(starts) - 1],
+                             np.arange(len(run)), len(run))
+            first = np.minimum.reduceat(tight, heads)
+            self._meet(points, rows[first], run[first], best2, nearest)
+            rest = least < best2[rows]
+            rest[first] = False
+            self._meet(points, rows[rest], run[rest], best2, nearest)
+        found = nearest < len(self.positions)
+        return np.where(found, np.sqrt(best2), math.inf), nearest
+
+    def _meet(self, points, rows, runs, best2, nearest) -> None:
+        """Measure the points of each (row, run) pair, rows ascending; where
+        one is nearer its query than best2 holds, keep its squared distance
+        there and its index in `nearest`."""
+        if self._columns is None:
+            self._columns = np.ascontiguousarray(self.positions.T)
+        for row, idx in self.run_points(rows, runs):
+            s2 = _squared(*(np.take(c, row) for c in points.T), self._columns, idx)
+            starts = _run_starts(row)
+            heads = np.flatnonzero(starts)
+            least = np.minimum.reduceat(s2, heads)
+            at = np.minimum.reduceat(np.where(s2 == least[np.cumsum(starts) - 1],
+                                              np.arange(len(s2)), len(s2)), heads)
+            better = least < best2[row[heads]]
+            best2[row[heads[better]]] = least[better]
+            nearest[row[heads[better]]] = idx[at[better]]
 
 
 def ray_side(cloud: PointCloud, radius: float, need: float = 0.0) -> float:
     """The cell side raycast_many walks `cloud` with at `radius`: the 3x3x3
     cells around each step every `side` along a ray hold every point within
-    `need` of it, when 2 need / sqrt(3) <= side. `need` is the radius plus
-    the rounding slack; up to radius * (1 + 2**-10) the side depends on the
-    radius and the cloud alone, so one index serves every batch. No ray
-    clipped to the box takes more than MAX_RAY_STEPS steps."""
-    need = max(radius * (1.0 + 2.0 ** -10), need)
+    `need` of it, when 2 need / sqrt(3) <= side, and no ray clipped to the
+    box grown by `need` takes more than MAX_RAY_STEPS steps. `need` is the
+    radius plus the rounding slack, at least that of points as far out as
+    the cloud's. The side is the least of side0 * 2**k (k >= 0) that serves
+    `need`, where side0 serves radius * (1 + 2**-10): so rays from near the
+    cloud share one side, and the index is built once."""
     lo, hi = cloud.bounds()
-    diagonal = float(np.linalg.norm(hi - lo + 2.0 * need))
-    return max(2.0 / math.sqrt(3.0) * need, diagonal / (MAX_RAY_STEPS - 2))
+    extent = max(map(abs, lo.tolist() + hi.tolist()))
+
+    def serves(need):
+        diagonal = float(np.linalg.norm(hi - lo + 2.0 * need))
+        return max(2.0 / math.sqrt(3.0) * need, diagonal / (MAX_RAY_STEPS - 2))
+
+    side = serves(radius * (1.0 + 2.0 ** -10))
+    want = serves(max(need, radius + 1e-9 * (1.0 + extent)))
+    return side * 2.0 ** np.ceil(np.log2(max(want / side, 1.0)))
 
 
 def raycast_many(cloud: PointCloud, origins, directions, radius: float,

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, _distances, expand_ranges, ray_side, raycast_many
+from .cloud import PointCloud, _distances, _squared, expand_ranges, ray_side, raycast_many
 from .errors import (
     AbortedOnSafety,
     ContactError,
@@ -913,12 +913,14 @@ def _classify_cells(shots: np.ndarray, radius: float, region: PlanarRegion, samp
     distances by ~1e7. The same test settles squares of BLOCK x BLOCK cells
     first, and only the cells of squares it leaves mixed are tested one by
     one. The centres are looked up in a cell index of the shots' distinct
-    positions, of cells at least as wide as a square's reach.
+    positions.
 
-    The other cells are mixed. A mixed cell's candidates are its shots
-    within reach, less those its nearest shot z beats at every corner of
-    the cell: |x - y|^2 - |x - z|^2 is linear in x, so z is then nearer than
-    y to every sample x of the cell, and covers whatever y covers. A
+    The other cells are mixed. A mixed cell's candidates are its nearest
+    shot z and those of its shots within reach that are nearer than z,
+    give or take `slack`, to some corner of the cell: |x - y|^2 - |x - z|^2
+    is linear in x, so z is nearer than a shot y it beats at every corner
+    to every sample x of the cell, and covers whatever y covers. A run of
+    the index whose box z beats at every corner is skipped whole. A
     candidate is the first shot at its position.
     Returns the int8 states over the row-major cells, the candidates of cell
     c as `candidates[offsets[c]:offsets[c + 1]]` (none unless c is mixed),
@@ -948,30 +950,43 @@ def _classify_cells(shots: np.ndarray, radius: float, region: PlanarRegion, samp
     state[near < radius - BLOCK * half - margin] = COVERED
     state = state[(ij[:, 0] // BLOCK) * blocks[1] + ij[:, 1] // BLOCK]
     todo = np.flatnonzero(state == MIXED)
-    near, nearest = index.nearest(region.to_world(region.lo + side * (ij[todo] + 0.5)), reach)
-    mixed = near < reach
-    state[todo[~mixed]] = EMPTY
+    centres = region.to_world(region.lo + side * (ij[todo] + 0.5))
+    near, nearest = index.nearest(centres, reach)
+    state[todo[near >= reach]] = EMPTY
     state[todo[near < radius - half - margin]] = COVERED
-    mixed &= near >= radius - half - margin
-    todo, lead = todo[mixed], spots[nearest[mixed]]
-    # Each mixed cell's shots within reach, less those its nearest shot
-    # beats at every corner. `slack` outweighs the rounding of the squares
-    # there; overflow or NaN keeps the shot.
+    mixed = (near < reach) & (near >= radius - half - margin)
+    todo, lead, centres = todo[mixed], nearest[mixed], centres[mixed]
+    # Each corner's bound: its squared distance to the lead, plus `slack`,
+    # which outweighs the rounding of the squares there. A bound that
+    # overflows keeps every shot.
     corners = [region.to_world(region.lo + side * (ij[todo] + c))
                for c in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    columns = spots.T.copy()
     slack = 4.0 * float(reach) * (float(margin) + 1e-12 * float(reach))
-    cell, candidates = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for rows, idx, _ in index.within(region.to_world(region.lo + side * (ij[todo] + 0.5)), reach):
-        y, z = spots[idx], lead[rows]
-        with np.errstate(over="ignore", invalid="ignore"):
-            beaten = np.logical_and.reduce([
-                np.einsum("ij,ij->i", c[rows] - y, c[rows] - y)
-                - np.einsum("ij,ij->i", c[rows] - z, c[rows] - z) > slack for c in corners])
-        cell.append(todo[rows[~beaten]])
-        candidates.append(shot_of[idx[~beaten]])
+    with np.errstate(over="ignore"):
+        limits = [_squared(*c.T, columns, lead) + slack for c in corners]
+    reach2 = float(reach) * float(reach)
+
+    def kept(d2, rows):
+        """Which shots the squared distances d2 from the centres and then
+        the corners of the cells `rows` keep: those within reach of the
+        centre and nearer than the lead to some corner."""
+        return (d2[0] < reach2) & np.logical_or.reduce(
+            [d < limit[rows] for d, limit in zip(d2[1:], limits)])
+
+    cell, candidates = [todo], [lead]
+    for rows, runs in index.runs_near(centres, reach):
+        live = kept([index.gaps(p, rows, runs) for p in [centres] + corners], rows)
+        for rows, idx in index.run_points(rows[live], runs[live]):
+            live = kept([_squared(*(np.take(x, rows) for x in p.T), columns, idx)
+                         for p in [centres] + corners], rows)
+            cell.append(todo[rows[live]])
+            candidates.append(idx[live])
+    pair = np.unique(np.concatenate(cell) * len(spots) + np.concatenate(candidates))
+    cell, candidates = np.divmod(pair, len(spots))
     offsets = np.zeros(len(state) + 1, dtype=np.intp)
-    offsets[1:] = np.cumsum(np.bincount(np.concatenate(cell), minlength=len(state)))
-    return state, offsets, np.concatenate(candidates), side, shape
+    offsets[1:] = np.cumsum(np.bincount(cell, minlength=len(state)))
+    return state, offsets, shot_of[candidates], side, shape
 
 
 @dataclass
@@ -1025,8 +1040,24 @@ def coverage_metrics(log: ShotLog, diameter: float,
     # there: a location with no shot that close reads inf.
     bound = float(np.nextafter(radius, np.inf))
     if cloud is not None:
-        dist, _ = PointCloud(shots).kdtree(bound).nearest(cloud.positions, bound)
-        coverage = float(np.mean(dist <= radius))
+        # Each shot looks up the points around it in an index of the points
+        # within the shots' box, grown by twice the bound and a hair more
+        # than the rounding there.
+        pad = 2.0 * bound + 1e-9 * (1.0 + np.abs(shots).max())
+        inside = np.ones(len(cloud), dtype=bool)
+        for p, lo, hi in zip(cloud.positions.T, shots.min(axis=0) - pad, shots.max(axis=0) + pad):
+            inside &= (p >= lo) & (p <= hi)
+        near = cloud.positions[inside]
+        treated = np.zeros(len(near), dtype=bool)
+        if len(near):
+            cells = PointCloud(near).kdtree(bound)
+            block = cells.around(cells.keys(shots))
+            shot, move = np.nonzero(cells.starts[block + 1] > cells.starts[block])
+            bound2 = bound * bound
+            for rows, idx in cells.expand(shot, block[shot, move]):
+                s2 = _squared(*(np.take(c, rows) for c in shots.T), near.T, idx)
+                treated[idx[(s2 < bound2) & (np.sqrt(s2) <= radius)]] = True
+        coverage = np.count_nonzero(treated) / len(cloud)
     else:
         if region is None:
             region = default_shot_region(shots, radius)

@@ -668,16 +668,39 @@ def full_draw_coverage(log: ShotLog, diameter: float, region: PlanarRegion,
     return int(np.count_nonzero(dist <= radius)) / samples
 
 
+def tree_cells(tree: cKDTree, radius: float, region: PlanarRegion, samples: int):
+    """`simulator._classify_cells`' grid, each cell classified by one kd-tree
+    query of its centre: covered when a shot lies within radius - half of
+    it, empty when none lies within radius + half, mixed otherwise (the
+    rounding margin as there). Returns the int8 states over the row-major
+    cells, the side and the (n_u, n_v) cell counts."""
+    width = region.hi - region.lo
+    side = max(radius / 16.0, width.max() * 2.0 ** -60)
+    while np.prod(np.ceil(width / side)) > max(samples / 8.0, 1.0):
+        side = min(2.0 * side, width.max())
+    shape = np.ceil(width / side).astype(np.int64)
+    centres = region.to_world(region.lo + side * (np.indices(shape).reshape(2, -1).T + 0.5))
+    u, v = region.u_axis, region.v_axis
+    half = 0.5 * side * max(np.linalg.norm(u + v), np.linalg.norm(u - v))
+    scale = max(np.abs(tree.data).max(), np.abs(region.origin).max()
+                + np.abs([region.lo, region.hi]).max() * (np.abs(u).max() + np.abs(v).max()))
+    margin = 1e-9 * (1.0 + scale)
+    near, _ = tree.query(centres, distance_upper_bound=radius + half + margin)
+    state = np.where(np.isfinite(near), simulator.MIXED, simulator.EMPTY).astype(np.int8)
+    state[near < radius - half - margin] = simulator.COVERED
+    return state, side, shape
+
+
 def tree_coverage(log: ShotLog, diameter: float, region: PlanarRegion,
                   samples: int, seed: int) -> float:
-    """coverage_metrics' chunked count with covered cells counted whole and
-    every sample of a mixed or crowded cell queried in a kd-tree of the
-    shots, the cell index taken from the (n, 2) draw: the timing reference
-    of the per-cell candidate tests."""
+    """coverage_metrics' chunked count with the cells classified by a kd-tree
+    of the shots (`tree_cells`), covered cells counted whole and every
+    sample of a mixed cell queried in the tree, the cell index taken from
+    the (n, 2) draw: the timing reference of the cell classification and
+    the per-cell candidate tests."""
     radius = 0.5 * diameter
     tree = cKDTree(log.positions)
-    state, _, _, side, shape = simulator._classify_cells(log.positions, radius, region,
-                                                         samples)
+    state, side, shape = tree_cells(tree, radius, region, samples)
     rng = np.random.default_rng(seed)
     covered = 0
     for start in range(0, samples, simulator.MC_CHUNK):

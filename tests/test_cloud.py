@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from facelaser import cloud as cloud_module
 from facelaser.cloud import (
     CELLS_PER_POINT,
     PointCloud,
@@ -20,6 +21,7 @@ from facelaser.cloud import (
     concatenate,
     estimate_normals,
     load_ply,
+    ray_side,
     raycast,
     raycast_many,
     save_ply,
@@ -1105,6 +1107,38 @@ def test_raycast_matches_scan_on_the_face(max_range):
     assert hits > 50
 
 
+def test_far_face_keeps_the_index_built_up_front():
+    """10 km out, where the rounding slack outgrows radius * 2**-10, batches
+    of rays from around the face, each from origins of its own, hit as the
+    scan does and search the index built up front, as run_path builds it:
+    none builds another."""
+    face = face_cloud(60_000).transformed(RigidTransform(np.eye(3), [1e4, -1e4, 1e4]))
+    rng = np.random.default_rng(8)
+    lo, hi = face.bounds()
+    built = []
+
+    class Counted(cloud_module.CellIndex):
+        def __init__(self, *args):
+            built.append(args[1])
+            super().__init__(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cloud_module, "CellIndex", Counted)
+        side = ray_side(face, 0.004)
+        assert face.kdtree(side).side == side       # dense enough to keep the side asked for
+        for _ in range(5):
+            origins = rng.uniform(lo - 0.1, hi + 0.1, (20, 3))
+            directions = face.positions[rng.integers(len(face), size=20)] - origins
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            index, distance = raycast_many(face, origins, directions, 0.004)
+            for i in range(20):
+                want = scan_raycast(face, origins[i], directions[i], 0.004, math.inf)
+                assert want is not None
+                assert_same_hit(RayHit(face.positions[index[i]], face.normals[index[i]],
+                                       float(distance[i])), want)
+    assert len(built) == 1
+
+
 @st.composite
 def ray_batches(draw):
     """A small cloud, possibly empty, with repeated points, and 1-50 rays: from
@@ -1272,7 +1306,8 @@ def test_kdtree_answers_as_a_default_tree(case):
     """The cloud's cell index gives a default cKDTree's bounded k=1
     distances bit for bit, with a point at the bound reading inf, and an
     index that differs only where its point ties in distance with the
-    tree's; its candidates hold every member of the tree's ball. Its table holds at most
+    tree's; the runs near a query whose box lies within a radius of it
+    hold every member of the tree's ball. Its table holds at most
     CELLS_PER_POINT cells per point (64 for fewer than 8), however small
     the side asked for is against the cloud's extent."""
     pos, side, queries, bound, radius = case
@@ -1294,8 +1329,10 @@ def test_kdtree_answers_as_a_default_tree(case):
     at_bound = (nearest == bound) & np.isinf(alone)
     assert np.isinf(got[:10][at_bound]).all()
     found = [set() for _ in queries]
-    for rows, idx in index.candidates(queries, radius):
-        for row, i in zip(rows.tolist(), idx.tolist()):
-            found[row].add(i)
+    for rows, runs in index.runs_near(queries, radius):
+        near = index.gaps(queries, rows, runs) <= radius * radius
+        for rows, idx in index.run_points(rows[near], runs[near]):
+            for row, i in zip(rows.tolist(), idx.tolist()):
+                found[row].add(i)
     for row, ball in enumerate(default.query_ball_point(queries, radius)):
         assert set(ball) <= found[row]

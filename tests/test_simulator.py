@@ -868,6 +868,29 @@ def test_coverage_equals_full_draw(case):
     assert got.coverage == full_draw_coverage(log, d, region, samples, seed)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0, 1000.0]),
+       st.sampled_from([0.004, 0.0015]), st.integers(1, 300), st.integers(1, 40))
+def test_cloud_coverage_equals_tree_query(seed, scale, d, n_points, n_shots):
+    """Against a cloud, the treated fraction is a bounded kd-tree query's of
+    every point, bit for bit: points at exactly the radius from a shot
+    along an axis, and within 8 ulps of it, clouds wider than the shots'
+    box or beside it, and coincident shots, up to 1 km out."""
+    rng = np.random.default_rng(seed)
+    r = 0.5 * d
+    origin = rng.uniform(-1.0, 1.0, 3) * scale
+    shots = origin + rng.uniform(-1.0, 1.0, (n_shots, 3)) * rng.choice([0.0, r, 5.0 * d])
+    shots[rng.random(n_shots) < 0.2] = shots[0]
+    points = origin + rng.uniform(-1.0, 1.0, (n_points, 3)) * rng.choice([r, 5.0 * d, 50.0 * d])
+    axis = np.eye(3)[rng.integers(0, 3, n_points)] * rng.choice([-1.0, 1.0], (n_points, 1))
+    edge = rng.random(n_points) < 0.5
+    points[edge] = (shots[rng.integers(0, n_shots, n_points)]
+                    + (r + np.spacing(r) * rng.integers(-8, 9, n_points))[:, None] * axis)[edge]
+    dist, _ = cKDTree(shots).query(points, distance_upper_bound=float(np.nextafter(r, np.inf)))
+    got = coverage_metrics(_log_at(shots), d, cloud=PointCloud(points)).coverage
+    assert got == float(np.mean(dist <= r))
+
+
 @st.composite
 def cell_edge_cases(draw):
     """One shot within an ulp of the covered or the empty test's edge for
@@ -996,9 +1019,10 @@ def test_piled_shots_stay_on_the_tree(spread):
     """2,000 shots piled within 0.1 mm, or on one point, crowd every mixed
     cell: their samples test only the shots the nearest one does not beat,
     or the one position, so the count stays exact, within twice the time of
-    querying every unsettled sample in a kd-tree, and within the memory
-    bound, where testing thousands of candidates per sample would take
-    several times longer."""
+    classifying the cells and querying every unsettled sample in a
+    kd-tree, and within the memory bound, where testing thousands of
+    candidates per sample, or measuring every shot of the pile for each
+    cell, would take several times longer."""
     rng = np.random.default_rng(7)
     d, samples, seed = 0.004, 100_000, 2
     log = _log_at(np.array([0.01, 0.02, 0.3]) + rng.uniform(-0.5, 0.5, (2000, 3)) * spread)
