@@ -1036,28 +1036,28 @@ def coverage_metrics(log: ShotLog, diameter: float,
         mean_sp = float(np.mean(gaps)) if len(gaps) else None
         var_sp = float(np.var(gaps)) if len(gaps) else None
 
-    # Only whether a shot lies within `radius` counts, so the lookups stop
-    # there: a location with no shot that close reads inf.
-    bound = float(np.nextafter(radius, np.inf))
     if cloud is not None:
-        # Each shot looks up the points around it in an index of the points
-        # within the shots' box, grown by twice the bound and a hair more
-        # than the rounding there.
+        # A point counts when its squared distance to a shot is below that of
+        # the bound just past the radius, as in a bounded kd-tree query, and
+        # the distance is at most the radius. Each shot looks up the points
+        # around it in an index of the points within the shots' box, grown by
+        # twice the bound and a hair more than the rounding there.
+        bound = float(np.nextafter(radius, np.inf))
         pad = 2.0 * bound + 1e-9 * (1.0 + np.abs(shots).max())
         inside = np.ones(len(cloud), dtype=bool)
         for p, lo, hi in zip(cloud.positions.T, shots.min(axis=0) - pad, shots.max(axis=0) + pad):
             inside &= (p >= lo) & (p <= hi)
-        near = cloud.positions[inside]
-        treated = np.zeros(len(near), dtype=bool)
+        near = np.flatnonzero(inside)
+        treated = np.zeros(len(cloud), dtype=bool)
         if len(near):
-            cells = PointCloud(near).kdtree(bound)
+            cells = PointCloud(cloud.positions[near]).kdtree(bound)
             block = cells.around(cells.keys(shots))
             shot, move = np.nonzero(cells.starts[block + 1] > cells.starts[block])
             bound2 = bound * bound
             for rows, idx in cells.expand(shot, block[shot, move]):
-                s2 = _squared(*(np.take(c, rows) for c in shots.T), near.T, idx)
-                treated[idx[(s2 < bound2) & (np.sqrt(s2) <= radius)]] = True
-        coverage = np.count_nonzero(treated) / len(cloud)
+                s2 = _squared(*(np.take(c, rows) for c in shots.T), cells.positions.T, idx)
+                treated[near[idx[(s2 < bound2) & (np.sqrt(s2) <= radius)]]] = True
+        coverage = float(np.mean(treated))
     else:
         if region is None:
             region = default_shot_region(shots, radius)
