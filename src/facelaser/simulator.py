@@ -958,7 +958,7 @@ def _classify_cells(shots: np.ndarray, radius: float, region: PlanarRegion, samp
     todo, lead, centres = todo[mixed], nearest[mixed], centres[mixed]
     # Each corner's bound: its squared distance to the lead, plus `slack`,
     # which outweighs the rounding of the squares there. A bound that
-    # overflows keeps every shot.
+    # overflows keeps every shot within reach.
     corners = [region.to_world(region.lo + side * (ij[todo] + c))
                for c in ((0, 0), (0, 1), (1, 0), (1, 1))]
     columns = spots.T.copy()
